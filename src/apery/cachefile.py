@@ -4,11 +4,11 @@ Format: a tab-separated header line ``apery-cache <version> apery`` followed
 by one record per line, ``n <tab> A(n)`` in decimal, with strictly
 increasing n.  An empty file is an empty cache.
 
-Loading validates structure everywhere and integrity by sampling: runs of
-three or more consecutive indices are checked against the three-term
-recurrence (cheap, exact, and a single corrupted digit always breaks it),
-and any record not covered that way is recomputed outright when n is small
-enough to make that cheap.  Records beyond both nets are taken on trust.
+Loading validates the structure and checks every record against A(n)
+modulo the prime q = 2^61 - 1, by one pass of the recurrence up to the
+largest index in the file.  That catches any single-digit edit, truncation
+or rescaling by k != 1 (mod q); a value changed by an exact multiple of q
+is the one change that passes.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ import os
 import sys
 from typing import Mapping
 
-from .sequence import apery, _recurrence_step
+from .sequence import _wrong_record
 
 __all__ = ["CacheError", "FORMAT_VERSION", "cache_load", "cache_store"]
 
 FORMAT_VERSION = 1
 _SEQUENCE_ID = "apery"
-_RECOMPUTE_BOUND = 400  # direct recomputation is milliseconds below this
 
 
 class CacheError(ValueError):
@@ -70,40 +69,12 @@ def _parse_header(line: str) -> None:
         raise CacheError(f"unknown sequence id {fields[2]!r}", line=1)
 
 
-def _verify(values: dict[int, int], lines: dict[int, int]) -> None:
-    ns = sorted(values)
-    covered: set[int] = set()
-    i = 0
-    while i < len(ns):
-        j = i
-        while j + 1 < len(ns) and ns[j + 1] == ns[j] + 1:
-            j += 1
-        run = ns[i : j + 1]
-        if len(run) >= 3:
-            for m in run[2:]:
-                if values[m] != _recurrence_step(m, values[m - 1], values[m - 2]):
-                    raise CacheError(
-                        f"record for n={m} breaks the recurrence", line=lines[m]
-                    )
-            covered.update(run)
-        i = j + 1
-    for n in ns:
-        if n not in covered and n <= _RECOMPUTE_BOUND:
-            if values[n] != apery(n):
-                raise CacheError(f"record for n={n} is wrong", line=lines[n])
-            covered.add(n)
-    # anchor the runs so a uniformly rescaled file cannot slip through
-    for n in (0, 1):
-        if n in values and values[n] != apery(n):
-            raise CacheError(f"record for n={n} is wrong", line=lines[n])
-
-
 def cache_load(path: str | os.PathLike, verify: bool = True) -> dict[int, int]:
     """Read a cache file back into an {n: A(n)} map.
 
     Raises CacheError, naming the offending line, for structural problems
-    (bad header, malformed or non-increasing records) and for sampled
-    records that fail re-verification.
+    (bad header, malformed or non-increasing records) and, unless verify is
+    false, for any record whose value is not A(n) modulo 2^61 - 1.
     """
     _unlimited_decimals()
     with open(path, "r", encoding="ascii") as fh:
@@ -133,5 +104,7 @@ def cache_load(path: str | os.PathLike, verify: bool = True) -> dict[int, int]:
         values[n] = value
         lines[n] = idx
     if verify:
-        _verify(values, lines)
+        bad = _wrong_record(values)
+        if bad is not None:
+            raise CacheError(f"record for n={bad} is wrong", line=lines[bad])
     return values

@@ -86,7 +86,7 @@ class RunConfig:
 
     format: str = "plain"
     cache_path: str | None = None
-    workers: int = 1
+    workers: int = 1  # accepted and ignored: scans run serially
 
     def __post_init__(self) -> None:
         if self.format not in ("plain", "json", "csv"):
@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--cache", help=f"cache file path (default ${CACHE_ENV})")
     common.add_argument("--config", help=f"JSON config file (default ${CONFIG_ENV})")
-    common.add_argument("--workers", type=int, help="worker pool size for scans")
+    common.add_argument("--workers", type=int, help="ignored; scans run serially")
 
     parser = argparse.ArgumentParser(
         prog="apery",

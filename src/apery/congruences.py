@@ -16,7 +16,6 @@ a rolling recurrence sweep.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -147,20 +146,15 @@ def digit_set(p: int, cache: AperyCache | None = None) -> DigitSet:
 def scan_digit_sets(
     p_max: int, min_size: int, workers: int = 1, cache: AperyCache | None = None
 ) -> list[DigitSet]:
-    """All primes p <= p_max whose digit set has at least min_size digits.
+    """All primes p <= p_max whose digit set has at least min_size digits, by p.
 
-    Primes are independent, so the scan can fan out over a worker pool; the
-    result order is by p regardless of worker count.
+    workers is accepted and ignored: the scan runs serially, since a thread
+    pool gave no speed-up on this pure-Python work.
     """
     if p_max < 2 or min_size < 1:
         raise ValueError("need p_max >= 2 and min_size >= 1")
-    primes = primes_upto(p_max)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sets = list(pool.map(lambda p: digit_set(p, cache), primes))
-    else:
-        sets = [digit_set(p, cache) for p in primes]
-    return [ds for ds in sorted(sets, key=lambda ds: ds.p) if len(ds) >= min_size]
+    sets = (digit_set(p, cache) for p in primes_upto(p_max))
+    return [ds for ds in sets if len(ds) >= min_size]
 
 
 def verify_lucas_mod_p(

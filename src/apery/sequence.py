@@ -47,13 +47,41 @@ def apery(n: int) -> int:
     return total
 
 
+def _r1(m: int) -> int:
+    return 34 * m**3 - 51 * m**2 + 27 * m - 5
+
+
 def _recurrence_step(m: int, prev1: int, prev2: int) -> int:
-    """A(m) from A(m-1), A(m-2) via m^3 A(m) = r1(m) A(m-1) - r2(m) A(m-2)."""
-    numerator = (34 * m**3 - 51 * m**2 + 27 * m - 5) * prev1 - (m - 1) ** 3 * prev2
+    """A(m) from A(m-1), A(m-2) via m^3 A(m) = r1(m) A(m-1) - (m-1)^3 A(m-2)."""
+    numerator = _r1(m) * prev1 - (m - 1) ** 3 * prev2
     value, remainder = divmod(numerator, m**3)
     if remainder:
         raise ArithmeticError(f"recurrence step not exact at m={m}")
     return value
+
+
+def _wrong_record(values: Mapping[int, int]) -> int | None:
+    """An n whose value is not A(n), or None when every record checks out.
+
+    A value of at most 4n - 2 bitlen(2n+1) bits is too short, since
+    A(n) >= C(2n,n)^2 >= 16^n/(2n+1)^2.  Rejecting those first bounds the
+    pass by the size of the values and keeps every n far below the prime
+    q = 2^61 - 1.  The rest are compared with A(n) mod q from one pass of
+    the recurrence, carrying A(n) as x1/den so no step needs an inverse.
+    A value off from A(n) by a nonzero multiple of q passes.
+    """
+    for n in sorted(values):
+        if values[n].bit_length() <= 4 * n - 2 * (2 * n + 1).bit_length():
+            return n
+    q = 2**61 - 1
+    x2, x1, den = 0, 1, 1  # A(n) = x1/den; A(n-1) = x2/den once n >= 1
+    for n in range(max(values, default=0) + 1):
+        value = values.get(n)
+        if value is not None and (value % q * den - x1) % q:
+            return n
+        c = (n + 1) ** 3
+        x2, x1, den = x1 * c % q, (_r1(n + 1) * x1 - n**3 * x2) % q, den * c % q
+    return None
 
 
 class AperyCache:
@@ -126,9 +154,8 @@ def apery_via_recurrence(n: int, cache: AperyCache | None = None) -> int:
     if hit is not None:
         return hit
     start = min(n, cache._contiguous)
+    # n >= 2 here (the memo holds 0 and 1), so 1 <= start <= _contiguous
     prev2, prev1 = cache.get(start - 1), cache.get(start)
-    if prev2 is None or prev1 is None:  # defensive; contiguous prefix always has both
-        start, prev2, prev1 = 1, 1, 5
     for m in range(start + 1, n + 1):
         value = cache.get(m)
         if value is None:

@@ -1,5 +1,7 @@
 """On-disk cache round trips and integrity checks."""
 
+import time
+
 import pytest
 
 from apery.cachefile import CacheError, cache_load, cache_store
@@ -104,3 +106,25 @@ def test_round_trip_beyond_interpreter_digit_cap(tmp_path):
     values = {0: 1, 1: 5, 3000: big}
     cache_store(path, values)
     assert cache_load(path) == values
+
+
+@pytest.mark.parametrize(
+    "values, line",
+    [
+        ({n: 3 * apery(n) for n in range(2, 50)}, 2),
+        ({n: 2 * apery(n) for n in range(500, 510)}, 2),
+        ({0: 1, 1: 5, 1000: apery(1000) + 1}, 4),
+        ({700: apery(700) + 7, 701: apery(701)}, 2),
+        ({n: apery(n) + (n == 500) * 10**5 for n in range(500, 510)}, 2),
+        ({0: 1, 10**12: 7}, 3),
+    ],
+    ids=["run-times-3", "run-times-2", "isolated", "pair", "first-of-run", "huge-n"],
+)
+def test_tampered_record_names_line(tmp_path, values, line):
+    path = tmp_path / "values.cache"
+    cache_store(path, values)
+    started = time.perf_counter()
+    with pytest.raises(CacheError) as err:
+        cache_load(path)
+    assert err.value.line == line
+    assert time.perf_counter() - started < 1.0

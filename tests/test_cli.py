@@ -329,6 +329,15 @@ class TestCacheCommand:
 
         assert code == 0 and int(out) == apery(40)
 
+    def test_rescaled_cache_refused(self, capsys, tmp_path):
+        from apery.cachefile import cache_store
+        from apery.sequence import apery
+
+        path = tmp_path / "a.cache"
+        cache_store(path, {n: 3 * apery(n) for n in range(2, 50)})
+        code, _, err = run_cli(capsys, "apery", "10", "--cache", str(path))
+        assert code == 2 and "line 2" in err
+
 
 class TestConfigFile:
     def test_config_defaults_flags_win(self, capsys, tmp_path, monkeypatch):
