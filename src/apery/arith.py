@@ -26,20 +26,36 @@ __all__ = [
     "wolstenholme_residue",
 ]
 
-# Trial division is plenty for desk-scale scans.  Swap in a stronger test
-# here if a run ever needs moduli beyond this bound.
-PRIMALITY_BOUND = 10**6
+# Miller-Rabin with the first thirteen prime bases is deterministic below
+# 3317044064679887385961981, the smallest strong pseudoprime to all of them
+# (1287836182261 * 2575672364521); the bound is the largest n below it.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981 - 1
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check for n up to PRIMALITY_BOUND."""
+    """Deterministic Miller-Rabin primality check for n <= PRIMALITY_BOUND."""
     if n > PRIMALITY_BOUND:
         raise ValueError(f"is_prime supports n <= {PRIMALITY_BOUND}, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def primes_upto(limit: int) -> list[int]:

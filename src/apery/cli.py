@@ -53,6 +53,7 @@ from .mzv import (
 )
 from .sequence import (
     AperyCache,
+    _recurrence_mod,
     apery_deriv,
     apery_fast,
     apery_mod_p,
@@ -187,14 +188,20 @@ def _cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _reduce_apery(n: int, modulus: int, cache: AperyCache) -> Residue:
-    # fast digit paths for prime and prime-squared moduli
     if n < 0:
         n = -1 - n
-    if modulus <= PRIMALITY_BOUND and is_prime(modulus):
+    # the digit routes for prime and prime-squared moduli build a table of
+    # p entries, so below p the modular pass is the cheaper route
+    if modulus <= min(n, PRIMALITY_BOUND) and is_prime(modulus):
         return apery_mod_p(n, modulus, mod_p_table(modulus, cache))
     root = math.isqrt(modulus)
-    if root * root == modulus and root <= PRIMALITY_BOUND and is_prime(root):
+    if root * root == modulus and root <= min(n, PRIMALITY_BOUND) and is_prime(root):
         return apery_mod_p2(n, root, mod_p2_tables(root, cache))
+    # x/den is A(n) mod M unless some k <= n shares a factor with M
+    for x, den in _recurrence_mod(modulus, n):
+        pass
+    if math.gcd(den, modulus) == 1:
+        return Residue(x * pow(den, -1, modulus), modulus)
     return Residue(apery_fast(n, cache) % modulus, modulus)
 
 

@@ -6,11 +6,14 @@ the digits d for which A(d + p n) = A(d) A(n) mod p^2 holds for every
 integer n.  Negative n are always in scope: reflection A(n) = A(-1-n) turns
 them into non-negative evaluations.
 
-The per-(d, n) sweeps reduce exact values.  verify_multi_digit's mod p^2
-laws go through the digit tables instead (the tables are exact reductions,
-and the digit route is itself checked against exact reduction in the test
-suite); its mod p^3 law has no digit shortcut and reduces exact values from
-a rolling recurrence sweep.
+The per-(d, n) sweeps reduce exact values, so they stay independent of the
+modular recurrence.  digit_set and verify_multi_digit's mod p^2 laws go
+through the digit tables instead, which come from the recurrence and its
+derivative run modulo p^2 (the tables and the digit route are checked
+against exact reduction in the test suite).  scan_digit_sets reduces one
+shared exact prefix for every prime, which is cheaper than a modular pass
+per prime.  The mod p^3 law has no digit shortcut and reduces exact values
+from a rolling recurrence sweep.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .arith import Residue, is_prime, primes_upto, rational_mod
 from .sequence import (
     AperyCache,
+    _digit_tables,
     apery_deriv,
     apery_fast,
     apery_mod_p2,
@@ -134,13 +138,17 @@ def _span(n_range: tuple[int, int]) -> range:
     return range(lo, hi + 1)
 
 
+def _digit_set_of(p: int, values: Sequence[int]) -> DigitSet:
+    # values[d] is A(d) mod p^2 for d < p
+    return DigitSet(p, tuple(d for d in range(p) if values[d] == values[p - 1 - d]))
+
+
 def digit_set(p: int, cache: AperyCache | None = None) -> DigitSet:
-    """D(p) by exact reduction of A(0), ..., A(p-1) modulo p^2."""
-    _require_prime(p)
-    m = p * p
-    values = [apery_fast(d, cache) % m for d in range(p)]
-    digits = tuple(d for d in range(p) if values[d] == values[p - 1 - d])
-    return DigitSet(p, digits)
+    """D(p) from A(0), ..., A(p-1) modulo p^2, by the modular recurrence.
+
+    cache is accepted and unused.
+    """
+    return _digit_set_of(p, _digit_tables(p, p * p, derivs=False)[0])
 
 
 def scan_digit_sets(
@@ -148,13 +156,21 @@ def scan_digit_sets(
 ) -> list[DigitSet]:
     """All primes p <= p_max whose digit set has at least min_size digits, by p.
 
-    workers is accepted and ignored: the scan runs serially, since a thread
-    pool gave no speed-up on this pure-Python work.
+    Every prime reduces the same exact prefix A(0), ..., A(p - 1), built
+    once.  workers is accepted and ignored: the scan runs serially, since a
+    thread pool gave no speed-up on this pure-Python work.
     """
     if p_max < 2 or min_size < 1:
         raise ValueError("need p_max >= 2 and min_size >= 1")
-    sets = (digit_set(p, cache) for p in primes_upto(p_max))
-    return [ds for ds in sets if len(ds) >= min_size]
+    primes = primes_upto(p_max)
+    prefix = [apery_fast(d, cache) for d in range(primes[-1])]
+    sets = []
+    for p in primes:
+        m = p * p
+        ds = _digit_set_of(p, [a % m for a in prefix[:p]])
+        if len(ds) >= min_size:
+            sets.append(ds)
+    return sets
 
 
 def verify_lucas_mod_p(
@@ -347,9 +363,9 @@ def verify_multi_digit(
         mod p^2 where e(n) counts the middle digit.
     law="unit": alphabet within {0, p-1} for p >= 5; A(n) = 1 mod p^3.
 
-    The two mod p^2 laws evaluate A(n) through the digit tables (the tables
-    themselves are exact reductions); the mod p^3 law has no digit shortcut,
-    so it reduces exact values from a rolling recurrence sweep.
+    The two mod p^2 laws evaluate A(n) through the digit tables (built by
+    the recurrence modulo p^2); the mod p^3 law has no digit shortcut, so
+    it reduces exact values from a rolling recurrence sweep.
     """
     _require_prime(p)
     alphabet = sorted(set(alphabet))

@@ -7,16 +7,18 @@ by the reflection A(n) = A(-1-n).  A'(n) is the harmonic-weighted variant
 Besides the defining sums this module provides the three-term recurrence
 (with a shared memo cache), O(log n) modular evaluation through the base-p
 digit congruences, and a memory-flat recurrence sweep for reducing A(n) at
-scattered large indices.
+scattered large indices.  The digit tables A(d), A'(d) mod p and p^2 come
+from the recurrence and its derivative run modulo p or p^2, with no exact
+values; the exact routes stay as their oracles.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .arith import Residue, is_prime, rational_mod
+from .arith import Residue, is_prime
 
 __all__ = [
     "AperyCache",
@@ -60,6 +62,21 @@ def _recurrence_step(m: int, prev1: int, prev2: int) -> int:
     return value
 
 
+def _recurrence_mod(q: int, top: int) -> Iterator[tuple[int, int]]:
+    """Pairs (x, den) with A(n) = x/den (mod q), for n = 0, ..., top.
+
+    One pass of the recurrence modulo q that carries A(n) as x/den, so no
+    step needs an inverse: den is the product of k^3 over 1 <= k <= n, and
+    x/den is A(n) mod q whenever den is a unit mod q.
+    """
+    x2, x1, den = 0, 1, 1  # A(n) = x1/den; A(n-1) = x2/den once n >= 1
+    yield x1, den
+    for n in range(1, top + 1):
+        c = n**3
+        x2, x1, den = x1 * c % q, (_r1(n) * x1 - (n - 1) ** 3 * x2) % q, den * c % q
+        yield x1, den
+
+
 def _wrong_record(values: Mapping[int, int]) -> int | None:
     """An n whose value is not A(n), or None when every record checks out.
 
@@ -67,20 +84,17 @@ def _wrong_record(values: Mapping[int, int]) -> int | None:
     A(n) >= C(2n,n)^2 >= 16^n/(2n+1)^2.  Rejecting those first bounds the
     pass by the size of the values and keeps every n far below the prime
     q = 2^61 - 1.  The rest are compared with A(n) mod q from one pass of
-    the recurrence, carrying A(n) as x1/den so no step needs an inverse.
-    A value off from A(n) by a nonzero multiple of q passes.
+    the recurrence (_recurrence_mod).  A value off from A(n) by a nonzero
+    multiple of q passes.
     """
     for n in sorted(values):
         if values[n].bit_length() <= 4 * n - 2 * (2 * n + 1).bit_length():
             return n
     q = 2**61 - 1
-    x2, x1, den = 0, 1, 1  # A(n) = x1/den; A(n-1) = x2/den once n >= 1
-    for n in range(max(values, default=0) + 1):
+    for n, (x, den) in enumerate(_recurrence_mod(q, max(values, default=0))):
         value = values.get(n)
-        if value is not None and (value % q * den - x1) % q:
+        if value is not None and (value % q * den - x) % q:
             return n
-        c = (n + 1) ** 3
-        x2, x1, den = x1 * c % q, (_r1(n + 1) * x1 - n**3 * x2) % q, den * c % q
     return None
 
 
@@ -204,22 +218,58 @@ def apery_deriv_reflected(n: int) -> Fraction:
     return -apery_deriv(-1 - n)
 
 
+def _digit_tables(p: int, m: int, derivs: bool) -> tuple[list[int], list[int]]:
+    """A(d) mod m and, when derivs is set, A'(d) mod m for d = 0, ..., p-1.
+
+    m is p or p^2 for a prime p.  Runs the recurrence and its derivative
+    together, starting from A(0) = 1, A'(0) = 0:
+        k^3 A(k) = r1(k) A(k-1) - (k-1)^3 A(k-2),
+        k^3 A'(k) = -3k^2 A(k) + r1'(k) A(k-1) + r1(k) A'(k-1)
+                    - 3(k-1)^2 A(k-2) - (k-1)^3 A'(k-2).
+    The second is the derivative of the functional equation at z = k, whose
+    sin^2(pi z) term has zero derivative at integers.  At k = 1 the
+    (k-1) factors drop A(-1), which gives A'(1) = 12.  For k < p, k^3 is a
+    unit mod m, so every step divides exactly.  The derivative table is []
+    when derivs is not set.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    values, slopes = [1], [0] if derivs else []
+    a2, a1, s2, s1 = 0, 1, 0, 0  # A(k-2), A(k-1), A'(k-2), A'(k-1)
+    for k in range(1, p):
+        inv = pow(k**3, -1, m)
+        r, c = _r1(k), (k - 1) ** 3
+        a = (r * a1 - c * a2) * inv % m
+        values.append(a)
+        if derivs:
+            r_prime = 102 * k * k - 102 * k + 27
+            s = (
+                -3 * k * k * a + r_prime * a1 + r * s1
+                - 3 * (k - 1) ** 2 * a2 - c * s2
+            ) * inv % m
+            slopes.append(s)
+            s2, s1 = s1, s
+        a2, a1 = a1, a
+    return values, slopes
+
+
 def mod_p_table(p: int, cache: AperyCache | None = None) -> list[int]:
-    """A(0), ..., A(p-1) reduced mod p."""
-    return [apery_via_recurrence(d, cache) % p for d in range(p)]
+    """A(0), ..., A(p-1) reduced mod p, for a prime p.
+
+    Built by the recurrence modulo p; cache is accepted and unused.
+    """
+    return _digit_tables(p, p, derivs=False)[0]
 
 
 def mod_p2_tables(p: int, cache: AperyCache | None = None) -> tuple[list[int], list[int]]:
     """Digit tables (A(d) mod p^2, A'(d) mod p^2) for d = 0, ..., p-1.
 
-    The derivative table is well defined because no A'(d) denominator is
-    divisible by p; a violation would falsify the mod p^2 congruence theorem
-    and surfaces here as ValueError.
+    p must be prime.  Both tables come from one pass of the recurrence and
+    its derivative modulo p^2; cache is accepted and unused.  Since d^3 is
+    a unit mod p for every d < p, that recurrence also shows that A'(d) is
+    p-integral there, so the derivative table is always well defined.
     """
-    m = p * p
-    values = [apery_via_recurrence(d, cache) % m for d in range(p)]
-    derivs = [rational_mod(apery_deriv(d), m).value for d in range(p)]
-    return values, derivs
+    return _digit_tables(p, p * p, derivs=True)
 
 
 def apery_mod_p(n: int, p: int, table: list[int] | None = None) -> Residue:

@@ -218,3 +218,15 @@ def test_09_classical_ingredients():
         for b in range(a + 1)
     )
     report("9 classical-ingredients", ok, t0, 60)
+
+
+def test_10_mod_p2_digit_route_budget(capsys):
+    # `apery 10**21 --mod 1009**2`; 216470 is the answer of the digit route
+    # with tables from exact values and harmonic sums
+    from apery.cli import main
+
+    t0 = time.time()
+    code = main(["apery", str(10**21), "--mod", str(1009**2)])
+    out = capsys.readouterr().out
+    with capsys.disabled():
+        report("10 mod-p2-budget", code == 0 and out == "216470\n", t0, 5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apery.arith import (
+    PRIMALITY_BOUND,
     Residue,
     binomial,
     harmonic,
@@ -165,3 +166,23 @@ def test_primes_upto():
     assert primes_upto(31) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
     assert all(is_prime(p) for p in primes_upto(500))
     assert not is_prime(1) and not is_prime(0)
+
+
+class TestIsPrime:
+    def test_agrees_with_sieve(self):
+        primes = set(primes_upto(200000))
+        assert all(is_prime(n) == (n in primes) for n in range(200001))
+
+    def test_strong_pseudoprimes_rejected(self):
+        # the last one passes every base below 41
+        for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+
+    def test_large_prime(self):
+        assert is_prime(2**61 - 1)
+
+    def test_bound(self):
+        # one above the bound is the smallest strong pseudoprime to every base
+        assert PRIMALITY_BOUND + 1 == 1287836182261 * 2575672364521
+        with pytest.raises(ValueError):
+            is_prime(PRIMALITY_BOUND + 1)

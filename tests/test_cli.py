@@ -1,6 +1,7 @@
 """Command line behavior: outputs, formats, exit codes, and report schema."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -52,10 +53,26 @@ class TestAperyCommand:
         # prime, prime square, and generic modulus must agree
         from apery.sequence import apery
 
-        for mod in ("13", "169", "1000"):
+        for mod in ("13", "169", "1000", "100160063"):
             code, out, _ = run_cli(capsys, "apery", "123", "--mod", mod)
             assert code == 0
             assert int(out) == apery(123) % int(mod)
+
+    def test_large_prime_modulus(self, capsys):
+        # every base-p digit of n is below 20, so by the mod p Lucas
+        # congruence A(n) is the product of A(d) over those digits
+        from apery.sequence import apery
+
+        p = 1000003
+        digits = [3, 0, 19, 7, 1]
+        n = sum(d * p**i for i, d in enumerate(digits))
+        code, out, _ = run_cli(capsys, "apery", str(n), "--mod", str(p))
+        assert code == 0
+        assert int(out) == math.prod(apery(d) for d in digits) % p
+
+    def test_index_below_prime_modulus(self, capsys):
+        # below p the modular pass answers without a table of p entries
+        assert run_cli(capsys, "apery", "-6", "--mod", "1000000007") == (0, "819005\n", "")
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "apery", "6", "--format", "json")

@@ -49,6 +49,19 @@ class TestDigitSet:
             if p % 2:  # the central digit is always a member
                 assert (p - 1) // 2 in ds
 
+    def test_matches_exact_reduction(self):
+        # digit_set runs the modular recurrence; scan_digit_sets and this
+        # test reduce exact values
+        from apery.arith import primes_upto
+
+        exact = [apery_fast(d) for d in range(113)]
+        primes = primes_upto(113)
+        for p in primes:
+            m = p * p
+            digits = tuple(d for d in range(p) if exact[d] % m == exact[p - 1 - d] % m)
+            assert digit_set(p).digits == digits
+        assert scan_digit_sets(113, 1) == [digit_set(p) for p in primes]
+
     def test_format_row(self):
         assert digit_set(7).format_row() == "7: 0 2 3 4 6"
 

@@ -165,6 +165,30 @@ class TestFastModPaths:
             apery_mod_p(-1, 5)
 
 
+class TestDigitTables:
+    def test_kernel_matches_exact_reduction(self):
+        # the recurrence and its derivative modulo p and p^2 against exact
+        # values and the harmonic-sum A'(d), for every prime p <= 113
+        from apery.arith import primes_upto, rational_mod
+
+        exact = [apery(d) for d in range(113)]
+        derivs = [apery_deriv(d) for d in range(113)]
+        for p in primes_upto(113):
+            m = p * p
+            assert mod_p_table(p) == [a % p for a in exact[:p]]
+            assert mod_p2_tables(p) == (
+                [a % m for a in exact[:p]],
+                [rational_mod(q, m).value for q in derivs[:p]],
+            )
+
+    def test_non_prime_rejected(self):
+        for bad in (0, 1, 9, 561):
+            with pytest.raises(ValueError):
+                mod_p_table(bad)
+            with pytest.raises(ValueError):
+                mod_p2_tables(bad)
+
+
 class TestModSweep:
     def test_matches_direct_reduction(self):
         targets = [0, 1, 2, 17, 40, 41]
