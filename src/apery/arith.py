@@ -58,6 +58,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def primes_upto(limit: int) -> list[int]:
     """All primes p <= limit, ascending."""
     if limit < 2:
@@ -157,8 +162,7 @@ def rational_mod(q: Fraction | int, m: int) -> Residue:
 
 def wolstenholme_residue(p: int) -> Residue:
     """Sum of d^-2 over 0 < d < p, modulo p.  Zero for every prime p >= 5."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     total = sum(pow(d, -2, p) for d in range(1, p))
     return Residue(total, p)
 

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .arith import (
     PRIMALITY_BOUND,
     Residue,
+    _require_prime,
     is_prime,
     jacobsthal_holds,
     primes_upto,
@@ -115,10 +116,11 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         or os.environ.get(CACHE_ENV)
         or config.get("cache")
     )
+    workers = getattr(args, "workers", None)
     return RunConfig(
         format=getattr(args, "format", None) or config.get("format", "plain"),
         cache_path=cache_path,
-        workers=getattr(args, "workers", None) or int(config.get("workers", 1)),
+        workers=int(config.get("workers", 1)) if workers is None else workers,
     )
 
 
@@ -163,8 +165,6 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.format == "csv":
-        raise ValueError("csv output is only available for digit-set scans")
     cache = _open_cache(cfg)
     n = args.n
     if args.mod is None:
@@ -206,8 +206,6 @@ def _reduce_apery(n: int, modulus: int, cache: AperyCache) -> Residue:
 
 
 def _cmd_aperyd(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.format == "csv":
-        raise ValueError("csv output is only available for digit-set scans")
     if args.n < 0:
         raise ValueError("aperyd takes n >= 0")
     q = apery_deriv(args.n)
@@ -247,8 +245,6 @@ def _cmd_digits(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_taylor(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.format == "csv":
-        raise ValueError("csv output is only available for digit-set scans")
     m = args.m
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -282,8 +278,6 @@ def _cmd_taylor(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.format == "csv":
-        raise ValueError("csv output is only available for digit-set scans")
     z = _parse_complex(args.z)
     approx = apery_eval(z, args.terms)
     if cfg.format == "json":
@@ -304,8 +298,6 @@ def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.format == "csv":
-        raise ValueError("csv output is only available for digit-set scans")
     if not cfg.cache_path:
         raise ValueError(f"give --cache PATH or set {CACHE_ENV}")
     path = cfg.cache_path
@@ -385,11 +377,11 @@ def _verify_multi_digit(args, cfg) -> dict:
         raise ValueError(f"verify {args.theorem} needs --p")
     cache = _open_cache(cfg)
     if args.theorem == "corollary":
-        depth = args.depth or 4
+        depth = 4 if args.depth is None else args.depth
         alphabet = {0, (args.p - 1) // 2, args.p - 1}
         report = verify_multi_digit(args.p, alphabet, depth, "power", cache)
     else:  # lucas-p3
-        depth = args.depth or 5
+        depth = 5 if args.depth is None else args.depth
         report = verify_multi_digit(args.p, {0, args.p - 1}, depth, "unit", cache)
     payload = report.to_dict()
     payload["theorem"] = args.theorem
@@ -447,11 +439,12 @@ def _verify_stuffle(args, cfg) -> dict:
 
 
 def _verify_functional_eq(args, cfg) -> dict:
-    z = _parse_complex(args.z) if args.z else 0.5
+    label = "0.5" if args.z is None else args.z
+    z = _parse_complex(label)
     terms = args.terms if args.terms is not None else 100_000
     tol = args.tol if args.tol is not None else 1e-3
     residual = functional_equation_residual(z, terms)
-    checks = [_residual_check(f"z={args.z or '0.5'}", residual, tol)]
+    checks = [_residual_check(f"z={label}", residual, tol)]
     return _check_payload(
         "functional-eq",
         {"z": {"re": z.real, "im": z.imag}, "terms": terms, "tolerance": tol},
@@ -460,7 +453,7 @@ def _verify_functional_eq(args, cfg) -> dict:
 
 
 def _verify_jacobsthal(args, cfg) -> dict:
-    primes = [args.p] if args.p else [p for p in primes_upto(31) if p >= 5]
+    primes = [p for p in primes_upto(31) if p >= 5] if args.p is None else [args.p]
     checks = []
     for p in primes:
         ok = all(
@@ -471,7 +464,9 @@ def _verify_jacobsthal(args, cfg) -> dict:
 
 
 def _verify_wolstenholme(args, cfg) -> dict:
-    primes = [args.p] if args.p else [p for p in primes_upto(200) if p >= 5]
+    if args.p is not None and args.p < 5:
+        raise ValueError(f"p must be a prime >= 5, got {args.p}")
+    primes = [p for p in primes_upto(200) if p >= 5] if args.p is None else [args.p]
     checks = [
         {"label": f"p={p}", "pass": wolstenholme_residue(p).value == 0, "asserted": True}
         for p in primes
@@ -480,8 +475,6 @@ def _verify_wolstenholme(args, cfg) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.format == "csv":
-        raise ValueError("csv output is only available for digit-set scans")
     if args.tol is not None and args.tol <= 0:
         raise ValueError("--tol must be positive")
     dispatch = {
@@ -625,8 +618,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "cache" and args.action == "fill" and args.n is None:
             raise ValueError("cache fill needs --n LO..HI")
         if args.command == "digits" and args.p is not None and args.scan is None:
-            if not is_prime(args.p):
-                raise ValueError(f"{args.p} is not prime")
+            _require_prime(args.p)
+        if cfg.format == "csv" and args.command != "digits":
+            raise ValueError("csv output is only available for digit-set scans")
         return _HANDLERS[args.command](args, cfg)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,11 @@ the digits d for which A(d + p n) = A(d) A(n) mod p^2 holds for every
 integer n.  Negative n are always in scope: reflection A(n) = A(-1-n) turns
 them into non-negative evaluations.
 
-The per-(d, n) sweeps reduce exact values, so they stay independent of the
-modular recurrence.  digit_set and verify_multi_digit's mod p^2 laws go
-through the digit tables instead, which come from the recurrence and its
+The per-(d, n) sweeps of every digit law share one exact sweep, _sweep: it
+checks A(d + p n) = (a + p n s) A(n) mod m for a factor (a, s) per digit,
+and it reduces exact values, so it stays independent of the modular
+recurrence.  digit_set and verify_multi_digit's mod p^2 laws go through
+the digit tables instead, which come from the recurrence and its
 derivative run modulo p^2 (the tables and the digit route are checked
 against exact reduction in the test suite).  scan_digit_sets reduces one
 shared exact prefix for every prime, which is cheaper than a modular pass
@@ -22,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import Residue, is_prime, primes_upto, rational_mod
+from .arith import Residue, _require_prime, primes_upto, rational_mod
 from .sequence import (
     AperyCache,
     _digit_tables,
@@ -126,11 +128,6 @@ class CongruenceReport:
         }
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 def _span(n_range: tuple[int, int]) -> range:
     lo, hi = n_range
     if lo > hi:
@@ -173,6 +170,41 @@ def scan_digit_sets(
     return sets
 
 
+def _sweep(
+    report: CongruenceReport,
+    p: int,
+    m: int,
+    n_range: tuple[int, int],
+    factors: dict[int, tuple[int, int]],
+    cache: AperyCache | None,
+    expected_to_fail: frozenset[int] = frozenset(),
+) -> None:
+    """Check A(d + p n) = (a + p n s) A(n) mod m for every digit d: (a, s) in
+    factors and every n in range, both sides reduced from exact values.
+
+    Cases run n by n, digits ascending, and each adds one to report.checked.
+    A failing case is a counterexample, except that the first failure of a
+    digit in expected_to_fail is its witness and ends that digit's sweep;
+    the digits in expected_to_fail that never fail land in unwitnessed.
+    """
+    digits = sorted(factors.items())
+    for n in _span(n_range):
+        an = apery_fast(n, cache) % m
+        for d, (a, s) in digits:
+            lhs = apery_fast(d + p * n, cache) % m
+            rhs = (a + p * n * s) * an % m
+            report.checked += 1
+            if lhs == rhs:
+                continue
+            case = Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
+            if d in expected_to_fail:
+                report.witnesses.append(case)
+                digits = [entry for entry in digits if entry[0] != d]
+            else:
+                report.counterexamples.append(case)
+    report.unwitnessed = [d for d, _ in digits if d in expected_to_fail]
+
+
 def verify_lucas_mod_p(
     p: int, n_range: tuple[int, int], cache: AperyCache | None = None
 ) -> CongruenceReport:
@@ -181,17 +213,8 @@ def verify_lucas_mod_p(
     report = CongruenceReport(
         "lucas-p", {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]}
     )
-    digit_values = [apery_fast(d, cache) % p for d in range(p)]
-    for n in _span(n_range):
-        an = apery_fast(n, cache) % p
-        for d in range(p):
-            lhs = apery_fast(d + p * n, cache) % p
-            rhs = digit_values[d] * an % p
-            report.checked += 1
-            if lhs != rhs:
-                report.counterexamples.append(
-                    Counterexample(d, n, p, Residue(lhs, p), Residue(rhs, p))
-                )
+    factors = {d: (apery_fast(d, cache) % p, 0) for d in range(p)}
+    _sweep(report, p, p, n_range, factors, cache)
     return report
 
 
@@ -209,11 +232,10 @@ def verify_gessel_mod_p2(
     report = CongruenceReport(
         "gessel-p2", {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]}
     )
-    digit_values = [apery_fast(d, cache) % m for d in range(p)]
-    deriv_values = []
+    factors = {}
     for d in range(p):
         try:
-            deriv_values.append(rational_mod(apery_deriv(d), m).value)
+            slope = rational_mod(apery_deriv(d), m).value
         except ValueError:
             report.counterexamples.append(
                 Counterexample(d, 0, p, Residue(0, m), Residue(1, m))
@@ -222,16 +244,8 @@ def verify_gessel_mod_p2(
                 f"A'({d}) has denominator divisible by {p}; theorem falsified"
             )
             return report
-    for n in _span(n_range):
-        an = apery_fast(n, cache) % m
-        for d in range(p):
-            lhs = apery_fast(d + p * n, cache) % m
-            rhs = (digit_values[d] + p * n * deriv_values[d]) * an % m
-            report.checked += 1
-            if lhs != rhs:
-                report.counterexamples.append(
-                    Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
-                )
+        factors[d] = (apery_fast(d, cache) % m, slope)
+    _sweep(report, p, m, n_range, factors, cache)
     return report
 
 
@@ -258,29 +272,11 @@ def verify_mod_p3_suite(
                 report.counterexamples.append(
                     Counterexample(None, n, 2, Residue(lhs, 8), Residue(rhs, 8))
                 )
-        return report
-    if p == 3:
-        for n in _span(n_range):
-            an = apery_fast(n, cache) % 9
-            for d in range(3):
-                lhs = apery_fast(d + 3 * n, cache) % 9
-                rhs = apery_fast(d, cache) * an % 9
-                report.checked += 1
-                if lhs != rhs:
-                    report.counterexamples.append(
-                        Counterexample(d, n, 3, Residue(lhs, 9), Residue(rhs, 9))
-                    )
-        return report
-    m = p**3
-    for n in _span(n_range):
-        an = apery_fast(n, cache) % m
-        for d, label in ((0, 0), (p - 1, p - 1)):
-            lhs = apery_fast(d + p * n, cache) % m
-            report.checked += 1
-            if lhs != an:
-                report.counterexamples.append(
-                    Counterexample(label, n, p, Residue(lhs, m), Residue(an, m))
-                )
+    elif p == 3:
+        factors = {d: (apery_fast(d, cache) % 9, 0) for d in range(3)}
+        _sweep(report, 3, 9, n_range, factors, cache)
+    else:
+        _sweep(report, p, p**3, n_range, {0: (1, 0), p - 1: (1, 0)}, cache)
     return report
 
 
@@ -305,30 +301,9 @@ def verify_digit_set_lucas(
         "digitset-p2",
         {"p": p, "n_lo": n_range[0], "n_hi": n_range[1], "digits": list(ds.digits)},
     )
-    digit_values = [apery_fast(d, cache) % m for d in range(p)]
-    member_of_ds = [d in ds for d in range(p)]
-    found = [False] * p
-    for n in _span(n_range):
-        an = apery_fast(n, cache) % m
-        for d in range(p):
-            if not member_of_ds[d] and found[d]:
-                continue
-            lhs = apery_fast(d + p * n, cache) % m
-            rhs = digit_values[d] * an % m
-            report.checked += 1
-            if member_of_ds[d]:
-                if lhs != rhs:
-                    report.counterexamples.append(
-                        Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
-                    )
-            elif lhs != rhs:
-                found[d] = True
-                report.witnesses.append(
-                    Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
-                )
-    report.unwitnessed = [
-        d for d in range(p) if not member_of_ds[d] and not found[d]
-    ]
+    factors = {d: (apery_fast(d, cache) % m, 0) for d in range(p)}
+    outside = frozenset(range(p)) - frozenset(ds.digits)
+    _sweep(report, p, m, n_range, factors, cache, outside)
     if report.unwitnessed:
         report.notes.append(
             "no violating n found in range for some digits outside D(p); "
@@ -375,7 +350,8 @@ def verify_multi_digit(
         raise ValueError(f"alphabet must be non-empty digits below {p}")
 
     if law == "product":
-        ds = digit_set(p, cache)
+        tables = mod_p2_tables(p, cache)
+        ds = _digit_set_of(p, tables[0])
         outside = [d for d in alphabet if d not in ds]
         if outside:
             raise ValueError(
@@ -388,6 +364,7 @@ def verify_multi_digit(
             raise ValueError(
                 "power law needs odd p and alphabet {0, (p-1)/2, p-1}"
             )
+        tables = mod_p2_tables(p, cache)
         modulus = p * p
     elif law == "unit":
         if p < 5 or not set(alphabet) <= {0, p - 1}:
@@ -413,7 +390,6 @@ def verify_multi_digit(
                 )
         return report
 
-    tables = mod_p2_tables(p, cache)
     centre = (p - 1) // 2
     centre_value = tables[0][centre]
     for n in numbers:

@@ -18,7 +18,7 @@ import threading
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .arith import Residue, is_prime
+from .arith import Residue, _require_prime
 
 __all__ = [
     "AperyCache",
@@ -232,8 +232,7 @@ def _digit_tables(p: int, m: int, derivs: bool) -> tuple[list[int], list[int]]:
     unit mod m, so every step divides exactly.  The derivative table is []
     when derivs is not set.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     values, slopes = [1], [0] if derivs else []
     a2, a1, s2, s1 = 0, 1, 0, 0  # A(k-2), A(k-1), A'(k-2), A'(k-1)
     for k in range(1, p):
@@ -280,8 +279,7 @@ def apery_mod_p(n: int, p: int, table: list[int] | None = None) -> Residue:
     """
     if n < 0:
         raise ValueError(f"apery_mod_p requires n >= 0, got {n}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if table is None:
         table = mod_p_table(p)
     result = 1
@@ -301,8 +299,7 @@ def apery_mod_p2(
     """
     if n < 0:
         raise ValueError(f"apery_mod_p2 requires n >= 0, got {n}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if tables is None:
         tables = mod_p2_tables(p)
     values, derivs = tables

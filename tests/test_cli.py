@@ -153,6 +153,13 @@ class TestCsvRestriction:
             assert code == 2
             assert "csv" in err
 
+    def test_csv_refused_before_handler_checks(self, capsys, monkeypatch):
+        monkeypatch.delenv("APERY_CACHE", raising=False)
+        for argv in (["verify", "lucas-p"], ["verify", "stuffle", "--tol", "-1"], ["cache", "info"]):
+            code, _, err = run_cli(capsys, *argv, "--format", "csv")
+            assert code == 2
+            assert "csv output is only available" in err
+
 
 class TestTaylorCommand:
     def test_term_listing(self, capsys):
@@ -297,6 +304,40 @@ class TestVerifyCommand:
     def test_bad_tolerance(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "stuffle", "--tol", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("p", ["2", "3"])
+    def test_wolstenholme_below_five_rejected(self, capsys, p):
+        # the theorem claims nothing below p = 5; jacobsthal refuses alike
+        code, out, err = run_cli(capsys, "verify", "wolstenholme", "--p", p)
+        assert code == 2 and out == ""
+        assert f"p must be a prime >= 5, got {p}" in err
+
+
+class TestExplicitValues:
+    # an explicit 0 or empty value is a value, not "use the default"
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "jacobsthal", "--p", "0"], "p must be a prime >= 5, got 0"),
+            (["verify", "wolstenholme", "--p", "0"], "p must be a prime >= 5, got 0"),
+            (["verify", "corollary", "--p", "5", "--depth", "0"], "depth must be >= 1"),
+            (["verify", "lucas-p3", "--p", "5", "--depth", "0"], "depth must be >= 1"),
+            (["digits", "--scan", "10", "--workers", "0"], "workers must be >= 1"),
+            (["verify", "functional-eq", "--z", ""], "expected a number"),
+        ],
+        ids=[
+            "jacobsthal-p",
+            "wolstenholme-p",
+            "corollary-depth",
+            "lucas-p3-depth",
+            "scan-workers",
+            "functional-eq-z",
+        ],
+    )
+    def test_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
 
 class TestCacheCommand:

@@ -1,7 +1,12 @@
 """Digit sets and the congruence verification sweeps."""
 
+import json
+from pathlib import Path
+
+import jsonschema
 import pytest
 
+import apery.congruences
 from apery.congruences import (
     digit_set,
     scan_digit_sets,
@@ -12,6 +17,10 @@ from apery.congruences import (
     verify_multi_digit,
 )
 from apery.sequence import AperyCache, apery_fast, apery_mod_p2, mod_p2_tables
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "schema" / "report.schema.json").read_text()
+)
 
 # the known digit-set table: all primes up to 167 with at least 4 digits
 DIGIT_SET_TABLE = {
@@ -225,3 +234,59 @@ class TestFastPathConsistency:
                     exact = apery_fast(arg, cache) % m
                     digit = apery_mod_p2(arg if arg >= 0 else -1 - arg, p, tables).value
                     assert exact == digit
+
+
+class TestSweepFailures:
+    # A(17) + 1 in place of A(17), and so A(-18) + 1 by reflection: every
+    # case that reads index 17 or -18 must fail, and nothing else may
+    CASES = {
+        "lucas-p": (
+            lambda: verify_lucas_mod_p(5, (-4, 4)),
+            45, [(2, -4, 1, 0), (2, 3, 1, 0)], [], [],
+        ),
+        "gessel-p2": (
+            lambda: verify_gessel_mod_p2(5, (-4, 4)),
+            45, [(2, -4, 11, 10), (2, 3, 11, 10)], [], [],
+        ),
+        "p3-suite-3": (
+            lambda: verify_mod_p3_suite(3, (-6, 6)),
+            39, [(0, -6, 6, 5), (2, 5, 6, 5)], [], [],
+        ),
+        "p3-suite-5": (
+            lambda: verify_mod_p3_suite(5, (-18, 17)),
+            72,
+            [(0, -18, 110, 111), (4, -18, 110, 111), (0, 17, 110, 111), (4, 17, 110, 111)],
+            [], [],
+        ),
+        "digitset-p2-5": (
+            lambda: verify_digit_set_lucas(5, (-4, 4)),
+            31, [(2, -4, 11, 10), (2, 3, 11, 10)], [(1, -3, 0, 15), (3, -3, 0, 10)], [],
+        ),
+        "digitset-p2-5-unwitnessed": (
+            lambda: verify_digit_set_lucas(5, (3, 3)),
+            5, [(2, 3, 11, 10)], [], [1, 3],
+        ),
+        "digitset-p2-7": (
+            lambda: verify_digit_set_lucas(7, (-3, 2)),
+            32, [(3, -3, 38, 37), (3, 2, 38, 37)], [(1, -3, 1, 22), (5, -3, 36, 15)], [],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_corrupted_value_is_reported(self, name, monkeypatch):
+        def corrupted(n, cache=None):
+            return apery_fast(n, cache) + (n in (17, -18))
+
+        monkeypatch.setattr(apery.congruences, "apery_fast", corrupted)
+        run, checked, counterexamples, witnesses, unwitnessed = self.CASES[name]
+        report = run()
+
+        def cases(found):
+            return [(c.d, c.n, c.lhs.value, c.rhs.value) for c in found]
+
+        assert report.checked == checked
+        assert cases(report.counterexamples) == counterexamples
+        assert cases(report.witnesses) == witnesses
+        assert report.unwitnessed == unwitnessed
+        assert not report.passed
+        jsonschema.validate(report.to_dict(), SCHEMA)
