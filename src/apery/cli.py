@@ -108,14 +108,14 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    config = _load_config_file(
-        getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
-    )
-    cache_path = (
-        getattr(args, "cache", None)
-        or os.environ.get(CACHE_ENV)
-        or config.get("cache")
-    )
+    # an explicit empty --config or --cache means none, not the default
+    config_path = getattr(args, "config", None)
+    if config_path is None:
+        config_path = os.environ.get(CONFIG_ENV)
+    config = _load_config_file(config_path)
+    cache_path = getattr(args, "cache", None)
+    if cache_path is None:
+        cache_path = os.environ.get(CACHE_ENV) or config.get("cache")
     workers = getattr(args, "workers", None)
     return RunConfig(
         format=getattr(args, "format", None) or config.get("format", "plain"),
@@ -395,7 +395,7 @@ def _verify_taylor_identity(args, cfg) -> dict:
     upper = args.N if args.N is not None else 50
     checks = []
     for m in range(m_lo, m_hi + 1):
-        ok = all(taylor_identity_holds(m, N) for N in range(upper + 1))
+        ok = taylor_identity_holds(m, upper)  # checks every N' <= upper
         checks.append({"label": f"m={m}", "pass": ok, "asserted": True})
     return _check_payload(
         "taylor-identity", {"m_lo": m_lo, "m_hi": m_hi, "N": upper}, checks
@@ -620,7 +620,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "digits" and args.p is not None and args.scan is None:
             _require_prime(args.p)
         if cfg.format == "csv" and args.command != "digits":
-            raise ValueError("csv output is only available for digit-set scans")
+            raise ValueError("csv output is only available for the digits command")
         return _HANDLERS[args.command](args, cfg)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

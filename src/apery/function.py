@@ -6,6 +6,10 @@ symbols (rising factorials).  Terms are updated incrementally, never through
 gamma-function quotients, so the poles of gamma at non-positive integers are
 never touched.  For non-negative integer z the factor (-z)_k vanishes once
 k > z and the series terminates exactly.
+
+The exact Taylor coefficients come from one integer pass over the
+truncations (_taylor_numerators): numerators over lcm(1..upper)^m, with no
+Fraction arithmetic inside the loop.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 __all__ = [
     "ComplexApprox",
@@ -153,6 +158,38 @@ class TruncatedPolynomial:
         return TruncatedPolynomial(tuple(out))
 
 
+def _taylor_numerators(m: int, upper: int, scale: int) -> Iterator[int]:
+    """Yield scale^m times the coefficient of z^m in the series truncated at
+    k <= N, for N = 0, 1, ..., upper, in one pass.
+
+    scale must be a multiple of every k <= upper; lcm(1..upper) is the
+    smallest.  The running product holds its z^j coefficient times scale^j,
+    so with q = scale // k the factor 1 - 2z^2/k^2 + z^4/k^4 contributes
+    the integers q^2 and q^4 and no step divides.
+    """
+    total = 1 if m == 0 else 0  # the k = 0 summand
+    yield total
+    if m < 2:  # every k >= 1 summand starts at z^2
+        for _ in range(upper):
+            yield total
+        return
+    # running[i] is the scaled z^(2i) coefficient; the product is even in z
+    running = [1] + [0] * ((m - 2) // 2)
+    top = len(running) - 1
+    for k in range(1, upper + 1):
+        q = scale // k
+        q2 = q * q
+        if m % 2:  # 2 z^3/k^3 times z^(m-3)
+            total += 2 * q2 * q * running[top]
+        else:  # z^2/k^2 times z^(m-2), z^4/k^4 times z^(m-4)
+            total += q2 * (running[top] + (q2 * running[top - 1] if top else 0))
+        yield total
+        # times 1 - 2q^2 z^2 + q^4 z^4, top first so lower entries are old
+        for i in range(top, 0, -1):
+            lower = 2 * running[i - 1] - (q2 * running[i - 2] if i >= 2 else 0)
+            running[i] -= q2 * lower
+
+
 def taylor_coeff_truncated(m: int, upper: int) -> Fraction:
     """Exact coefficient of z^m in the series truncated at k <= upper.
 
@@ -161,27 +198,16 @@ def taylor_coeff_truncated(m: int, upper: int) -> Fraction:
         (1 - 2 z^2/1^2 + z^4/1^4) ... (1 - 2 z^2/(k-1)^2 + z^4/(k-1)^4)
         * (z^2/k^2 + 2 z^3/k^3 + z^4/k^4)
 
-    for k >= 1 (and 1 for k = 0).  The running product is kept as a
-    TruncatedPolynomial capped at degree m, so the cost is O(upper * m)
-    rational multiplications.
+    for k >= 1 (and 1 for k = 0).  The running product is carried as
+    integers over the common denominator lcm(1..upper)^m, capped at degree
+    m, so the cost is O(upper * m) integer multiplications and one gcd at
+    the end.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if upper < 0:
         raise ValueError(f"upper must be >= 0, got {upper}")
-    total = Fraction(1) if m == 0 else Fraction(0)  # the k = 0 summand
-    if m < 2:
-        return total  # every k >= 1 summand starts at z^2
-    running = TruncatedPolynomial.one(m)
-    for k in range(1, upper + 1):
-        k2 = Fraction(1, k * k)
-        k3 = Fraction(1, k**3)
-        k4 = Fraction(1, k**4)
-        pick = running[m - 2] * k2
-        if m >= 3:
-            pick += running[m - 3] * 2 * k3
-        if m >= 4:
-            pick += running[m - 4] * k4
-        total += pick
-        running = running.mul_sparse({0: Fraction(1), 2: -2 * k2, 4: k4})
-    return total
+    scale = math.lcm(*range(1, upper + 1))
+    for last in _taylor_numerators(m, upper, scale):
+        pass
+    return Fraction(last, scale**m)

@@ -14,16 +14,20 @@ where e(s) counts the later parts equal to 2 and chi(m) is 1 for odd m.
 "Partial sum to N" always truncates the outermost index, n1 <= N.  That
 convention matches truncating the function series at k <= N term by term, so
 the expansion holds exactly at every truncation; taylor_identity_holds
-checks precisely that, in exact rational arithmetic.
+checks precisely that, exactly and for every truncation up to N in one
+integer pass.  mzv_partial stays on Fraction, as the independent route the
+tests compare that pass against.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from .function import taylor_coeff_truncated
+from .function import _taylor_numerators
 
 __all__ = [
     "MzvTerm",
@@ -188,16 +192,34 @@ def mzv_float(s: Sequence[int], N: int, extrapolate: bool = True) -> float:
 
 def taylor_identity_holds(m: int, N: int) -> bool:
     """Exact check that the truncated function series and the truncated
-    composition expansion give the same coefficient of z^m.
+    composition expansion give the same coefficient of z^m, at every
+    truncation 0, 1, ..., N.
 
     Both sides are cut at the same place (series index k <= N, outermost
     MZV index n1 <= N), so equality is exact for every m >= 1 and N >= 0.
+    One pass gives every truncation: both sides are integer numerators over
+    lcm(1..N)^m.  The right side is summed composition by composition, with
+    no use of the running product that builds the left side.
     """
-    lhs = taylor_coeff_truncated(m, N)
-    rhs = sum(
-        (coeff * mzv_partial(s, N) for s, coeff in taylor_terms(m)), Fraction(0)
-    )
-    return lhs == rhs
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    terms = taylor_terms(m)
+    scale = math.lcm(*range(1, N + 1))
+    # weights[part][v] = scale^part / v^part
+    weights = {
+        part: [0] + [(scale // v) ** part for v in range(1, N + 1)]
+        for part in {part for s, _ in terms for part in s}
+    }
+    rhs = [0] * (N + 1)
+    for s, coeff in terms:
+        # tail[v] = scaled sum over v > n_{i+1} > ... > nj >= 1, as in
+        # mzv_partial
+        tail = [1] * (N + 1)
+        for part in reversed(s[1:]):
+            tail = list(accumulate(map(mul, weights[part][:N], tail), initial=0))
+        partial = accumulate(map(mul, weights[s[0]], tail))  # n1 <= 0, 1, ..., N
+        rhs = [r + coeff * x for r, x in zip(rhs, partial)]
+    return list(_taylor_numerators(m, N, scale)) == rhs
 
 
 def taylor_coeff_float(m: int, N: int = 10_000, extrapolate: bool = True) -> float:

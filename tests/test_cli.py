@@ -271,6 +271,25 @@ class TestVerifyCommand:
         assert code == 0 and payload["pass"]
         assert [c["label"] for c in payload["checks"]] == [f"m={m}" for m in range(1, 7)]
 
+    def test_taylor_identity_negative_truncation(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "taylor-identity", "--m", "1..3", "--N", "-1")
+        assert code == 2 and out == ""
+        assert "N must be >= 0, got -1" in err
+
+    def test_taylor_identity_failure(self, capsys, monkeypatch):
+        import apery.mzv
+
+        real = apery.mzv.taylor_terms
+
+        def flipped(m):
+            (s, c), *rest = real(m)
+            return [apery.mzv.MzvTerm(s, -c)] + rest
+
+        monkeypatch.setattr(apery.mzv, "taylor_terms", flipped)
+        code, out, _ = run_cli(capsys, "verify", "taylor-identity", "--m", "8..8", "--N", "20")
+        assert code == 1
+        assert "m=8: FAIL" in out
+
     def test_reduced_forms(self, capsys):
         code, payload = run_report(capsys, "verify", "reduced-forms", "--N", "2000")
         assert code == 0 and payload["pass"]
@@ -408,6 +427,17 @@ class TestConfigFile:
         # an explicit flag overrides it
         code, out, _ = run_cli(capsys, "apery", "2", "--format", "plain")
         assert code == 0 and out == "73\n"
+
+    def test_empty_paths_mean_none(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"format": "json"}))
+        monkeypatch.setenv("APERY_CONFIG", str(config))
+        assert run_cli(capsys, "apery", "5", "--config", "") == (0, "819005\n", "")
+        corrupt = tmp_path / "a.cache"
+        corrupt.write_text("not a cache\n")
+        monkeypatch.setenv("APERY_CACHE", str(corrupt))
+        code, out, _ = run_cli(capsys, "apery", "5", "--cache", "", "--format", "plain")
+        assert code == 0 and out == "819005\n"
 
     def test_bad_config(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.json"

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apery import mzv
+from apery.function import taylor_coeff_truncated
 from apery.mzv import (
     REDUCED_FORMS,
+    MzvTerm,
     admissible_compositions,
     composition_coefficient,
     even_zeta,
@@ -189,6 +192,45 @@ class TestTruncatedIdentity:
         assert taylor_identity_holds(2, 50)
         assert taylor_identity_holds(1, 17)
         assert taylor_identity_holds(9, 30)
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError, match="N must be >= 0, got -1"):
+            taylor_identity_holds(3, -1)
+
+    def test_flipped_term_fails(self, monkeypatch):
+        real = mzv.taylor_terms
+
+        def flipped(m):
+            terms = real(m)
+            s, c = terms[1]
+            return terms[:1] + [MzvTerm(s, -c)] + terms[2:]
+
+        monkeypatch.setattr(mzv, "taylor_terms", flipped)
+        assert not taylor_identity_holds(8, 20)
+
+    def test_intermediate_truncation_checked(self, monkeypatch):
+        # the numerator at N = 7 is off by one; N = 20 itself stays exact,
+        # so a check of the last truncation alone would pass
+        real = mzv._taylor_numerators
+
+        def corrupted(m, upper, scale):
+            for N, value in enumerate(real(m, upper, scale)):
+                yield value + (N == 7)
+
+        monkeypatch.setattr(mzv, "_taylor_numerators", corrupted)
+        scale = math.lcm(*range(1, 21))
+        *_, last = corrupted(8, 20, scale)
+        assert Fraction(last, scale**8) == taylor_coeff_truncated(8, 20)
+        assert not taylor_identity_holds(8, 20)
+
+    def test_function_series_matches_fraction_mzv_partials(self):
+        # the left side against mzv_partial, the Fraction route that the
+        # one-pass check does not use
+        for m in range(1, 13):
+            terms = taylor_terms(m)
+            for N in range(31):
+                want = sum((c * mzv_partial(s, N) for s, c in terms), Fraction(0))
+                assert taylor_coeff_truncated(m, N) == want
 
 
 class TestClosedForms:
