@@ -63,6 +63,15 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def _digits(n: int, p: int) -> list[int]:
+    """The base-p digits of n >= 0, least significant first ([] for 0)."""
+    digits = []
+    while n:
+        n, d = divmod(n, p)
+        digits.append(d)
+    return digits
+
+
 def primes_upto(limit: int) -> list[int]:
     """All primes p <= limit, ascending."""
     if limit < 2:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .arith import (
     PRIMALITY_BOUND,
     Residue,
+    _digits,
     _require_prime,
     is_prime,
     jacobsthal_holds,
@@ -54,13 +55,12 @@ from .mzv import (
 )
 from .sequence import (
     AperyCache,
+    _digit_tables,
     _recurrence_mod,
     apery_deriv,
     apery_fast,
     apery_mod_p,
     apery_mod_p2,
-    mod_p2_tables,
-    mod_p_table,
 )
 
 THEOREMS = (
@@ -190,13 +190,16 @@ def _cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _reduce_apery(n: int, modulus: int, cache: AperyCache) -> Residue:
     if n < 0:
         n = -1 - n
-    # the digit routes for prime and prime-squared moduli build a table of
-    # p entries, so below p the modular pass is the cheaper route
+    # the digit routes for prime and prime-squared moduli build their tables
+    # up to the largest base-p digit of n; below p that would be the whole
+    # pass to n, which the modular pass makes without a primality test
     if modulus <= min(n, PRIMALITY_BOUND) and is_prime(modulus):
-        return apery_mod_p(n, modulus, mod_p_table(modulus, cache))
+        table = _digit_tables(modulus, modulus, False, max(_digits(n, modulus)))
+        return apery_mod_p(n, modulus, table[0])
     root = math.isqrt(modulus)
     if root * root == modulus and root <= min(n, PRIMALITY_BOUND) and is_prime(root):
-        return apery_mod_p2(n, root, mod_p2_tables(root, cache))
+        tables = _digit_tables(root, modulus, True, max(_digits(n, root)))
+        return apery_mod_p2(n, root, tables)
     # x/den is A(n) mod M unless some k <= n shares a factor with M
     for x, den in _recurrence_mod(modulus, n):
         pass

@@ -14,8 +14,9 @@ the digit tables instead, which come from the recurrence and its
 derivative run modulo p^2 (the tables and the digit route are checked
 against exact reduction in the test suite).  scan_digit_sets reduces one
 shared exact prefix for every prime, which is cheaper than a modular pass
-per prime.  The mod p^3 law has no digit shortcut and reduces exact values
-from a rolling recurrence sweep.
+per prime.  The mod p^3 unit law takes A(n) mod p^3 from the p-adic
+evaluator (the summands with at most one carry, over p-free factorials),
+which uses neither the recurrence nor a digit theorem.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import Residue, _require_prime, primes_upto, rational_mod
+from .arith import Residue, _digits, _require_prime, primes_upto, rational_mod
 from .sequence import (
     AperyCache,
+    _apery_mod_pk,
     _digit_tables,
     apery_deriv,
     apery_fast,
     apery_mod_p2,
-    apery_mod_sweep,
     mod_p2_tables,
 )
 
@@ -339,8 +340,10 @@ def verify_multi_digit(
     law="unit": alphabet within {0, p-1} for p >= 5; A(n) = 1 mod p^3.
 
     The two mod p^2 laws evaluate A(n) through the digit tables (built by
-    the recurrence modulo p^2); the mod p^3 law has no digit shortcut, so
-    it reduces exact values from a rolling recurrence sweep.
+    the recurrence modulo p^2).  The mod p^3 law takes A(n) mod p^3 from the
+    p-adic evaluator: with digits 0 and p-1 only a handful of summands have
+    at most one carry.  The mod p^2 laws stay on the digit route because a
+    middle digit (p-1)/2 leaves about ((p+1)/2)^depth carry-free summands.
     """
     _require_prime(p)
     alphabet = sorted(set(alphabet))
@@ -378,35 +381,19 @@ def verify_multi_digit(
         {"p": p, "alphabet": list(alphabet), "depth": depth, "modulus": str(modulus)},
     )
     numbers = _digit_numbers(p, alphabet, depth)
-
-    if law == "unit":
-        reductions = apery_mod_sweep(numbers, modulus)
-        for n in numbers:
-            lhs = reductions[n]
-            report.checked += 1
-            if lhs != 1:
-                report.counterexamples.append(
-                    Counterexample(None, n, p, Residue(lhs, modulus), Residue(1, modulus))
-                )
-        return report
-
     centre = (p - 1) // 2
-    centre_value = tables[0][centre]
     for n in numbers:
-        lhs = apery_mod_p2(n, p, tables).value
-        if law == "product":
-            rhs = 1
-            rest = n
-            while rest:
-                rest, d = divmod(rest, p)
-                rhs = rhs * tables[0][d] % modulus
+        if law == "unit":
+            lhs, rhs = _apery_mod_pk(n, p, 3), 1
         else:
-            count = 0
-            rest = n
-            while rest:
-                rest, d = divmod(rest, p)
-                count += d == centre
-            rhs = pow(centre_value, count, modulus)
+            lhs = apery_mod_p2(n, p, tables).value
+            digits = _digits(n, p)
+            if law == "product":
+                rhs = 1
+                for d in digits:
+                    rhs = rhs * tables[0][d] % modulus
+            else:
+                rhs = pow(tables[0][centre], digits.count(centre), modulus)
         report.checked += 1
         if lhs != rhs:
             report.counterexamples.append(

@@ -185,6 +185,8 @@ def mzv_float(s: Sequence[int], N: int, extrapolate: bool = True) -> float:
     s = _validate_composition(s)
     if s[0] < 2:
         raise ValueError(f"first part must be >= 2 for convergence, got {s}")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if extrapolate:
         return 2 * _mzv_float_raw(s, 2 * N) - _mzv_float_raw(s, N)
     return _mzv_float_raw(s, N)

@@ -9,16 +9,21 @@ Besides the defining sums this module provides the three-term recurrence
 digit congruences, and a memory-flat recurrence sweep for reducing A(n) at
 scattered large indices.  The digit tables A(d), A'(d) mod p and p^2 come
 from the recurrence and its derivative run modulo p or p^2, with no exact
-values; the exact routes stay as their oracles.
+values; the exact routes stay as their oracles.  A p-adic evaluator gives
+A(n) mod p^e, e <= 3, from the few summands with at most one carry and
+p-free factorials, with no recurrence and no digit theorem.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
 
-from .arith import Residue, _require_prime
+from .arith import Residue, _digits, _require_prime
 
 __all__ = [
     "AperyCache",
@@ -194,16 +199,15 @@ def apery_deriv(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"apery_deriv requires n >= 0, got {n}")
-    # H[0..2n] built incrementally
-    H = [Fraction(0)]
-    for i in range(1, 2 * n + 1):
-        H.append(H[-1] + Fraction(1, i))
-    total = Fraction(0)
+    # HL[j] = H_j * L on the common denominator L = lcm(1..2n)
+    L = math.lcm(*range(1, 2 * n + 1))
+    HL = list(accumulate((L // i for i in range(1, 2 * n + 1)), initial=0))
+    total = 0
     term = 1
     for k in range(n + 1):
-        total += term * (H[n + k] - H[n - k])
+        total += term * (HL[n + k] - HL[n - k])
         term = term * (n - k) ** 2 * (n + k + 1) ** 2 // (k + 1) ** 4
-    return 2 * total
+    return Fraction(2 * total, L)
 
 
 def apery_deriv_reflected(n: int) -> Fraction:
@@ -218,8 +222,13 @@ def apery_deriv_reflected(n: int) -> Fraction:
     return -apery_deriv(-1 - n)
 
 
-def _digit_tables(p: int, m: int, derivs: bool) -> tuple[list[int], list[int]]:
-    """A(d) mod m and, when derivs is set, A'(d) mod m for d = 0, ..., p-1.
+def _digit_tables(
+    p: int, m: int, derivs: bool, top: int | None = None
+) -> tuple[list[int], list[int]]:
+    """A(d) mod m and, when derivs is set, A'(d) mod m for d = 0, ..., top.
+
+    top defaults to p - 1, the full table; a caller that knows the largest
+    base-p digit it will look up can stop there.
 
     m is p or p^2 for a prime p.  Runs the recurrence and its derivative
     together, starting from A(0) = 1, A'(0) = 0:
@@ -235,7 +244,7 @@ def _digit_tables(p: int, m: int, derivs: bool) -> tuple[list[int], list[int]]:
     _require_prime(p)
     values, slopes = [1], [0] if derivs else []
     a2, a1, s2, s1 = 0, 1, 0, 0  # A(k-2), A(k-1), A'(k-2), A'(k-1)
-    for k in range(1, p):
+    for k in range(1, (p - 1 if top is None else top) + 1):
         inv = pow(k**3, -1, m)
         r, c = _r1(k), (k - 1) ** 3
         a = (r * a1 - c * a2) * inv % m
@@ -336,3 +345,95 @@ def apery_mod_sweep(targets: Iterable[int], modulus: int) -> dict[int, int]:
         if m in wanted:
             out[m] = prev1 % modulus
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_tables(p: int) -> tuple[tuple[int, ...], ...]:
+    """s!, H_s and e2(s) = sum_{i<j<=s} 1/(ij) modulo p^3, for s < p."""
+    m = p**3
+    fact, harm, e2 = [1], [0], [0]
+    for j in range(1, p):
+        inv = pow(j, -1, m)
+        e2.append((e2[-1] + harm[-1] * inv) % m)
+        harm.append((harm[-1] + inv) % m)
+        fact.append(fact[-1] * j % m)
+    return tuple(fact), tuple(harm), tuple(e2)
+
+
+def _unit_factorial(x: int, p: int) -> int:
+    """The p-free part of x! modulo p^3, for a prime p >= 5, without the
+    factors (p-1)! that its full blocks contribute.
+
+    x! = p^v prod_{i>=0} F(floor(x / p^i)) with F(r) the product of the
+    j <= r prime to p.  Writing r = qp + s, each of the q full blocks of F(r)
+    is (p-1)! (1 + bp H_{p-1} + b^2 p^2 e2(p-1)) = (p-1)! mod p^3, because
+    H_{p-1} = 0 mod p^2 and e2(p-1) = 0 mod p for p >= 5 (Wolstenholme), and
+    the last block is s! (1 + qp H_s + q^2 p^2 e2(s)) mod p^3.  The blocks
+    left out number sum_{i>=1} floor(x / p^i) = v_p(x!).
+    """
+    fact, harm, e2 = _unit_tables(p)
+    m = p**3
+    result = 1
+    while x:
+        x, s = divmod(x, p)
+        q = x % (p * p)
+        result = result * fact[s] * (1 + q * p * (harm[s] + q * p * e2[s])) % m
+    return result
+
+
+def _few_carry_indices(n: int, p: int, most: int) -> Iterator[tuple[int, int]]:
+    """Pairs (k, c) for the 0 <= k <= n with c = carries(k, n-k) +
+    carries(k, n) <= most, the base-p carry counts of Kummer's theorem.
+
+    A digit DFS from the least significant position tracks the borrow of
+    n - k and the carry of k + n; at each position the k-digits that give a
+    chosen (borrow, carry) pair form an interval.
+    """
+    digits = _digits(n, p)
+    # (position, k so far, borrow into it, carry into it, carries so far)
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        i, k, borrow, carry, c = stack.pop()
+        if i == len(digits):
+            if not borrow:  # a borrow out of the top digit means k > n
+                yield k, c
+            continue
+        a, place = digits[i], p**i
+        for out_b in (0, 1):
+            # n - k borrows here exactly when the k-digit exceeds a - borrow
+            lo_b, hi_b = (0, a - borrow) if not out_b else (a - borrow + 1, p - 1)
+            for out_c in (0, 1):
+                if c + out_b + out_c > most:
+                    continue
+                # k + n carries here exactly when the k-digit is >= p - a - carry
+                lo_c, hi_c = (0, p - 1 - a - carry) if not out_c else (p - a - carry, p - 1)
+                for b in range(max(lo_b, lo_c), min(hi_b, hi_c) + 1):
+                    stack.append((i + 1, k + b * place, out_b, out_c, c + out_b + out_c))
+
+
+def _apery_mod_pk(n: int, p: int, e: int) -> int:
+    """A(n) mod p^e for a prime p >= 5 and e in {1, 2, 3}, for any integer n.
+
+    By Kummer's theorem the k-th summand C(n,k)^2 C(n+k,k)^2 is p^(2c) times
+    a unit, c = carries(k, n-k) + carries(k, n), so only the k with 2c < e
+    count; _few_carry_indices finds them.  The unit is the square of
+    unit((n+k)!) / (unit(k!)^2 unit((n-k)!)), whose full-block factors
+    (p-1)! cancel down to ((p-1)!)^c, since their exponents add up to
+    v_p((n+k)! / (k!^2 (n-k)!)) = c.  No recurrence and no digit congruence
+    is used, so this is an independent route to A(n) mod p^e.
+    """
+    if e not in (1, 2, 3):
+        raise ValueError(f"e must be 1, 2 or 3, got {e}")
+    _require_prime(p)
+    if p < 5:
+        raise ValueError(f"p must be a prime >= 5, got {p}")
+    if n < 0:
+        n = -1 - n
+    m = p**3
+    block = _unit_tables(p)[0][p - 1]  # (p-1)!
+    total = 0
+    for k, c in _few_carry_indices(n, p, (e - 1) // 2):
+        num = _unit_factorial(n + k, p) * pow(block, c, m)
+        den = _unit_factorial(k, p) ** 2 * _unit_factorial(n - k, p)
+        total += p ** (2 * c) * (num * pow(den, -1, m)) ** 2
+    return total % p**e

@@ -230,3 +230,15 @@ def test_10_mod_p2_digit_route_budget(capsys):
     out = capsys.readouterr().out
     with capsys.disabled():
         report("10 mod-p2-budget", code == 0 and out == "216470\n", t0, 5)
+
+
+def test_11_mod_p3_unit_law_budget(capsys):
+    # `verify lucas-p3 --p 7 --depth 6`: A(n) = 1 mod 343 for the 64 n below
+    # 7^6 with digits 0 and 6, from the p-adic evaluator
+    from apery.cli import main
+
+    t0 = time.time()
+    code = main(["verify", "lucas-p3", "--p", "7", "--depth", "6"])
+    out = capsys.readouterr().out
+    with capsys.disabled():
+        report("11 mod-p3-unit-budget", code == 0 and "PASS" in out, t0, 5)

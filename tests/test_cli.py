@@ -70,6 +70,23 @@ class TestAperyCommand:
         assert code == 0
         assert int(out) == math.prod(apery(d) for d in digits) % p
 
+    def test_large_prime_square_modulus(self, capsys):
+        # the digit congruence with A(d), A'(d) from the exact sums: only
+        # the digits of n enter, so the tables stop at 19 there
+        from apery.arith import rational_mod
+        from apery.sequence import apery, apery_deriv, apery_mod_p2
+
+        p = 1000003
+        m = p * p
+        n = sum(d * p**i for i, d in enumerate([3, 0, 19, 7, 1]))
+        tables = (
+            [apery(d) % m for d in range(20)],
+            [rational_mod(apery_deriv(d), m).value for d in range(20)],
+        )
+        code, out, _ = run_cli(capsys, "apery", str(n), "--mod", str(m))
+        assert code == 0
+        assert int(out) == apery_mod_p2(n, p, tables).value
+
     def test_index_below_prime_modulus(self, capsys):
         # below p the modular pass answers without a table of p entries
         assert run_cli(capsys, "apery", "-6", "--mod", "1000000007") == (0, "819005\n", "")
@@ -319,6 +336,20 @@ class TestVerifyCommand:
     def test_missing_p(self, capsys):
         code, _, err = run_cli(capsys, "verify", "lucas-p")
         assert code == 2 and "--p" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "stuffle", "--N", "-3"],
+            ["taylor", "3", "--float", "--N", "-5"],
+            ["verify", "reduced-forms", "--N", "0"],
+        ],
+    )
+    def test_float_series_needs_a_term(self, capsys, argv):
+        # an empty partial sum is 0.0, which would pass or fail vacuously
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "N must be >= 1" in err
 
     def test_bad_tolerance(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "stuffle", "--tol", "-1")

@@ -219,6 +219,21 @@ class TestMultiDigit:
                 n = n * 5 + d
             assert apery_fast(n) % 125 == 1
 
+    def test_unit_law_reports_wrong_evaluator_value(self, monkeypatch):
+        real = apery.congruences._apery_mod_pk
+
+        # 300 is 606 in base 7, one of the eight n the law checks
+        def wrong_at_300(n, p, e):
+            return (real(n, p, e) + (n == 300)) % p**e
+
+        monkeypatch.setattr(apery.congruences, "_apery_mod_pk", wrong_at_300)
+        report = verify_multi_digit(7, {0, 6}, 3, "unit")
+        assert report.checked == 8
+        assert [(c.d, c.n, c.lhs.value, c.rhs.value) for c in report.counterexamples] == [
+            (None, 300, 2, 1)
+        ]
+        jsonschema.validate(report.to_dict(), SCHEMA)
+
 
 class TestFastPathConsistency:
     def test_report_lhs_recomputed_via_digit_route(self):

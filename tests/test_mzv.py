@@ -181,6 +181,12 @@ class TestMzvFloat:
         with pytest.raises(ValueError):
             mzv_float((1, 2), 100)
 
+    @pytest.mark.parametrize("extrapolate", [True, False])
+    def test_empty_truncation_rejected(self, extrapolate):
+        for N in (0, -3):
+            with pytest.raises(ValueError, match=f"N must be >= 1, got {N}"):
+                mzv_float((2,), N, extrapolate)
+
 
 class TestTruncatedIdentity:
     def test_all_weights_small_truncations(self):

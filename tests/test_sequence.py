@@ -1,5 +1,7 @@
 """The integer sequence A(n), its derivative A'(n), and the fast mod paths."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from apery.sequence import (
     AperyCache,
+    _apery_mod_pk,
     apery,
     apery_deriv,
     apery_deriv_reflected,
@@ -102,6 +105,18 @@ class TestDerivative:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             apery_deriv(-2)
+
+    def test_matches_fraction_harmonic_sum(self):
+        # the defining sum with H_j as Fractions, term by term
+        for n in range(61):
+            H = [Fraction(0)]
+            for i in range(1, 2 * n + 1):
+                H.append(H[-1] + Fraction(1, i))
+            total = Fraction(0)
+            for k in range(n + 1):
+                weight = (math.comb(n, k) * math.comb(n + k, k)) ** 2
+                total += weight * (H[n + k] - H[n - k])
+            assert apery_deriv(n) == 2 * total
 
     def test_reflected_helper(self):
         assert apery_deriv_reflected(3) == apery_deriv(3)
@@ -201,3 +216,37 @@ class TestModSweep:
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
             apery_mod_sweep([-1], 9)
+
+
+class TestPadicEvaluator:
+    def test_matches_exact_reduction(self):
+        cache = AperyCache()
+        for n in range(-60, 401):
+            exact = apery_fast(n, cache)
+            for p in (5, 7, 11, 13):
+                for e in (1, 2, 3):
+                    assert _apery_mod_pk(n, p, e) == exact % p**e, (n, p, e)
+
+    def test_matches_sweep_at_scattered_indices(self):
+        targets = [1249, 3124, 4999, 7202, 9999, 12004, 16806, 17150, 20000]
+        sweep = apery_mod_sweep(targets, 5**3 * 7**3)
+        for n in targets:
+            for p in (5, 7):
+                assert _apery_mod_pk(n, p, 3) == sweep[n] % p**3, (n, p)
+                assert _apery_mod_pk(-1 - n, p, 3) == sweep[n] % p**3, (n, p)
+
+    def test_matches_gessel_digit_route(self):
+        # every n < p^4 with digits in {0, (p-1)/2, p-1}: the carry-free
+        # summands mod p^2 against the digit congruence A(d + pn) =
+        # (A(d) + pnA'(d)) A(n)
+        for p in (5, 7):
+            tables = mod_p2_tables(p)
+            alphabet = (0, (p - 1) // 2, p - 1)
+            for digits in itertools.product(alphabet, repeat=4):
+                n = sum(d * p**i for i, d in enumerate(digits))
+                assert _apery_mod_pk(n, p, 2) == apery_mod_p2(n, p, tables).value, n
+
+    def test_rejects_bad_arguments(self):
+        for p, e in ((2, 3), (3, 2), (9, 2), (25, 1), (1, 1), (7, 0), (7, 4), (5, -1)):
+            with pytest.raises(ValueError):
+                _apery_mod_pk(10, p, e)
