@@ -23,7 +23,6 @@ from fractions import Fraction
 from .arith import (
     PRIMALITY_BOUND,
     Residue,
-    _digits,
     _require_prime,
     is_prime,
     jacobsthal_holds,
@@ -55,27 +54,11 @@ from .mzv import (
 )
 from .sequence import (
     AperyCache,
-    _digit_tables,
     _recurrence_mod,
     apery_deriv,
     apery_fast,
     apery_mod_p,
     apery_mod_p2,
-)
-
-THEOREMS = (
-    "lucas-p",
-    "gessel-p2",
-    "p3-suite",
-    "digitset-p2",
-    "corollary",
-    "lucas-p3",
-    "taylor-identity",
-    "reduced-forms",
-    "stuffle",
-    "functional-eq",
-    "jacobsthal",
-    "wolstenholme",
 )
 
 CACHE_ENV = "APERY_CACHE"
@@ -88,13 +71,10 @@ class RunConfig:
 
     format: str = "plain"
     cache_path: str | None = None
-    workers: int = 1  # accepted and ignored: scans run serially
 
     def __post_init__(self) -> None:
         if self.format not in ("plain", "json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -116,12 +96,14 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     cache_path = getattr(args, "cache", None)
     if cache_path is None:
         cache_path = os.environ.get(CACHE_ENV) or config.get("cache")
-    workers = getattr(args, "workers", None)
-    return RunConfig(
+    cfg = RunConfig(
         format=getattr(args, "format", None) or config.get("format", "plain"),
         cache_path=cache_path,
-        workers=int(config.get("workers", 1)) if workers is None else workers,
     )
+    # --workers is accepted and ignored (scans run serially), but not 0
+    if args.workers is not None and args.workers < 1:
+        raise ValueError("workers must be >= 1")
+    return cfg
 
 
 def _open_cache(cfg: RunConfig) -> AperyCache:
@@ -165,10 +147,9 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> int:
-    cache = _open_cache(cfg)
     n = args.n
     if args.mod is None:
-        value = apery_fast(n, cache)
+        value = apery_fast(n, _open_cache(cfg))
         if cfg.format == "json":
             _emit_json({"n": n, "value": str(value)})
         else:
@@ -177,7 +158,7 @@ def _cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> int:
     modulus = args.mod
     if modulus < 2:
         raise ValueError("--mod must be >= 2")
-    residue = _reduce_apery(n, modulus, cache)
+    residue = _reduce_apery(n, modulus, cfg)
     if cfg.format == "json":
         _emit_json(
             {"n": n, "modulus": str(modulus), "value": str(residue.value)}
@@ -187,25 +168,23 @@ def _cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _reduce_apery(n: int, modulus: int, cache: AperyCache) -> Residue:
+def _reduce_apery(n: int, modulus: int, cfg: RunConfig) -> Residue:
     if n < 0:
         n = -1 - n
     # the digit routes for prime and prime-squared moduli build their tables
     # up to the largest base-p digit of n; below p that would be the whole
     # pass to n, which the modular pass makes without a primality test
     if modulus <= min(n, PRIMALITY_BOUND) and is_prime(modulus):
-        table = _digit_tables(modulus, modulus, False, max(_digits(n, modulus)))
-        return apery_mod_p(n, modulus, table[0])
+        return apery_mod_p(n, modulus)
     root = math.isqrt(modulus)
     if root * root == modulus and root <= min(n, PRIMALITY_BOUND) and is_prime(root):
-        tables = _digit_tables(root, modulus, True, max(_digits(n, root)))
-        return apery_mod_p2(n, root, tables)
+        return apery_mod_p2(n, root)
     # x/den is A(n) mod M unless some k <= n shares a factor with M
     for x, den in _recurrence_mod(modulus, n):
         pass
     if math.gcd(den, modulus) == 1:
         return Residue(x * pow(den, -1, modulus), modulus)
-    return Residue(apery_fast(n, cache) % modulus, modulus)
+    return Residue(apery_fast(n, _open_cache(cfg)) % modulus, modulus)
 
 
 def _cmd_aperyd(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -220,13 +199,10 @@ def _cmd_aperyd(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_digits(args: argparse.Namespace, cfg: RunConfig) -> int:
-    cache = _open_cache(cfg)
     if args.scan is not None:
-        sets = scan_digit_sets(
-            args.scan, args.min_size, workers=cfg.workers, cache=cache
-        )
+        sets = scan_digit_sets(args.scan, args.min_size, cache=_open_cache(cfg))
     elif args.p is not None:
-        sets = [digit_set(args.p, cache)]
+        sets = [digit_set(args.p)]
     else:
         raise ValueError("give a prime or --scan BOUND")
     if cfg.format == "json":
@@ -267,9 +243,7 @@ def _cmd_taylor(args: argparse.Namespace, cfg: RunConfig) -> int:
         payload["exact"] = _fraction_str(value)
         lines.append(_fraction_str(value))
     if args.as_float:
-        value = (
-            1.0 if m == 0 else taylor_coeff_float(m, args.N)
-        )  # expansion covers m >= 1; the constant term is 1
+        value = taylor_coeff_float(m, args.N)
         payload["N"] = args.N
         payload["float"] = value
         lines.append(repr(value))
@@ -378,14 +352,13 @@ def _verify_congruence(args, cfg) -> dict:
 def _verify_multi_digit(args, cfg) -> dict:
     if args.p is None:
         raise ValueError(f"verify {args.theorem} needs --p")
-    cache = _open_cache(cfg)
     if args.theorem == "corollary":
         depth = 4 if args.depth is None else args.depth
         alphabet = {0, (args.p - 1) // 2, args.p - 1}
-        report = verify_multi_digit(args.p, alphabet, depth, "power", cache)
+        report = verify_multi_digit(args.p, alphabet, depth, "power")
     else:  # lucas-p3
         depth = 5 if args.depth is None else args.depth
-        report = verify_multi_digit(args.p, {0, args.p - 1}, depth, "unit", cache)
+        report = verify_multi_digit(args.p, {0, args.p - 1}, depth, "unit")
     payload = report.to_dict()
     payload["theorem"] = args.theorem
     return payload
@@ -477,24 +450,27 @@ def _verify_wolstenholme(args, cfg) -> dict:
     return _check_payload("wolstenholme", {"primes": primes}, checks)
 
 
+# the verify theorem ids, in the order the help text lists them
+THEOREMS = {
+    "lucas-p": _verify_congruence,
+    "gessel-p2": _verify_congruence,
+    "p3-suite": _verify_congruence,
+    "digitset-p2": _verify_congruence,
+    "corollary": _verify_multi_digit,
+    "lucas-p3": _verify_multi_digit,
+    "taylor-identity": _verify_taylor_identity,
+    "reduced-forms": _verify_reduced_forms,
+    "stuffle": _verify_stuffle,
+    "functional-eq": _verify_functional_eq,
+    "jacobsthal": _verify_jacobsthal,
+    "wolstenholme": _verify_wolstenholme,
+}
+
+
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.tol is not None and args.tol <= 0:
         raise ValueError("--tol must be positive")
-    dispatch = {
-        "lucas-p": _verify_congruence,
-        "gessel-p2": _verify_congruence,
-        "p3-suite": _verify_congruence,
-        "digitset-p2": _verify_congruence,
-        "corollary": _verify_multi_digit,
-        "lucas-p3": _verify_multi_digit,
-        "taylor-identity": _verify_taylor_identity,
-        "reduced-forms": _verify_reduced_forms,
-        "stuffle": _verify_stuffle,
-        "functional-eq": _verify_functional_eq,
-        "jacobsthal": _verify_jacobsthal,
-        "wolstenholme": _verify_wolstenholme,
-    }
-    payload = dispatch[args.theorem](args, cfg)
+    payload = THEOREMS[args.theorem](args, cfg)
     ok = payload["pass"] and payload.get("conclusive", True)
     if cfg.format == "json":
         _emit_json(payload)
@@ -545,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=int, default=1, help="minimum |D(p)| to report")
 
     p = sub.add_parser("verify", parents=[common], help="run a verification sweep")
-    p.add_argument("theorem", choices=THEOREMS)
+    p.add_argument("theorem", choices=tuple(THEOREMS))
     p.add_argument("--p", type=int)
     p.add_argument("--n", type=parse_range, metavar="LO..HI")
     p.add_argument("--m", type=parse_range, metavar="LO..HI")

@@ -141,11 +141,8 @@ def _digit_set_of(p: int, values: Sequence[int]) -> DigitSet:
     return DigitSet(p, tuple(d for d in range(p) if values[d] == values[p - 1 - d]))
 
 
-def digit_set(p: int, cache: AperyCache | None = None) -> DigitSet:
-    """D(p) from A(0), ..., A(p-1) modulo p^2, by the modular recurrence.
-
-    cache is accepted and unused.
-    """
+def digit_set(p: int) -> DigitSet:
+    """D(p) from A(0), ..., A(p-1) modulo p^2, by the modular recurrence."""
     return _digit_set_of(p, _digit_tables(p, p * p, derivs=False)[0])
 
 
@@ -297,7 +294,7 @@ def verify_digit_set_lucas(
     if n_range is None:
         n_range = (-p, p)
     m = p * p
-    ds = digit_set(p, cache)
+    ds = digit_set(p)
     report = CongruenceReport(
         "digitset-p2",
         {"p": p, "n_lo": n_range[0], "n_hi": n_range[1], "digits": list(ds.digits)},
@@ -329,7 +326,6 @@ def verify_multi_digit(
     alphabet: Iterable[int],
     depth: int,
     law: str,
-    cache: AperyCache | None = None,
 ) -> CongruenceReport:
     """Digit-wise laws over every n < p^depth with digits in the alphabet.
 
@@ -353,7 +349,7 @@ def verify_multi_digit(
         raise ValueError(f"alphabet must be non-empty digits below {p}")
 
     if law == "product":
-        tables = mod_p2_tables(p, cache)
+        tables = mod_p2_tables(p)
         ds = _digit_set_of(p, tables[0])
         outside = [d for d in alphabet if d not in ds]
         if outside:
@@ -367,7 +363,7 @@ def verify_multi_digit(
             raise ValueError(
                 "power law needs odd p and alphabet {0, (p-1)/2, p-1}"
             )
-        tables = mod_p2_tables(p, cache)
+        tables = mod_p2_tables(p)
         modulus = p * p
     elif law == "unit":
         if p < 5 or not set(alphabet) <= {0, p - 1}:

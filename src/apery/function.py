@@ -22,7 +22,6 @@ from typing import Iterator
 
 __all__ = [
     "ComplexApprox",
-    "TruncatedPolynomial",
     "apery_eval",
     "functional_equation_residual",
     "taylor_coeff_truncated",
@@ -87,75 +86,6 @@ def functional_equation_residual(z: complex, terms: int = 100_000) -> float:
     lhs = z**3 * a0 - (34 * z**3 - 51 * z**2 + 27 * z - 5) * a1 + (z - 1) ** 3 * a2
     rhs = 8 / math.pi**2 * (2 * z - 1) * cmath.sin(cmath.pi * z) ** 2
     return abs(lhs - rhs)
-
-
-class TruncatedPolynomial:
-    """Dense polynomial over exact rationals, degree-capped; products drop
-    powers above the cap."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        if not coeffs:
-            raise ValueError("need at least the constant coefficient")
-        self.coeffs = coeffs
-
-    @classmethod
-    def one(cls, max_degree: int) -> "TruncatedPolynomial":
-        return cls((Fraction(1),) + (Fraction(0),) * max_degree)
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, power: int) -> Fraction:
-        return self.coeffs[power]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruncatedPolynomial) and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"TruncatedPolynomial({self.coeffs!r})"
-
-    def _same_cap(self, other: "TruncatedPolynomial") -> None:
-        if self.max_degree != other.max_degree:
-            raise ValueError("mixed truncation degrees")
-
-    def __add__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        self._same_cap(other)
-        return TruncatedPolynomial(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other) -> "TruncatedPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return TruncatedPolynomial(tuple(c * other for c in self.coeffs))
-        self._same_cap(other)
-        cap = self.max_degree
-        out = [Fraction(0)] * (cap + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: cap + 1 - i]):
-                if b:
-                    out[i + j] += a * b
-        return TruncatedPolynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def mul_sparse(self, terms: dict[int, Fraction]) -> "TruncatedPolynomial":
-        """Product with sum_{p} terms[p] z^p, truncated at the cap."""
-        cap = self.max_degree
-        out = [Fraction(0)] * (cap + 1)
-        for power, coeff in terms.items():
-            if power > cap or not coeff:
-                continue
-            for i, a in enumerate(self.coeffs[: cap + 1 - power]):
-                if a:
-                    out[i + power] += a * coeff
-        return TruncatedPolynomial(tuple(out))
 
 
 def _taylor_numerators(m: int, upper: int, scale: int) -> Iterator[int]:

@@ -162,34 +162,34 @@ def mzv_partial(s: Sequence[int], N: int) -> Fraction:
     )
 
 
-def _mzv_float_raw(s: Composition, N: int) -> float:
-    tail = [1.0] * (N + 1)
-    for part in reversed(s[1:]):
-        running = 0.0
-        new = [0.0] * (N + 1)
-        for v in range(N + 1):
-            new[v] = running
-            if v:
-                running += tail[v] / v**part
-        tail = new
-    return sum(tail[n] / n ** s[0] for n in range(1, N + 1))
-
-
 def mzv_float(s: Sequence[int], N: int, extrapolate: bool = True) -> float:
     """Floating partial sum of zeta(s); needs s1 >= 2 to have a limit.
 
     With extrapolate the one-step Richardson value 2 S(2N) - S(N) is
     returned, cancelling the leading c/N tail that the slowest (s1 = 2)
-    modes leave behind.
+    modes leave behind.  Both sums come from one pass to 2N: S(N) is the
+    sum of its first N terms.
     """
     s = _validate_composition(s)
     if s[0] < 2:
         raise ValueError(f"first part must be >= 2 for convergence, got {s}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    top = 2 * N if extrapolate else N
+    # tail[v] = sum over v > n_{i+1} > ... > nj >= 1, as in mzv_partial
+    tail = [1.0] * (top + 1)
+    for part in reversed(s[1:]):
+        running = 0.0
+        new = [0.0] * (top + 1)
+        for v in range(top + 1):
+            new[v] = running
+            if v:
+                running += tail[v] / v**part
+        tail = new
+    terms = [tail[n] / n ** s[0] for n in range(1, top + 1)]
     if extrapolate:
-        return 2 * _mzv_float_raw(s, 2 * N) - _mzv_float_raw(s, N)
-    return _mzv_float_raw(s, N)
+        return 2 * sum(terms) - sum(terms[:N])
+    return sum(terms)
 
 
 def taylor_identity_holds(m: int, N: int) -> bool:
@@ -225,7 +225,14 @@ def taylor_identity_holds(m: int, N: int) -> bool:
 
 
 def taylor_coeff_float(m: int, N: int = 10_000, extrapolate: bool = True) -> float:
-    """Floating estimate of the m-th Taylor coefficient from its MZV terms."""
+    """Floating estimate of the m-th Taylor coefficient from its MZV terms.
+
+    a_0 = 1, the constant term, which no composition covers.
+    """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if m == 0:
+        return 1.0
     return float(
         sum(coeff * mzv_float(s, N, extrapolate) for s, coeff in taylor_terms(m))
     )

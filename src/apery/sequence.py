@@ -261,11 +261,9 @@ def _digit_tables(
     return values, slopes
 
 
-def mod_p_table(p: int, cache: AperyCache | None = None) -> list[int]:
-    """A(0), ..., A(p-1) reduced mod p, for a prime p.
-
-    Built by the recurrence modulo p; cache is accepted and unused.
-    """
+def mod_p_table(p: int) -> list[int]:
+    """A(0), ..., A(p-1) reduced mod p, for a prime p, by the recurrence
+    modulo p."""
     return _digit_tables(p, p, derivs=False)[0]
 
 
@@ -284,13 +282,14 @@ def apery_mod_p(n: int, p: int, table: list[int] | None = None) -> Residue:
     """A(n) mod p for n >= 0 as the product of A(d) over base-p digits d.
 
     O(log_p n) multiplications once the digit table is built; pass a
-    precomputed table when sweeping many n.
+    precomputed table when sweeping many n.  Without one, the table stops
+    at the largest base-p digit of n.
     """
     if n < 0:
         raise ValueError(f"apery_mod_p requires n >= 0, got {n}")
     _require_prime(p)
     if table is None:
-        table = mod_p_table(p)
+        table = _digit_tables(p, p, False, max(_digits(n, p), default=0))[0]
     result = 1
     while n > 0:
         n, d = divmod(n, p)
@@ -304,13 +303,14 @@ def apery_mod_p2(
     """A(n) mod p^2 for n >= 0, digit by digit from the least significant.
 
     Each digit d with quotient q contributes the factor A(d) + p*q*A'(d);
-    only q mod p matters there because of the explicit factor p.
+    only q mod p matters there because of the explicit factor p.  Without
+    tables, they stop at the largest base-p digit of n.
     """
     if n < 0:
         raise ValueError(f"apery_mod_p2 requires n >= 0, got {n}")
     _require_prime(p)
     if tables is None:
-        tables = mod_p2_tables(p)
+        tables = _digit_tables(p, p * p, True, max(_digits(n, p), default=0))
     values, derivs = tables
     m = p * p
     result = 1

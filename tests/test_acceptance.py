@@ -144,7 +144,7 @@ def test_06_congruence_sweeps():
     part = time.time()
     sub = True
     for p in (5, 7, 11):
-        r = verify_multi_digit(p, {0, (p - 1) // 2, p - 1}, 4, "power", cache)
+        r = verify_multi_digit(p, {0, (p - 1) // 2, p - 1}, 4, "power")
         sub = sub and r.passed
     ok = ok and sub
     print(f"  corollary p in {{5,7,11}} depth 4: {'PASS' if sub else 'FAIL'} "
@@ -153,7 +153,7 @@ def test_06_congruence_sweeps():
     part = time.time()
     sub = True
     for p in (5, 7):
-        r = verify_multi_digit(p, {0, p - 1}, 5, "unit", cache)
+        r = verify_multi_digit(p, {0, p - 1}, 5, "unit")
         sub = sub and r.passed
     ok = ok and sub
     print(f"  lucas-p3 p in {{5,7}} depth 5: {'PASS' if sub else 'FAIL'} "

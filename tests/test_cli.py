@@ -198,6 +198,13 @@ class TestTaylorCommand:
         assert code == 0
         assert abs(float(out) - math.pi**2 / 6) < 1e-6
 
+    def test_float_constant_term(self, capsys):
+        # a_0 = 1 has no MZV terms, but its --N is checked like any other m
+        assert run_cli(capsys, "taylor", "0", "--float") == (0, "1.0\n", "")
+        code, out, err = run_cli(capsys, "taylor", "0", "--float", "--N", "-5")
+        assert code == 2 and out == ""
+        assert "N must be >= 1, got -5" in err
+
     def test_json_combined(self, capsys):
         code, out, _ = run_cli(
             capsys, "taylor", "4", "--terms", "--exact", "--N", "20", "--format", "json"
@@ -391,6 +398,16 @@ class TestExplicitValues:
 
 
 class TestCacheCommand:
+    @pytest.fixture
+    def rescaled(self, tmp_path):
+        # every record 3 A(n): the record on line 2 fails the load check
+        from apery.cachefile import cache_store
+        from apery.sequence import apery
+
+        path = tmp_path / "a.cache"
+        cache_store(path, {n: 3 * apery(n) for n in range(2, 50)})
+        return str(path)
+
     def test_fill_info_verify(self, capsys, tmp_path):
         path = str(tmp_path / "a.cache")
         code, out, _ = run_cli(capsys, "cache", "fill", "--n", "0..30", "--cache", path)
@@ -446,6 +463,36 @@ class TestCacheCommand:
         code, _, err = run_cli(capsys, "apery", "10", "--cache", str(path))
         assert code == 2 and "line 2" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apery", "12", "--mod", "35"],  # the exact fallback
+            ["digits", "--scan", "10"],
+            ["verify", "lucas-p", "--p", "5"],
+        ],
+        ids=["apery-mod-exact", "digits-scan", "verify-lucas-p"],
+    )
+    def test_routes_reading_values_refuse_rescaled_cache(self, capsys, rescaled, argv):
+        code, _, err = run_cli(capsys, *argv, "--cache", rescaled)
+        assert code == 2 and "line 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["digits", "7"],
+            ["verify", "corollary", "--p", "5", "--depth", "2"],
+            ["verify", "lucas-p3", "--p", "5", "--depth", "2"],
+            ["apery", "1000", "--mod", "7"],
+            ["apery", "1000", "--mod", "49"],
+        ],
+        ids=["digits", "verify-corollary", "verify-lucas-p3", "apery-mod-p", "apery-mod-p2"],
+    )
+    def test_routes_without_exact_values_ignore_cache(self, capsys, rescaled, argv):
+        # a file these commands would never read is not opened, even a bad one
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
+        assert run_cli(capsys, *argv, "--cache", rescaled) == plain
+
 
 class TestConfigFile:
     def test_config_defaults_flags_win(self, capsys, tmp_path, monkeypatch):
@@ -469,6 +516,13 @@ class TestConfigFile:
         monkeypatch.setenv("APERY_CACHE", str(corrupt))
         code, out, _ = run_cli(capsys, "apery", "5", "--cache", "", "--format", "plain")
         assert code == 0 and out == "819005\n"
+
+    def test_workers_key_not_read(self, capsys, tmp_path, monkeypatch):
+        # scans run serially, so the config file has no workers setting
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"workers": 0}))
+        monkeypatch.setenv("APERY_CONFIG", str(config))
+        assert run_cli(capsys, "digits", "7") == (0, "7: 0 2 3 4 6\n", "")
 
     def test_bad_config(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.json"

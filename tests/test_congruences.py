@@ -52,7 +52,7 @@ class TestDigitSet:
 
         cache = AperyCache()
         for p in primes_upto(300):
-            ds = digit_set(p, cache)
+            ds = digit_set(p)
             assert 0 in ds and p - 1 in ds
             assert all(p - 1 - d in ds for d in ds.digits)
             if p % 2:  # the central digit is always a member

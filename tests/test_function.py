@@ -8,7 +8,6 @@ import pytest
 
 from apery.function import (
     ComplexApprox,
-    TruncatedPolynomial,
     apery_eval,
     functional_equation_residual,
     taylor_coeff_truncated,
@@ -108,35 +107,6 @@ class TestDerivativeConsistency:
                 errs.append(abs(fd - exact))
             # O(h^2): shrinking h tenfold should cut the error ~100x
             assert errs[1] < errs[0] / 50
-
-
-class TestTruncatedPolynomial:
-    def test_one(self):
-        p = TruncatedPolynomial.one(3)
-        assert p.max_degree == 3
-        assert p[0] == 1 and p[3] == 0
-
-    def test_mul_truncates(self):
-        # (1 + z)^2 capped at degree 1 keeps only 1 + 2z
-        p = TruncatedPolynomial((Fraction(1), Fraction(1)))
-        q = p * p
-        assert q.coeffs == (Fraction(1), Fraction(2))
-
-    def test_mul_sparse_matches_dense(self):
-        p = TruncatedPolynomial((Fraction(1), Fraction(2), Fraction(3), Fraction(0), Fraction(5)))
-        sparse = {0: Fraction(1), 2: Fraction(-2, 9), 4: Fraction(1, 81)}
-        dense = TruncatedPolynomial(
-            (Fraction(1), Fraction(0), Fraction(-2, 9), Fraction(0), Fraction(1, 81))
-        )
-        assert p.mul_sparse(sparse) == p * dense
-
-    def test_add_requires_same_cap(self):
-        with pytest.raises(ValueError):
-            TruncatedPolynomial.one(2) + TruncatedPolynomial.one(3)
-
-    def test_scalar_mul(self):
-        p = TruncatedPolynomial((Fraction(1), Fraction(2)))
-        assert (3 * p).coeffs == (Fraction(3), Fraction(6))
 
 
 class TestTaylorCoefficients:

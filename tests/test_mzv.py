@@ -187,6 +187,13 @@ class TestMzvFloat:
             with pytest.raises(ValueError, match=f"N must be >= 1, got {N}"):
                 mzv_float((2,), N, extrapolate)
 
+    @pytest.mark.parametrize("s", [(2,), (3,), (4, 2), (2, 4, 4), (3, 2, 2, 4)])
+    def test_extrapolation_is_two_raw_sums(self, s):
+        # S(N) is read off the pass to 2N; it must equal a pass to N exactly
+        for N in (1, 7, 100, 1234):
+            raw = mzv_float(s, 2 * N, False), mzv_float(s, N, False)
+            assert mzv_float(s, N) == 2 * raw[0] - raw[1]
+
 
 class TestTruncatedIdentity:
     def test_all_weights_small_truncations(self):

@@ -140,7 +140,7 @@ class TestFastModPaths:
     def test_against_exact_small_primes(self):
         cache = AperyCache()
         for p in (2, 3, 5, 7):
-            table = mod_p_table(p, cache)
+            table = mod_p_table(p)
             tables = mod_p2_tables(p, cache)
             for n in range(250):
                 exact = apery_fast(n, cache)
@@ -162,7 +162,7 @@ class TestFastModPaths:
         cache = shared_cache()
         exact = [apery_fast(n, cache) for n in range(3001)]
         for p in primes_upto(31):
-            table = mod_p_table(p, cache)
+            table = mod_p_table(p)
             tables = mod_p2_tables(p, cache)
             m = p * p
             for n, value in enumerate(exact):
@@ -178,6 +178,24 @@ class TestFastModPaths:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             apery_mod_p(-1, 5)
+
+    def test_large_prime_without_tables(self):
+        # the tables stop at the largest digit of n, so a prime near 10^6
+        # costs no table of 10^6 entries; the oracle is the digit formula
+        # with exact A(d) and A'(d)
+        from apery.arith import rational_mod
+
+        p = 1000003
+        m = p * p
+        exact = (
+            [apery(d) % m for d in range(12)],
+            [rational_mod(apery_deriv(d), m).value for d in range(12)],
+        )
+        for digits in ([3, 5, 11, 0, 0, 2], [], [7], [0, 11]):
+            n = sum(d * p**i for i, d in enumerate(digits))
+            want = math.prod(exact[0][d] for d in digits) % p
+            assert apery_mod_p(n, p).value == want
+            assert apery_mod_p2(n, p) == apery_mod_p2(n, p, exact)
 
 
 class TestDigitTables:
