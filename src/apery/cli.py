@@ -12,6 +12,7 @@ schema/report.schema.json at the repository root.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -96,6 +97,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     cache_path = getattr(args, "cache", None)
     if cache_path is None:
         cache_path = os.environ.get(CACHE_ENV) or config.get("cache")
+        if not isinstance(cache_path, (str, type(None))):
+            raise ValueError("config key 'cache' must be a path string")
     cfg = RunConfig(
         format=getattr(args, "format", None) or config.get("format", "plain"),
         cache_path=cache_path,
@@ -128,11 +131,12 @@ def parse_range(text: str) -> tuple[int, int]:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text)
+        z = complex(text)
     except ValueError:
-        raise ValueError(
-            f"expected a number like 0.5 or 0.3+0.2j, got {text!r}"
-        ) from None
+        z = None
+    if z is None or not cmath.isfinite(z):
+        raise ValueError(f"expected a number like 0.5 or 0.3+0.2j, got {text!r}")
+    return z
 
 
 def _fraction_str(q: Fraction) -> str:
@@ -330,23 +334,20 @@ def _residual_check(label: str, residual: float, tol: float | None, asserted=Tru
     }
 
 
+_SWEEPS = {
+    "lucas-p": verify_lucas_mod_p,
+    "gessel-p2": verify_gessel_mod_p2,
+    "p3-suite": verify_mod_p3_suite,
+    "digitset-p2": verify_digit_set_lucas,
+}
+
+
 def _verify_congruence(args, cfg) -> dict:
     if args.p is None:
         raise ValueError(f"verify {args.theorem} needs --p")
-    cache = _open_cache(cfg)
-    theorem = args.theorem
-    if theorem == "digitset-p2":
-        n_range = args.n or (-args.p, args.p)
-        report = verify_digit_set_lucas(args.p, n_range, cache)
-    else:
-        n_range = args.n or (-10, 10)
-        if theorem == "lucas-p":
-            report = verify_lucas_mod_p(args.p, n_range, cache)
-        elif theorem == "gessel-p2":
-            report = verify_gessel_mod_p2(args.p, n_range, cache)
-        else:
-            report = verify_mod_p3_suite(args.p, n_range, cache)
-    return report.to_dict()
+    default = (-args.p, args.p) if args.theorem == "digitset-p2" else (-10, 10)
+    sweep = _SWEEPS[args.theorem]
+    return sweep(args.p, args.n or default, _open_cache(cfg)).to_dict()
 
 
 def _verify_multi_digit(args, cfg) -> dict:
@@ -468,8 +469,8 @@ THEOREMS = {
 
 
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.tol is not None and args.tol <= 0:
-        raise ValueError("--tol must be positive")
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        raise ValueError("--tol must be finite and positive")
     payload = THEOREMS[args.theorem](args, cfg)
     ok = payload["pass"] and payload.get("conclusive", True)
     if cfg.format == "json":

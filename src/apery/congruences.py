@@ -6,34 +6,35 @@ the digits d for which A(d + p n) = A(d) A(n) mod p^2 holds for every
 integer n.  Negative n are always in scope: reflection A(n) = A(-1-n) turns
 them into non-negative evaluations.
 
-The per-(d, n) sweeps of every digit law share one exact sweep, _sweep: it
-checks A(d + p n) = (a + p n s) A(n) mod m for a factor (a, s) per digit,
-and it reduces exact values, so it stays independent of the modular
-recurrence.  digit_set and verify_multi_digit's mod p^2 laws go through
-the digit tables instead, which come from the recurrence and its
-derivative run modulo p^2 (the tables and the digit route are checked
-against exact reduction in the test suite).  scan_digit_sets reduces one
+Each digit law is a modulus plus a table of per-digit factors.  The
+per-(d, n) laws share one sweep, _sweep, with both sides A(d + p n) and
+A(n) reduced from exact values and the factors A(d), A'(d) read from the
+digit tables (the recurrence and its derivative modulo p or p^2), except
+that digitset-p2 keeps exact factors (see verify_digit_set_lucas).
+verify_multi_digit's mod p^2 laws evaluate A(n) through the digit tables;
+its mod p^3 unit law takes A(n) mod p^3 from the p-adic evaluator (the
+summands with at most one carry, over p-free factorials), which uses
+neither the recurrence nor a digit theorem.  scan_digit_sets reduces one
 shared exact prefix for every prime, which is cheaper than a modular pass
-per prime.  The mod p^3 unit law takes A(n) mod p^3 from the p-adic
-evaluator (the summands with at most one carry, over p-free factorials),
-which uses neither the recurrence nor a digit theorem.
+per prime.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .arith import Residue, _digits, _require_prime, primes_upto, rational_mod
+from .arith import Residue, _require_prime, primes_upto
 from .sequence import (
     AperyCache,
     _apery_mod_pk,
     _digit_tables,
-    apery_deriv,
     apery_fast,
     apery_mod_p2,
     mod_p2_tables,
+    mod_p_table,
 )
 
 __all__ = [
@@ -168,6 +169,16 @@ def scan_digit_sets(
     return sets
 
 
+def _case(
+    report: CongruenceReport, d: int | None, n: int, p: int, lhs: int, rhs: int, m: int
+) -> Counterexample | None:
+    """Count one checked case; the counterexample when lhs and rhs differ."""
+    report.checked += 1
+    if lhs == rhs:
+        return None
+    return Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
+
+
 def _sweep(
     report: CongruenceReport,
     p: int,
@@ -190,11 +201,9 @@ def _sweep(
         an = apery_fast(n, cache) % m
         for d, (a, s) in digits:
             lhs = apery_fast(d + p * n, cache) % m
-            rhs = (a + p * n * s) * an % m
-            report.checked += 1
-            if lhs == rhs:
+            case = _case(report, d, n, p, lhs, (a + p * n * s) * an % m, m)
+            if case is None:
                 continue
-            case = Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
             if d in expected_to_fail:
                 report.witnesses.append(case)
                 digits = [entry for entry in digits if entry[0] != d]
@@ -206,12 +215,13 @@ def _sweep(
 def verify_lucas_mod_p(
     p: int, n_range: tuple[int, int], cache: AperyCache | None = None
 ) -> CongruenceReport:
-    """Check A(d + p n) = A(d) A(n) mod p for every digit d and n in range."""
+    """Check A(d + p n) = A(d) A(n) mod p for every digit d and n in range,
+    with A(d) mod p from the digit table."""
     _require_prime(p)
     report = CongruenceReport(
         "lucas-p", {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]}
     )
-    factors = {d: (apery_fast(d, cache) % p, 0) for d in range(p)}
+    factors = {d: (a, 0) for d, a in enumerate(mod_p_table(p))}
     _sweep(report, p, p, n_range, factors, cache)
     return report
 
@@ -221,29 +231,16 @@ def verify_gessel_mod_p2(
 ) -> CongruenceReport:
     """Check A(d + p n) = (A(d) + p n A'(d)) A(n) mod p^2 over the range.
 
-    Also asserts the companion claim that no A'(d) denominator is divisible
-    by p; a failure there would falsify the theorem and is recorded as a
-    counterexample.
+    A(d) and A'(d) mod p^2 come from the digit tables.  The recurrence
+    behind them divides only by k^3 with k < p, so A'(d) is p-integral for
+    every digit d.
     """
     _require_prime(p)
-    m = p * p
     report = CongruenceReport(
         "gessel-p2", {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]}
     )
-    factors = {}
-    for d in range(p):
-        try:
-            slope = rational_mod(apery_deriv(d), m).value
-        except ValueError:
-            report.counterexamples.append(
-                Counterexample(d, 0, p, Residue(0, m), Residue(1, m))
-            )
-            report.notes.append(
-                f"A'({d}) has denominator divisible by {p}; theorem falsified"
-            )
-            return report
-        factors[d] = (apery_fast(d, cache) % m, slope)
-    _sweep(report, p, m, n_range, factors, cache)
+    factors = dict(enumerate(zip(*mod_p2_tables(p))))
+    _sweep(report, p, p * p, n_range, factors, cache)
     return report
 
 
@@ -253,7 +250,8 @@ def verify_mod_p3_suite(
     """The strongest congruence available at each prime, over the range.
 
     p = 2:  A(n) = 5^n mod 8 for n >= 0 and A(n) = 5^(n+1) mod 8 for n <= -1.
-    p = 3:  A(d + 3n) = A(d) A(n) mod 9 for every digit d.
+    p = 3:  A(d + 3n) = A(d) A(n) mod 9 for every digit d, with A(d) mod 9
+            from the digit table.
     p >= 5: A(p n) = A(n) = A(p n + p - 1) mod p^3.
     """
     if p not in (2, 3):
@@ -263,15 +261,11 @@ def verify_mod_p3_suite(
     )
     if p == 2:
         for n in _span(n_range):
-            lhs = apery_fast(n, cache) % 8
             rhs = pow(5, n if n >= 0 else n + 1, 8)
-            report.checked += 1
-            if lhs != rhs:
-                report.counterexamples.append(
-                    Counterexample(None, n, 2, Residue(lhs, 8), Residue(rhs, 8))
-                )
+            if case := _case(report, None, n, 2, apery_fast(n, cache) % 8, rhs, 8):
+                report.counterexamples.append(case)
     elif p == 3:
-        factors = {d: (apery_fast(d, cache) % 9, 0) for d in range(3)}
+        factors = {d: (a, 0) for d, a in enumerate(_digit_tables(3, 9, False)[0])}
         _sweep(report, 3, 9, n_range, factors, cache)
     else:
         _sweep(report, p, p**3, n_range, {0: (1, 0), p - 1: (1, 0)}, cache)
@@ -299,6 +293,10 @@ def verify_digit_set_lucas(
         "digitset-p2",
         {"p": p, "n_lo": n_range[0], "n_hi": n_range[1], "digits": list(ds.digits)},
     )
+    # D(p) comes from the digit table, so the factors must not: a wrong A(d)
+    # there would drop d from D(p) and then witness its own exclusion.  With
+    # exact factors the same fault leaves d unwitnessed, so the report is
+    # inconclusive.
     factors = {d: (apery_fast(d, cache) % m, 0) for d in range(p)}
     outside = frozenset(range(p)) - frozenset(ds.digits)
     _sweep(report, p, m, n_range, factors, cache, outside)
@@ -310,36 +308,27 @@ def verify_digit_set_lucas(
     return report
 
 
-def _digit_numbers(p: int, alphabet: Sequence[int], depth: int) -> list[int]:
-    # all n < p^depth whose base-p digits lie in the alphabet
-    out = set()
-    for digits in itertools.product(sorted(alphabet), repeat=depth):
-        n = 0
-        for d in reversed(digits):
-            n = n * p + d
-        out.add(n)
-    return sorted(out)
-
-
 def verify_multi_digit(
     p: int,
     alphabet: Iterable[int],
     depth: int,
     law: str,
 ) -> CongruenceReport:
-    """Digit-wise laws over every n < p^depth with digits in the alphabet.
+    """Digit-wise laws A(n) = prod f(d) mod m over every n < p^depth whose
+    base-p digits d lie in the alphabet.
 
-    law="product": A(n) = prod over digits d of A(d), mod p^2; requires the
-        alphabet to sit inside D(p) and is rejected otherwise.
-    law="power": alphabet {0, (p-1)/2, p-1} for odd p; A(n) = A((p-1)/2)^e(n)
-        mod p^2 where e(n) counts the middle digit.
-    law="unit": alphabet within {0, p-1} for p >= 5; A(n) = 1 mod p^3.
+    law="product": f(d) = A(d), m = p^2; requires the alphabet to sit
+        inside D(p) and is rejected otherwise.
+    law="power": alphabet {0, c, p-1} for odd p, with c = (p-1)/2;
+        f = {0: 1, c: A(c), p-1: 1}, m = p^2.
+    law="unit": alphabet within {0, p-1} for p >= 5; f = 1, m = p^3.
 
-    The two mod p^2 laws evaluate A(n) through the digit tables (built by
-    the recurrence modulo p^2).  The mod p^3 law takes A(n) mod p^3 from the
-    p-adic evaluator: with digits 0 and p-1 only a handful of summands have
-    at most one carry.  The mod p^2 laws stay on the digit route because a
-    middle digit (p-1)/2 leaves about ((p+1)/2)^depth carry-free summands.
+    The mod p^2 laws read A(d) from the digit tables (built by the
+    recurrence modulo p^2) and evaluate A(n) through them.  The mod p^3 law
+    takes A(n) mod p^3 from the p-adic evaluator: with digits 0 and p-1
+    only a handful of summands have at most one carry.  The mod p^2 laws
+    stay on the digit route because a middle digit (p-1)/2 leaves about
+    ((p+1)/2)^depth carry-free summands.
     """
     _require_prime(p)
     alphabet = sorted(set(alphabet))
@@ -357,18 +346,19 @@ def verify_multi_digit(
                 f"digits {outside} are outside D({p}); the product law only "
                 "holds on D(p)"
             )
-        modulus = p * p
+        modulus, factor = p * p, tables[0]
     elif law == "power":
-        if p == 2 or alphabet != sorted({0, (p - 1) // 2, p - 1}):
+        centre = (p - 1) // 2
+        if p == 2 or alphabet != sorted({0, centre, p - 1}):
             raise ValueError(
                 "power law needs odd p and alphabet {0, (p-1)/2, p-1}"
             )
         tables = mod_p2_tables(p)
-        modulus = p * p
+        modulus, factor = p * p, {0: 1, centre: tables[0][centre], p - 1: 1}
     elif law == "unit":
         if p < 5 or not set(alphabet) <= {0, p - 1}:
             raise ValueError("unit law needs p >= 5 and alphabet within {0, p-1}")
-        modulus = p**3
+        tables, modulus, factor = None, p**3, dict.fromkeys(alphabet, 1)
     else:
         raise ValueError(f"unknown law {law!r}")
 
@@ -376,23 +366,16 @@ def verify_multi_digit(
         f"multi-digit-{law}",
         {"p": p, "alphabet": list(alphabet), "depth": depth, "modulus": str(modulus)},
     )
-    numbers = _digit_numbers(p, alphabet, depth)
-    centre = (p - 1) // 2
-    for n in numbers:
-        if law == "unit":
-            lhs, rhs = _apery_mod_pk(n, p, 3), 1
+    # most significant digit first, so n runs once each and ascending
+    for digits in itertools.product(alphabet, repeat=depth):
+        n = 0
+        for d in digits:
+            n = n * p + d
+        if tables is None:
+            lhs = _apery_mod_pk(n, p, 3)
         else:
             lhs = apery_mod_p2(n, p, tables).value
-            digits = _digits(n, p)
-            if law == "product":
-                rhs = 1
-                for d in digits:
-                    rhs = rhs * tables[0][d] % modulus
-            else:
-                rhs = pow(tables[0][centre], digits.count(centre), modulus)
-        report.checked += 1
-        if lhs != rhs:
-            report.counterexamples.append(
-                Counterexample(None, n, p, Residue(lhs, modulus), Residue(rhs, modulus))
-            )
+        rhs = math.prod(factor[d] for d in digits) % modulus
+        if case := _case(report, None, n, p, lhs, rhs, modulus):
+            report.counterexamples.append(case)
     return report

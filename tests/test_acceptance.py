@@ -242,3 +242,20 @@ def test_11_mod_p3_unit_law_budget(capsys):
     out = capsys.readouterr().out
     with capsys.disabled():
         report("11 mod-p3-unit-budget", code == 0 and "PASS" in out, t0, 5)
+
+
+def test_12_gessel_large_prime_budget(capsys):
+    # `verify gessel-p2 --p 2003 --n 0..1`: the factors A(d), A'(d) mod p^2
+    # come from the digit tables, both sides from exact values
+    from apery.cli import main
+
+    t0 = time.time()
+    code = main(["verify", "gessel-p2", "--p", "2003", "--n", "0..1"])
+    out = capsys.readouterr().out
+    with capsys.disabled():
+        report(
+            "12 gessel-large-prime-budget",
+            code == 0 and out == "gessel-p2: PASS (4006 cases)\n",
+            t0,
+            5,
+        )

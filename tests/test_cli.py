@@ -244,6 +244,42 @@ class TestEvalCommand:
         assert code == 2
 
 
+class TestNonFiniteInput:
+    # a point or tolerance that is not a finite number is a usage error
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "inf"], "expected a number"),
+            (["eval", "nan"], "expected a number"),
+            (["eval", "1+infj"], "expected a number"),
+            (["verify", "functional-eq", "--z", "nan"], "expected a number"),
+            (["verify", "functional-eq", "--z", "inf"], "expected a number"),
+            (
+                ["verify", "functional-eq", "--z", "0.5", "--terms", "1000", "--tol", "nan"],
+                "--tol must be finite and positive",
+            ),
+            (["verify", "stuffle", "--N", "100", "--tol", "nan"], "--tol must be finite"),
+            (["verify", "stuffle", "--N", "100", "--tol", "inf"], "--tol must be finite"),
+            (["verify", "stuffle", "--N", "100", "--tol", "0"], "--tol must be finite"),
+        ],
+        ids=[
+            "eval-inf",
+            "eval-nan",
+            "eval-inf-imag",
+            "functional-eq-z-nan",
+            "functional-eq-z-inf",
+            "functional-eq-tol-nan",
+            "stuffle-tol-nan",
+            "stuffle-tol-inf",
+            "stuffle-tol-zero",
+        ],
+    )
+    def test_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
+
+
 class TestVerifyCommand:
     def test_unknown_theorem(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "pumpkin")
@@ -523,6 +559,25 @@ class TestConfigFile:
         config.write_text(json.dumps({"workers": 0}))
         monkeypatch.setenv("APERY_CONFIG", str(config))
         assert run_cli(capsys, "digits", "7") == (0, "7: 0 2 3 4 6\n", "")
+
+    @pytest.mark.parametrize(
+        "cache, argv",
+        [
+            (["a"], ["apery", "5"]),
+            (7, ["cache", "fill", "--n", "0..3"]),
+            # 2 is stderr's file descriptor, which open() would accept
+            (2, ["apery", "5"]),
+        ],
+        ids=["list", "int", "stderr-fd"],
+    )
+    def test_non_string_cache_rejected(self, capsys, tmp_path, monkeypatch, cache, argv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"cache": cache}))
+        monkeypatch.setenv("APERY_CONFIG", str(config))
+        monkeypatch.delenv("APERY_CACHE", raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "config key 'cache' must be a path string" in err
 
     def test_bad_config(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.json"

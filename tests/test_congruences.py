@@ -130,6 +130,22 @@ class TestGesselModP2:
 
         assert all(rational_mod(apery_deriv(d), 3).value == 0 for d in range(3))
 
+    def test_wrong_table_slope_is_reported(self, monkeypatch):
+        # A'(3) + 1 in the p = 7 table: the slope term p n A'(d) moves at
+        # every n not divisible by 7, and n A(n) is a unit mod 7 for |n| <= 3
+        real = apery.congruences.mod_p2_tables
+
+        def wrong_slope(p):
+            values, slopes = real(p)
+            return values, [s + (d == 3) for d, s in enumerate(slopes)]
+
+        monkeypatch.setattr(apery.congruences, "mod_p2_tables", wrong_slope)
+        report = verify_gessel_mod_p2(7, (-3, 3))
+        assert report.checked == 49
+        assert [(c.d, c.n) for c in report.counterexamples] == [
+            (3, n) for n in (-3, -2, -1, 1, 2, 3)
+        ]
+
 
 class TestP3Suite:
     def test_all_small_primes(self):
@@ -177,6 +193,22 @@ class TestDigitSetLucas:
         assert not report.conclusive
         assert report.unwitnessed == [1, 3]
         assert report.notes
+
+    def test_wrong_table_value_is_inconclusive(self, monkeypatch):
+        # A(2) + 1 in the p = 7 table drops 2 and 4 from D(7); the sweep's
+        # exact factors must then leave them unwitnessed, not witnessed by
+        # the wrong value itself
+        real = apery.congruences._digit_tables
+
+        def wrong_value(p, m, derivs, top=None):
+            values, slopes = real(p, m, derivs, top)
+            return [a + (d == 2) for d, a in enumerate(values)], slopes
+
+        monkeypatch.setattr(apery.congruences, "_digit_tables", wrong_value)
+        report = verify_digit_set_lucas(7, (-10, 10))
+        assert report.parameters["digits"] == [0, 3, 6]
+        assert report.passed and not report.conclusive
+        assert report.unwitnessed == [2, 4]
 
 
 class TestMultiDigit:
