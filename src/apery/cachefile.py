@@ -1,8 +1,16 @@
 """On-disk cache of exact Apery values.
 
 Format: a tab-separated header line ``apery-cache <version> apery`` followed
-by one record per line, ``n <tab> A(n)`` in decimal, with strictly
-increasing n.  An empty file is an empty cache.
+by one record per line, with strictly increasing n.  An empty file is an
+empty cache.
+
+- Version 2, the one ``cache_store`` writes: ``n <tab> hex``, where n is
+  decimal digits and hex is ``format(A(n), "x")``.  Each field admits one
+  spelling: a sign, a ``0x`` prefix, an underscore, a space or an uppercase
+  digit is a malformed record.  Base 16 converts in linear time and is
+  exempt from the interpreter's int/str digit limit.
+- Version 1: ``n <tab> A(n)`` in decimal, as ``int()`` reads it.  Still
+  loaded; storing the loaded values writes version 2.
 
 Loading validates the structure and checks every record against A(n)
 modulo the prime q = 2^61 - 1, by one pass of the recurrence up to the
@@ -21,8 +29,10 @@ from .sequence import _wrong_record
 
 __all__ = ["CacheError", "FORMAT_VERSION", "cache_load", "cache_store"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 _SEQUENCE_ID = "apery"
+_HEX_DIGITS = b"0123456789abcdef"
 
 
 class CacheError(ValueError):
@@ -34,25 +44,38 @@ class CacheError(ValueError):
 
 
 def _unlimited_decimals() -> None:
-    # records can be far longer than the interpreter's int/str cap
+    # version 1 records can be far longer than the interpreter's int/str cap
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
 
 
 def cache_store(path: str | os.PathLike, values: Mapping[int, int]) -> None:
-    """Write the values atomically, sorted by n."""
-    _unlimited_decimals()
+    """Write the values atomically as format version 2, sorted by n.
+
+    Raises ValueError for a key or value that is not an integer >= 0.  Path
+    is left as it was, with no temporary file behind, whenever writing fails.
+    """
+    keys = sorted(values)
+    for n in keys:
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"cache keys must be integers >= 0, got {n!r}")
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(f"apery-cache\t{FORMAT_VERSION}\t{_SEQUENCE_ID}\n")
-        for n in sorted(values):
-            if n < 0:
-                raise ValueError(f"cache keys must be >= 0, got {n}")
-            fh.write(f"{n}\t{values[n]}\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(f"apery-cache\t{FORMAT_VERSION}\t{_SEQUENCE_ID}\n")
+            for n in keys:
+                value = values[n]
+                if not isinstance(value, int) or value < 0:
+                    raise ValueError(f"cache values must be integers >= 0, got {value!r}")
+                fh.write(f"{n}\t{value:x}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def _parse_header(line: str) -> None:
+def _parse_header(line: str) -> int:
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 3 or fields[0] != "apery-cache":
         raise CacheError("not an apery-cache file", line=1)
@@ -60,29 +83,53 @@ def _parse_header(line: str) -> None:
         version = int(fields[1])
     except ValueError:
         raise CacheError(f"bad version field {fields[1]!r}", line=1) from None
-    if version != FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
+        expected = " or ".join(map(str, _READABLE_VERSIONS))
         raise CacheError(
-            f"format version {version} not supported (expected {FORMAT_VERSION})",
-            line=1,
+            f"format version {version} not supported (expected {expected})", line=1
         )
     if fields[2] != _SEQUENCE_ID:
         raise CacheError(f"unknown sequence id {fields[2]!r}", line=1)
+    return version
+
+
+def _is_lower_hex(field: str) -> bool:
+    # translate drops every lowercase hex digit; any other byte is left over
+    return field != "" and not field.encode().translate(None, _HEX_DIGITS)
+
+
+def _parse_record(version: int, n_field: str, value_field: str) -> tuple[int, int] | None:
+    """(n, value), or None when the fields are not that version's integers."""
+    try:
+        if version == 1:
+            return int(n_field), int(value_field)
+        if n_field.isdecimal() and _is_lower_hex(value_field):
+            return int(n_field), int(value_field, 16)
+    except ValueError:  # not an integer, or an n past the int/str digit cap
+        pass
+    return None
 
 
 def cache_load(path: str | os.PathLike, verify: bool = True) -> dict[int, int]:
-    """Read a cache file back into an {n: A(n)} map.
+    """Read a cache file of either format version into an {n: A(n)} map.
 
     Raises CacheError, naming the offending line, for structural problems
-    (bad header, malformed or non-increasing records) and, unless verify is
-    false, for any record whose value is not A(n) modulo 2^61 - 1.
+    (bad header, a non-ASCII byte, malformed or non-increasing records) and,
+    unless verify is false, for any record whose value is not A(n) modulo
+    2^61 - 1.
     """
-    _unlimited_decimals()
-    with open(path, "r", encoding="ascii") as fh:
+    # surrogateescape keeps a stray byte in place, so its line can be named
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         raw = fh.read()
     if raw == "":
         return {}
     text = raw.splitlines()
-    _parse_header(text[0])
+    if not raw.isascii():
+        idx = next(i for i, line in enumerate(text, start=1) if not line.isascii())
+        raise CacheError("non-ASCII byte", line=idx)
+    version = _parse_header(text[0])
+    if version == 1:
+        _unlimited_decimals()
     values: dict[int, int] = {}
     lines: dict[int, int] = {}
     previous = -1
@@ -92,10 +139,10 @@ def cache_load(path: str | os.PathLike, verify: bool = True) -> dict[int, int]:
         fields = line.split("\t")
         if len(fields) != 2:
             raise CacheError("expected 'n<TAB>value'", line=idx)
-        try:
-            n, value = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise CacheError("non-integer record", line=idx) from None
+        record = _parse_record(version, *fields)
+        if record is None:
+            raise CacheError("non-integer record", line=idx)
+        n, value = record
         if n <= previous:
             raise CacheError(f"n={n} is not strictly increasing", line=idx)
         if n < 0:

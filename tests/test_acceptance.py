@@ -259,3 +259,19 @@ def test_12_gessel_large_prime_budget(capsys):
             t0,
             5,
         )
+
+
+def test_13_cache_round_trip_budget(tmp_path):
+    # cache_store then cache_load of A(8000..8800), about 10.3 million
+    # decimal digits; the values are built outside the timer
+    from apery.cachefile import cache_load, cache_store
+    from apery.sequence import AperyCache
+
+    cache = AperyCache()
+    apery_via_recurrence(8800, cache)
+    values = {n: cache.get(n) for n in range(8000, 8801)}
+    path = tmp_path / "values.cache"
+    t0 = time.time()
+    cache_store(path, values)
+    ok = cache_load(path) == values
+    report("13 cache-round-trip-budget", ok, t0, 1)

@@ -1,5 +1,6 @@
 """On-disk cache round trips and integrity checks."""
 
+import sys
 import time
 
 import pytest
@@ -34,14 +35,128 @@ def test_header_only_is_empty_cache(tmp_path):
     assert cache_load(path) == {}
 
 
+def write_v1(path, values):
+    """A format version 1 file: decimal records, as stores wrote them before v2."""
+    records = "".join(f"{n}\t{values[n]}\n" for n in sorted(values))
+    path.write_text(f"apery-cache\t1\tapery\n{records}")
+
+
 def test_tampered_digit_names_line(tmp_path):
     path = tmp_path / "values.cache"
-    cache_store(path, {n: apery(n) for n in range(20)})
+    write_v1(path, {n: apery(n) for n in range(20)})
     text = path.read_text().replace("\n3\t1445\n", "\n3\t1446\n")
     path.write_text(text)
     with pytest.raises(CacheError) as err:
         cache_load(path)
     assert err.value.line == 5  # header + records for 0, 1, 2, then n=3
+
+
+def test_tampered_hex_digit_names_line(tmp_path):
+    path = tmp_path / "values.cache"
+    cache_store(path, {n: apery(n) for n in range(20)})
+    text = path.read_text()
+    assert "\n3\t5a5\n" in text  # A(3) = 1445 = 0x5a5
+    path.write_text(text.replace("\n3\t5a5\n", "\n3\t5a6\n"))
+    with pytest.raises(CacheError) as err:
+        cache_load(path)
+    assert err.value.line == 5
+    assert cache_load(path, verify=False)[3] == 0x5A6
+
+
+def test_v1_file_loads_same_values(tmp_path):
+    path = tmp_path / "values.cache"
+    values = {n: apery(n) for n in (*range(40), 77, 90)}
+    write_v1(path, values)
+    assert cache_load(path) == values
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int/str cap"
+)
+def test_digit_cap_lifted_only_for_v1(tmp_path):
+    # A(3000) has ~4600 decimal digits, past the default cap of 4300
+    from apery.sequence import AperyCache, apery_via_recurrence
+
+    values = {0: 1, 1: 5, 3000: apery_via_recurrence(3000, AperyCache())}
+    v1, v2 = tmp_path / "v1.cache", tmp_path / "v2.cache"
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        write_v1(v1, values)
+        sys.set_int_max_str_digits(4300)
+        cache_store(v2, values)
+        assert cache_load(v2) == values
+        assert sys.get_int_max_str_digits() == 4300
+        assert cache_load(v1) == values
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["0x49", "+49", "-49", "4_9", " 49", "49 ", "4 9", "4A", "4B9"],
+)
+def test_v2_refuses_other_spellings(tmp_path, field):
+    # int(field, 16) reads each of these; the v2 grammar admits only format(v, "x")
+    path = tmp_path / "values.cache"
+    path.write_text(f"apery-cache\t2\tapery\n0\t1\n1\t5\n2\t{field}\n")
+    with pytest.raises(CacheError, match="non-integer record") as err:
+        cache_load(path, verify=False)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("n_field", ["+2", " 2", "2_0", "0x2"])
+def test_v2_index_is_plain_decimal(tmp_path, n_field):
+    path = tmp_path / "values.cache"
+    path.write_text(f"apery-cache\t2\tapery\n0\t1\n{n_field}\t49\n")
+    with pytest.raises(CacheError, match="non-integer record") as err:
+        cache_load(path, verify=False)
+    assert err.value.line == 3
+
+
+def test_v1_header_over_hex_records_refused(tmp_path):
+    path = tmp_path / "values.cache"
+    cache_store(path, {n: apery(n) for n in range(6)})
+    path.write_text(path.read_text().replace("\t2\t", "\t1\t", 1))
+    with pytest.raises(CacheError, match="non-integer record") as err:
+        cache_load(path, verify=False)
+    assert err.value.line == 5  # n=3 is the first record with a letter, 5a5
+
+
+def test_v2_header_over_decimal_records_fails_check(tmp_path):
+    # decimal digits are hex digits too, so the record check catches these
+    path = tmp_path / "values.cache"
+    write_v1(path, {n: apery(n) for n in range(6)})
+    path.write_text(path.read_text().replace("\t1\t", "\t2\t", 1))
+    with pytest.raises(CacheError, match="wrong") as err:
+        cache_load(path)
+    assert err.value.line == 4  # A(0) = 1 and A(1) = 5 read the same in both bases
+
+
+@pytest.mark.parametrize("version, record", [(1, b"1445"), (2, b"5a5")])
+def test_non_ascii_byte_names_line(tmp_path, version, record):
+    path = tmp_path / "values.cache"
+    path.write_bytes(
+        b"apery-cache\t%d\tapery\r\n0\t1\r\n1\t5\xff\r\n3\t%s\r\n" % (version, record)
+    )
+    with pytest.raises(CacheError, match="non-ASCII") as err:
+        cache_load(path)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{0: 1, -1: 1}, {0: 1, 1.0: 5}, {0: 1, 1: 1.5}, {0: 1, 1: -5}, {0: 1, 1: "5"}],
+    ids=["negative-key", "float-key", "float-value", "negative-value", "str-value"],
+)
+def test_failed_store_leaves_path_untouched(tmp_path, values):
+    path = tmp_path / "values.cache"
+    cache_store(path, {0: 1, 1: 5})
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="integers >= 0"):
+        cache_store(path, values)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["values.cache"]
 
 
 def test_tampered_isolated_record(tmp_path):
@@ -54,10 +169,11 @@ def test_tampered_isolated_record(tmp_path):
 
 def test_version_mismatch_refused(tmp_path):
     path = tmp_path / "values.cache"
-    path.write_text("apery-cache\t2\tapery\n0\t1\n")
+    path.write_text("apery-cache\t3\tapery\n0\t1\n")
     with pytest.raises(CacheError) as err:
         cache_load(path)
     assert "version" in str(err.value)
+    assert "expected 1 or 2" in str(err.value)
 
 
 def test_foreign_file_refused(tmp_path):

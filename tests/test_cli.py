@@ -469,9 +469,22 @@ class TestCacheCommand:
     def test_corrupt_cache_reports_line(self, capsys, tmp_path):
         path = tmp_path / "a.cache"
         run_cli(capsys, "cache", "fill", "--n", "0..10", "--cache", str(path))
-        path.write_text(path.read_text().replace("\n2\t73\n", "\n2\t93\n"))
+        path.write_text(path.read_text().replace("\n2\t49\n", "\n2\t5d\n"))
         code, _, err = run_cli(capsys, "cache", "verify", "--cache", str(path))
         assert code == 2 and "line 4" in err
+
+    def test_fill_rewrites_v1_as_v2(self, capsys, tmp_path):
+        from apery.cachefile import cache_load
+        from apery.sequence import apery
+
+        path = tmp_path / "a.cache"
+        old = {n: apery(n) for n in range(6)}
+        path.write_text("apery-cache\t1\tapery\n" + "".join(f"{n}\t{v}\n" for n, v in old.items()))
+        code, out, _ = run_cli(capsys, "cache", "fill", "--n", "10..12", "--cache", str(path))
+        assert code == 0 and "records=9" in out
+        text = path.read_text()
+        assert text.startswith("apery-cache\t2\tapery\n") and "\n3\t5a5\n" in text
+        assert cache_load(path) == {n: apery(n) for n in (*range(6), 10, 11, 12)}
 
     def test_fill_needs_range(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "cache", "fill", "--cache", str(tmp_path / "c"))
