@@ -4,6 +4,10 @@ Subcommands: apery, aperyd, digits, verify, taylor, eval, cache.
 Exit codes: 0 everything checked out, 1 a verification found a claim false
 or inconclusive, 2 usage or input error.
 
+Each `_cmd_*` handler returns (exit code, payload, text) and prints nothing;
+`main` prints `json.dumps(payload, sort_keys=True)` under `--format json`,
+else the text unless it is None.  Only `_cmd_digits` reads the format (csv).
+
 Big integers are serialized as decimal strings and rationals as "num/den";
 residues always carry their modulus.  Reports emitted by `verify` follow
 schema/report.schema.json at the repository root.
@@ -24,7 +28,6 @@ from fractions import Fraction
 from .arith import (
     PRIMALITY_BOUND,
     Residue,
-    _require_prime,
     is_prime,
     jacobsthal_holds,
     primes_upto,
@@ -143,33 +146,19 @@ def _fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
 # --- subcommand handlers -------------------------------------------------
 
+Result = tuple[int, dict, "str | None"]
 
-def _cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> int:
-    n = args.n
+
+def _cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> Result:
     if args.mod is None:
-        value = apery_fast(n, _open_cache(cfg))
-        if cfg.format == "json":
-            _emit_json({"n": n, "value": str(value)})
-        else:
-            print(value)
-        return 0
-    modulus = args.mod
-    if modulus < 2:
+        value = str(apery_fast(args.n, _open_cache(cfg)))
+        return 0, {"n": args.n, "value": value}, value
+    if args.mod < 2:
         raise ValueError("--mod must be >= 2")
-    residue = _reduce_apery(n, modulus, cfg)
-    if cfg.format == "json":
-        _emit_json(
-            {"n": n, "modulus": str(modulus), "value": str(residue.value)}
-        )
-    else:
-        print(residue.value)
-    return 0
+    value = str(_reduce_apery(args.n, args.mod, cfg).value)
+    return 0, {"n": args.n, "modulus": str(args.mod), "value": value}, value
 
 
 def _reduce_apery(n: int, modulus: int, cfg: RunConfig) -> Residue:
@@ -191,51 +180,37 @@ def _reduce_apery(n: int, modulus: int, cfg: RunConfig) -> Residue:
     return Residue(apery_fast(n, _open_cache(cfg)) % modulus, modulus)
 
 
-def _cmd_aperyd(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_aperyd(args: argparse.Namespace, cfg: RunConfig) -> Result:
     if args.n < 0:
         raise ValueError("aperyd takes n >= 0")
-    q = apery_deriv(args.n)
-    if cfg.format == "json":
-        _emit_json({"n": args.n, "value": _fraction_str(q)})
-    else:
-        print(_fraction_str(q))
-    return 0
+    value = _fraction_str(apery_deriv(args.n))
+    return 0, {"n": args.n, "value": value}, value
 
 
-def _cmd_digits(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_digits(args: argparse.Namespace, cfg: RunConfig) -> Result:
     if args.scan is not None:
         sets = scan_digit_sets(args.scan, args.min_size, cache=_open_cache(cfg))
     elif args.p is not None:
-        sets = [digit_set(args.p)]
+        sets = [digit_set(args.p)]  # rejects a p that is not prime
     else:
         raise ValueError("give a prime or --scan BOUND")
-    if cfg.format == "json":
-        _emit_json(
-            {
-                "digit_sets": [
-                    {"p": ds.p, "digits": list(ds.digits)} for ds in sets
-                ]
-            }
-        )
-    elif cfg.format == "csv":
-        print("p,digits")
-        for ds in sets:
-            print(f"{ds.p},{' '.join(str(d) for d in ds.digits)}")
+    payload = {"digit_sets": [{"p": ds.p, "digits": list(ds.digits)} for ds in sets]}
+    if cfg.format == "csv":
+        rows = ["p,digits"] + [f"{ds.p},{' '.join(map(str, ds.digits))}" for ds in sets]
     else:
-        for ds in sets:
-            print(ds.format_row())
-    return 0
+        rows = [ds.format_row() for ds in sets]
+    # an empty plain scan prints nothing, not an empty line
+    return 0, payload, "\n".join(rows) or None
 
 
-def _cmd_taylor(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_taylor(args: argparse.Namespace, cfg: RunConfig) -> Result:
     m = args.m
     if m < 0:
         raise ValueError("m must be >= 0")
-    show_terms = args.terms
     show_exact = args.exact or not (args.terms or args.as_float)
     payload: dict = {"m": m}
     lines: list[str] = []
-    if show_terms:
+    if args.terms:
         terms = taylor_terms(m) if m >= 1 else []
         payload["terms"] = [
             {"composition": list(s), "coefficient": str(c)} for s, c in terms
@@ -251,34 +226,24 @@ def _cmd_taylor(args: argparse.Namespace, cfg: RunConfig) -> int:
         payload["N"] = args.N
         payload["float"] = value
         lines.append(repr(value))
-    if cfg.format == "json":
-        _emit_json(payload)
-    else:
-        print("\n".join(lines))
-    return 0
+    return 0, payload, "\n".join(lines)
 
 
-def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Result:
     z = _parse_complex(args.z)
     approx = apery_eval(z, args.terms)
-    if cfg.format == "json":
-        _emit_json(
-            {
-                "z": {"re": z.real, "im": z.imag},
-                "re": approx.real,
-                "im": approx.imag,
-                "terms": approx.terms,
-                "residual": approx.residual,
-            }
-        )
-    elif approx.imag == 0:
-        print(approx.real)
-    else:
-        print(f"{approx.real}{approx.imag:+}j")
-    return 0
+    payload = {
+        "z": {"re": z.real, "im": z.imag},
+        "re": approx.real,
+        "im": approx.imag,
+        "terms": approx.terms,
+        "residual": approx.residual,
+    }
+    text = f"{approx.real}{approx.imag:+}j" if approx.imag else str(approx.real)
+    return 0, payload, text
 
 
-def _cmd_cache(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_cache(args: argparse.Namespace, cfg: RunConfig) -> Result:
     if not cfg.cache_path:
         raise ValueError(f"give --cache PATH or set {CACHE_ENV}")
     path = cfg.cache_path
@@ -304,11 +269,7 @@ def _cmd_cache(args: argparse.Namespace, cfg: RunConfig) -> int:
             "n_max": max(values, default=None),
             "path": path,
         }
-    if cfg.format == "json":
-        _emit_json(message)
-    else:
-        print(" ".join(f"{k}={v}" for k, v in message.items()))
-    return 0
+    return 0, message, " ".join(f"{k}={v}" for k, v in message.items())
 
 
 # --- verify --------------------------------------------------------------
@@ -468,26 +429,22 @@ THEOREMS = {
 }
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> Result:
     if args.tol is not None and not 0 < args.tol < math.inf:
         raise ValueError("--tol must be finite and positive")
     payload = THEOREMS[args.theorem](args, cfg)
     ok = payload["pass"] and payload.get("conclusive", True)
-    if cfg.format == "json":
-        _emit_json(payload)
-    else:
-        cases = f" ({payload['checked']} cases)" if "checked" in payload else ""
-        print(f"{payload['theorem']}: {'PASS' if ok else 'FAIL'}{cases}")
-        for check in payload.get("checks", []):
-            status = "PASS" if check["pass"] else "FAIL"
-            residual = check.get("residual")
-            extra = f" residual={residual:.3e}" if residual is not None else ""
-            print(f"  {check['label']}: {status}{extra}")
-        for c in payload.get("counterexamples", []):
-            print(f"  counterexample: {c}")
-        if payload.get("unwitnessed"):
-            print(f"  unwitnessed digits: {payload['unwitnessed']}")
-    return 0 if ok else 1
+    cases = f" ({payload['checked']} cases)" if "checked" in payload else ""
+    lines = [f"{payload['theorem']}: {'PASS' if ok else 'FAIL'}{cases}"]
+    for check in payload.get("checks", []):
+        status = "PASS" if check["pass"] else "FAIL"
+        residual = check.get("residual")
+        extra = f" residual={residual:.3e}" if residual is not None else ""
+        lines.append(f"  {check['label']}: {status}{extra}")
+    lines += [f"  counterexample: {c}" for c in payload.get("counterexamples", [])]
+    if payload.get("unwitnessed"):
+        lines.append(f"  unwitnessed digits: {payload['unwitnessed']}")
+    return (0 if ok else 1), payload, "\n".join(lines)
 
 
 # --- parser --------------------------------------------------------------
@@ -597,11 +554,14 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _run_config(args)
         if args.command == "cache" and args.action == "fill" and args.n is None:
             raise ValueError("cache fill needs --n LO..HI")
-        if args.command == "digits" and args.p is not None and args.scan is None:
-            _require_prime(args.p)
         if cfg.format == "csv" and args.command != "digits":
             raise ValueError("csv output is only available for the digits command")
-        return _HANDLERS[args.command](args, cfg)
+        code, payload, text = _HANDLERS[args.command](args, cfg)
+        if cfg.format == "json":
+            print(json.dumps(payload, sort_keys=True))
+        elif text is not None:
+            print(text)
+        return code
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

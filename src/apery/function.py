@@ -120,8 +120,8 @@ def _taylor_numerators(m: int, upper: int, scale: int) -> Iterator[int]:
             running[i] -= q2 * lower
 
 
-def taylor_coeff_truncated(m: int, upper: int) -> Fraction:
-    """Exact coefficient of z^m in the series truncated at k <= upper.
+def taylor_coeff_truncated(m: int, N: int) -> Fraction:
+    """Exact coefficient of z^m in the series truncated at k <= N.
 
     The k-th summand of the interpolation series expands as
 
@@ -129,15 +129,15 @@ def taylor_coeff_truncated(m: int, upper: int) -> Fraction:
         * (z^2/k^2 + 2 z^3/k^3 + z^4/k^4)
 
     for k >= 1 (and 1 for k = 0).  The running product is carried as
-    integers over the common denominator lcm(1..upper)^m, capped at degree
-    m, so the cost is O(upper * m) integer multiplications and one gcd at
+    integers over the common denominator lcm(1..N)^m, capped at degree
+    m, so the cost is O(N * m) integer multiplications and one gcd at
     the end.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if upper < 0:
-        raise ValueError(f"upper must be >= 0, got {upper}")
-    scale = math.lcm(*range(1, upper + 1))
-    for last in _taylor_numerators(m, upper, scale):
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    scale = math.lcm(*range(1, N + 1))
+    for last in _taylor_numerators(m, N, scale):
         pass
     return Fraction(last, scale**m)

@@ -221,6 +221,14 @@ class TestTaylorCommand:
         code, _, _ = run_cli(capsys, "taylor", "-3")
         assert code == 2
 
+    def test_negative_truncation_names_the_flag(self, capsys):
+        # the message names --N, the bound the user typed
+        assert run_cli(capsys, "taylor", "3", "--N", "-1") == (
+            2,
+            "",
+            "error: N must be >= 0, got -1\n",
+        )
+
 
 class TestEvalCommand:
     def test_integer_point(self, capsys):

@@ -42,6 +42,7 @@ FILES = {
     "cache.cfg": '{"cache": 5}',
     "csv.cfg": '{"format": "csv"}',
     "xml.cfg": '{"format": "xml"}',
+    "empty.cache": "apery-cache\t2\tapery\n",
 }
 
 COMMANDS = [
@@ -114,7 +115,6 @@ def record(tmp: Path) -> list[dict]:
     """Run every command line in every format inside tmp; return the records."""
     for name, text in FILES.items():
         (tmp / name).write_text(text, encoding="utf-8")
-    (tmp / "empty.cache").write_text("apery-cache\t2\tapery\n", encoding="utf-8")
     records = []
     with mock.patch.dict(os.environ):
         os.environ.pop(CACHE_ENV, None)
