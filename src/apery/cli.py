@@ -28,6 +28,7 @@ from fractions import Fraction
 from .arith import (
     PRIMALITY_BOUND,
     Residue,
+    _require_prime,
     is_prime,
     jacobsthal_holds,
     primes_upto,
@@ -189,7 +190,7 @@ def _cmd_aperyd(args: argparse.Namespace, cfg: RunConfig) -> Result:
 
 def _cmd_digits(args: argparse.Namespace, cfg: RunConfig) -> Result:
     if args.scan is not None:
-        sets = scan_digit_sets(args.scan, args.min_size, cache=_open_cache(cfg))
+        sets = scan_digit_sets(args.scan, args.min_size)
     elif args.p is not None:
         sets = [digit_set(args.p)]  # rejects a p that is not prime
     else:
@@ -314,6 +315,12 @@ def _verify_congruence(args, cfg) -> dict:
 def _verify_multi_digit(args, cfg) -> dict:
     if args.p is None:
         raise ValueError(f"verify {args.theorem} needs --p")
+    # name the flag, not the law's alphabet that the user never typed
+    _require_prime(args.p)
+    if args.theorem == "corollary" and args.p == 2:
+        raise ValueError(f"corollary needs an odd prime --p, got {args.p}")
+    if args.theorem == "lucas-p3" and args.p < 5:
+        raise ValueError(f"lucas-p3 needs a prime --p >= 5, got {args.p}")
     if args.theorem == "corollary":
         depth = 4 if args.depth is None else args.depth
         alphabet = {0, (args.p - 1) // 2, args.p - 1}

@@ -14,9 +14,10 @@ that digitset-p2 keeps exact factors (see verify_digit_set_lucas).
 verify_multi_digit's mod p^2 laws evaluate A(n) through the digit tables;
 its mod p^3 unit law takes A(n) mod p^3 from the p-adic evaluator (the
 summands with at most one carry, over p-free factorials), which uses
-neither the recurrence nor a digit theorem.  scan_digit_sets reduces one
-shared exact prefix for every prime, which is cheaper than a modular pass
-per prime.
+neither the recurrence nor a digit theorem.  digit_set and scan_digit_sets
+read no exact value: each block of consecutive primes shares one pass of
+the recurrence modulo the product of their squares, and D(p) is tested on
+its definition, A(d) = A(p-1-d) mod p^2.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import Residue, _require_prime, primes_upto
 from .sequence import (
     AperyCache,
     _apery_mod_pk,
     _digit_tables,
+    _recurrence_mod,
     apery_fast,
     apery_mod_p2,
     mod_p2_tables,
@@ -137,14 +139,40 @@ def _span(n_range: tuple[int, int]) -> range:
     return range(lo, hi + 1)
 
 
-def _digit_set_of(p: int, values: Sequence[int]) -> DigitSet:
-    # values[d] is A(d) mod p^2 for d < p
-    return DigitSet(p, tuple(d for d in range(p) if values[d] == values[p - 1 - d]))
+# primes per modular pass of _digit_sets: 6-8 measured fastest for scans to
+# 5000; fewer primes repeat the pass, more make every product wider
+_BLOCK = 8
+
+
+def _digit_sets(primes: Sequence[int]) -> Iterator[DigitSet]:
+    """D(p) for each of the ascending primes, with no exact value.
+
+    Each block of _BLOCK consecutive primes shares one pass of the
+    recurrence modulo Q, the product of their squares, up to the largest
+    digit in the block (_recurrence_mod).  For d < p both den(d) and
+    den(p-1-d) are units mod p, so A(d) = A(p-1-d) mod p^2 exactly when
+    x(d) den(p-1-d) = x(p-1-d) den(d) mod p^2.  D(p) is symmetric under
+    d -> p-1-d, so only d <= (p-1)/2 is tested.
+    """
+    for i in range(0, len(primes), _BLOCK):
+        block = primes[i : i + _BLOCK]
+        pairs = list(_recurrence_mod(math.prod(p * p for p in block), block[-1] - 1))
+        for p in block:
+            m = p * p
+            mirror = pairs[p - 1 :: -1]  # mirror[d] is the pair at p-1-d
+            low = [
+                d
+                for d, (x, u), (y, v) in zip(range((p + 1) // 2), pairs, mirror)
+                if (x * v - y * u) % m == 0
+            ]
+            high = [p - 1 - d for d in reversed(low) if 2 * d != p - 1]
+            yield DigitSet(p, tuple(low + high))
 
 
 def digit_set(p: int) -> DigitSet:
     """D(p) from A(0), ..., A(p-1) modulo p^2, by the modular recurrence."""
-    return _digit_set_of(p, _digit_tables(p, p * p, derivs=False)[0])
+    _require_prime(p)
+    return next(_digit_sets([p]))
 
 
 def scan_digit_sets(
@@ -152,21 +180,12 @@ def scan_digit_sets(
 ) -> list[DigitSet]:
     """All primes p <= p_max whose digit set has at least min_size digits, by p.
 
-    Every prime reduces the same exact prefix A(0), ..., A(p - 1), built
-    once.  workers is accepted and ignored: the scan runs serially, since a
-    thread pool gave no speed-up on this pure-Python work.
+    Runs one modular pass per block of primes (_digit_sets) and reads no
+    exact value.  workers and cache are accepted and ignored.
     """
     if p_max < 2 or min_size < 1:
         raise ValueError("need p_max >= 2 and min_size >= 1")
-    primes = primes_upto(p_max)
-    prefix = [apery_fast(d, cache) for d in range(primes[-1])]
-    sets = []
-    for p in primes:
-        m = p * p
-        ds = _digit_set_of(p, [a % m for a in prefix[:p]])
-        if len(ds) >= min_size:
-            sets.append(ds)
-    return sets
+    return [ds for ds in _digit_sets(primes_upto(p_max)) if len(ds) >= min_size]
 
 
 def _case(
@@ -293,10 +312,10 @@ def verify_digit_set_lucas(
         "digitset-p2",
         {"p": p, "n_lo": n_range[0], "n_hi": n_range[1], "digits": list(ds.digits)},
     )
-    # D(p) comes from the digit table, so the factors must not: a wrong A(d)
-    # there would drop d from D(p) and then witness its own exclusion.  With
-    # exact factors the same fault leaves d unwitnessed, so the report is
-    # inconclusive.
+    # D(p) comes from the modular recurrence, so the factors must not: a wrong
+    # A(d) there would drop d from D(p) and then witness its own exclusion.
+    # With exact factors the same fault leaves d unwitnessed, so the report
+    # is inconclusive.
     factors = {d: (apery_fast(d, cache) % m, 0) for d in range(p)}
     outside = frozenset(range(p)) - frozenset(ds.digits)
     _sweep(report, p, m, n_range, factors, cache, outside)
@@ -339,7 +358,7 @@ def verify_multi_digit(
 
     if law == "product":
         tables = mod_p2_tables(p)
-        ds = _digit_set_of(p, tables[0])
+        ds = digit_set(p)
         outside = [d for d in alphabet if d not in ds]
         if outside:
             raise ValueError(

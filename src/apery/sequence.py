@@ -71,14 +71,19 @@ def _recurrence_mod(q: int, top: int) -> Iterator[tuple[int, int]]:
     """Pairs (x, den) with A(n) = x/den (mod q), for n = 0, ..., top.
 
     One pass of the recurrence modulo q that carries A(n) as x/den, so no
-    step needs an inverse: den is the product of k^3 over 1 <= k <= n, and
-    x/den is A(n) mod q whenever den is a unit mod q.
+    step needs an inverse: den is the product of k^3 over 1 <= k <= n and
+    x = den A(n) mod q, so x/den is A(n) mod q whenever den is a unit mod q.
+    Multiplying the recurrence at n by den(n-1) gives
+        x(n) = r1(n) x(n-1) - (n-1)^6 x(n-2).
     """
-    x2, x1, den = 0, 1, 1  # A(n) = x1/den; A(n-1) = x2/den once n >= 1
+    x1, x2, den = 1, 0, 1  # x(n-1), x(n-2)
     yield x1, den
+    cube = 0  # (n-1)^3 when step n begins
     for n in range(1, top + 1):
-        c = n**3
-        x2, x1, den = x1 * c % q, (_r1(n) * x1 - (n - 1) ** 3 * x2) % q, den * c % q
+        prev, cube = cube, n * n * n
+        r1 = 34 * cube - 51 * n * n + 27 * n - 5  # _r1(n), inlined for speed
+        x1, x2 = (r1 * x1 - prev * prev * x2) % q, x1
+        den = den * cube % q
         yield x1, den
 
 

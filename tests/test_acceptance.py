@@ -275,3 +275,21 @@ def test_13_cache_round_trip_budget(tmp_path):
     cache_store(path, values)
     ok = cache_load(path) == values
     report("13 cache-round-trip-budget", ok, t0, 1)
+
+
+def test_14_digit_set_scan_budget():
+    # `digits --scan 5000`: one modular pass per block of primes; D(4999)
+    # and D(4993) are checked against exact A(0..p-1), built outside the timer
+    from apery.sequence import AperyCache
+
+    cache = AperyCache()
+    exact = [apery_via_recurrence(d, cache) for d in range(4999)]
+    want = {
+        p: tuple(d for d in range(p) if (exact[d] - exact[p - 1 - d]) % (p * p) == 0)
+        for p in (4999, 4993)
+    }
+    del exact, cache
+    t0 = time.time()
+    sets = {ds.p: ds.digits for ds in scan_digit_sets(5000, 1)}
+    ok = len(sets) == len(primes_upto(5000)) and all(sets[p] == want[p] for p in want)
+    report("14 digit-set-scan-budget", ok, t0, 2)

@@ -413,6 +413,22 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert f"p must be a prime >= 5, got {p}" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lucas-p3", "--p", "3"], "lucas-p3 needs a prime --p >= 5, got 3"),
+            (["lucas-p3", "--p", "2"], "lucas-p3 needs a prime --p >= 5, got 2"),
+            (["corollary", "--p", "2"], "corollary needs an odd prime --p, got 2"),
+            (["lucas-p3", "--p", "4"], "4 is not prime"),  # primality comes first
+        ],
+        ids=["lucas-p3-3", "lucas-p3-2", "corollary-2", "lucas-p3-composite"],
+    )
+    def test_multi_digit_rejects_p_by_flag(self, capsys, argv, message):
+        # the user typed --p, not a law or an alphabet
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert message in err and "alphabet" not in err
+
 
 class TestExplicitValues:
     # an explicit 0 or empty value is a value, not "use the default"
@@ -524,10 +540,9 @@ class TestCacheCommand:
         "argv",
         [
             ["apery", "12", "--mod", "35"],  # the exact fallback
-            ["digits", "--scan", "10"],
             ["verify", "lucas-p", "--p", "5"],
         ],
-        ids=["apery-mod-exact", "digits-scan", "verify-lucas-p"],
+        ids=["apery-mod-exact", "verify-lucas-p"],
     )
     def test_routes_reading_values_refuse_rescaled_cache(self, capsys, rescaled, argv):
         code, _, err = run_cli(capsys, *argv, "--cache", rescaled)
@@ -537,12 +552,20 @@ class TestCacheCommand:
         "argv",
         [
             ["digits", "7"],
+            ["digits", "--scan", "10"],
             ["verify", "corollary", "--p", "5", "--depth", "2"],
             ["verify", "lucas-p3", "--p", "5", "--depth", "2"],
             ["apery", "1000", "--mod", "7"],
             ["apery", "1000", "--mod", "49"],
         ],
-        ids=["digits", "verify-corollary", "verify-lucas-p3", "apery-mod-p", "apery-mod-p2"],
+        ids=[
+            "digits",
+            "digits-scan",
+            "verify-corollary",
+            "verify-lucas-p3",
+            "apery-mod-p",
+            "apery-mod-p2",
+        ],
     )
     def test_routes_without_exact_values_ignore_cache(self, capsys, rescaled, argv):
         # a file these commands would never read is not opened, even a bad one

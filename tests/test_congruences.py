@@ -59,17 +59,18 @@ class TestDigitSet:
                 assert (p - 1) // 2 in ds
 
     def test_matches_exact_reduction(self):
-        # digit_set runs the modular recurrence; scan_digit_sets and this
-        # test reduce exact values
+        # digit_set and scan_digit_sets run the recurrence modulo the squares
+        # of blocks of primes; this test reduces exact values.  Primes to 600
+        # span many full blocks and a partial last one.
         from apery.arith import primes_upto
 
-        exact = [apery_fast(d) for d in range(113)]
-        primes = primes_upto(113)
+        exact = [apery_fast(d) for d in range(600)]
+        primes = primes_upto(600)
         for p in primes:
             m = p * p
             digits = tuple(d for d in range(p) if exact[d] % m == exact[p - 1 - d] % m)
             assert digit_set(p).digits == digits
-        assert scan_digit_sets(113, 1) == [digit_set(p) for p in primes]
+        assert scan_digit_sets(600, 1) == [digit_set(p) for p in primes]
 
     def test_format_row(self):
         assert digit_set(7).format_row() == "7: 0 2 3 4 6"
@@ -92,6 +93,12 @@ class TestScan:
         assert [(ds.p, ds.digits) for ds in rows] == [
             (107, (0, 14, 21, 47, 53, 59, 85, 92, 106))
         ]
+
+    @pytest.mark.parametrize("p_max", [2, 3, 13, 600])
+    @pytest.mark.parametrize("min_size", [1, 4, 9])
+    def test_min_size_filters_full_scan(self, p_max, min_size):
+        full = scan_digit_sets(p_max, 1)
+        assert scan_digit_sets(p_max, min_size) == [ds for ds in full if len(ds) >= min_size]
 
     def test_workers_do_not_change_result(self):
         assert scan_digit_sets(100, 3) == scan_digit_sets(100, 3, workers=4)
@@ -195,16 +202,16 @@ class TestDigitSetLucas:
         assert report.notes
 
     def test_wrong_table_value_is_inconclusive(self, monkeypatch):
-        # A(2) + 1 in the p = 7 table drops 2 and 4 from D(7); the sweep's
-        # exact factors must then leave them unwitnessed, not witnessed by
-        # the wrong value itself
-        real = apery.congruences._digit_tables
+        # A(2) + 1 in the modular pass behind D(7) drops 2 and 4 from it; the
+        # sweep's exact factors must then leave them unwitnessed, not
+        # witnessed by the wrong value itself
+        real = apery.congruences._recurrence_mod
 
-        def wrong_value(p, m, derivs, top=None):
-            values, slopes = real(p, m, derivs, top)
-            return [a + (d == 2) for d, a in enumerate(values)], slopes
+        def wrong_value(q, top):
+            for n, (x, den) in enumerate(real(q, top)):
+                yield (x + den * (n == 2)) % q, den  # x/den is A(n) + 1 at n = 2
 
-        monkeypatch.setattr(apery.congruences, "_digit_tables", wrong_value)
+        monkeypatch.setattr(apery.congruences, "_recurrence_mod", wrong_value)
         report = verify_digit_set_lucas(7, (-10, 10))
         assert report.parameters["digits"] == [0, 3, 6]
         assert report.passed and not report.conclusive
