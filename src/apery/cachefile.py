@@ -49,25 +49,30 @@ def _unlimited_decimals() -> None:
         sys.set_int_max_str_digits(0)
 
 
+def _is_count(x: object) -> bool:
+    # bool is an int subclass, but True would be written as "True" or "1"
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def cache_store(path: str | os.PathLike, values: Mapping[int, int]) -> None:
     """Write the values atomically as format version 2, sorted by n.
 
-    Raises ValueError for a key or value that is not an integer >= 0.  Path
-    is left as it was, with no temporary file behind, whenever writing fails.
+    Raises ValueError, before any file is opened, for a key or value that
+    is not an integer >= 0 (a bool is not one).  Path is left as it was,
+    with no temporary file behind, whenever writing fails.
     """
     keys = sorted(values)
     for n in keys:
-        if not isinstance(n, int) or n < 0:
+        if not _is_count(n):
             raise ValueError(f"cache keys must be integers >= 0, got {n!r}")
+        if not _is_count(values[n]):
+            raise ValueError(f"cache values must be integers >= 0, got {values[n]!r}")
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write(f"apery-cache\t{FORMAT_VERSION}\t{_SEQUENCE_ID}\n")
             for n in keys:
-                value = values[n]
-                if not isinstance(value, int) or value < 0:
-                    raise ValueError(f"cache values must be integers >= 0, got {value!r}")
-                fh.write(f"{n}\t{value:x}\n")
+                fh.write(f"{n}\t{values[n]:x}\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -10,7 +10,12 @@ Each digit law is a modulus plus a table of per-digit factors.  The
 per-(d, n) laws share one sweep, _sweep, with both sides A(d + p n) and
 A(n) reduced from exact values and the factors A(d), A'(d) read from the
 digit tables (the recurrence and its derivative modulo p or p^2), except
-that digitset-p2 keeps exact factors (see verify_digit_set_lucas).
+that digitset-p2 keeps exact factors (see verify_digit_set_lucas).  By
+reflection, n and -1-n read the same exact values:
+A(d + p n) = A((p-1-d) + p(-1-n)).  So a sweep reduces each exact value at
+most once per call, through one map keyed by the non-negative index
+(_residues), and the p = 2 loop of verify_mod_p3_suite reads A(n) mod 8
+the same way.
 verify_multi_digit's mod p^2 laws evaluate A(n) through the digit tables;
 its mod p^3 unit law takes A(n) mod p^3 from the p-adic evaluator (the
 summands with at most one carry, over p-free factorials), which uses
@@ -25,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import Residue, _require_prime, primes_upto
 from .sequence import (
@@ -198,29 +203,60 @@ def _case(
     return Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
 
 
+def _residues(m: int, cache: AperyCache | None) -> Callable[[int], int]:
+    """A function i -> A(i) mod m, for any integer i, that reduces each exact
+    value at most once.
+
+    A(i) = A(-1-i), so i and -1-i share one entry, keyed by the non-negative
+    index.  An entry is apery_fast(k, cache) % m, made on its first read;
+    the map lives as long as the returned function.
+    """
+    residues: dict[int, int] = {}
+
+    def read(i: int) -> int:
+        k = i if i >= 0 else -1 - i
+        r = residues.get(k)
+        if r is None:
+            r = residues[k] = apery_fast(k, cache) % m
+        return r
+
+    return read
+
+
 def _sweep(
     report: CongruenceReport,
     p: int,
     m: int,
     n_range: tuple[int, int],
-    factors: dict[int, tuple[int, int]],
+    factors: dict[int, tuple[int, int]] | None,
     cache: AperyCache | None,
     expected_to_fail: frozenset[int] = frozenset(),
 ) -> None:
     """Check A(d + p n) = (a + p n s) A(n) mod m for every digit d: (a, s) in
     factors and every n in range, both sides reduced from exact values.
+    factors=None stands for the exact factors (A(d) mod m, 0), d < p.
 
     Cases run n by n, digits ascending, and each adds one to report.checked.
     A failing case is a counterexample, except that the first failure of a
     digit in expected_to_fail is its witness and ends that digit's sweep;
     the digits in expected_to_fail that never fail land in unwitnessed.
+
+    n and -1-n read the same exact values, since A(d + p n) =
+    A((p-1-d) + p(-1-n)), and a range can repeat an index in other ways
+    too.  Every read, exact factors included, goes through one map local
+    to the call (_residues), so each exact value is reduced at most once.
+    The map fills in case order, so a digit that leaves at its witness
+    reduces nothing past it.  The p = 2 loop of verify_mod_p3_suite, which
+    has no digits, reads A(n) mod 8 through _residues the same way.
     """
+    read = _residues(m, cache)
+    if factors is None:
+        factors = {d: (read(d), 0) for d in range(p)}
     digits = sorted(factors.items())
     for n in _span(n_range):
-        an = apery_fast(n, cache) % m
+        an = read(n)
         for d, (a, s) in digits:
-            lhs = apery_fast(d + p * n, cache) % m
-            case = _case(report, d, n, p, lhs, (a + p * n * s) * an % m, m)
+            case = _case(report, d, n, p, read(d + p * n), (a + p * n * s) * an % m, m)
             if case is None:
                 continue
             if d in expected_to_fail:
@@ -279,9 +315,10 @@ def verify_mod_p3_suite(
         "p3-suite", {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]}
     )
     if p == 2:
+        read = _residues(8, cache)  # n and -1-n share one reduction
         for n in _span(n_range):
             rhs = pow(5, n if n >= 0 else n + 1, 8)
-            if case := _case(report, None, n, 2, apery_fast(n, cache) % 8, rhs, 8):
+            if case := _case(report, None, n, 2, read(n), rhs, 8):
                 report.counterexamples.append(case)
     elif p == 3:
         factors = {d: (a, 0) for d, a in enumerate(_digit_tables(3, 9, False)[0])}
@@ -315,10 +352,10 @@ def verify_digit_set_lucas(
     # D(p) comes from the modular recurrence, so the factors must not: a wrong
     # A(d) there would drop d from D(p) and then witness its own exclusion.
     # With exact factors the same fault leaves d unwitnessed, so the report
-    # is inconclusive.
-    factors = {d: (apery_fast(d, cache) % m, 0) for d in range(p)}
+    # is inconclusive.  factors=None has _sweep read them exactly, through
+    # the same map as both sides.
     outside = frozenset(range(p)) - frozenset(ds.digits)
-    _sweep(report, p, m, n_range, factors, cache, outside)
+    _sweep(report, p, m, n_range, None, cache, outside)
     if report.unwitnessed:
         report.notes.append(
             "no violating n found in range for some digits outside D(p); "

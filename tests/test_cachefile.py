@@ -213,6 +213,21 @@ def test_store_rejects_negative_keys(tmp_path):
         cache_store(path, {-1: 1})
 
 
+@pytest.mark.parametrize(
+    "values", [{True: 5}, {0: 1, 1: True}], ids=["bool-key", "bool-value"]
+)
+def test_store_rejects_bools_before_opening(tmp_path, monkeypatch, values):
+    # bool is an int subclass: {True: 5} would be written as the record
+    # "True\t5", which cache_load refuses, and a value True as 1
+    def no_open(*args, **kwargs):
+        raise AssertionError("cache_store opened a file")
+
+    monkeypatch.setattr("apery.cachefile.open", no_open, raising=False)
+    with pytest.raises(ValueError, match="integers >= 0"):
+        cache_store(tmp_path / "values.cache", values)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_round_trip_beyond_interpreter_digit_cap(tmp_path):
     # A(3000) has ~4600 decimal digits, past the default int/str cap
     from apery.sequence import AperyCache, apery_via_recurrence

@@ -1,13 +1,18 @@
 """Digit sets and the congruence verification sweeps."""
 
 import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import apery.congruences
+from apery.arith import Residue, primes_upto
 from apery.congruences import (
+    CongruenceReport,
+    Counterexample,
     digit_set,
     scan_digit_sets,
     verify_digit_set_lucas,
@@ -344,3 +349,124 @@ class TestSweepFailures:
         assert report.unwitnessed == unwitnessed
         assert not report.passed
         jsonschema.validate(report.to_dict(), SCHEMA)
+
+
+def _reference_sweep(report, p, m, n_range, factors, cache, expected_to_fail=frozenset()):
+    # the per-case loop _sweep ran before it shared reads: every case reduces
+    # A(n) and A(d + p n) afresh, with n < 0 left to apery_fast's reflection
+    def reduced(i):
+        return apery.congruences.apery_fast(i, cache) % m
+
+    if factors is None:  # digitset-p2's exact factors, reduced before the sweep
+        factors = {d: (reduced(d), 0) for d in range(p)}
+    digits = sorted(factors.items())
+    for n in range(n_range[0], n_range[1] + 1):
+        an = reduced(n)
+        for d, (a, s) in digits:
+            lhs, rhs = reduced(d + p * n), (a + p * n * s) * an % m
+            report.checked += 1
+            if lhs == rhs:
+                continue
+            case = Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
+            if d in expected_to_fail:
+                report.witnesses.append(case)
+                digits = [entry for entry in digits if entry[0] != d]
+            else:
+                report.counterexamples.append(case)
+    report.unwitnessed = [d for d, _ in digits if d in expected_to_fail]
+
+
+def _reference_p3_suite_at_2(n_range):
+    # verify_mod_p3_suite's p = 2 loop as it ran before it shared reads
+    lo, hi = n_range
+    report = CongruenceReport("p3-suite", {"p": 2, "n_lo": lo, "n_hi": hi})
+    for n in range(lo, hi + 1):
+        lhs, rhs = apery.congruences.apery_fast(n) % 8, pow(5, n if n >= 0 else n + 1, 8)
+        report.checked += 1
+        if lhs != rhs:
+            report.counterexamples.append(
+                Counterexample(None, n, 2, Residue(lhs, 8), Residue(rhs, 8))
+            )
+    return report
+
+
+def _reference_report(verify, p, n_range, monkeypatch):
+    if verify is verify_mod_p3_suite and p == 2:
+        return _reference_p3_suite_at_2(n_range)
+    with monkeypatch.context() as patched:
+        patched.setattr(apery.congruences, "_sweep", _reference_sweep)
+        return verify(p, n_range)
+
+
+def _counting(counts):
+    # apery_fast that tallies each request under its non-negative index
+    def counted(n, cache=None):
+        counts[n if n >= 0 else -1 - n] += 1
+        return apery_fast(n, cache)
+
+    return counted
+
+
+class TestReadOnce:
+    # A(n) = A(-1-n), so over a range that straddles zero n and -1-n read the
+    # same exact values; one call reduces each of them once, and reads no
+    # index that the per-case loop would not have read (digitset-p2 drops a
+    # digit at its witness, so its later cases read nothing)
+    CASES = {
+        "lucas-p-5": (verify_lucas_mod_p, 5),
+        "gessel-p2-7": (verify_gessel_mod_p2, 7),
+        "p3-suite-2": (verify_mod_p3_suite, 2),
+        "p3-suite-3": (verify_mod_p3_suite, 3),
+        "p3-suite-5": (verify_mod_p3_suite, 5),
+        "digitset-p2-5": (verify_digit_set_lucas, 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_each_index_reduced_once(self, name, monkeypatch):
+        verify, p = self.CASES[name]
+        counts, reference_counts = Counter(), Counter()
+        monkeypatch.setattr(apery.congruences, "apery_fast", _counting(counts))
+        report = verify(p, (-4, 9))
+        monkeypatch.setattr(apery.congruences, "apery_fast", _counting(reference_counts))
+        reference = _reference_report(verify, p, (-4, 9), monkeypatch)
+        assert report.passed and report.to_dict() == reference.to_dict()
+        assert max(counts.values()) == 1
+        assert set(counts) == set(reference_counts)
+        assert max(reference_counts.values()) > 1  # the range does repeat reads
+
+
+class TestSameReport:
+    # the four sweep families against the per-case loop, on seeded random
+    # primes <= 31 and ranges of both signs, clean and with one exact value
+    # corrupted at a random index that the range reads
+    FAMILIES = {
+        "lucas-p": verify_lucas_mod_p,
+        "gessel-p2": verify_gessel_mod_p2,
+        "p3-suite": verify_mod_p3_suite,
+        "digitset-p2": verify_digit_set_lucas,
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_reference(self, family, seed, monkeypatch):
+        verify = self.FAMILIES[family]
+        rng = random.Random(f"{family}-{seed}")
+        for _ in range(3):
+            p = rng.choice(primes_upto(31))
+            lo = rng.randint(-40, 25)
+            n_range = (lo, lo + rng.randint(0, 20))
+            read = Counter()
+            monkeypatch.setattr(apery.congruences, "apery_fast", _counting(read))
+            want = _reference_report(verify, p, n_range, monkeypatch).to_dict()
+            monkeypatch.undo()
+            assert want["pass"] and verify(p, n_range).to_dict() == want
+
+            bad = rng.choice(sorted(read))
+
+            def corrupted(n, cache=None):
+                return apery_fast(n, cache) + (n in (bad, -1 - bad))
+
+            monkeypatch.setattr(apery.congruences, "apery_fast", corrupted)
+            got = verify(p, n_range).to_dict()
+            assert got == _reference_report(verify, p, n_range, monkeypatch).to_dict()
+            monkeypatch.undo()
