@@ -2,9 +2,9 @@
 
 Arbitrary-precision integers are plain Python ints and exact rationals are
 ``fractions.Fraction``; both round-trip through decimal strings, which is the
-serialization the CLI uses.  This module adds residues, modular inverses, and
-the two classical congruence facts (Wolstenholme, Jacobsthal) that feed the
-mod p^3 checks.
+serialization the CLI uses.  This module adds residues, rational reduction
+mod m, and the two classical congruence facts (Wolstenholme, Jacobsthal)
+that feed the mod p^3 checks.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ __all__ = [
     "PRIMALITY_BOUND",
     "Residue",
     "binomial",
-    "harmonic",
     "is_prime",
     "jacobsthal_holds",
-    "mod_inverse",
     "primes_upto",
     "rational_mod",
     "wolstenholme_residue",
@@ -93,19 +91,12 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def harmonic(k: int) -> Fraction:
-    """The harmonic number H_k = 1 + 1/2 + ... + 1/k, exactly; H_0 = 0."""
-    if k < 0:
-        raise ValueError(f"harmonic requires k >= 0, got {k}")
-    return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
-
-
 @dataclass(frozen=True)
 class Residue:
     """An integer normalized into [0, modulus), tagged with its modulus.
 
-    Arithmetic is defined only between residues of the same modulus; mixing
-    moduli raises ValueError rather than guessing.
+    It does no arithmetic: routes compute on ints and wrap the final value
+    once, so a reported residue always carries its modulus.
     """
 
     value: int
@@ -116,43 +107,8 @@ class Residue:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         object.__setattr__(self, "value", self.value % self.modulus)
 
-    def _compatible(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"mixed moduli {self.modulus} and {other.modulus}"
-            )
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._compatible(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._compatible(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._compatible(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    def __pow__(self, exponent: int) -> "Residue":
-        # pow() accepts negative exponents when the value is invertible
-        return Residue(pow(self.value, exponent, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
     def __str__(self) -> str:
         return f"{self.value} (mod {self.modulus})"
-
-
-def mod_inverse(a: int, m: int) -> Residue:
-    """The residue r with a*r = 1 (mod m); ValueError when gcd(a, m) > 1."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    try:
-        return Residue(pow(a, -1, m), m)
-    except ValueError:
-        raise ValueError(f"{a} is not invertible modulo {m}") from None
 
 
 def rational_mod(q: Fraction | int, m: int) -> Residue:

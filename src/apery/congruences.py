@@ -10,12 +10,8 @@ Each digit law is a modulus plus a table of per-digit factors.  The
 per-(d, n) laws share one sweep, _sweep, with both sides A(d + p n) and
 A(n) reduced from exact values and the factors A(d), A'(d) read from the
 digit tables (the recurrence and its derivative modulo p or p^2), except
-that digitset-p2 keeps exact factors (see verify_digit_set_lucas).  By
-reflection, n and -1-n read the same exact values:
-A(d + p n) = A((p-1-d) + p(-1-n)).  So a sweep reduces each exact value at
-most once per call, through one map keyed by the non-negative index
-(_residues), and the p = 2 loop of verify_mod_p3_suite reads A(n) mod 8
-the same way.
+that digitset-p2 keeps exact factors (see verify_digit_set_lucas).  A sweep
+reduces each exact value at most once per call; _sweep says how.
 verify_multi_digit's mod p^2 laws evaluate A(n) through the digit tables;
 its mod p^3 unit law takes A(n) mod p^3 from the p-adic evaluator (the
 summands with at most one carry, over p-free factorials), which uses
@@ -36,7 +32,6 @@ from .arith import Residue, _require_prime, primes_upto
 from .sequence import (
     AperyCache,
     _apery_mod_pk,
-    _digit_tables,
     _recurrence_mod,
     apery_fast,
     apery_mod_p2,
@@ -306,7 +301,7 @@ def verify_mod_p3_suite(
 
     p = 2:  A(n) = 5^n mod 8 for n >= 0 and A(n) = 5^(n+1) mod 8 for n <= -1.
     p = 3:  A(d + 3n) = A(d) A(n) mod 9 for every digit d, with A(d) mod 9
-            from the digit table.
+            from the mod p^2 digit tables.
     p >= 5: A(p n) = A(n) = A(p n + p - 1) mod p^3.
     """
     if p not in (2, 3):
@@ -321,7 +316,7 @@ def verify_mod_p3_suite(
             if case := _case(report, None, n, 2, read(n), rhs, 8):
                 report.counterexamples.append(case)
     elif p == 3:
-        factors = {d: (a, 0) for d, a in enumerate(_digit_tables(3, 9, False)[0])}
+        factors = {d: (a, 0) for d, a in enumerate(mod_p2_tables(3)[0])}
         _sweep(report, 3, 9, n_range, factors, cache)
     else:
         _sweep(report, p, p**3, n_range, {0: (1, 0), p - 1: (1, 0)}, cache)

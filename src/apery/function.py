@@ -52,7 +52,9 @@ def apery_eval(z: complex, terms: int = 100_000) -> ComplexApprox:
 
     The term ratio is ((k - z)(k + 1 + z))^2 / (k + 1)^4, so each step is a
     handful of complex multiplications.  Term magnitudes decay like 1/k^2,
-    giving an O(1/terms) tail away from the integers.
+    giving an O(1/terms) tail away from the integers.  Raises OverflowError
+    when the sum or the first omitted term is not a finite double, as at
+    large real z.
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
@@ -66,7 +68,10 @@ def apery_eval(z: complex, terms: int = 100_000) -> ComplexApprox:
         term = term * ((k - z) * (k + 1 + z) / (k + 1) ** 2) ** 2
         if term == 0:  # series terminated (integer z)
             break
-    return ComplexApprox(total.real, total.imag, summed, abs(term))
+    residual = abs(term)
+    if not (cmath.isfinite(total) and math.isfinite(residual)):
+        raise OverflowError(f"A(z) overflows a double at z={z}, {summed} terms")
+    return ComplexApprox(total.real, total.imag, summed, residual)
 
 
 def functional_equation_residual(z: complex, terms: int = 100_000) -> float:
@@ -77,7 +82,9 @@ def functional_equation_residual(z: complex, terms: int = 100_000) -> float:
 
     evaluated with partial sums of the given length.  Exactly zero at
     integer z up to series termination, since the sine factor vanishes
-    there and the equation reduces to the integer recurrence.
+    there and the equation reduces to the integer recurrence.  Raises
+    OverflowError when the residual is not a finite double: A(z) can be
+    finite where z^3 A(z) is not.
     """
     z = complex(z)
     a0 = apery_eval(z, terms).value
@@ -85,7 +92,10 @@ def functional_equation_residual(z: complex, terms: int = 100_000) -> float:
     a2 = apery_eval(z - 2, terms).value
     lhs = z**3 * a0 - (34 * z**3 - 51 * z**2 + 27 * z - 5) * a1 + (z - 1) ** 3 * a2
     rhs = 8 / math.pi**2 * (2 * z - 1) * cmath.sin(cmath.pi * z) ** 2
-    return abs(lhs - rhs)
+    residual = abs(lhs - rhs)
+    if not math.isfinite(residual):
+        raise OverflowError(f"the functional equation overflows a double at z={z}")
+    return residual
 
 
 def _taylor_numerators(m: int, upper: int, scale: int) -> Iterator[int]:

@@ -224,7 +224,7 @@ def taylor_identity_holds(m: int, N: int) -> bool:
     return list(_taylor_numerators(m, N, scale)) == rhs
 
 
-def taylor_coeff_float(m: int, N: int = 10_000, extrapolate: bool = True) -> float:
+def taylor_coeff_float(m: int, N: int = 10_000) -> float:
     """Floating estimate of the m-th Taylor coefficient from its MZV terms.
 
     a_0 = 1, the constant term, which no composition covers.
@@ -233,9 +233,7 @@ def taylor_coeff_float(m: int, N: int = 10_000, extrapolate: bool = True) -> flo
         raise ValueError(f"N must be >= 1, got {N}")
     if m == 0:
         return 1.0
-    return float(
-        sum(coeff * mzv_float(s, N, extrapolate) for s, coeff in taylor_terms(m))
-    )
+    return float(sum(coeff * mzv_float(s, N) for s, coeff in taylor_terms(m)))
 
 
 def _bernoulli(n: int) -> Fraction:

@@ -29,7 +29,6 @@ __all__ = [
     "AperyCache",
     "apery",
     "apery_deriv",
-    "apery_deriv_reflected",
     "apery_fast",
     "apery_mod_p",
     "apery_mod_p2",
@@ -199,8 +198,9 @@ def apery_fast(n: int, cache: AperyCache | None = None) -> int:
 def apery_deriv(n: int) -> Fraction:
     """A'(n) = 2 sum_k C(n,k)^2 C(n+k,k)^2 (H_{n+k} - H_{n-k}), exact.
 
-    Defined here for n >= 0 only; see apery_deriv_reflected for the
-    reflection-derived extension.
+    Defined for n >= 0 only.  Differentiating the reflection A(-1-z) = A(z)
+    gives A'(n) = -A'(-1-n) for n <= -1, so a caller writes
+    -apery_deriv(-1 - n) there.
     """
     if n < 0:
         raise ValueError(f"apery_deriv requires n >= 0, got {n}")
@@ -215,38 +215,28 @@ def apery_deriv(n: int) -> Fraction:
     return Fraction(2 * total, L)
 
 
-def apery_deriv_reflected(n: int) -> Fraction:
-    """A'(n) for any integer n, using A'(-1-n) = -A'(n) for n <= -1.
-
-    The negative-argument rule is derived by differentiating the reflection
-    symmetry A(-1-z) = A(z) of the entire interpolation; it is a consequence
-    of that symmetry, not an independently stated identity.
-    """
-    if n >= 0:
-        return apery_deriv(n)
-    return -apery_deriv(-1 - n)
-
-
 def _digit_tables(
-    p: int, m: int, derivs: bool, top: int | None = None
+    p: int, derivs: bool, top: int | None = None
 ) -> tuple[list[int], list[int]]:
-    """A(d) mod m and, when derivs is set, A'(d) mod m for d = 0, ..., top.
+    """A(d) mod p or, when derivs is set, A(d) and A'(d) mod p^2, for
+    d = 0, ..., top and a prime p.
 
     top defaults to p - 1, the full table; a caller that knows the largest
     base-p digit it will look up can stop there.
 
-    m is p or p^2 for a prime p.  Runs the recurrence and its derivative
-    together, starting from A(0) = 1, A'(0) = 0:
+    Runs the recurrence and its derivative together, starting from
+    A(0) = 1, A'(0) = 0:
         k^3 A(k) = r1(k) A(k-1) - (k-1)^3 A(k-2),
         k^3 A'(k) = -3k^2 A(k) + r1'(k) A(k-1) + r1(k) A'(k-1)
                     - 3(k-1)^2 A(k-2) - (k-1)^3 A'(k-2).
     The second is the derivative of the functional equation at z = k, whose
     sin^2(pi z) term has zero derivative at integers.  At k = 1 the
     (k-1) factors drop A(-1), which gives A'(1) = 12.  For k < p, k^3 is a
-    unit mod m, so every step divides exactly.  The derivative table is []
+    unit mod p^2, so every step divides exactly.  The derivative table is []
     when derivs is not set.
     """
     _require_prime(p)
+    m = p * p if derivs else p
     values, slopes = [1], [0] if derivs else []
     a2, a1, s2, s1 = 0, 1, 0, 0  # A(k-2), A(k-1), A'(k-2), A'(k-1)
     for k in range(1, (p - 1 if top is None else top) + 1):
@@ -269,7 +259,7 @@ def _digit_tables(
 def mod_p_table(p: int) -> list[int]:
     """A(0), ..., A(p-1) reduced mod p, for a prime p, by the recurrence
     modulo p."""
-    return _digit_tables(p, p, derivs=False)[0]
+    return _digit_tables(p, derivs=False)[0]
 
 
 def mod_p2_tables(p: int, cache: AperyCache | None = None) -> tuple[list[int], list[int]]:
@@ -280,7 +270,7 @@ def mod_p2_tables(p: int, cache: AperyCache | None = None) -> tuple[list[int], l
     a unit mod p for every d < p, that recurrence also shows that A'(d) is
     p-integral there, so the derivative table is always well defined.
     """
-    return _digit_tables(p, p * p, derivs=True)
+    return _digit_tables(p, derivs=True)
 
 
 def apery_mod_p(n: int, p: int, table: list[int] | None = None) -> Residue:
@@ -294,7 +284,7 @@ def apery_mod_p(n: int, p: int, table: list[int] | None = None) -> Residue:
         raise ValueError(f"apery_mod_p requires n >= 0, got {n}")
     _require_prime(p)
     if table is None:
-        table = _digit_tables(p, p, False, max(_digits(n, p), default=0))[0]
+        table = _digit_tables(p, False, max(_digits(n, p), default=0))[0]
     result = 1
     while n > 0:
         n, d = divmod(n, p)
@@ -315,7 +305,7 @@ def apery_mod_p2(
         raise ValueError(f"apery_mod_p2 requires n >= 0, got {n}")
     _require_prime(p)
     if tables is None:
-        tables = _digit_tables(p, p * p, True, max(_digits(n, p), default=0))
+        tables = _digit_tables(p, True, max(_digits(n, p), default=0))
     values, derivs = tables
     m = p * p
     result = 1

@@ -1,4 +1,4 @@
-"""Exact-arithmetic helpers: binomials, harmonic numbers, residues, and the
+"""Exact-arithmetic helpers: binomials, residues, rational reduction, and the
 classical congruence ingredients."""
 
 import math
@@ -12,10 +12,8 @@ from apery.arith import (
     PRIMALITY_BOUND,
     Residue,
     binomial,
-    harmonic,
     is_prime,
     jacobsthal_holds,
-    mod_inverse,
     primes_upto,
     rational_mod,
     wolstenholme_residue,
@@ -47,36 +45,10 @@ class TestBinomial:
                 assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
-class TestHarmonic:
-    def test_values(self):
-        assert harmonic(0) == 0
-        assert harmonic(1) == 1
-        assert harmonic(3) == Fraction(11, 6)
-
-    def test_difference_is_reciprocal(self):
-        for k in range(1, 201):
-            assert harmonic(k) - harmonic(k - 1) == Fraction(1, k)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            harmonic(-1)
-
-
 class TestResidue:
     def test_normalization(self):
         assert Residue(-1, 7).value == 6
         assert Residue(25, 8).value == 1
-
-    def test_arithmetic(self):
-        a, b = Residue(5, 8), Residue(6, 8)
-        assert (a * b).value == 6
-        assert (a + b).value == 3
-        assert (a - b).value == 7
-        assert (a**-1).value == 5
-
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(ValueError):
-            Residue(1, 5) * Residue(1, 7)
 
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
@@ -84,25 +56,6 @@ class TestResidue:
 
     def test_str_carries_modulus(self):
         assert str(Residue(23, 25)) == "23 (mod 25)"
-
-
-class TestModInverse:
-    def test_values(self):
-        assert mod_inverse(5, 8).value == 5
-        assert mod_inverse(1, 7).value == 1
-
-    def test_noninvertible(self):
-        with pytest.raises(ValueError):
-            mod_inverse(2, 4)
-
-    @given(st.integers(1, 10**6), st.integers(2, 10**6))
-    @settings(max_examples=50, deadline=None)
-    def test_product_is_one(self, a, m):
-        if math.gcd(a, m) != 1:
-            with pytest.raises(ValueError):
-                mod_inverse(a, m)
-        else:
-            assert a * mod_inverse(a, m).value % m == 1
 
 
 class TestRationalMod:

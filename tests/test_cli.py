@@ -253,7 +253,8 @@ class TestEvalCommand:
 
 
 class TestNonFiniteInput:
-    # a point or tolerance that is not a finite number is a usage error
+    # a point or tolerance that is not a finite number is a usage error, and
+    # so is a point where A(z) or the functional equation overflows a double
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -269,6 +270,19 @@ class TestNonFiniteInput:
             (["verify", "stuffle", "--N", "100", "--tol", "nan"], "--tol must be finite"),
             (["verify", "stuffle", "--N", "100", "--tol", "inf"], "--tol must be finite"),
             (["verify", "stuffle", "--N", "100", "--tol", "0"], "--tol must be finite"),
+            # the points are finite, but A(z) or a term of the equation is not
+            (["eval", "600", "--terms", "1000"], "overflows a double"),
+            (["eval", "600", "--terms", "1000", "--format", "json"], "overflows a double"),
+            (["eval", "600", "--terms", "53"], "overflows a double"),
+            (["eval", "600", "--terms", "53", "--format", "json"], "overflows a double"),
+            (
+                ["verify", "functional-eq", "--z", "200", "--terms", "1000"],
+                "overflows a double",
+            ),
+            (
+                ["verify", "functional-eq", "--z", "200", "--terms", "1000", "--format", "json"],
+                "overflows a double",
+            ),
         ],
         ids=[
             "eval-inf",
@@ -280,6 +294,12 @@ class TestNonFiniteInput:
             "stuffle-tol-nan",
             "stuffle-tol-inf",
             "stuffle-tol-zero",
+            "eval-overflow",
+            "eval-overflow-json",
+            "eval-tail-overflow",
+            "eval-tail-overflow-json",
+            "functional-eq-overflow",
+            "functional-eq-overflow-json",
         ],
     )
     def test_exits_2(self, capsys, argv, message):

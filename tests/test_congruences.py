@@ -350,6 +350,36 @@ class TestSweepFailures:
         assert not report.passed
         jsonschema.validate(report.to_dict(), SCHEMA)
 
+    @pytest.mark.parametrize(
+        "verify, table, p, d",
+        [
+            (verify_lucas_mod_p, "mod_p_table", 7, 2),
+            (verify_mod_p3_suite, "mod_p2_tables", 3, 1),
+        ],
+        ids=["lucas-p", "p3-suite-3"],
+    )
+    def test_wrong_table_value_is_reported(self, monkeypatch, verify, table, p, d):
+        # A(d) + 1 in the digit table: the case (d, 0) compares A(d) with
+        # A(d) + 1.  No A(e) with e < p is divisible by p at p = 3 and 7, so
+        # A(n) is a unit mod p and every case of digit d fails
+        real = getattr(apery.congruences, table)
+
+        def bump(values):
+            return [a + (e == d) for e, a in enumerate(values)]
+
+        def wrong_value(p):
+            if table == "mod_p_table":
+                return bump(real(p))
+            values, slopes = real(p)
+            return bump(values), slopes
+
+        monkeypatch.setattr(apery.congruences, table, wrong_value)
+        report = verify(p, (-3, 3))
+        assert report.checked == 7 * p
+        assert [(c.d, c.n) for c in report.counterexamples] == [(d, n) for n in range(-3, 4)]
+        at_zero = report.counterexamples[3]
+        assert at_zero.rhs.value == (at_zero.lhs.value + 1) % at_zero.lhs.modulus
+
 
 def _reference_sweep(report, p, m, n_range, factors, cache, expected_to_fail=frozenset()):
     # the per-case loop _sweep ran before it shared reads: every case reduces

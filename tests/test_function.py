@@ -94,6 +94,26 @@ class TestFunctionalEquation:
         assert functional_equation_residual(0.25 + 0.25j, 100_000) < 1e-3
 
 
+class TestOverflow:
+    # a value that overflows a double is an error, not an answer
+    def test_eval_sum_overflows(self):
+        with pytest.raises(OverflowError):
+            apery_eval(600, 1000)
+
+    def test_eval_tail_overflows(self):
+        # after 53 terms the sum is still finite but the next term is not
+        assert math.isfinite(apery_eval(600, 52).residual)
+        with pytest.raises(OverflowError):
+            apery_eval(600, 53)
+
+    def test_residual_overflows_where_values_are_finite(self):
+        # A(198), A(199) and A(200) are finite; z^3 A(z) at z = 200 is not
+        for z in (198, 199, 200):
+            assert apery_eval(z, 1000).value.real == pytest.approx(apery(z), rel=1e-9)
+        with pytest.raises(OverflowError):
+            functional_equation_residual(200, 1000)
+
+
 class TestDerivativeConsistency:
     def test_centered_difference_converges_quadratically(self):
         for n in range(9):

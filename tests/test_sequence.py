@@ -13,7 +13,6 @@ from apery.sequence import (
     _apery_mod_pk,
     apery,
     apery_deriv,
-    apery_deriv_reflected,
     apery_fast,
     apery_mod_p,
     apery_mod_p2,
@@ -117,11 +116,6 @@ class TestDerivative:
                 weight = (math.comb(n, k) * math.comb(n + k, k)) ** 2
                 total += weight * (H[n + k] - H[n - k])
             assert apery_deriv(n) == 2 * total
-
-    def test_reflected_helper(self):
-        assert apery_deriv_reflected(3) == apery_deriv(3)
-        assert apery_deriv_reflected(-1) == 0
-        assert apery_deriv_reflected(-4) == -apery_deriv(3)
 
 
 class TestFastModPaths:
