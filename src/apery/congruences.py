@@ -12,13 +12,11 @@ A(n) reduced from exact values and the factors A(d), A'(d) read from the
 digit tables (the recurrence and its derivative modulo p or p^2), except
 that digitset-p2 keeps exact factors (see verify_digit_set_lucas).  A sweep
 reduces each exact value at most once per call; _sweep says how.
-verify_multi_digit's mod p^2 laws evaluate A(n) through the digit tables;
-its mod p^3 unit law takes A(n) mod p^3 from the p-adic evaluator (the
-summands with at most one carry, over p-free factorials), which uses
-neither the recurrence nor a digit theorem.  digit_set and scan_digit_sets
-read no exact value: each block of consecutive primes shares one pass of
-the recurrence modulo the product of their squares, and D(p) is tested on
-its definition, A(d) = A(p-1-d) mod p^2.
+verify_multi_digit takes A(n) from the p-adic digit DP, which uses neither
+the recurrence nor a digit theorem, and its factors from the digit tables.
+digit_set and scan_digit_sets read no exact value: each block of
+consecutive primes shares one pass of the recurrence modulo the product of
+their squares, and D(p) is tested on its definition, A(d) = A(p-1-d) mod p^2.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from .sequence import (
     _apery_mod_pk,
     _recurrence_mod,
     apery_fast,
-    apery_mod_p2,
     mod_p2_tables,
     mod_p_table,
 )
@@ -374,12 +371,10 @@ def verify_multi_digit(
         f = {0: 1, c: A(c), p-1: 1}, m = p^2.
     law="unit": alphabet within {0, p-1} for p >= 5; f = 1, m = p^3.
 
-    The mod p^2 laws read A(d) from the digit tables (built by the
-    recurrence modulo p^2) and evaluate A(n) through them.  The mod p^3 law
-    takes A(n) mod p^3 from the p-adic evaluator: with digits 0 and p-1
-    only a handful of summands have at most one carry.  The mod p^2 laws
-    stay on the digit route because a middle digit (p-1)/2 leaves about
-    ((p+1)/2)^depth carry-free summands.
+    The left side A(n) mod m comes from the p-adic digit DP
+    (_apery_mod_pk), which uses neither the recurrence nor a digit theorem;
+    the factors f(d) come from the digit tables, built by the recurrence
+    modulo p^2, so the two sides take independent routes.
     """
     _require_prime(p)
     alphabet = sorted(set(alphabet))
@@ -389,7 +384,6 @@ def verify_multi_digit(
         raise ValueError(f"alphabet must be non-empty digits below {p}")
 
     if law == "product":
-        tables = mod_p2_tables(p)
         ds = digit_set(p)
         outside = [d for d in alphabet if d not in ds]
         if outside:
@@ -397,21 +391,22 @@ def verify_multi_digit(
                 f"digits {outside} are outside D({p}); the product law only "
                 "holds on D(p)"
             )
-        modulus, factor = p * p, tables[0]
+        factor = mod_p2_tables(p)[0]
     elif law == "power":
         centre = (p - 1) // 2
         if p == 2 or alphabet != sorted({0, centre, p - 1}):
             raise ValueError(
                 "power law needs odd p and alphabet {0, (p-1)/2, p-1}"
             )
-        tables = mod_p2_tables(p)
-        modulus, factor = p * p, {0: 1, centre: tables[0][centre], p - 1: 1}
+        factor = {0: 1, centre: mod_p2_tables(p)[0][centre], p - 1: 1}
     elif law == "unit":
         if p < 5 or not set(alphabet) <= {0, p - 1}:
             raise ValueError("unit law needs p >= 5 and alphabet within {0, p-1}")
-        tables, modulus, factor = None, p**3, dict.fromkeys(alphabet, 1)
+        factor = dict.fromkeys(alphabet, 1)
     else:
         raise ValueError(f"unknown law {law!r}")
+    e = 3 if law == "unit" else 2
+    modulus = p**e
 
     report = CongruenceReport(
         f"multi-digit-{law}",
@@ -422,11 +417,7 @@ def verify_multi_digit(
         n = 0
         for d in digits:
             n = n * p + d
-        if tables is None:
-            lhs = _apery_mod_pk(n, p, 3)
-        else:
-            lhs = apery_mod_p2(n, p, tables).value
         rhs = math.prod(factor[d] for d in digits) % modulus
-        if case := _case(report, None, n, p, lhs, rhs, modulus):
+        if case := _case(report, None, n, p, _apery_mod_pk(n, p, e), rhs, modulus):
             report.counterexamples.append(case)
     return report

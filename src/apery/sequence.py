@@ -9,9 +9,9 @@ Besides the defining sums this module provides the three-term recurrence
 digit congruences, and a memory-flat recurrence sweep for reducing A(n) at
 scattered large indices.  The digit tables A(d), A'(d) mod p and p^2 come
 from the recurrence and its derivative run modulo p or p^2, with no exact
-values; the exact routes stay as their oracles.  A p-adic evaluator gives
-A(n) mod p^e, e <= 3, from the few summands with at most one carry and
-p-free factorials, with no recurrence and no digit theorem.
+values; the exact routes stay as their oracles.  A p-adic digit DP gives
+A(n) mod p^e, e <= 3, from Kummer's theorem and p-free factorials, with no
+recurrence and no digit theorem, in time linear in the digits of n.
 """
 
 from __future__ import annotations
@@ -344,91 +344,99 @@ def apery_mod_sweep(targets: Iterable[int], modulus: int) -> dict[int, int]:
 
 @functools.lru_cache(maxsize=16)
 def _unit_tables(p: int) -> tuple[tuple[int, ...], ...]:
-    """s!, H_s and e2(s) = sum_{i<j<=s} 1/(ij) modulo p^3, for s < p."""
+    """s! and 1/s! modulo p^3, and H_s and H2_s = sum_{j<=s} 1/j^2 as sums
+    of residues mod p^3 (unreduced), for s < p.  The prime check of
+    _apery_mod_pk lives here, so it runs once per cached p."""
+    _require_prime(p)
     m = p**3
-    fact, harm, e2 = [1], [0], [0]
+    fact = [1] * p
     for j in range(1, p):
-        inv = pow(j, -1, m)
-        e2.append((e2[-1] + harm[-1] * inv) % m)
-        harm.append((harm[-1] + inv) % m)
-        fact.append(fact[-1] * j % m)
-    return tuple(fact), tuple(harm), tuple(e2)
+        fact[j] = fact[j - 1] * j % m
+    inv = [pow(fact[-1], -1, m)] * p  # 1/s!, from 1/(p-1)! downwards
+    for j in range(p - 1, 0, -1):
+        inv[j - 1] = inv[j] * j % m
+    recip = [i * f % m for i, f in zip(inv[1:], fact)]  # 1/j = (j-1)!/j!
+    harm = accumulate(recip, initial=0)
+    harm2 = accumulate((r * r for r in recip), initial=0)
+    return tuple(fact), tuple(inv), tuple(harm), tuple(harm2)
 
 
-def _unit_factorial(x: int, p: int) -> int:
-    """The p-free part of x! modulo p^3, for a prime p >= 5, without the
-    factors (p-1)! that its full blocks contribute.
-
-    x! = p^v prod_{i>=0} F(floor(x / p^i)) with F(r) the product of the
-    j <= r prime to p.  Writing r = qp + s, each of the q full blocks of F(r)
-    is (p-1)! (1 + bp H_{p-1} + b^2 p^2 e2(p-1)) = (p-1)! mod p^3, because
-    H_{p-1} = 0 mod p^2 and e2(p-1) = 0 mod p for p >= 5 (Wolstenholme), and
-    the last block is s! (1 + qp H_s + q^2 p^2 e2(s)) mod p^3.  The blocks
-    left out number sum_{i>=1} floor(x / p^i) = v_p(x!).
-    """
-    fact, harm, e2 = _unit_tables(p)
+@functools.lru_cache(maxsize=4096)
+def _digit_sums(p: int, t: int, low: bool) -> tuple[int, ...]:
+    """The sums over k-digits b that _apery_mod_pk reads at a digit t of n,
+    modulo p^3, in the order of its state update; low keeps the first four."""
+    fact, inv, harm, harm2 = _unit_tables(p)
     m = p**3
-    result = 1
-    while x:
-        x, s = divmod(x, p)
-        q = x % (p * p)
-        result = result * fact[s] * (1 + q * p * (harm[s] + q * p * e2[s])) % m
-    return result
+
+    def w(a: int, b: int, c: int) -> int:  # (a! / (b!^2 c!))^2
+        return (fact[a] * inv[b] * inv[b] * inv[c] % m) ** 2 % m
+
+    rows = []
+    for b in range(min(t, p - 1 - t) + 1):  # no carry at this digit
+        a, c = t + b, t - b
+        x = w(a, b, c)
+        h1, h2 = harm[a] - harm[c], harm[a] - 2 * harm[b] + harm[c]
+        row = [x, x * h1, x * h2, x * b]
+        if not low:
+            g, g2 = harm2[c] - harm2[a], harm2[a] + harm2[c]
+            row += [x * b * h1, x * b * h2, x * b * b, x * (2 * h1 * h1 + g),
+                    x * (4 * h1 * h2 - 2 * g2), x * (2 * h2 * h2 + g + 2 * harm2[b])]
+        rows.append(row)
+    sums = tuple(sum(column) % m for column in zip(*rows))
+    if low:
+        return sums
+    return (*sums,
+            sum(w(t + b, b, t - b + p) for b in range(t + 1, p - t)),  # one borrow
+            sum(w(t + b - p, b, t - b) for b in range(p - t, t + 1)),  # one carry
+            sum(w(t + b, b, t - b - 1) for b in range(min(t, p - t))),  # borrow in
+            sum(w(t + b + 1, b, t - b) for b in range(min(t + 1, p - 1 - t))))  # carry in
 
 
-def _few_carry_indices(n: int, p: int, most: int) -> Iterator[tuple[int, int]]:
-    """Pairs (k, c) for the 0 <= k <= n with c = carries(k, n-k) +
-    carries(k, n) <= most, the base-p carry counts of Kummer's theorem.
-
-    A digit DFS from the least significant position tracks the borrow of
-    n - k and the carry of k + n; at each position the k-digits that give a
-    chosen (borrow, carry) pair form an interval.
-    """
-    digits = _digits(n, p)
-    # (position, k so far, borrow into it, carry into it, carries so far)
-    stack = [(0, 0, 0, 0, 0)]
-    while stack:
-        i, k, borrow, carry, c = stack.pop()
-        if i == len(digits):
-            if not borrow:  # a borrow out of the top digit means k > n
-                yield k, c
-            continue
-        a, place = digits[i], p**i
-        for out_b in (0, 1):
-            # n - k borrows here exactly when the k-digit exceeds a - borrow
-            lo_b, hi_b = (0, a - borrow) if not out_b else (a - borrow + 1, p - 1)
-            for out_c in (0, 1):
-                if c + out_b + out_c > most:
-                    continue
-                # k + n carries here exactly when the k-digit is >= p - a - carry
-                lo_c, hi_c = (0, p - 1 - a - carry) if not out_c else (p - a - carry, p - 1)
-                for b in range(max(lo_b, lo_c), min(hi_b, hi_c) + 1):
-                    stack.append((i + 1, k + b * place, out_b, out_c, c + out_b + out_c))
+@functools.lru_cache(maxsize=4096)
+def _dp_state(n: int, p: int, low: bool) -> tuple[int, ...]:
+    """The _apery_mod_pk state after the digits of n >= 0, cached per prefix."""
+    if not n:
+        return (1, 0) if low else (1, 0, 0, 0, 1)
+    q, t = divmod(n, p)
+    big, m = q % (p * p), p * p
+    if low:
+        w, wh1, wh2, wb = _digit_sums(p, t, True)
+        s0, s1 = _dp_state(q, p, True)
+        return (w * s0 + 2 * p * (big * wh1 * s0 + wh2 * s1)) % m, wb * s0 % p
+    (w, wh1, wh2, wb, wbh1, wbh2, wb2, c20, c11, c02,
+     borrow, carry, borrow_in, carry_in) = _digit_sums(p, t, False)
+    s0, s1, s2, sb, sc = _dp_state(q, p, False)
+    carried = big * (big * c20 * s0 + c11 * s1) + c02 * s2 + borrow * sb + carry * sc
+    return ((w * s0 + 2 * p * (big * wh1 * s0 + wh2 * s1) + m * carried) % (m * p),
+            (wb * s0 + p * (w * s1 + 2 * big * wbh1 * s0 + 2 * wbh2 * s1)) % m,
+            wb2 * s0 % p, borrow_in * s0 % p, carry_in * s0 % p)
 
 
 def _apery_mod_pk(n: int, p: int, e: int) -> int:
-    """A(n) mod p^e for a prime p >= 5 and e in {1, 2, 3}, for any integer n.
+    """A(n) mod p^e for any integer n, a prime p and e in {1, 2, 3}; e = 3
+    needs p >= 5.
 
-    By Kummer's theorem the k-th summand C(n,k)^2 C(n+k,k)^2 is p^(2c) times
-    a unit, c = carries(k, n-k) + carries(k, n), so only the k with 2c < e
-    count; _few_carry_indices finds them.  The unit is the square of
-    unit((n+k)!) / (unit(k!)^2 unit((n-k)!)), whose full-block factors
-    (p-1)! cancel down to ((p-1)!)^c, since their exponents add up to
-    v_p((n+k)! / (k!^2 (n-k)!)) = c.  No recurrence and no digit congruence
-    is used, so this is an independent route to A(n) mod p^e.
+    A digit DP over the summands f(n, k) = C(n,k)^2 C(n+k,k)^2 that uses
+    Kummer's theorem and p-free factorials only, no recurrence and no digit
+    congruence.  Write n = t + pN and k = b + pK.  When the digit b carries
+    in neither k + (n-k) nor k + n, f(n, k) = f(N, K) w (1 + 2p(N h1 + K h2)
+    + p^2 (N^2 c20 + N K c11 + K^2 c02)) mod p^3, with w = (a!/(b!^2 c!))^2,
+    a = t + b, c = t - b, h1 = H_a - H_c, h2 = H_a - 2H_b + H_c and c20,
+    c11, c02 quadratic in those and H2; one carry there leaves p^2 times a
+    unit mod p, and more leave 0.  So the state after the digits of N is
+    s0 = sum_K f mod p^3, s1 = sum_K K f mod p^2, s2 = sum_K K^2 f mod p and
+    two sums mod p for a borrow or a carry coming into N's lowest digit;
+    the digits of n are read from the most significant, and A(n) = s0.  For
+    e <= 2 only s0 mod p^2 and s1 mod p are kept; because f is a square,
+    they stay exact at p = 2 and 3.  README (design notes) has the method.
     """
-    if e not in (1, 2, 3):
-        raise ValueError(f"e must be 1, 2 or 3, got {e}")
-    _require_prime(p)
-    if p < 5:
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+    if e not in (1, 2, 3) or (e == 3 and p < 5):
+        raise ValueError(f"need e in (1, 2, 3), and p >= 5 for e = 3; got p={p}, e={e}")
+    _unit_tables(p)  # the prime check
     if n < 0:
         n = -1 - n
-    m = p**3
-    block = _unit_tables(p)[0][p - 1]  # (p-1)!
-    total = 0
-    for k, c in _few_carry_indices(n, p, (e - 1) // 2):
-        num = _unit_factorial(n + k, p) * pow(block, c, m)
-        den = _unit_factorial(k, p) ** 2 * _unit_factorial(n - k, p)
-        total += p ** (2 * c) * (num * pow(den, -1, m)) ** 2
-    return total % p**e
+    # a bound on the digit count; prefixes every 400 digits keep the recursion shallow
+    top = n.bit_length() // max(p.bit_length() - 1, 1)
+    for shift in range(top - top % 400, 0, -400):
+        _dp_state(n // p**shift, p, e < 3)
+    return _dp_state(n, p, e < 3)[0] % p**e

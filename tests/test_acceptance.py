@@ -311,3 +311,15 @@ def test_15_symmetric_sweep_budget():
     ]
     ok = all(r.passed for r in reports) and [r.checked for r in reports] == [10000, 9999, 10000]
     report("15 symmetric-sweep-budget", ok, t0, 0.2)
+
+
+def test_16_padic_middle_digits_budget():
+    # A(n) mod 7^3 from the p-adic digit DP at n = (7^25 - 1)/2, 25 base-7
+    # digits that are all 3 (about 4^25 carry-free summands), and at
+    # n = 10^21; each is checked mod 49 against the Gessel digit route
+    from apery.sequence import _apery_mod_pk
+
+    t0 = time.time()
+    values = {n: _apery_mod_pk(n, 7, 3) for n in ((7**25 - 1) // 2, 10**21)}
+    ok = all(r % 49 == apery_mod_p2(n, 7).value for n, r in values.items())
+    report("16 padic-middle-digits-budget", ok, t0, 1)

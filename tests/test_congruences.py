@@ -223,7 +223,39 @@ class TestDigitSetLucas:
         assert report.unwitnessed == [2, 4]
 
 
+def _bump_digit_table(monkeypatch, p, d):
+    """Make congruences.mod_p2_tables read A(d) + 1 in place of A(d) mod p^2."""
+    real = apery.congruences.mod_p2_tables
+
+    def bumped(q, cache=None):
+        values, derivs = real(q)
+        if q == p:
+            values = [(a + (i == d)) % (q * q) for i, a in enumerate(values)]
+        return values, derivs
+
+    monkeypatch.setattr(apery.congruences, "mod_p2_tables", bumped)
+
+
 class TestMultiDigit:
+    # (p, alphabet, digit whose table entry is wrong) per law; the left side
+    # must not read the table that gives the factors
+    WRONG_TABLE = {"power": (7, {0, 3, 6}, 3), "product": (7, {0, 2, 6}, 2)}
+
+    @pytest.mark.parametrize("law", sorted(WRONG_TABLE))
+    def test_wrong_table_entry_fails(self, law, monkeypatch):
+        p, alphabet, d = self.WRONG_TABLE[law]
+        _bump_digit_table(monkeypatch, p, d)
+        report = verify_multi_digit(p, alphabet, 3, law)
+        assert not report.passed
+        assert report.counterexamples[0].n == d
+
+    def test_cli_corollary_fails_on_wrong_table(self, monkeypatch, capsys):
+        from apery.cli import main
+
+        _bump_digit_table(monkeypatch, 7, 3)
+        assert main(["verify", "corollary", "--p", "7", "--depth", "2"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
     def test_power_law_base5(self):
         report = verify_multi_digit(5, {0, 2, 4}, 4, "power")
         assert report.passed

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -233,11 +234,12 @@ class TestModSweep:
 class TestPadicEvaluator:
     def test_matches_exact_reduction(self):
         cache = AperyCache()
+        cases = [(p, e) for p in (5, 7, 11, 13) for e in (1, 2, 3)]
+        cases += [(p, e) for p in (2, 3) for e in (1, 2)]
         for n in range(-60, 401):
             exact = apery_fast(n, cache)
-            for p in (5, 7, 11, 13):
-                for e in (1, 2, 3):
-                    assert _apery_mod_pk(n, p, e) == exact % p**e, (n, p, e)
+            for p, e in cases:
+                assert _apery_mod_pk(n, p, e) == exact % p**e, (n, p, e)
 
     def test_matches_sweep_at_scattered_indices(self):
         targets = [1249, 3124, 4999, 7202, 9999, 12004, 16806, 17150, 20000]
@@ -258,7 +260,33 @@ class TestPadicEvaluator:
                 n = sum(d * p**i for i, d in enumerate(digits))
                 assert _apery_mod_pk(n, p, 2) == apery_mod_p2(n, p, tables).value, n
 
+    def test_middle_digits_against_sweep(self):
+        # every n < p^5 with digits in {0, (p-1)/2, p-1}: the middle digit
+        # leaves ((p+1)/2)^5 carry-free summands at the top n
+        cases = [
+            (sum(d * p**i for i, d in enumerate(digits)), p)
+            for p in (5, 7)
+            for digits in itertools.product((0, (p - 1) // 2, p - 1), repeat=5)
+        ]
+        sweep = apery_mod_sweep((n for n, _ in cases), 5**3 * 7**3)
+        for n, p in cases:
+            assert _apery_mod_pk(n, p, 3) == sweep[n] % p**3, (n, p)
+
+    def test_matches_digit_route_at_large_n(self):
+        rng = random.Random(19)
+        for p in (101, 1009):
+            tables = mod_p2_tables(p)
+            for _ in range(20):
+                n = rng.randrange(10**30)
+                assert _apery_mod_pk(n, p, 2) == apery_mod_p2(n, p, tables).value, (n, p)
+
+    def test_thousands_of_digits(self):
+        # A(n) = 5^n = 1 mod 4 (p3-suite at p = 2), and A(n) = 1 mod 5^3 when
+        # every base-5 digit of n is 4 (the unit law)
+        assert _apery_mod_pk(3**900, 2, 2) == 1
+        assert _apery_mod_pk(5**1500 - 1, 5, 3) == 1
+
     def test_rejects_bad_arguments(self):
-        for p, e in ((2, 3), (3, 2), (9, 2), (25, 1), (1, 1), (7, 0), (7, 4), (5, -1)):
+        for p, e in ((2, 3), (3, 3), (9, 2), (25, 1), (1, 1), (7, 0), (7, 4), (5, -1)):
             with pytest.raises(ValueError):
                 _apery_mod_pk(10, p, e)
