@@ -313,6 +313,9 @@ def _verify_congruence(args, cfg) -> dict:
 
 
 def _verify_multi_digit(args, cfg) -> dict:
+    if args.n is not None:
+        # the laws range over every n of --depth base-p digits
+        raise ValueError(f"verify {args.theorem} takes --depth, not --n")
     if args.p is None:
         raise ValueError(f"verify {args.theorem} needs --p")
     # name the flag, not the law's alphabet that the user never typed

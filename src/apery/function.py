@@ -33,7 +33,9 @@ class ComplexApprox:
     """A numeric partial sum: value, number of terms summed, tail estimate.
 
     residual is the magnitude of the first omitted term; it is exactly zero
-    when the series terminated before the requested term count.
+    when the series terminated before the requested term count.  The value
+    is the terms' float sum in order, so how each term ratio is rounded
+    can move its last digit or two, but not terms or a zero residual.
     """
 
     real: float
@@ -50,24 +52,30 @@ def apery_eval(z: complex, terms: int = 100_000) -> ComplexApprox:
     """Partial sum of the interpolation series for A(z) with the given
     number of terms.
 
-    The term ratio is ((k - z)(k + 1 + z))^2 / (k + 1)^4, so each step is a
-    handful of complex multiplications.  Term magnitudes decay like 1/k^2,
-    giving an O(1/terms) tail away from the integers.  Raises OverflowError
-    when the sum or the first omitted term is not a finite double, as at
-    large real z.
+    The term ratio is ((k - z)(k + 1 + z))^2 / (k + 1)^4, and
+    (k - z)(k + 1 + z) = k(k + 1) - z(z + 1), so with c = z(z + 1) computed
+    once each step is one complex division by a real and two complex
+    multiplications.  The index k is carried as a float: below 2^53 it is
+    exact, and k(k + 1) and (k + 1)^2 round exactly as the int products
+    would.  Term magnitudes decay like 1/k^2, giving an O(1/terms) tail away
+    from the integers.  Raises OverflowError when the sum or the first
+    omitted term is not a finite double, as at large real z.
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     z = complex(z)
+    c = z * (z + 1)
     total = 0j
     term = 1 + 0j
-    summed = 0
-    for k in range(terms):
+    k = 0.0
+    for summed in range(1, terms + 1):
         total += term
-        summed = k + 1
-        term = term * ((k - z) * (k + 1 + z) / (k + 1) ** 2) ** 2
+        kk = k + 1.0
+        r = (k * kk - c) / (kk * kk)
+        term *= r * r
         if term == 0:  # series terminated (integer z)
             break
+        k = kk
     residual = abs(term)
     if not (cmath.isfinite(total) and math.isfinite(residual)):
         raise OverflowError(f"A(z) overflows a double at z={z}, {summed} terms")
@@ -75,27 +83,34 @@ def apery_eval(z: complex, terms: int = 100_000) -> ComplexApprox:
 
 
 def functional_equation_residual(z: complex, terms: int = 100_000) -> float:
-    """Residual of the inhomogeneous three-term functional equation at z.
+    """Residual of the inhomogeneous three-term functional equation at z,
+    relative to the size of its terms.
 
-    |z^3 A(z) - (34z^3 - 51z^2 + 27z - 5) A(z-1) + (z-1)^3 A(z-2)
-     - (8/pi^2)(2z - 1) sin(pi z)^2|
+    |z^3 A(z) - p(z) A(z-1) + (z-1)^3 A(z-2) - (8/pi^2)(2z - 1) sin(pi z)^2|
+    / max(1, |z^3 A(z)| + |p(z) A(z-1)| + |(z-1)^3 A(z-2)|)
 
-    evaluated with partial sums of the given length.  Exactly zero at
-    integer z up to series termination, since the sine factor vanishes
+    with p(z) = 34z^3 - 51z^2 + 27z - 5, evaluated with partial sums of the
+    given length.  Where the terms are large (near 10^16 at z = 10) the
+    difference loses its last units to rounding, so the denominator keeps
+    the residual a measure of the equation, not of a double's spacing;
+    where they are below 1 the residual is the absolute one.  Exactly zero
+    at integer z up to series termination, since the sine factor vanishes
     there and the equation reduces to the integer recurrence.  Raises
-    OverflowError when the residual is not a finite double: A(z) can be
-    finite where z^3 A(z) is not.
+    OverflowError when the residual or the terms' size is not a finite
+    double: A(z) can be finite where z^3 A(z) is not.
     """
     z = complex(z)
-    a0 = apery_eval(z, terms).value
-    a1 = apery_eval(z - 1, terms).value
-    a2 = apery_eval(z - 2, terms).value
-    lhs = z**3 * a0 - (34 * z**3 - 51 * z**2 + 27 * z - 5) * a1 + (z - 1) ** 3 * a2
+    parts = (
+        z**3 * apery_eval(z, terms).value,
+        -(34 * z**3 - 51 * z**2 + 27 * z - 5) * apery_eval(z - 1, terms).value,
+        (z - 1) ** 3 * apery_eval(z - 2, terms).value,
+    )
     rhs = 8 / math.pi**2 * (2 * z - 1) * cmath.sin(cmath.pi * z) ** 2
-    residual = abs(lhs - rhs)
-    if not math.isfinite(residual):
+    residual = abs(parts[0] + parts[1] + parts[2] - rhs)
+    scale = max(1.0, sum(map(abs, parts)))
+    if not (math.isfinite(residual) and math.isfinite(scale)):
         raise OverflowError(f"the functional equation overflows a double at z={z}")
-    return residual
+    return residual / scale
 
 
 def _taylor_numerators(m: int, upper: int, scale: int) -> Iterator[int]:

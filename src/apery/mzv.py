@@ -17,14 +17,19 @@ the expansion holds exactly at every truncation; taylor_identity_holds
 checks precisely that, exactly and for every truncation up to N in one
 integer pass.  mzv_partial stays on Fraction, as the independent route the
 tests compare that pass against.
+
+Floating values (mzv_float and the float checks built on it) come from
+_mzv_floats, which takes every composition a caller needs at one truncation
+and builds the tail of each distinct suffix once, in an array('d').
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, islice, repeat
+from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
 from .function import _taylor_numerators
@@ -162,34 +167,73 @@ def mzv_partial(s: Sequence[int], N: int) -> Fraction:
     )
 
 
+def _mzv_floats(
+    compositions: Sequence[Sequence[int]], N: int, extrapolate: bool = True
+) -> dict[Composition, float]:
+    """mzv_float for several compositions at one truncation, keyed by
+    composition.
+
+    The suffixes s[1:] form a trie, walked innermost part first, so each
+    distinct suffix's tail is built once per call however many compositions
+    share it.  A tail holds, for v = 1..top, the sum over
+    v > n_{i+1} > ... > nj >= 1 of the suffix weights, as in mzv_partial,
+    in an array('d'); the walk keeps only the tails on its current path.
+    The divisor float(v**part) is tabulated once per distinct part, so
+    every quotient is the one the term-by-term loop forms.  The head terms
+    are summed left to right: S(N) over the first N of them, then S(2N)
+    continues from S(N).
+    """
+    comps = [_validate_composition(s) for s in compositions]
+    for s in comps:
+        if s[0] < 2:
+            raise ValueError(f"first part must be >= 2 for convergence, got {s}")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    top = 2 * N if extrapolate else N
+    root: tuple[list, dict] = ([], {})  # (compositions with this suffix, children)
+    for s in dict.fromkeys(comps):
+        node = root
+        for part in reversed(s[1:]):
+            node = node[1].setdefault(part, ([], {}))
+        node[0].append(s)
+    powers: dict[int, array] = {}  # part -> float(v**part) for v = 1..top
+
+    def power(part: int) -> array:
+        if part not in powers:
+            exact = map(pow, range(1, top + 1), repeat(part))
+            powers[part] = array("d", map(float, exact))
+        return powers[part]
+
+    values = {}
+    # (node, parent's tail, part joining them); the empty suffix's tail is 1
+    stack = [(root, repeat(1.0), 0)]
+    while stack:
+        (heads, children), tail, part = stack.pop()
+        if part:
+            steps = map(truediv, islice(tail, top - 1), power(part))
+            tail = array("d", accumulate(steps, initial=0.0))
+        for s in heads:
+            terms = map(truediv, tail, power(s[0]))
+            if extrapolate:
+                half = sum(islice(terms, N))
+                values[s] = 2 * sum(terms, half) - half
+            else:
+                values[s] = sum(terms)
+        stack.extend((child, tail, edge) for edge, child in children.items())
+    return values
+
+
 def mzv_float(s: Sequence[int], N: int, extrapolate: bool = True) -> float:
     """Floating partial sum of zeta(s); needs s1 >= 2 to have a limit.
 
     With extrapolate the one-step Richardson value 2 S(2N) - S(N) is
     returned, cancelling the leading c/N tail that the slowest (s1 = 2)
     modes leave behind.  Both sums come from one pass to 2N: S(N) is the
-    sum of its first N terms.
+    sum of its first N terms.  Several compositions at one truncation are
+    cheaper together: see _mzv_floats, which this calls.
     """
     s = _validate_composition(s)
-    if s[0] < 2:
-        raise ValueError(f"first part must be >= 2 for convergence, got {s}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    top = 2 * N if extrapolate else N
-    # tail[v] = sum over v > n_{i+1} > ... > nj >= 1, as in mzv_partial
-    tail = [1.0] * (top + 1)
-    for part in reversed(s[1:]):
-        running = 0.0
-        new = [0.0] * (top + 1)
-        for v in range(top + 1):
-            new[v] = running
-            if v:
-                running += tail[v] / v**part
-        tail = new
-    terms = [tail[n] / n ** s[0] for n in range(1, top + 1)]
-    if extrapolate:
-        return 2 * sum(terms) - sum(terms[:N])
-    return sum(terms)
+    return _mzv_floats([s], N, extrapolate)[s]
 
 
 def taylor_identity_holds(m: int, N: int) -> bool:
@@ -224,6 +268,10 @@ def taylor_identity_holds(m: int, N: int) -> bool:
     return list(_taylor_numerators(m, N, scale)) == rhs
 
 
+def _expansion_value(terms: list[MzvTerm], values: dict[Composition, float]) -> float:
+    return float(sum(coeff * values[s] for s, coeff in terms))
+
+
 def taylor_coeff_float(m: int, N: int = 10_000) -> float:
     """Floating estimate of the m-th Taylor coefficient from its MZV terms.
 
@@ -233,7 +281,8 @@ def taylor_coeff_float(m: int, N: int = 10_000) -> float:
         raise ValueError(f"N must be >= 1, got {N}")
     if m == 0:
         return 1.0
-    return float(sum(coeff * mzv_float(s, N) for s, coeff in taylor_terms(m)))
+    terms = taylor_terms(m)
+    return _expansion_value(terms, _mzv_floats([s for s, _ in terms], N))
 
 
 def _bernoulli(n: int) -> Fraction:
@@ -266,12 +315,8 @@ def stuffle_depth1_residual(a: int, b: int, N: int = 10_000) -> float:
     """|zeta(a) zeta(b) - zeta(a,b) - zeta(b,a) - zeta(a+b)| numerically."""
     if a < 2 or b < 2:
         raise ValueError("need a, b >= 2")
-    return abs(
-        mzv_float((a,), N) * mzv_float((b,), N)
-        - mzv_float((a, b), N)
-        - mzv_float((b, a), N)
-        - mzv_float((a + b,), N)
-    )
+    v = _mzv_floats([(a,), (b,), (a, b), (b, a), (a + b,)], N)
+    return abs(v[(a,)] * v[(b,)] - v[a, b] - v[b, a] - v[(a + b,)])
 
 
 def stuffle_depth2_residual(a: int, b: int, c: int, N: int = 10_000) -> float:
@@ -282,14 +327,11 @@ def stuffle_depth2_residual(a: int, b: int, c: int, N: int = 10_000) -> float:
     """
     if a < 2 or c < 2 or b < 1:
         raise ValueError("need a >= 2, c >= 2, b >= 1")
-    lhs = mzv_float((a, b), N) * mzv_float((c,), N)
-    rhs = (
-        mzv_float((c, a, b), N)
-        + mzv_float((a, c, b), N)
-        + mzv_float((a, b, c), N)
-        + mzv_float((a + c, b), N)
-        + mzv_float((a, b + c), N)
+    v = _mzv_floats(
+        [(a, b), (c,), (c, a, b), (a, c, b), (a, b, c), (a + c, b), (a, b + c)], N
     )
+    lhs = v[a, b] * v[(c,)]
+    rhs = v[c, a, b] + v[a, c, b] + v[a, b, c] + v[a + c, b] + v[a, b + c]
     return abs(lhs - rhs)
 
 
@@ -320,17 +362,26 @@ REDUCED_FORMS: dict[int, list[tuple[Fraction, Composition]]] = {
 }
 
 
-def reduced_form_value(m: int, N: int = 10_000) -> float:
-    """Numeric value of the stored short form of a_m (even m, 4 <= m <= 12)."""
+def _deep_compositions(m: int) -> list[Composition]:
+    # the compositions of the stored short form that need a series
     if m not in REDUCED_FORMS:
         raise ValueError(f"no reduced form stored for m={m}")
+    return [s for _, s in REDUCED_FORMS[m] if len(s) > 1]
+
+
+def _reduced_form_sum(m: int, values: dict[Composition, float]) -> float:
     total = 0.0
     for coeff, s in REDUCED_FORMS[m]:
         if len(s) == 1:
             total += float(coeff) * even_zeta(s[0] // 2).value
         else:
-            total += float(coeff) * mzv_float(s, N)
+            total += float(coeff) * values[s]
     return total
+
+
+def reduced_form_value(m: int, N: int = 10_000) -> float:
+    """Numeric value of the stored short form of a_m (even m, 4 <= m <= 12)."""
+    return _reduced_form_sum(m, _mzv_floats(_deep_compositions(m), N))
 
 
 def reduced_form_residual(m: int, N: int = 10_000) -> float:
@@ -338,6 +389,10 @@ def reduced_form_residual(m: int, N: int = 10_000) -> float:
 
     For m in {4, 6, 8, 10} this is a genuine consistency check.  For m = 12
     the stored short form is data under test: callers should report the
-    residual rather than assert a bound on it.
+    residual rather than assert a bound on it.  Both sides share one
+    _mzv_floats call.
     """
-    return abs(taylor_coeff_float(m, N) - reduced_form_value(m, N))
+    deep = _deep_compositions(m)
+    terms = taylor_terms(m)
+    values = _mzv_floats([s for s, _ in terms] + deep, N)
+    return abs(_expansion_value(terms, values) - _reduced_form_sum(m, values))

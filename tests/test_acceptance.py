@@ -2,6 +2,7 @@
 pass/fail line per criterion (run with -s to see them)."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 
 from apery.arith import jacobsthal_holds, primes_upto, wolstenholme_residue
@@ -14,7 +15,7 @@ from apery.congruences import (
     verify_multi_digit,
 )
 from apery.function import apery_eval, functional_equation_residual
-from apery.mzv import reduced_form_residual, taylor_identity_holds
+from apery.mzv import reduced_form_residual, taylor_coeff_float, taylor_identity_holds
 from apery.sequence import (
     apery,
     apery_deriv,
@@ -323,3 +324,20 @@ def test_16_padic_middle_digits_budget():
     values = {n: _apery_mod_pk(n, 7, 3) for n in ((7**25 - 1) // 2, 10**21)}
     ok = all(r % 49 == apery_mod_p2(n, 7).value for n, r in values.items())
     report("16 padic-middle-digits-budget", ok, t0, 1)
+
+
+def test_17_mzv_float_memory():
+    # `taylor 8 --float --N 30000`: the suffix trie holds one array('d')
+    # tail per level of its current path and one divisor table per part
+    # (1.9 MiB traced here); a list tail per composition peaked at 3.9 MiB
+    budget_mib = 2.5
+    tracemalloc.start()
+    try:
+        t0 = time.time()
+        value = taylor_coeff_float(8, 30000)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    # a_8 from a 30-digit Cauchy integral of A(z) on |z| = 1 (mpmath)
+    ok = abs(value + 0.5047733465288571) < 1e-7 and peak < budget_mib
+    report("17 mzv-float-memory", ok, t0, 5, f" peak {peak:.2f} MiB / {budget_mib} MiB")

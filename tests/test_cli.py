@@ -440,11 +440,24 @@ class TestVerifyCommand:
             (["lucas-p3", "--p", "2"], "lucas-p3 needs a prime --p >= 5, got 2"),
             (["corollary", "--p", "2"], "corollary needs an odd prime --p, got 2"),
             (["lucas-p3", "--p", "4"], "4 is not prime"),  # primality comes first
+            # the laws cover every n of --depth digits; --n would be ignored
+            (["lucas-p3", "--p", "5", "--n", "0..3"], "lucas-p3 takes --depth, not --n"),
+            (
+                ["corollary", "--p", "5", "--depth", "2", "--n", "0..3"],
+                "corollary takes --depth, not --n",
+            ),
         ],
-        ids=["lucas-p3-3", "lucas-p3-2", "corollary-2", "lucas-p3-composite"],
+        ids=[
+            "lucas-p3-3",
+            "lucas-p3-2",
+            "corollary-2",
+            "lucas-p3-composite",
+            "lucas-p3-n",
+            "corollary-n",
+        ],
     )
     def test_multi_digit_rejects_p_by_flag(self, capsys, argv, message):
-        # the user typed --p, not a law or an alphabet
+        # the user typed a flag, not a law or an alphabet
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert message in err and "alphabet" not in err

@@ -1,6 +1,7 @@
 """Numeric evaluation of the interpolation A(z) and the exact truncated
 Taylor coefficients."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -44,6 +45,22 @@ def summand_coefficients(upper):
     return total
 
 
+def _reference_eval(z, terms):
+    """The term-ratio loop apery_eval replaced: ((k - z)(k + 1 + z))^2 /
+    (k + 1)^4 with an int index.  Returns (value, terms, residual)."""
+    z = complex(z)
+    total = 0j
+    term = 1 + 0j
+    summed = 0
+    for k in range(terms):
+        total += term
+        summed = k + 1
+        term = term * ((k - z) * (k + 1 + z) / (k + 1) ** 2) ** 2
+        if term == 0:
+            break
+    return total, summed, abs(term)
+
+
 class TestAperyEval:
     def test_terminates_at_integers(self):
         approx = apery_eval(1, 10)
@@ -83,6 +100,40 @@ class TestAperyEval:
         assert approx.value == complex(approx.real, approx.imag)
 
 
+class TestAgainstReferenceLoop:
+    # the single-ratio loop sums the same terms, each rounded a little
+    # differently: values agree to rounding, term counts exactly, and a
+    # terminating series reports the same count and a zero residual
+    @pytest.mark.parametrize(
+        "z",
+        [0.3 + 0.2j, -2.35, 2.5 - 0.6j, 0.5, -0.5, 0.25 + 0.25j, -1.3, 1e-9,
+         2.999999, 4.0000001 + 0.0001j, -3.0000001, 7.5 + 3j, 0.1j],
+    )
+    @pytest.mark.parametrize("terms", [1, 2, 50, 20_000])
+    def test_non_terminating(self, z, terms):
+        want, count, _ = _reference_eval(z, terms)
+        got = apery_eval(z, terms)
+        assert got.terms == count == terms
+        assert abs(got.value - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize(
+        "z", [0, 1, 2, 3, 7, 30, -1, -2, -4, -31, 3.0, 3 + 0j, 3 + 1e-300j, -4 + 1e-300j]
+    )
+    @pytest.mark.parametrize("terms", [1, 3, 4, 1000])
+    def test_terminating(self, z, terms):
+        want, count, residual = _reference_eval(z, terms)
+        got = apery_eval(z, terms)
+        assert (got.terms, got.residual) == (count, residual)
+        assert abs(got.value - want) <= 1e-14 * abs(want)
+
+    def test_three_plus_tiny_imaginary_part(self):
+        # (k - z)(k + 1 + z) at k = 3 is about -7e-300j; its square
+        # underflows to 0 in both loops, so both stop after 4 terms
+        for z in (3, -4, 3 + 1e-300j):
+            got = apery_eval(z, 1000)
+            assert (got.terms, got.residual, got.real) == (4, 0.0, 1445.0)
+
+
 class TestFunctionalEquation:
     def test_integer_point_vanishes(self):
         assert functional_equation_residual(2, 50) < 1e-20
@@ -92,6 +143,22 @@ class TestFunctionalEquation:
 
     def test_complex_point(self):
         assert functional_equation_residual(0.25 + 0.25j, 100_000) < 1e-3
+
+    def test_large_terms_do_not_fail_on_rounding(self):
+        # z^3 A(z) at z = 10 is near 1e16, where a double's spacing is 2;
+        # the absolute residual was 1.0 there, the relative one is rounding
+        assert functional_equation_residual(10, 1000) < 1e-12
+        assert functional_equation_residual(10) < 1e-12
+
+    def test_never_above_the_absolute_residual(self):
+        # the denominator is max(1, sum of the terms' sizes); below size 1
+        # (z = 0.3, 0.5, ...) the residual is the absolute one
+        for z in (0.3, 0.5, 0.25 + 0.25j, -1.3, 2.5 - 0.6j):
+            a0, a1, a2 = (_reference_eval(z - j, 20_000)[0] for j in range(3))
+            z = complex(z)
+            lhs = z**3 * a0 - (34 * z**3 - 51 * z**2 + 27 * z - 5) * a1 + (z - 1) ** 3 * a2
+            rhs = 8 / math.pi**2 * (2 * z - 1) * cmath.sin(cmath.pi * z) ** 2
+            assert functional_equation_residual(z, 20_000) <= abs(lhs - rhs) * (1 + 1e-9)
 
 
 class TestOverflow:

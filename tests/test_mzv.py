@@ -2,6 +2,7 @@
 truncated expansion identity, and the numeric relation checks."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,43 @@ EXPANSIONS = {
         (2, 2, 2, 2, 2): 16,
     },
 }
+
+
+def _reference_mzv_float(s, N, extrapolate=True):
+    """The per-composition loop mzv_float replaced: list tails, every
+    suffix rebuilt for every composition, a list of head terms."""
+    top = 2 * N if extrapolate else N
+    tail = [1.0] * (top + 1)
+    for part in reversed(s[1:]):
+        running = 0.0
+        new = [0.0] * (top + 1)
+        for v in range(top + 1):
+            new[v] = running
+            if v:
+                running += tail[v] / v**part
+        tail = new
+    terms = [tail[n] / n ** s[0] for n in range(1, top + 1)]
+    if extrapolate:
+        return 2 * sum(terms) - sum(terms[:N])
+    return sum(terms)
+
+
+# sum() adds floats left to right before Python 3.12 and compensates from
+# 3.12 on; only the former makes sum(rest, sum(head)) == sum(head + rest)
+left_to_right_sum = pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="sum() compensates from Python 3.12 on"
+)
+
+STUFFLE_CASES = {"depth1": [(4, 4), (4, 6), (2, 2)], "depth2": [(4, 4, 2), (2, 2, 6), (2, 2, 4)]}
+
+
+def stuffle_compositions():
+    out = set()
+    for a, b in STUFFLE_CASES["depth1"]:
+        out |= {(a,), (b,), (a, b), (b, a), (a + b,)}
+    for a, b, c in STUFFLE_CASES["depth2"]:
+        out |= {(a, b), (c,), (c, a, b), (a, c, b), (a, b, c), (a + c, b), (a, b + c)}
+    return sorted(out)
 
 
 def fib(n):
@@ -313,3 +351,74 @@ class TestReducedForms:
         # sanity for taylor_coeff_float: weight 3 is 2 zeta(3)
         zeta3 = mzv_float((3,), 10_000)
         assert taylor_coeff_float(3, 10_000) == pytest.approx(2 * zeta3, abs=1e-9)
+
+
+@left_to_right_sum
+class TestAgainstReferenceLoop:
+    # the suffix trie forms the same quotients and adds them in the same
+    # order as the per-composition loop, so every value is the same double
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_admissible_compositions(self, m):
+        for s in admissible_compositions(m):
+            for N in (1, 2, 7, 150):
+                for extrapolate in (True, False):
+                    assert mzv_float(s, N, extrapolate) == _reference_mzv_float(
+                        s, N, extrapolate
+                    )
+
+    def test_stuffle_and_reduced_form_compositions(self):
+        deep = [s for form in REDUCED_FORMS.values() for _, s in form]
+        for s in stuffle_compositions() + deep:
+            for N in (1, 3, 400):
+                for extrapolate in (True, False):
+                    assert mzv_float(s, N, extrapolate) == _reference_mzv_float(
+                        s, N, extrapolate
+                    )
+
+    def test_several_compositions_in_one_call(self):
+        # shared suffixes, a repeated composition and a lone head
+        comps = admissible_compositions(10) + [(2, 2), (2, 2), (3,), (5, 1, 1)]
+        for extrapolate in (True, False):
+            values = mzv._mzv_floats(comps, 60, extrapolate)
+            assert set(values) == set(comps)
+            for s in comps:
+                assert values[s] == _reference_mzv_float(s, 60, extrapolate)
+
+    @pytest.mark.parametrize("m", range(0, 17))
+    def test_taylor_coeff_float(self, m):
+        for N in (1, 5, 300):
+            want = 1.0 if m == 0 else float(
+                sum(c * _reference_mzv_float(s, N) for s, c in taylor_terms(m))
+            )
+            assert taylor_coeff_float(m, N) == want
+
+    def test_divisors_above_two_to_the_53(self):
+        # v^4 for v > 9741 is rounded to a double; both loops divide by the
+        # same rounded value
+        want = float(sum(c * _reference_mzv_float(s, 6000) for s, c in taylor_terms(8)))
+        assert taylor_coeff_float(8, 6000) == want
+
+    @pytest.mark.parametrize("m", sorted(REDUCED_FORMS))
+    def test_reduced_form_residual(self, m):
+        for N in (1, 40, 500):
+            taylor = float(sum(c * _reference_mzv_float(s, N) for s, c in taylor_terms(m)))
+            short = 0.0
+            for coeff, s in REDUCED_FORMS[m]:
+                if len(s) == 1:
+                    short += float(coeff) * even_zeta(s[0] // 2).value
+                else:
+                    short += float(coeff) * _reference_mzv_float(s, N)
+            assert reduced_form_value(m, N) == short
+            assert reduced_form_residual(m, N) == abs(taylor - short)
+
+    def test_stuffle_residuals(self):
+        def z(*s):
+            return _reference_mzv_float(s, N)
+
+        for N in (1, 30, 2000):
+            for a, b in STUFFLE_CASES["depth1"]:
+                want = abs(z(a) * z(b) - z(a, b) - z(b, a) - z(a + b))
+                assert stuffle_depth1_residual(a, b, N) == want
+            for a, b, c in STUFFLE_CASES["depth2"]:
+                rhs = z(c, a, b) + z(a, c, b) + z(a, b, c) + z(a + c, b) + z(a, b + c)
+                assert stuffle_depth2_residual(a, b, c, N) == abs(z(a, b) * z(c) - rhs)
