@@ -531,20 +531,53 @@ _HANDLERS = {
 
 
 _RANGE_VALUE = re.compile(r"^-?\d+\.\.-?\d+$")
+# eval's options that take a value: the token after one is never the point
+_EVAL_VALUE_FLAGS = ("--terms", "--format", "--cache", "--config", "--workers")
 
 
-def _merge_range_flags(argv: list[str]) -> list[str]:
-    # argparse reads "--n -10..10" as a missing argument; join the pair
-    out, i = [], 0
+def _negative_point(tok: str) -> bool:
+    """A token argparse reads as an option that complex() reads as a
+    number, such as -0.5+0.3j or -1e-3."""
+    if not tok.startswith("-"):
+        return False
+    try:
+        complex(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def _merge_flag_values(argv: list[str]) -> list[str]:
+    # argparse reads "--n -10..10" and "--z -0.5+0.3j" as a flag missing its
+    # value, and the point of "eval -0.5+0.3j" as an unknown option: join a
+    # flag and its value with '=', and move eval's point behind '--'
+    out, point, i = argv[:1], None, 1
+    seeking = out == ["eval"]  # eval's point not yet found
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--n", "--m") and i + 1 < len(argv) and _RANGE_VALUE.match(argv[i + 1]):
-            out.append(f"{tok}={argv[i + 1]}")
+        value = argv[i + 1] if i + 1 < len(argv) else None
+        if tok == "--":
+            out += argv[i:]
+            break
+        if value is not None and (
+            (tok in ("--n", "--m") and _RANGE_VALUE.match(value))
+            or (tok == "--z" and _negative_point(value))
+        ):
+            out.append(f"{tok}={value}")
             i += 2
+            continue
+        if seeking and tok in _EVAL_VALUE_FLAGS:
+            out += argv[i : i + 2]
+            i += 2
+            continue
+        if seeking and _negative_point(tok):
+            point = tok
         else:
             out.append(tok)
-            i += 1
-    return out
+        # a plain token is eval's point as typed; other options keep looking
+        seeking = seeking and point is None and tok.startswith("-")
+        i += 1
+    return out if point is None else out + ["--", point]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -555,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_range_flags(list(argv))
+    argv = _merge_flag_values(list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

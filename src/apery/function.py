@@ -5,7 +5,9 @@ The interpolation is A(z) = sum_k ((-z)_k (z+1)_k / k!^2)^2 with Pochhammer
 symbols (rising factorials).  Terms are updated incrementally, never through
 gamma-function quotients, so the poles of gamma at non-positive integers are
 never touched.  For non-negative integer z the factor (-z)_k vanishes once
-k > z and the series terminates exactly.
+k > z and the series terminates exactly.  Past a few thousand terms, the
+rest of a long partial sum comes from the asymptotic expansion of the terms
+(Stirling's series and Hurwitz zeta values, _tail), not from more terms.
 
 The exact Taylor coefficients come from one integer pass over the
 truncations (_taylor_numerators): numerators over lcm(1..upper)^m, with no
@@ -28,14 +30,23 @@ __all__ = [
 ]
 
 
+# B_0 .. B_8 (B_1 = -1/2; the other odd ones vanish): all the tail
+# expansion below reads, kept literal so no call pays a Fraction recursion
+_BERNOULLI = (1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30)
+_HEAD_MIN = 2048  # fewest terms the loop sums before the tail route
+_PHI_ORDER = 7  # highest odd n with D_n k^-n kept in log t_k
+_EXP_ORDER = 15  # highest j with e_j k^-j kept in exp(2 Phi(k))
+_EM_TERMS = 2  # Euler-Maclaurin corrections in each Hurwitz zeta
+
+
 @dataclass(frozen=True)
 class ComplexApprox:
     """A numeric partial sum: value, number of terms summed, tail estimate.
 
     residual is the magnitude of the first omitted term; it is exactly zero
     when the series terminated before the requested term count.  The value
-    is the terms' float sum in order, so how each term ratio is rounded
-    can move its last digit or two, but not terms or a zero residual.
+    is the partial sum of the first `terms` terms; see apery_eval for how it
+    is summed and how close to that sum a double gets.
     """
 
     real: float
@@ -58,17 +69,30 @@ def apery_eval(z: complex, terms: int = 100_000) -> ComplexApprox:
     multiplications.  The index k is carried as a float: below 2^53 it is
     exact, and k(k + 1) and (k + 1)^2 round exactly as the int products
     would.  Term magnitudes decay like 1/k^2, giving an O(1/terms) tail away
-    from the integers.  Raises OverflowError when the sum or the first
-    omitted term is not a finite double, as at large real z.
+    from the integers.
+
+    The loop sums the first M = max(2048, ceil(2|c|)) terms.  When terms
+    >= 2M and the series has not terminated, terms M .. terms-1 and the
+    first omitted term come from the asymptotic expansion of the terms,
+    anchored on the loop's own t_M (_tail); otherwise the loop sums every
+    term, in order.  Against a 40-digit decimal sum of the same series the
+    value agrees within 5e-15 relative at the points the tests check.
+    Raises OverflowError when the sum or the first omitted term is not a
+    finite double, as at large real z.
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     z = complex(z)
     c = z * (z + 1)
+    head = terms  # a non-finite c fails the test below and takes the loop
+    if abs(c) < terms:
+        head = max(_HEAD_MIN, math.ceil(2 * abs(c)))
+        if terms < 2 * head:
+            head = terms
     total = 0j
     term = 1 + 0j
     k = 0.0
-    for summed in range(1, terms + 1):
+    for summed in range(1, head + 1):
         total += term
         kk = k + 1.0
         r = (k * kk - c) / (kk * kk)
@@ -76,10 +100,70 @@ def apery_eval(z: complex, terms: int = 100_000) -> ComplexApprox:
         if term == 0:  # series terminated (integer z)
             break
         k = kk
+    if summed < terms and term != 0:  # head < terms: the tail route
+        tail, term = _tail(z, head, terms, term)
+        total += tail
+        summed = terms
     residual = abs(term)
     if not (cmath.isfinite(total) and math.isfinite(residual)):
         raise OverflowError(f"A(z) overflows a double at z={z}, {summed} terms")
     return ComplexApprox(total.real, total.imag, summed, residual)
+
+
+def _tail(z: complex, head: int, terms: int, t_head: complex) -> tuple[complex, complex]:
+    """Sum of t_k for head <= k < terms, and t_terms, given t_head.
+
+    Stirling's series for lnGamma(k + a) - lnGamma(k + 1) (DLMF 5.11) at
+    a = -z and a = z + 1, with B_m(1 + x) = (-1)^m B_m(-x), gives
+
+        log t_k = const - 2 log k + 2 Phi(k),  Phi(x) = sum D_n x^-n,
+        D_n = 2 (B_(n+1)(-z) - B_(n+1)) / (n (n + 1)),
+
+    over odd n only: at even n the two Bernoulli polynomials cancel and
+    B_(n+1) = 0.  D_1 = c = z(z + 1).  So t_k = t_head (head/k)^2
+    exp(2 Phi(k) - 2 Phi(head)), with no Gamma or sin(pi z) factor to
+    normalise.  Writing exp(2 Phi(x)) = sum_j e_j x^-j, the tail is
+
+        t_head head^2 exp(-2 Phi(head)) sum_j e_j (zeta(j+2, head) - zeta(j+2, terms)).
+
+    head >= 2|c| keeps |2c/k| <= 1, so the dropped orders of exp(2c/k)
+    fall like 1/j!: at the worst case, z = 0.5+40j where the tail is as
+    large as A(z), order 15 leaves about 1e-15 and order 14 about 5e-14.
+    The dropped 2 D_9 k^-9 is about 1e-17 there.
+    """
+    x = -z
+    two_d = [0j] * (_EXP_ORDER + 1)  # 2 D_n at index n
+    for n in range(1, _PHI_ORDER + 1, 2):
+        poly = sum(math.comb(n + 1, i) * _BERNOULLI[i] * x ** (n + 1 - i) for i in range(n + 1))
+        two_d[n] = 4 * poly / (n * (n + 1))
+    e = [1 + 0j]  # j e_j = sum_i i (2 D_i) e_(j-i), the series of exp
+    for j in range(1, _EXP_ORDER + 1):
+        e.append(sum(i * two_d[i] * e[j - i] for i in range(1, j + 1, 2)) / j)
+    a, b = float(head), float(terms)
+
+    def two_phi(v: float) -> complex:
+        return sum(two_d[n] * v**-n for n in range(1, _PHI_ORDER + 1, 2))
+
+    series = sum(
+        e_j * (_hurwitz_zeta(j + 2, a) - _hurwitz_zeta(j + 2, b)) for j, e_j in enumerate(e)
+    )
+    anchor = t_head * a * a * cmath.exp(-two_phi(a))
+    return anchor * series, anchor / (b * b) * cmath.exp(two_phi(b))
+
+
+def _hurwitz_zeta(s: int, a: float) -> float:
+    """zeta(s, a) = sum_(k >= 0) (k + a)^-s for s >= 2 and a >= 2048, by
+    Euler-Maclaurin (DLMF 25.11): a^(1-s)/(s-1) + a^-s/2 plus
+    B_2m/(2m)! (s)_(2m-1) a^(1-s-2m) for m = 1 .. _EM_TERMS.  The first
+    correction dropped is below 2e-17 of the sum at s <= _EXP_ORDER + 2.
+    """
+    power = a**-s
+    total = power * (a / (s - 1) + 0.5)
+    rising = s * power / a  # (s)_(2m-1) a^(1-s-2m) at m = 1
+    for m in range(1, _EM_TERMS + 1):
+        total += _BERNOULLI[2 * m] / math.factorial(2 * m) * rising
+        rising *= (s + 2 * m - 1) * (s + 2 * m) / (a * a)
+    return total
 
 
 def functional_equation_residual(z: complex, terms: int = 100_000) -> float:

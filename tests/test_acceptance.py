@@ -1,6 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
 pass/fail line per criterion (run with -s to see them)."""
 
+import cmath
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -341,3 +343,21 @@ def test_17_mzv_float_memory():
     # a_8 from a 30-digit Cauchy integral of A(z) on |z| = 1 (mpmath)
     ok = abs(value + 0.5047733465288571) < 1e-7 and peak < budget_mib
     report("17 mzv-float-memory", ok, t0, 5, f" peak {peak:.2f} MiB / {budget_mib} MiB")
+
+
+def test_18_eval_many_terms():
+    # `eval Z --terms 10000000` at five points and `verify functional-eq`
+    # at two: the loop sums a few thousand terms and the asymptotic
+    # expansion the rest, about 0.03 s in all here; summing every term took
+    # 3-4 s per 10^7-term call.  Terms 4000 .. 10^7 - 1 must sum to the
+    # leading tail sin(pi z)^2/pi^2 (1/4000 - 1/10^7) within 1 %.
+    n = 10**7
+    t0 = time.time()
+    ok = True
+    for z in (0.5, -0.5 + 0.3j, 0.3 + 0.2j, -2.35, 2.5 - 0.6j):
+        got = apery_eval(z, n)
+        rest = got.value - apery_eval(z, 4000).value
+        model = abs(cmath.sin(cmath.pi * z)) ** 2 / math.pi**2 * (1 / 4000 - 1 / n)
+        ok = ok and got.terms == n and abs(abs(rest) / model - 1) < 0.01
+    ok = ok and all(functional_equation_residual(z, n) < 1e-7 for z in (0.25 + 0.25j, -0.5 + 0.3j))
+    report("18 eval-many-terms", ok, t0, 0.5)

@@ -251,6 +251,49 @@ class TestEvalCommand:
         code, _, err = run_cli(capsys, "eval", "zebra")
         assert code == 2
 
+    # a point that starts with '-' and is not a plain decimal is read as the
+    # point, wherever the flags go, with the output of the '--' and '--z='
+    # forms (argparse alone reads it as an option and exits 2)
+    @pytest.mark.parametrize(
+        "argv, joined",
+        [
+            (["eval", "-0.5+0.3j"], ["eval", "--", "-0.5+0.3j"]),
+            (
+                ["eval", "-0.5+0.3j", "--terms", "1000"],
+                ["eval", "--terms", "1000", "--", "-0.5+0.3j"],
+            ),
+            (["eval", "-1e-3", "--terms", "1000"], ["eval", "--terms", "1000", "--", "-1e-3"]),
+            (
+                ["eval", "--terms", "5000", "-0.5-0.3j", "--format", "json"],
+                ["eval", "--terms", "5000", "--format", "json", "--", "-0.5-0.3j"],
+            ),
+            (
+                ["verify", "functional-eq", "--z", "-0.5+0.3j", "--terms", "1000"],
+                ["verify", "functional-eq", "--z=-0.5+0.3j", "--terms", "1000"],
+            ),
+            (
+                ["verify", "functional-eq", "--z", "-1e-3", "--terms", "1000", "--format", "json"],
+                ["verify", "functional-eq", "--z=-1e-3", "--terms", "1000", "--format", "json"],
+            ),
+        ],
+        ids=[
+            "eval",
+            "eval-terms",
+            "eval-exponent",
+            "eval-json",
+            "functional-eq",
+            "functional-eq-exponent",
+        ],
+    )
+    def test_negative_point(self, capsys, argv, joined):
+        want = run_cli(capsys, *joined)
+        assert want[0] == 0 and want[1]
+        assert run_cli(capsys, *argv) == want
+
+    def test_negative_terms_stay_the_terms_value(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--terms", "-5", "0.5")
+        assert code == 2 and out == "" and "terms must be >= 1" in err
+
 
 class TestNonFiniteInput:
     # a point or tolerance that is not a finite number is a usage error, and

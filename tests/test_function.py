@@ -2,12 +2,16 @@
 Taylor coefficients."""
 
 import cmath
+import functools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from apery.function import (
+    _BERNOULLI,
+    _HEAD_MIN,
     ComplexApprox,
     apery_eval,
     functional_equation_residual,
@@ -61,6 +65,64 @@ def _reference_eval(z, terms):
     return total, summed, abs(term)
 
 
+def _loop_eval(z, terms):
+    """apery_eval's single-ratio loop over every term, with no tail route:
+    below 2M terms apery_eval must return exactly this.  Returns (value,
+    terms, residual)."""
+    z = complex(z)
+    c = z * (z + 1)
+    total = 0j
+    term = 1 + 0j
+    k = 0.0
+    for summed in range(1, terms + 1):
+        total += term
+        kk = k + 1.0
+        r = (k * kk - c) / (kk * kk)
+        term *= r * r
+        if term == 0:
+            break
+        k = kk
+    return total, summed, abs(term)
+
+
+@functools.cache
+def _decimal_partial_sums(z, ns):
+    """Independent oracle: {N: (partial sum of N terms, |t_N|)} for each N
+    in ns, from the term recurrence t_(k+1) = t_k ((k(k+1) - c)/(k+1)^2)^2
+    in 40-digit decimal arithmetic on (re, im) pairs, rounded to doubles."""
+    out = {}
+    with localcontext() as ctx:
+        ctx.prec = 40
+        zr, zi = Decimal(z.real), Decimal(z.imag)
+        cr, ci = zr * zr - zi * zi + zr, 2 * zr * zi + zi
+        ci2, two_ci = ci * ci, 2 * ci
+        tr, ti = Decimal(1), Decimal(0)
+        sr, si = Decimal(0), Decimal(0)
+        k = 0
+        for n in sorted(ns):
+            for k in range(k, n):
+                sr += tr
+                si += ti
+                a = k * (k + 1) - cr  # (k(k+1) - c)^2 = a^2 - ci^2 - 2 a ci i
+                d = Decimal((k + 1) ** 4)
+                ur, ui = (a * a - ci2) / d, -two_ci * a / d
+                tr, ti = tr * ur - ti * ui, tr * ui + ti * ur
+            k = n
+            out[n] = (complex(float(sr), float(si)), abs(complex(float(tr), float(ti))))
+    return out
+
+
+def _head(z):
+    """M, the number of terms apery_eval's loop sums before the tail route."""
+    z = complex(z)
+    return max(_HEAD_MIN, math.ceil(2 * abs(z * (z + 1))))
+
+
+# 0.5+40j: |2c/M| is 1, the worst case of the rule for M, and the tail
+# is as large as A(z), so the highest kept order of the expansion shows
+TAIL_POINTS = [0.3 + 0.2j, 2.5 - 0.6j, -2.35, 7.5 + 3j, -0.5 + 0.3j, 0.5 + 40j]
+
+
 class TestAperyEval:
     def test_terminates_at_integers(self):
         approx = apery_eval(1, 10)
@@ -102,8 +164,9 @@ class TestAperyEval:
 
 class TestAgainstReferenceLoop:
     # the single-ratio loop sums the same terms, each rounded a little
-    # differently: values agree to rounding, term counts exactly, and a
-    # terminating series reports the same count and a zero residual
+    # differently, and from 2M terms on the tail expansion sums the rest:
+    # values agree to rounding, term counts exactly, and a terminating
+    # series reports the same count and a zero residual
     @pytest.mark.parametrize(
         "z",
         [0.3 + 0.2j, -2.35, 2.5 - 0.6j, 0.5, -0.5, 0.25 + 0.25j, -1.3, 1e-9,
@@ -132,6 +195,56 @@ class TestAgainstReferenceLoop:
         for z in (3, -4, 3 + 1e-300j):
             got = apery_eval(z, 1000)
             assert (got.terms, got.residual, got.real) == (4, 0.0, 1445.0)
+
+
+class TestTailRoute:
+    def test_bernoulli_table_matches_recursion(self):
+        # sum_(i <= m) C(m+1, i) B_i = 0 for m >= 1
+        b = [Fraction(1)]
+        for m in range(1, len(_BERNOULLI)):
+            b.append(-sum(math.comb(m + 1, i) * b[i] for i in range(m)) / (m + 1))
+        assert _BERNOULLI == tuple(float(x) for x in b)
+
+    @pytest.mark.parametrize("z", TAIL_POINTS)
+    def test_against_decimal_oracle(self, z):
+        m = _head(z)
+        ns = (2 * m - 1, 2 * m, 2 * m + 1, 50_000)
+        want = _decimal_partial_sums(complex(z), ns)
+        for n in ns:
+            got = apery_eval(z, n)
+            value, residual = want[n]
+            assert got.terms == n
+            assert abs(got.value - value) <= 1e-14 * abs(value), n
+            assert abs(got.residual - residual) <= 1e-12 * residual, n
+
+    @pytest.mark.parametrize("z", TAIL_POINTS)
+    def test_below_two_heads_is_the_loop(self, z):
+        m = _head(z)
+        for n in (1, 2, 50, m, 2 * m - 1):
+            got = apery_eval(z, n)
+            assert (got.value, got.terms, got.residual) == _loop_eval(z, n)
+
+    def test_terminating_series_at_many_terms(self):
+        for z in (3, -4, 3 + 1e-300j):
+            got = apery_eval(z, 10**6)
+            assert (got.terms, got.residual, got.real) == (4, 0.0, 1445.0)
+
+    def test_terms_are_the_count_asked(self):
+        for z in (0.5, -0.5 + 0.3j, 2.999999, 1e-9):
+            got = apery_eval(z, 10**7)
+            assert got.terms == 10**7 and 0 < got.residual < 1e-14
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, complex(0, math.inf), 1e200])
+    @pytest.mark.parametrize("terms", [10, 10**4])
+    def test_non_finite_c_takes_the_loop(self, z, terms):
+        # c = z(z + 1) is nan or inf here: no tail, and the loop's error
+        with pytest.raises(OverflowError, match=f"overflows a double at .*, {terms} terms"):
+            apery_eval(z, terms)
+
+    def test_overflow_at_many_terms(self):
+        # |c| = 3.6e5 makes M about 7.2e5, so 10^6 terms take the loop
+        with pytest.raises(OverflowError):
+            apery_eval(600.5, 10**6)
 
 
 class TestFunctionalEquation:
