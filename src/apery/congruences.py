@@ -10,8 +10,10 @@ Each digit law is a modulus plus a table of per-digit factors.  The
 per-(d, n) laws share one sweep, _sweep, with both sides A(d + p n) and
 A(n) reduced from exact values and the factors A(d), A'(d) read from the
 digit tables (the recurrence and its derivative modulo p or p^2), except
-that digitset-p2 keeps exact factors (see verify_digit_set_lucas).  A sweep
-reduces each exact value at most once per call; _sweep says how.
+that digitset-p2 keeps exact factors (see verify_digit_set_lucas).  The
+memo that holds an exact value also keeps its residue mod p^3, so each held
+value is reduced once per prime however many sweeps read it; _sweep and
+_residues say how.
 verify_multi_digit takes A(n) from the p-adic digit DP, which uses neither
 the recurrence nor a digit theorem, and its factors from the digit tables.
 digit_set and scan_digit_sets read no exact value: each block of
@@ -34,6 +36,7 @@ from .sequence import (
     apery_fast,
     mod_p2_tables,
     mod_p_table,
+    shared_cache,
 )
 
 __all__ = [
@@ -195,21 +198,26 @@ def _case(
     return Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
 
 
-def _residues(m: int, cache: AperyCache | None) -> Callable[[int], int]:
-    """A function i -> A(i) mod m, for any integer i, that reduces each exact
-    value at most once.
+def _residues(p: int, m: int, cache: AperyCache | None) -> Callable[[int], int]:
+    """A function i -> A(i) mod m, for any integer i and a modulus m that
+    divides p^3.
 
     A(i) = A(-1-i), so i and -1-i share one entry, keyed by the non-negative
-    index.  An entry is apery_fast(k, cache) % m, made on its first read;
-    the map lives as long as the returned function.
+    index k.  The first read of k in the returned function asks
+    apery_fast(k, cache) for the exact value and takes its residue mod p^3
+    from the memo (AperyCache.residue), which reduces each value it holds
+    once per prime and serves every later sweep at p from its table; m is
+    taken from that residue.  Later reads of k in the same function reuse
+    the result.
     """
+    residue = (cache if cache is not None else shared_cache()).residue
     residues: dict[int, int] = {}
 
     def read(i: int) -> int:
         k = i if i >= 0 else -1 - i
         r = residues.get(k)
         if r is None:
-            r = residues[k] = apery_fast(k, cache) % m
+            r = residues[k] = residue(k, apery_fast(k, cache), p) % m
         return r
 
     return read
@@ -235,13 +243,15 @@ def _sweep(
 
     n and -1-n read the same exact values, since A(d + p n) =
     A((p-1-d) + p(-1-n)), and a range can repeat an index in other ways
-    too.  Every read, exact factors included, goes through one map local
-    to the call (_residues), so each exact value is reduced at most once.
-    The map fills in case order, so a digit that leaves at its witness
-    reduces nothing past it.  The p = 2 loop of verify_mod_p3_suite, which
-    has no digits, reads A(n) mod 8 through _residues the same way.
+    too.  Every read, exact factors included, goes through one reader
+    (_residues), which asks apery_fast once per index per call and takes
+    the residue from the memo's table of p, so each exact value held there
+    is reduced once per prime, by whichever sweep reads it first.  Reads
+    run in case order, so a digit that leaves at its witness reads nothing
+    past it.  The p = 2 loop of verify_mod_p3_suite, which has no digits,
+    reads A(n) mod 8 through _residues the same way.
     """
-    read = _residues(m, cache)
+    read = _residues(p, m, cache)
     if factors is None:
         factors = {d: (read(d), 0) for d in range(p)}
     digits = sorted(factors.items())
@@ -307,7 +317,7 @@ def verify_mod_p3_suite(
         "p3-suite", {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]}
     )
     if p == 2:
-        read = _residues(8, cache)  # n and -1-n share one reduction
+        read = _residues(2, 8, cache)  # n and -1-n share one read
         for n in _span(n_range):
             rhs = pow(5, n if n >= 0 else n + 1, 8)
             if case := _case(report, None, n, 2, read(n), rhs, 8):
@@ -345,7 +355,7 @@ def verify_digit_set_lucas(
     # A(d) there would drop d from D(p) and then witness its own exclusion.
     # With exact factors the same fault leaves d unwitnessed, so the report
     # is inconclusive.  factors=None has _sweep read them exactly, through
-    # the same map as both sides.
+    # the same reader as both sides.
     outside = frozenset(range(p)) - frozenset(ds.digits)
     _sweep(report, p, m, n_range, None, cache, outside)
     if report.unwitnessed:

@@ -34,6 +34,7 @@ __all__ = [
 # expansion below reads, kept literal so no call pays a Fraction recursion
 _BERNOULLI = (1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30)
 _HEAD_MIN = 2048  # fewest terms the loop sums before the tail route
+_BLOCK = 64  # terms the loop sums between two finiteness tests
 _PHI_ORDER = 7  # highest odd n with D_n k^-n kept in log t_k
 _EXP_ORDER = 15  # highest j with e_j k^-j kept in exp(2 Phi(k))
 _EM_TERMS = 2  # Euler-Maclaurin corrections in each Hurwitz zeta
@@ -78,7 +79,8 @@ def apery_eval(z: complex, terms: int = 100_000) -> ComplexApprox:
     term, in order.  Against a 40-digit decimal sum of the same series the
     value agrees within 5e-15 relative at the points the tests check.
     Raises OverflowError when the sum or the first omitted term is not a
-    finite double, as at large real z.
+    finite double, as at large real z; the loop tests the term once per
+    block of _BLOCK terms and stops at the first block past an overflow.
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
@@ -92,14 +94,21 @@ def apery_eval(z: complex, terms: int = 100_000) -> ComplexApprox:
     total = 0j
     term = 1 + 0j
     k = 0.0
-    for summed in range(1, head + 1):
-        total += term
-        kk = k + 1.0
-        r = (k * kk - c) / (kk * kk)
-        term *= r * r
-        if term == 0:  # series terminated (integer z)
+    # blocks of _BLOCK terms, so an overflow ends the loop within a block
+    # without a test on every term
+    for start in range(0, head, _BLOCK):
+        for summed in range(start + 1, min(start + _BLOCK, head) + 1):
+            total += term
+            kk = k + 1.0
+            r = (k * kk - c) / (kk * kk)
+            term *= r * r
+            if term == 0:  # series terminated (integer z)
+                break
+            k = kk
+        if term == 0 or not cmath.isfinite(term):
             break
-        k = kk
+    if not cmath.isfinite(term):
+        raise OverflowError(f"A(z) overflows a double at z={z}, {terms} terms")
     if summed < terms and term != 0:  # head < terms: the tail route
         tail, term = _tail(z, head, terms, term)
         total += tail

@@ -5,9 +5,10 @@ by the reflection A(n) = A(-1-n).  A'(n) is the harmonic-weighted variant
 2 sum_k C(n,k)^2 C(n+k,k)^2 (H_{n+k} - H_{n-k}), an exact rational.
 
 Besides the defining sums this module provides the three-term recurrence
-(with a shared memo cache), O(log n) modular evaluation through the base-p
-digit congruences, and a memory-flat recurrence sweep for reducing A(n) at
-scattered large indices.  The digit tables A(d), A'(d) mod p and p^2 come
+(with a shared memo cache, which also keeps each value's residue mod p^3
+for the congruence sweeps), A'(n) from the recurrence's derivative,
+O(log n) modular evaluation through the base-p digit congruences, and a
+memory-flat recurrence sweep for reducing A(n) at scattered large indices.  The digit tables A(d), A'(d) mod p and p^2 come
 from the recurrence and its derivative run modulo p or p^2, with no exact
 values; the exact routes stay as their oracles.  A p-adic digit DP gives
 A(n) mod p^e, e <= 3, from Kummer's theorem and p-free factorials, with no
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from array import array
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
@@ -107,18 +109,28 @@ def _wrong_record(values: Mapping[int, int]) -> int | None:
     return None
 
 
+_ENTRY_MAX = 2**63 - 1  # the largest array('q') entry
+
+
 class AperyCache:
-    """Thread-safe memo of exact A(n) values for n >= 0.
+    """Thread-safe memo of exact A(n) values for n >= 0, with their residues.
 
     Values are immutable once inserted, so lock-free reads are safe; writers
     take a lock.  A contiguous high-water mark lets the recurrence restart
     from the longest verified prefix instead of from zero.
+
+    Beside the values the memo keeps one array('q') per prime p, filled by
+    residue(): entry n holds A(n) mod p^3, or -1 while not reduced.  The
+    tables take no lock either.  They only grow, and an entry only changes
+    from -1 to the residue of the value held at n, which never changes; two
+    threads that fill one entry write the same number.
     """
 
     def __init__(self, values: Mapping[int, int] | None = None):
         self._values: dict[int, int] = {0: 1, 1: 5}
         self._lock = threading.Lock()
         self._contiguous = 1
+        self._tables: dict[int, array] = {}
         if values:
             self.preload(values)
 
@@ -141,6 +153,28 @@ class AperyCache:
                 if existing != value:
                     raise ValueError(f"conflicting cache values at n={n}")
             self._advance()
+
+    def residue(self, n: int, value: int, p: int) -> int:
+        """value mod p^3, where value was read as A(n) for n >= 0.
+
+        The residue is stored in the table of p, and later served from it,
+        only when value is the very object this memo holds at n: a value
+        that came from elsewhere, equal or not, is reduced afresh and never
+        stored.  So each held value is reduced once per prime.  A prime
+        p >= 2^21, where p^3 overflows an entry, is never stored.
+        """
+        cube = p * p * p
+        if value is not self._values.get(n) or cube > _ENTRY_MAX:
+            return value % cube
+        table = self._tables.get(p)
+        if table is None:
+            table = self._tables.setdefault(p, array("q"))
+        if n >= len(table):
+            table.frombytes(b"\xff" * (8 * (n + 1 - len(table))))  # -1 each
+        r = table[n]
+        if r < 0:
+            r = table[n] = value % cube
+        return r
 
     def _advance(self) -> None:
         while self._contiguous + 1 in self._values:
@@ -201,18 +235,28 @@ def apery_deriv(n: int) -> Fraction:
     Defined for n >= 0 only.  Differentiating the reflection A(-1-z) = A(z)
     gives A'(n) = -A'(-1-n) for n <= -1, so a caller writes
     -apery_deriv(-1 - n) there.
+
+    Runs the recurrence and its derivative (_digit_tables has both) on
+    L A(k) and L A'(k) with L = lcm(1..2n).  For k <= n the denominator of
+    A'(k) divides lcm(1..2k), so both stay integers and every step divides
+    exactly by k^3; each step multiplies small numbers by big ones.
     """
     if n < 0:
         raise ValueError(f"apery_deriv requires n >= 0, got {n}")
-    # HL[j] = H_j * L on the common denominator L = lcm(1..2n)
     L = math.lcm(*range(1, 2 * n + 1))
-    HL = list(accumulate((L // i for i in range(1, 2 * n + 1)), initial=0))
-    total = 0
-    term = 1
-    for k in range(n + 1):
-        total += term * (HL[n + k] - HL[n - k])
-        term = term * (n - k) ** 2 * (n + k + 1) ** 2 // (k + 1) ** 4
-    return Fraction(2 * total, L)
+    a2, a1, s2, s1 = 0, L, 0, 0  # L A(k-2), L A(k-1), L A'(k-2), L A'(k-1)
+    for k in range(1, n + 1):
+        cube, c, r = k**3, (k - 1) ** 3, _r1(k)
+        a, rem = divmod(r * a1 - c * a2, cube)
+        s, rem_s = divmod(
+            -3 * k * k * a + (102 * k * k - 102 * k + 27) * a1 + r * s1
+            - 3 * (k - 1) ** 2 * a2 - c * s2,
+            cube,
+        )
+        if rem or rem_s:
+            raise ArithmeticError(f"derivative recurrence step not exact at k={k}")
+        a2, a1, s2, s1 = a1, a, s1, s
+    return Fraction(s1, L)
 
 
 def _digit_tables(

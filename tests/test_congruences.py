@@ -363,8 +363,20 @@ class TestSweepFailures:
         ),
     }
 
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_corrupted_value_is_reported(self, name, monkeypatch):
+    # the p = 5 cases again, after a clean sweep has filled the shared memo's
+    # p = 5 residues at every index they read (0..89): a stored residue
+    # must not answer for a value that is not the one the memo holds
+    WARM = ["digitset-p2-5", "digitset-p2-5-unwitnessed", "gessel-p2", "lucas-p", "p3-suite-5"]
+
+    @pytest.mark.parametrize(
+        "name, warm",
+        [(name, False) for name in sorted(CASES)] + [(name, True) for name in WARM],
+        ids=[*sorted(CASES), *(f"{name}-warm" for name in WARM)],
+    )
+    def test_corrupted_value_is_reported(self, name, warm, monkeypatch):
+        if warm:
+            assert verify_lucas_mod_p(5, (-18, 17)).passed
+
         def corrupted(n, cache=None):
             return apery_fast(n, cache) + (n in (17, -18))
 
@@ -496,6 +508,34 @@ class TestReadOnce:
         assert set(counts) == set(reference_counts)
         assert max(reference_counts.values()) > 1  # the range does repeat reads
 
+    def test_one_reduction_per_prime_and_index(self, monkeypatch):
+        # four theorem ids at p = 5 over overlapping ranges on one memo whose
+        # values count their reductions: each held value is reduced once,
+        # however many sweeps and moduli (5, 25, 125) read it.  A(0) and A(1)
+        # are the memo's own ints, so only k >= 2 is counted
+        reductions = Counter()
+
+        class Counted(int):
+            def __mod__(self, m):
+                reductions[self.k] += 1
+                return int(self) % m
+
+        values = {k: Counted(apery_fast(k)) for k in range(2, 60)}
+        for k, value in values.items():
+            value.k = k
+        cache = AperyCache(values)
+        read = Counter()
+        monkeypatch.setattr(apery.congruences, "apery_fast", _counting(read))
+        reports = [
+            verify_lucas_mod_p(5, (-6, 5), cache),
+            verify_gessel_mod_p2(5, (-3, 8), cache),
+            verify_mod_p3_suite(5, (-8, 3), cache),
+            verify_digit_set_lucas(5, (-5, 5), cache),
+        ]
+        assert all(r.passed for r in reports) and max(read) < 60
+        assert reductions == Counter(k for k in read if k >= 2)
+        assert max(read.values()) > 1  # the sweeps do read indices in common
+
 
 class TestSameReport:
     # the four sweep families against the per-case loop, on seeded random
@@ -532,3 +572,14 @@ class TestSameReport:
             got = verify(p, n_range).to_dict()
             assert got == _reference_report(verify, p, n_range, monkeypatch).to_dict()
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", sorted(TestReadOnce.CASES))
+    def test_cold_and_warm_tables(self, name, monkeypatch):
+        # on a fresh memo the first sweep reduces every value it reads, the
+        # repeat of its range reads only stored residues, and the wider range
+        # reads some of each
+        verify, p = TestReadOnce.CASES[name]
+        cache = AperyCache()
+        for n_range in ((-6, 5), (-6, 5), (-11, 8)):
+            got = verify(p, n_range, cache).to_dict()
+            assert got == _reference_report(verify, p, n_range, monkeypatch).to_dict()

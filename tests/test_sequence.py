@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,19 @@ DERIV_HEAD = [
     Fraction(70543291),
     Fraction(67890874657, 35),
 ]
+
+
+def harmonic_deriv(n):
+    # A'(n) from its defining sum on one integer denominator L = lcm(1..2n),
+    # with H_j L as integers: the reference for the recurrence in apery_deriv
+    L = math.lcm(*range(1, 2 * n + 1))
+    HL = list(accumulate((L // i for i in range(1, 2 * n + 1)), initial=0))
+    total = 0
+    term = 1
+    for k in range(n + 1):
+        total += term * (HL[n + k] - HL[n - k])
+        term = term * (n - k) ** 2 * (n + k + 1) ** 2 // (k + 1) ** 4
+    return Fraction(2 * total, L)
 
 
 class TestApery:
@@ -118,6 +132,10 @@ class TestDerivative:
                 total += weight * (H[n + k] - H[n - k])
             assert apery_deriv(n) == 2 * total
 
+    def test_recurrence_matches_harmonic_sum(self):
+        for n in [*range(301), 450, 1000, 1801]:
+            assert apery_deriv(n) == harmonic_deriv(n), n
+
 
 class TestFastModPaths:
     def test_examples(self):
@@ -184,7 +202,7 @@ class TestFastModPaths:
         m = p * p
         exact = (
             [apery(d) % m for d in range(12)],
-            [rational_mod(apery_deriv(d), m).value for d in range(12)],
+            [rational_mod(harmonic_deriv(d), m).value for d in range(12)],
         )
         for digits in ([3, 5, 11, 0, 0, 2], [], [7], [0, 11]):
             n = sum(d * p**i for i, d in enumerate(digits))
@@ -200,7 +218,7 @@ class TestDigitTables:
         from apery.arith import primes_upto, rational_mod
 
         exact = [apery(d) for d in range(113)]
-        derivs = [apery_deriv(d) for d in range(113)]
+        derivs = [harmonic_deriv(d) for d in range(113)]
         for p in primes_upto(113):
             m = p * p
             assert mod_p_table(p) == [a % p for a in exact[:p]]
