@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -296,19 +297,10 @@ def _residual_check(label: str, residual: float, tol: float | None, asserted=Tru
     }
 
 
-_SWEEPS = {
-    "lucas-p": verify_lucas_mod_p,
-    "gessel-p2": verify_gessel_mod_p2,
-    "p3-suite": verify_mod_p3_suite,
-    "digitset-p2": verify_digit_set_lucas,
-}
-
-
-def _verify_congruence(args, cfg) -> dict:
+def _verify_congruence(sweep, args, cfg) -> dict:
     if args.p is None:
         raise ValueError(f"verify {args.theorem} needs --p")
     default = (-args.p, args.p) if args.theorem == "digitset-p2" else (-10, 10)
-    sweep = _SWEEPS[args.theorem]
     return sweep(args.p, args.n or default, _open_cache(cfg)).to_dict()
 
 
@@ -424,10 +416,10 @@ def _verify_wolstenholme(args, cfg) -> dict:
 
 # the verify theorem ids, in the order the help text lists them
 THEOREMS = {
-    "lucas-p": _verify_congruence,
-    "gessel-p2": _verify_congruence,
-    "p3-suite": _verify_congruence,
-    "digitset-p2": _verify_congruence,
+    "lucas-p": functools.partial(_verify_congruence, verify_lucas_mod_p),
+    "gessel-p2": functools.partial(_verify_congruence, verify_gessel_mod_p2),
+    "p3-suite": functools.partial(_verify_congruence, verify_mod_p3_suite),
+    "digitset-p2": functools.partial(_verify_congruence, verify_digit_set_lucas),
     "corollary": _verify_multi_digit,
     "lucas-p3": _verify_multi_digit,
     "taylor-identity": _verify_taylor_identity,

@@ -168,7 +168,7 @@ def mzv_partial(s: Sequence[int], N: int) -> Fraction:
 
 
 def _mzv_floats(
-    compositions: Sequence[Sequence[int]], N: int, extrapolate: bool = True
+    compositions: Sequence[Sequence[int]], N: int
 ) -> dict[Composition, float]:
     """mzv_float for several compositions at one truncation, keyed by
     composition.
@@ -189,7 +189,7 @@ def _mzv_floats(
             raise ValueError(f"first part must be >= 2 for convergence, got {s}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    top = 2 * N if extrapolate else N
+    top = 2 * N
     root: tuple[list, dict] = ([], {})  # (compositions with this suffix, children)
     for s in dict.fromkeys(comps):
         node = root
@@ -214,26 +214,22 @@ def _mzv_floats(
             tail = array("d", accumulate(steps, initial=0.0))
         for s in heads:
             terms = map(truediv, tail, power(s[0]))
-            if extrapolate:
-                half = sum(islice(terms, N))
-                values[s] = 2 * sum(terms, half) - half
-            else:
-                values[s] = sum(terms)
+            half = sum(islice(terms, N))
+            values[s] = 2 * sum(terms, half) - half
         stack.extend((child, tail, edge) for edge, child in children.items())
     return values
 
 
-def mzv_float(s: Sequence[int], N: int, extrapolate: bool = True) -> float:
+def mzv_float(s: Sequence[int], N: int) -> float:
     """Floating partial sum of zeta(s); needs s1 >= 2 to have a limit.
 
-    With extrapolate the one-step Richardson value 2 S(2N) - S(N) is
-    returned, cancelling the leading c/N tail that the slowest (s1 = 2)
-    modes leave behind.  Both sums come from one pass to 2N: S(N) is the
+    The one-step Richardson value 2 S(2N) - S(N) is returned, cancelling
+    the leading c/N tail that the slowest (s1 = 2) modes leave behind.  Both sums come from one pass to 2N: S(N) is the
     sum of its first N terms.  Several compositions at one truncation are
     cheaper together: see _mzv_floats, which this calls.
     """
     s = _validate_composition(s)
-    return _mzv_floats([s], N, extrapolate)[s]
+    return _mzv_floats([s], N)[s]
 
 
 def taylor_identity_holds(m: int, N: int) -> bool:

@@ -5,12 +5,14 @@ by the reflection A(n) = A(-1-n).  A'(n) is the harmonic-weighted variant
 2 sum_k C(n,k)^2 C(n+k,k)^2 (H_{n+k} - H_{n-k}), an exact rational.
 
 Besides the defining sums this module provides the three-term recurrence
-(with a shared memo cache, which also keeps each value's residue mod p^3
-for the congruence sweeps), A'(n) from the recurrence's derivative,
-O(log n) modular evaluation through the base-p digit congruences, and a
-memory-flat recurrence sweep for reducing A(n) at scattered large indices.  The digit tables A(d), A'(d) mod p and p^2 come
-from the recurrence and its derivative run modulo p or p^2, with no exact
-values; the exact routes stay as their oracles.  A p-adic digit DP gives
+(apery_fast, the one exact route, with a shared memo cache, which also keeps
+each value's residue mod p^3 for the congruence sweeps), A'(n) from the
+recurrence's derivative, O(log n) modular evaluation through the base-p
+digit congruences, and a memory-flat recurrence sweep for reducing A(n) at
+scattered large indices.  The digit table A(d) mod p comes from the
+inverse-free x/den pass of the recurrence modulo p, and A(d), A'(d) mod p^2
+from the recurrence and its derivative modulo p^2, with no exact values;
+the exact routes stay as their oracles.  A p-adic digit DP gives
 A(n) mod p^e, e <= 3, from Kummer's theorem and p-free factorials, with no
 recurrence and no digit theorem, in time linear in the digits of n.
 """
@@ -35,7 +37,6 @@ __all__ = [
     "apery_mod_p",
     "apery_mod_p2",
     "apery_mod_sweep",
-    "apery_via_recurrence",
     "mod_p2_tables",
     "mod_p_table",
     "shared_cache",
@@ -115,9 +116,10 @@ _ENTRY_MAX = 2**63 - 1  # the largest array('q') entry
 class AperyCache:
     """Thread-safe memo of exact A(n) values for n >= 0, with their residues.
 
-    Values are immutable once inserted, so lock-free reads are safe; writers
-    take a lock.  A contiguous high-water mark lets the recurrence restart
-    from the longest verified prefix instead of from zero.
+    Values are immutable once inserted, so lock-free reads are safe; writes
+    go through preload, under a lock (put is a one-record preload).  A
+    contiguous high-water mark lets apery_fast restart the recurrence from
+    the longest verified prefix instead of from zero.
 
     Beside the values the memo keeps one array('q') per prime p, filled by
     residue(): entry n holds A(n) mod p^3, or -1 while not reduced.  The
@@ -138,11 +140,7 @@ class AperyCache:
         return self._values.get(n)
 
     def put(self, n: int, value: int) -> None:
-        with self._lock:
-            existing = self._values.setdefault(n, value)
-            if existing != value:
-                raise ValueError(f"conflicting cache values at n={n}")
-            self._advance()
+        self.preload({n: value})
 
     def preload(self, values: Mapping[int, int]) -> None:
         with self._lock:
@@ -152,7 +150,8 @@ class AperyCache:
                 existing = self._values.setdefault(n, value)
                 if existing != value:
                     raise ValueError(f"conflicting cache values at n={n}")
-            self._advance()
+            while self._contiguous + 1 in self._values:
+                self._contiguous += 1
 
     def residue(self, n: int, value: int, p: int) -> int:
         """value mod p^3, where value was read as A(n) for n >= 0.
@@ -176,10 +175,6 @@ class AperyCache:
             r = table[n] = value % cube
         return r
 
-    def _advance(self) -> None:
-        while self._contiguous + 1 in self._values:
-            self._contiguous += 1
-
     def items(self) -> list[tuple[int, int]]:
         return sorted(self._values.items())
 
@@ -198,15 +193,18 @@ def shared_cache() -> AperyCache:
     return _SHARED_CACHE
 
 
-def apery_via_recurrence(n: int, cache: AperyCache | None = None) -> int:
-    """A(n) for n >= 0 from the holonomic three-term recurrence.
+def apery_fast(n: int, cache: AperyCache | None = None) -> int:
+    """A(n) for any integer n: the reflection A(n) = A(-1-n), then the
+    three-term recurrence from the memo's longest contiguous prefix.
 
-    Must agree with apery(n) everywhere; the test suite checks the two
-    routes against each other up to n = 2000.
+    Every value the recurrence makes is put in the memo (the process-wide
+    one when cache is None).  The test suite checks this route against
+    apery(n) up to n = 2000.
     """
     if n < 0:
-        raise ValueError(f"recurrence route requires n >= 0, got {n}")
-    cache = cache or _SHARED_CACHE
+        n = -1 - n
+    if cache is None:
+        cache = _SHARED_CACHE
     hit = cache.get(n)
     if hit is not None:
         return hit
@@ -220,13 +218,6 @@ def apery_via_recurrence(n: int, cache: AperyCache | None = None) -> int:
             cache.put(m, value)
         prev2, prev1 = prev1, value
     return prev1
-
-
-def apery_fast(n: int, cache: AperyCache | None = None) -> int:
-    """A(n) for any integer n: reflection plus the cached recurrence."""
-    if n < 0:
-        n = -1 - n
-    return apery_via_recurrence(n, cache)
 
 
 def apery_deriv(n: int) -> Fraction:
@@ -259,11 +250,9 @@ def apery_deriv(n: int) -> Fraction:
     return Fraction(s1, L)
 
 
-def _digit_tables(
-    p: int, derivs: bool, top: int | None = None
-) -> tuple[list[int], list[int]]:
-    """A(d) mod p or, when derivs is set, A(d) and A'(d) mod p^2, for
-    d = 0, ..., top and a prime p.
+def _digit_tables(p: int, top: int | None = None) -> tuple[list[int], list[int]]:
+    """A(d) and A'(d) mod p^2 for d = 0, ..., top and a prime p, which the
+    caller has checked.
 
     top defaults to p - 1, the full table; a caller that knows the largest
     base-p digit it will look up can stop there.
@@ -276,34 +265,37 @@ def _digit_tables(
     The second is the derivative of the functional equation at z = k, whose
     sin^2(pi z) term has zero derivative at integers.  At k = 1 the
     (k-1) factors drop A(-1), which gives A'(1) = 12.  For k < p, k^3 is a
-    unit mod p^2, so every step divides exactly.  The derivative table is []
-    when derivs is not set.
+    unit mod p^2, so every step divides exactly.
     """
-    _require_prime(p)
-    m = p * p if derivs else p
-    values, slopes = [1], [0] if derivs else []
+    m = p * p
+    values, slopes = [1], [0]
     a2, a1, s2, s1 = 0, 1, 0, 0  # A(k-2), A(k-1), A'(k-2), A'(k-1)
     for k in range(1, (p - 1 if top is None else top) + 1):
         inv = pow(k**3, -1, m)
         r, c = _r1(k), (k - 1) ** 3
         a = (r * a1 - c * a2) * inv % m
+        r_prime = 102 * k * k - 102 * k + 27
+        s = (
+            -3 * k * k * a + r_prime * a1 + r * s1
+            - 3 * (k - 1) ** 2 * a2 - c * s2
+        ) * inv % m
         values.append(a)
-        if derivs:
-            r_prime = 102 * k * k - 102 * k + 27
-            s = (
-                -3 * k * k * a + r_prime * a1 + r * s1
-                - 3 * (k - 1) ** 2 * a2 - c * s2
-            ) * inv % m
-            slopes.append(s)
-            s2, s1 = s1, s
-        a2, a1 = a1, a
+        slopes.append(s)
+        a2, a1, s2, s1 = a1, a, s1, s
     return values, slopes
 
 
+def _mod_p_digits(p: int, top: int) -> list[int]:
+    """A(d) mod p for d = 0, ..., top < p, from the x/den pass
+    (_recurrence_mod): den is a product of cubes of k < p, a unit mod p."""
+    return [x * pow(den, -1, p) % p for x, den in _recurrence_mod(p, top)]
+
+
 def mod_p_table(p: int) -> list[int]:
-    """A(0), ..., A(p-1) reduced mod p, for a prime p, by the recurrence
-    modulo p."""
-    return _digit_tables(p, derivs=False)[0]
+    """A(0), ..., A(p-1) reduced mod p, for a prime p, from one pass of the
+    recurrence modulo p that takes one inverse per entry."""
+    _require_prime(p)
+    return _mod_p_digits(p, p - 1)
 
 
 def mod_p2_tables(p: int, cache: AperyCache | None = None) -> tuple[list[int], list[int]]:
@@ -314,7 +306,8 @@ def mod_p2_tables(p: int, cache: AperyCache | None = None) -> tuple[list[int], l
     a unit mod p for every d < p, that recurrence also shows that A'(d) is
     p-integral there, so the derivative table is always well defined.
     """
-    return _digit_tables(p, derivs=True)
+    _require_prime(p)
+    return _digit_tables(p)
 
 
 def apery_mod_p(n: int, p: int, table: list[int] | None = None) -> Residue:
@@ -328,7 +321,7 @@ def apery_mod_p(n: int, p: int, table: list[int] | None = None) -> Residue:
         raise ValueError(f"apery_mod_p requires n >= 0, got {n}")
     _require_prime(p)
     if table is None:
-        table = _digit_tables(p, False, max(_digits(n, p), default=0))[0]
+        table = _mod_p_digits(p, max(_digits(n, p), default=0))
     result = 1
     while n > 0:
         n, d = divmod(n, p)
@@ -349,7 +342,7 @@ def apery_mod_p2(
         raise ValueError(f"apery_mod_p2 requires n >= 0, got {n}")
     _require_prime(p)
     if tables is None:
-        tables = _digit_tables(p, True, max(_digits(n, p), default=0))
+        tables = _digit_tables(p, max(_digits(n, p), default=0))
     values, derivs = tables
     m = p * p
     result = 1

@@ -24,7 +24,6 @@ from apery.sequence import (
     apery_fast,
     apery_mod_p2,
     apery_mod_sweep,
-    apery_via_recurrence,
     mod_p2_tables,
     shared_cache,
 )
@@ -74,7 +73,7 @@ def test_01_sequence_fidelity():
 def test_02_dual_method_equivalence():
     t0 = time.time()
     cache = shared_cache()
-    ok = all(apery(n) == apery_via_recurrence(n, cache) for n in range(2001))
+    ok = all(apery(n) == apery_fast(n, cache) for n in range(2001))
     report("2 dual-method", ok, t0, 60)
 
 
@@ -272,7 +271,7 @@ def test_13_cache_round_trip_budget(tmp_path):
     from apery.sequence import AperyCache
 
     cache = AperyCache()
-    apery_via_recurrence(8800, cache)
+    apery_fast(8800, cache)
     values = {n: cache.get(n) for n in range(8000, 8801)}
     path = tmp_path / "values.cache"
     t0 = time.time()
@@ -287,7 +286,7 @@ def test_14_digit_set_scan_budget():
     from apery.sequence import AperyCache
 
     cache = AperyCache()
-    exact = [apery_via_recurrence(d, cache) for d in range(4999)]
+    exact = [apery_fast(d, cache) for d in range(4999)]
     want = {
         p: tuple(d for d in range(p) if (exact[d] - exact[p - 1 - d]) % (p * p) == 0)
         for p in (4999, 4993)

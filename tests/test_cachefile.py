@@ -75,9 +75,9 @@ def test_v1_file_loads_same_values(tmp_path):
 )
 def test_digit_cap_lifted_only_for_v1(tmp_path):
     # A(3000) has ~4600 decimal digits, past the default cap of 4300
-    from apery.sequence import AperyCache, apery_via_recurrence
+    from apery.sequence import AperyCache, apery_fast
 
-    values = {0: 1, 1: 5, 3000: apery_via_recurrence(3000, AperyCache())}
+    values = {0: 1, 1: 5, 3000: apery_fast(3000, AperyCache())}
     v1, v2 = tmp_path / "v1.cache", tmp_path / "v2.cache"
     saved = sys.get_int_max_str_digits()
     try:
@@ -230,10 +230,10 @@ def test_store_rejects_bools_before_opening(tmp_path, monkeypatch, values):
 
 def test_round_trip_beyond_interpreter_digit_cap(tmp_path):
     # A(3000) has ~4600 decimal digits, past the default int/str cap
-    from apery.sequence import AperyCache, apery_via_recurrence
+    from apery.sequence import AperyCache, apery_fast
 
     path = tmp_path / "values.cache"
-    big = apery_via_recurrence(3000, AperyCache())
+    big = apery_fast(3000, AperyCache())
     values = {0: 1, 1: 5, 3000: big}
     cache_store(path, values)
     assert cache_load(path) == values

@@ -1,18 +1,21 @@
 """Command line behavior: outputs, formats, exit codes, and report schema."""
 
+import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from apery.cli import main, parse_range
+from apery.cli import _EVAL_VALUE_FLAGS, build_parser, main, parse_range
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "schema" / "report.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+
+SCHEMA = json.loads((ROOT / "schema" / "report.schema.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -289,6 +292,21 @@ class TestEvalCommand:
         want = run_cli(capsys, *joined)
         assert want[0] == 0 and want[1]
         assert run_cli(capsys, *argv) == want
+
+    def test_value_flags_match_the_parser(self):
+        # the point search skips the token after each of these; an eval
+        # option that takes a value and is missing here would be read as
+        # the point's neighbour
+        (subparsers,) = (
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        taking = {
+            flag
+            for action in subparsers.choices["eval"]._actions
+            if action.nargs != 0
+            for flag in action.option_strings
+        }
+        assert set(_EVAL_VALUE_FLAGS) == taking
 
     def test_negative_terms_stay_the_terms_value(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--terms", "-5", "0.5")
@@ -712,3 +730,22 @@ def test_help_exits_zero(capsys):
     assert code == 0
     for sub in ("apery", "aperyd", "digits", "verify", "taylor", "eval", "cache"):
         assert sub in out
+
+
+def run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "apery", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_module_entry_point():
+    done = run_module("apery", "3")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1445\n", "")
+
+
+def test_module_entry_point_input_error():
+    done = run_module("verify", "lucas-p", "--p", "4")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apery.congruences import verify_lucas_mod_p
 from apery.sequence import (
     AperyCache,
     _apery_mod_pk,
@@ -19,7 +20,6 @@ from apery.sequence import (
     apery_mod_p,
     apery_mod_p2,
     apery_mod_sweep,
-    apery_via_recurrence,
     mod_p2_tables,
     mod_p_table,
 )
@@ -64,18 +64,14 @@ class TestApery:
             assert apery(n) == apery(-1 - n)
 
     def test_recurrence_route(self):
-        assert apery_via_recurrence(0) == 1
-        assert apery_via_recurrence(2) == 73
-        assert apery_via_recurrence(7) == 584307365
+        assert apery_fast(0) == 1
+        assert apery_fast(2) == 73
+        assert apery_fast(7) == 584307365
 
     def test_recurrence_agrees_with_sum(self):
         cache = AperyCache()
         for n in range(300):
-            assert apery_via_recurrence(n, cache) == apery(n)
-
-    def test_recurrence_rejects_negative(self):
-        with pytest.raises(ValueError):
-            apery_via_recurrence(-1)
+            assert apery_fast(n, cache) == apery(n)
 
     def test_fast_route_on_z(self):
         cache = AperyCache()
@@ -88,24 +84,41 @@ class TestCache:
         cache = AperyCache({0: 1, 1: 5, 2: 73})
         assert cache.get(2) == 73
         assert 2 in cache and 3 not in cache
-        assert apery_via_recurrence(4, cache) == 33001
+        assert apery_fast(4, cache) == 33001
 
     def test_conflicting_value_rejected(self):
         cache = AperyCache()
         with pytest.raises(ValueError):
             cache.preload({1: 6})  # disagrees with the seeded A(1)
-        apery_via_recurrence(2, cache)
+        apery_fast(2, cache)
         with pytest.raises(ValueError):
             cache.put(2, 74)
 
     def test_sparse_preload(self):
         cache = AperyCache({10: apery(10)})
-        assert apery_via_recurrence(12, cache) == apery(12)
+        assert apery_fast(12, cache) == apery(12)
 
     def test_items_sorted(self):
         cache = AperyCache()
-        apery_via_recurrence(5, cache)
+        apery_fast(5, cache)
         assert [n for n, _ in cache.items()] == list(range(6))
+
+    def test_put_rejects_negative_key(self):
+        # put is a one-record preload, with preload's key check
+        with pytest.raises(ValueError, match="cache keys must be >= 0"):
+            AperyCache().put(-1, 1)
+
+    def test_memo_is_picked_without_its_length(self):
+        # a passed memo is used as it is; no route asks for its size, which
+        # "cache or shared" would
+        class Sizeless(AperyCache):
+            def __len__(self):
+                raise AssertionError("len() of the memo was taken")
+
+        cache = Sizeless()
+        assert apery_fast(-13, cache) == apery(12)
+        assert 12 in cache
+        assert verify_lucas_mod_p(5, (-4, 4), cache).passed
 
 
 class TestDerivative:
