@@ -43,12 +43,6 @@ class CacheError(ValueError):
         self.line = line
 
 
-def _unlimited_decimals() -> None:
-    # version 1 records can be far longer than the interpreter's int/str cap
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-
-
 def _is_count(x: object) -> bool:
     # bool is an int subclass, but True would be written as "True" or "1"
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
@@ -133,30 +127,37 @@ def cache_load(path: str | os.PathLike, verify: bool = True) -> dict[int, int]:
         idx = next(i for i, line in enumerate(text, start=1) if not line.isascii())
         raise CacheError("non-ASCII byte", line=idx)
     version = _parse_header(text[0])
-    if version == 1:
-        _unlimited_decimals()
     values: dict[int, int] = {}
-    lines: dict[int, int] = {}
     previous = -1
-    for idx, line in enumerate(text[1:], start=2):
-        if line == "":
-            raise CacheError("blank record", line=idx)
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise CacheError("expected 'n<TAB>value'", line=idx)
-        record = _parse_record(version, *fields)
-        if record is None:
-            raise CacheError("non-integer record", line=idx)
-        n, value = record
-        if n <= previous:
-            raise CacheError(f"n={n} is not strictly increasing", line=idx)
-        if n < 0:
-            raise CacheError(f"negative index n={n}", line=idx)
-        previous = n
-        values[n] = value
-        lines[n] = idx
+    # version 1 records can be far longer than the interpreter's int/str digit
+    # cap (0 is none, and Python < 3.10.7 has none): lift it while they are
+    # parsed, then restore the caller's
+    cap = 0
+    if version == 1 and hasattr(sys, "set_int_max_str_digits"):
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        for idx, line in enumerate(text[1:], start=2):
+            if line == "":
+                raise CacheError("blank record", line=idx)
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise CacheError("expected 'n<TAB>value'", line=idx)
+            record = _parse_record(version, *fields)
+            if record is None:
+                raise CacheError("non-integer record", line=idx)
+            n, value = record
+            if n <= previous:
+                raise CacheError(f"n={n} is not strictly increasing", line=idx)
+            if n < 0:
+                raise CacheError(f"negative index n={n}", line=idx)
+            previous = n
+            values[n] = value
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
     if verify:
         bad = _wrong_record(values)
-        if bad is not None:
-            raise CacheError(f"record for n={bad} is wrong", line=lines[bad])
+        if bad is not None:  # record i, counted from 0, is on line i + 2
+            raise CacheError(f"record for n={bad} is wrong", line=list(values).index(bad) + 2)
     return values

@@ -23,15 +23,15 @@ their squares, and D(p) is tested on its definition, A(d) = A(p-1-d) mod p^2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import Residue, _require_prime, primes_upto
 from .sequence import (
+    _DP_START,
     AperyCache,
-    _apery_mod_pk,
+    _dp_step,
     _recurrence_mod,
     apery_fast,
     mod_p2_tables,
@@ -381,10 +381,10 @@ def verify_multi_digit(
         f = {0: 1, c: A(c), p-1: 1}, m = p^2.
     law="unit": alphabet within {0, p-1} for p >= 5; f = 1, m = p^3.
 
-    The left side A(n) mod m comes from the p-adic digit DP
-    (_apery_mod_pk), which uses neither the recurrence nor a digit theorem;
-    the factors f(d) come from the digit tables, built by the recurrence
-    modulo p^2, so the two sides take independent routes.
+    The left side A(n) mod m comes from the p-adic digit DP, one _dp_step
+    per node of the digit tree, which uses neither the recurrence nor a
+    digit theorem; the factors f(d) come from the digit tables, built by the
+    recurrence modulo p^2, so the two sides take independent routes.
     """
     _require_prime(p)
     alphabet = sorted(set(alphabet))
@@ -415,19 +415,20 @@ def verify_multi_digit(
         factor = dict.fromkeys(alphabet, 1)
     else:
         raise ValueError(f"unknown law {law!r}")
-    e = 3 if law == "unit" else 2
-    modulus = p**e
+    modulus = p**3 if law == "unit" else p * p
 
     report = CongruenceReport(
         f"multi-digit-{law}",
         {"p": p, "alphabet": list(alphabet), "depth": depth, "modulus": str(modulus)},
     )
-    # most significant digit first, so n runs once each and ascending
-    for digits in itertools.product(alphabet, repeat=depth):
-        n = 0
-        for d in digits:
-            n = n * p + d
-        rhs = math.prod(factor[d] for d in digits) % modulus
-        if case := _case(report, None, n, p, _apery_mod_pk(n, p, e), rhs, modulus):
+    # depth first, smaller digit first, so the leaves (the n) come out
+    # ascending; each node takes one DP step and one factor from its parent
+    stack = [(0, 0, _DP_START, 1)]  # (digits read, n, DP state, right side)
+    while stack:
+        level, n, state, rhs = stack.pop()
+        if level < depth:
+            stack.extend((level + 1, n * p + d, _dp_step(state, n % (p * p), p, d),
+                          rhs * factor[d] % modulus) for d in reversed(alphabet))
+        elif case := _case(report, None, n, p, state[0] % modulus, rhs, modulus):
             report.counterexamples.append(case)
     return report

@@ -189,20 +189,21 @@ def functional_equation_residual(z: complex, terms: int = 100_000) -> float:
     where they are below 1 the residual is the absolute one.  Exactly zero
     at integer z up to series termination, since the sine factor vanishes
     there and the equation reduces to the integer recurrence.  Raises
-    OverflowError when the residual or the terms' size is not a finite
+    OverflowError when z^3, the residual or the terms' size is not a finite
     double: A(z) can be finite where z^3 A(z) is not.
     """
     z = complex(z)
-    parts = (
-        z**3 * apery_eval(z, terms).value,
-        -(34 * z**3 - 51 * z**2 + 27 * z - 5) * apery_eval(z - 1, terms).value,
-        (z - 1) ** 3 * apery_eval(z - 2, terms).value,
-    )
+    overflow = OverflowError(f"the functional equation overflows a double at z={z}")
+    try:  # a complex power raises on overflow, beyond |z| of about 5.6e102
+        weights = (z**3, -(34 * z**3 - 51 * z**2 + 27 * z - 5), (z - 1) ** 3)
+    except OverflowError:
+        raise overflow from None
+    parts = [c * apery_eval(z - j, terms).value for j, c in enumerate(weights)]
     rhs = 8 / math.pi**2 * (2 * z - 1) * cmath.sin(cmath.pi * z) ** 2
     residual = abs(parts[0] + parts[1] + parts[2] - rhs)
     scale = max(1.0, sum(map(abs, parts)))
     if not (math.isfinite(residual) and math.isfinite(scale)):
-        raise OverflowError(f"the functional equation overflows a double at z={z}")
+        raise overflow
     return residual / scale
 
 

@@ -382,9 +382,7 @@ def apery_mod_sweep(targets: Iterable[int], modulus: int) -> dict[int, int]:
 @functools.lru_cache(maxsize=16)
 def _unit_tables(p: int) -> tuple[tuple[int, ...], ...]:
     """s! and 1/s! modulo p^3, and H_s and H2_s = sum_{j<=s} 1/j^2 as sums
-    of residues mod p^3 (unreduced), for s < p.  The prime check of
-    _apery_mod_pk lives here, so it runs once per cached p."""
-    _require_prime(p)
+    of residues mod p^3 (unreduced), for s < p; p must be prime."""
     m = p**3
     fact = [1] * p
     for j in range(1, p):
@@ -399,9 +397,9 @@ def _unit_tables(p: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _digit_sums(p: int, t: int, low: bool) -> tuple[int, ...]:
-    """The sums over k-digits b that _apery_mod_pk reads at a digit t of n,
-    modulo p^3, in the order of its state update; low keeps the first four."""
+def _digit_sums(p: int, t: int) -> tuple[int, ...]:
+    """The fourteen sums over k-digits b that _dp_step reads at a digit t of
+    n, modulo p^3, in its order; s0 mod p^2 and s1 mod p read the first four."""
     fact, inv, harm, harm2 = _unit_tables(p)
     m = p**3
 
@@ -413,36 +411,29 @@ def _digit_sums(p: int, t: int, low: bool) -> tuple[int, ...]:
         a, c = t + b, t - b
         x = w(a, b, c)
         h1, h2 = harm[a] - harm[c], harm[a] - 2 * harm[b] + harm[c]
-        row = [x, x * h1, x * h2, x * b]
-        if not low:
-            g, g2 = harm2[c] - harm2[a], harm2[a] + harm2[c]
-            row += [x * b * h1, x * b * h2, x * b * b, x * (2 * h1 * h1 + g),
-                    x * (4 * h1 * h2 - 2 * g2), x * (2 * h2 * h2 + g + 2 * harm2[b])]
-        rows.append(row)
-    sums = tuple(sum(column) % m for column in zip(*rows))
-    if low:
-        return sums
-    return (*sums,
+        g, g2 = harm2[c] - harm2[a], harm2[a] + harm2[c]
+        rows.append([x, x * h1, x * h2, x * b, x * b * h1, x * b * h2, x * b * b,
+                     x * (2 * h1 * h1 + g), x * (4 * h1 * h2 - 2 * g2),
+                     x * (2 * h2 * h2 + g + 2 * harm2[b])])
+    return (*(sum(column) % m for column in zip(*rows)),
             sum(w(t + b, b, t - b + p) for b in range(t + 1, p - t)),  # one borrow
             sum(w(t + b - p, b, t - b) for b in range(p - t, t + 1)),  # one carry
             sum(w(t + b, b, t - b - 1) for b in range(min(t, p - t))),  # borrow in
             sum(w(t + b + 1, b, t - b) for b in range(min(t + 1, p - 1 - t))))  # carry in
 
 
-@functools.lru_cache(maxsize=4096)
-def _dp_state(n: int, p: int, low: bool) -> tuple[int, ...]:
-    """The _apery_mod_pk state after the digits of n >= 0, cached per prefix."""
-    if not n:
-        return (1, 0) if low else (1, 0, 0, 0, 1)
-    q, t = divmod(n, p)
-    big, m = q % (p * p), p * p
-    if low:
-        w, wh1, wh2, wb = _digit_sums(p, t, True)
-        s0, s1 = _dp_state(q, p, True)
-        return (w * s0 + 2 * p * (big * wh1 * s0 + wh2 * s1)) % m, wb * s0 % p
+# the state after no digits, that of n = 0
+_DP_START = (1, 0, 0, 0, 1)
+
+
+def _dp_step(state: tuple[int, ...], big: int, p: int, t: int) -> tuple[int, ...]:
+    """The _apery_mod_pk state after the digits of n = t + pN, from the state
+    after the digits of N >= 0; big = N mod p^2.  A leading zero leaves
+    _DP_START as it is."""
     (w, wh1, wh2, wb, wbh1, wbh2, wb2, c20, c11, c02,
-     borrow, carry, borrow_in, carry_in) = _digit_sums(p, t, False)
-    s0, s1, s2, sb, sc = _dp_state(q, p, False)
+     borrow, carry, borrow_in, carry_in) = _digit_sums(p, t)
+    s0, s1, s2, sb, sc = state
+    m = p * p
     carried = big * (big * c20 * s0 + c11 * s1) + c02 * s2 + borrow * sb + carry * sc
     return ((w * s0 + 2 * p * (big * wh1 * s0 + wh2 * s1) + m * carried) % (m * p),
             (wb * s0 + p * (w * s1 + 2 * big * wbh1 * s0 + 2 * wbh2 * s1)) % m,
@@ -463,17 +454,17 @@ def _apery_mod_pk(n: int, p: int, e: int) -> int:
     unit mod p, and more leave 0.  So the state after the digits of N is
     s0 = sum_K f mod p^3, s1 = sum_K K f mod p^2, s2 = sum_K K^2 f mod p and
     two sums mod p for a borrow or a carry coming into N's lowest digit;
-    the digits of n are read from the most significant, and A(n) = s0.  For
-    e <= 2 only s0 mod p^2 and s1 mod p are kept; because f is a square,
-    they stay exact at p = 2 and 3.  README (design notes) has the method.
+    _dp_step reads the digits of n from the most significant; A(n) = s0.
+    For e <= 2 only s0 mod p^2 and s1 mod p are read, exact at every prime
+    because f is a square.  README (design notes) has the method.
     """
     if e not in (1, 2, 3) or (e == 3 and p < 5):
         raise ValueError(f"need e in (1, 2, 3), and p >= 5 for e = 3; got p={p}, e={e}")
-    _unit_tables(p)  # the prime check
+    _require_prime(p)
     if n < 0:
         n = -1 - n
-    # a bound on the digit count; prefixes every 400 digits keep the recursion shallow
-    top = n.bit_length() // max(p.bit_length() - 1, 1)
-    for shift in range(top - top % 400, 0, -400):
-        _dp_state(n // p**shift, p, e < 3)
-    return _dp_state(n, p, e < 3)[0] % p**e
+    state, big, m = _DP_START, 0, p * p
+    for t in reversed(_digits(n, p)):
+        state = _dp_step(state, big, p, t)
+        big = (big * p + t) % m
+    return state[0] % p**e

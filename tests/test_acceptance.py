@@ -391,3 +391,25 @@ def test_19_residue_table_memory():
         cache.residue(k, held[k], p) == held[k] % p**3 for p in primes for k in (0, 1, 57, top)
     )
     report("19 residue-table-memory", ok, t0, 5, f" {size:.2f} MiB / {budget_mib} MiB")
+
+
+def test_20_padic_dp_leaves_no_prefix_states():
+    # A(n) mod 101^2 from the p-adic digit DP at n = 10^20000 + 12345, about
+    # 10^4 base-101 digits, checked against the Gessel digit route.  The DP
+    # keeps one state at a time: 0.08 MiB stays traced, the digit sums of
+    # p = 101, in 1.0 s traced on 2 vCPUs (0.1 s untraced).  A cache of one
+    # state per prefix of n kept 28.55 MiB of big-int keys alive
+    from apery.sequence import _apery_mod_pk
+
+    budget_mib = 1
+    n = 10**20000 + 12345
+    expected = apery_mod_p2(n, 101).value
+    tracemalloc.start()
+    try:
+        t0 = time.time()
+        value = _apery_mod_pk(n, 101, 2)
+        size = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    ok = size < budget_mib and value == expected
+    report("20 padic-dp-memory", ok, t0, 3, f" {size:.2f} MiB / {budget_mib} MiB")

@@ -88,6 +88,7 @@ def test_digit_cap_lifted_only_for_v1(tmp_path):
         assert cache_load(v2) == values
         assert sys.get_int_max_str_digits() == 4300
         assert cache_load(v1) == values
+        assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(saved)
 

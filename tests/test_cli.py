@@ -344,6 +344,10 @@ class TestNonFiniteInput:
                 ["verify", "functional-eq", "--z", "200", "--terms", "1000", "--format", "json"],
                 "overflows a double",
             ),
+            (
+                ["verify", "functional-eq", "--z", "1e308"],
+                "functional equation overflows a double at z=(1e+308+0j)",
+            ),
         ],
         ids=[
             "eval-inf",
@@ -361,6 +365,7 @@ class TestNonFiniteInput:
             "eval-tail-overflow-json",
             "functional-eq-overflow",
             "functional-eq-overflow-json",
+            "functional-eq-cube-overflow",
         ],
     )
     def test_exits_2(self, capsys, argv, message):

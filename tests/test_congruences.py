@@ -296,19 +296,56 @@ class TestMultiDigit:
             assert apery_fast(n) % 125 == 1
 
     def test_unit_law_reports_wrong_evaluator_value(self, monkeypatch):
-        real = apery.congruences._apery_mod_pk
+        real = apery.congruences._dp_step
 
-        # 300 is 606 in base 7, one of the eight n the law checks
-        def wrong_at_300(n, p, e):
-            return (real(n, p, e) + (n == 300)) % p**e
+        # 300 is 606 in base 7, one of the eight n the law checks: the step
+        # that reads its last digit 6 after the prefix 60 = 42
+        def wrong_at_300(state, big, p, t):
+            s0, *rest = real(state, big, p, t)
+            return ((s0 + (big == 42 and t == 6)) % p**3, *rest)
 
-        monkeypatch.setattr(apery.congruences, "_apery_mod_pk", wrong_at_300)
+        monkeypatch.setattr(apery.congruences, "_dp_step", wrong_at_300)
         report = verify_multi_digit(7, {0, 6}, 3, "unit")
         assert report.checked == 8
         assert [(c.d, c.n, c.lhs.value, c.rhs.value) for c in report.counterexamples] == [
             (None, 300, 2, 1)
         ]
         jsonschema.validate(report.to_dict(), SCHEMA)
+
+    # at p = 2 and 3 only s0 mod p^2 of the DP state is meaningful
+    def test_product_law_base2(self):
+        report = verify_multi_digit(2, {0, 1}, 8, "product")
+        assert report.passed
+        assert report.checked == 2**8
+
+    def test_power_law_base3(self):
+        report = verify_multi_digit(3, {0, 1, 2}, 5, "power")
+        assert report.passed
+        assert report.checked == 3**5
+
+    def test_power_law_base3_fails_on_wrong_table(self, monkeypatch):
+        _bump_digit_table(monkeypatch, 3, 1)
+        report = verify_multi_digit(3, {0, 1, 2}, 5, "power")
+        assert not report.passed
+        assert report.counterexamples[0].n == 1
+
+    def test_one_dp_step_per_tree_node(self, monkeypatch):
+        real = apery.congruences._dp_step
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        def forbidden(*args):
+            raise AssertionError("the walk must not evaluate n from scratch")
+
+        assert not hasattr(apery.congruences, "_apery_mod_pk")
+        monkeypatch.setattr(apery.congruences, "_dp_step", counted)
+        monkeypatch.setattr(apery.sequence, "_apery_mod_pk", forbidden)
+        report = verify_multi_digit(7, {0, 3, 6}, 4, "power")
+        assert report.passed and report.checked == 81
+        assert len(calls) == 3 + 9 + 27 + 81
 
 
 class TestFastPathConsistency:

@@ -302,6 +302,12 @@ class TestOverflow:
         with pytest.raises(OverflowError):
             functional_equation_residual(200, 1000)
 
+    def test_residual_names_z_where_z_cubed_overflows(self):
+        # beyond |z| of about 5.6e102 the complex power z^3 itself raises
+        for z in (1e308, -1e200, 1e200j):
+            with pytest.raises(OverflowError, match=r"functional equation overflows .* at z="):
+                functional_equation_residual(z, 1000)
+
 
 class TestDerivativeConsistency:
     def test_centered_difference_converges_quadratically(self):
