@@ -62,12 +62,28 @@ def _require_prime(p: int) -> None:
 
 
 def _digits(n: int, p: int) -> list[int]:
-    """The base-p digits of n >= 0, least significant first ([] for 0)."""
-    digits = []
-    while n:
-        n, d = divmod(n, p)
-        digits.append(d)
-    return digits
+    """The base-p digits of n >= 0, least significant first ([] for 0).
+
+    Divide and conquer: with P = p^(2^k) the largest power of that form
+    <= n, n = hi P + lo.  lo < P gives exactly 2^k digits, leading zeros
+    kept, by splitting it by p^(2^(k-1)) and so on down; hi < P gives the
+    rest.  Each division cuts a number into halves, where peeling one digit
+    per divmod of the whole remaining n is quadratic in the length of n.
+    """
+    if n < p:
+        return [n] if n else []
+    powers = [p]  # powers[k] = p^(2^k)
+    while powers[-1] ** 2 <= n:
+        powers.append(powers[-1] ** 2)
+
+    def fill(n: int, k: int) -> list[int]:  # the 2^k digits of n < p^(2^k)
+        if k == 0:
+            return [n]
+        hi, lo = divmod(n, powers[k - 1])
+        return fill(lo, k - 1) + fill(hi, k - 1)
+
+    hi, lo = divmod(n, powers[-1])
+    return fill(lo, len(powers) - 1) + _digits(hi, p)
 
 
 def primes_upto(limit: int) -> list[int]:

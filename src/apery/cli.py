@@ -4,9 +4,12 @@ Subcommands: apery, aperyd, digits, verify, taylor, eval, cache.
 Exit codes: 0 everything checked out, 1 a verification found a claim false
 or inconclusive, 2 usage or input error.
 
-Each `_cmd_*` handler returns (exit code, payload, text) and prints nothing;
-`main` prints `json.dumps(payload, sort_keys=True)` under `--format json`,
-else the text unless it is None.  Only `_cmd_digits` reads the format (csv).
+Each `_cmd_*` handler takes the parsed `args` alone, returns (exit code,
+payload, text) and prints nothing; `_run_config` has already filled in
+`args.format` and `args.cache`.  `main` prints `json.dumps(payload,
+sort_keys=True)` under `--format json`, else the text unless it is None.
+Only `_cmd_digits` reads the format (csv).  A token that reads as a number
+or as LO..HI is a value wherever it stands, negative or not (`_Parser`).
 
 Big integers are serialized as decimal strings and rationals as "num/den";
 residues always carry their modulus.  Reports emitted by `verify` follow
@@ -23,7 +26,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
@@ -71,18 +73,6 @@ CACHE_ENV = "APERY_CACHE"
 CONFIG_ENV = "APERY_CONFIG"
 
 
-@dataclass
-class RunConfig:
-    """Cross-cutting options, merged from config file, environment, flags."""
-
-    format: str = "plain"
-    cache_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.format not in ("plain", "json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
@@ -93,30 +83,29 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
+def _run_config(args: argparse.Namespace) -> None:
+    """Fill in args.format and args.cache: the flag, else $APERY_CACHE (the
+    cache path only), else the config file, else the default."""
     # an explicit empty --config or --cache means none, not the default
-    config_path = getattr(args, "config", None)
+    config_path = args.config
     if config_path is None:
         config_path = os.environ.get(CONFIG_ENV)
     config = _load_config_file(config_path)
-    cache_path = getattr(args, "cache", None)
-    if cache_path is None:
-        cache_path = os.environ.get(CACHE_ENV) or config.get("cache")
-        if not isinstance(cache_path, (str, type(None))):
+    if args.cache is None:
+        args.cache = os.environ.get(CACHE_ENV) or config.get("cache")
+        if not isinstance(args.cache, (str, type(None))):
             raise ValueError("config key 'cache' must be a path string")
-    cfg = RunConfig(
-        format=getattr(args, "format", None) or config.get("format", "plain"),
-        cache_path=cache_path,
-    )
+    args.format = args.format or config.get("format", "plain")
+    if args.format not in ("plain", "json", "csv"):
+        raise ValueError(f"unknown format {args.format!r}")
     # --workers is accepted and ignored (scans run serially), but not 0
     if args.workers is not None and args.workers < 1:
         raise ValueError("workers must be >= 1")
-    return cfg
 
 
-def _open_cache(cfg: RunConfig) -> AperyCache:
-    if cfg.cache_path and os.path.exists(cfg.cache_path):
-        return AperyCache(cache_load(cfg.cache_path))
+def _open_cache(args: argparse.Namespace) -> AperyCache:
+    if args.cache and os.path.exists(args.cache):
+        return AperyCache(cache_load(args.cache))
     return AperyCache()
 
 
@@ -153,17 +142,18 @@ def _fraction_str(q: Fraction) -> str:
 Result = tuple[int, dict, "str | None"]
 
 
-def _cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def _cmd_apery(args: argparse.Namespace) -> Result:
     if args.mod is None:
-        value = str(apery_fast(args.n, _open_cache(cfg)))
+        value = str(apery_fast(args.n, _open_cache(args)))
         return 0, {"n": args.n, "value": value}, value
     if args.mod < 2:
         raise ValueError("--mod must be >= 2")
-    value = str(_reduce_apery(args.n, args.mod, cfg).value)
+    value = str(_reduce_apery(args).value)
     return 0, {"n": args.n, "modulus": str(args.mod), "value": value}, value
 
 
-def _reduce_apery(n: int, modulus: int, cfg: RunConfig) -> Residue:
+def _reduce_apery(args: argparse.Namespace) -> Residue:
+    n, modulus = args.n, args.mod
     if n < 0:
         n = -1 - n
     # the digit routes for prime and prime-squared moduli build their tables
@@ -179,17 +169,17 @@ def _reduce_apery(n: int, modulus: int, cfg: RunConfig) -> Residue:
         pass
     if math.gcd(den, modulus) == 1:
         return Residue(x * pow(den, -1, modulus), modulus)
-    return Residue(apery_fast(n, _open_cache(cfg)) % modulus, modulus)
+    return Residue(apery_fast(n, _open_cache(args)) % modulus, modulus)
 
 
-def _cmd_aperyd(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def _cmd_aperyd(args: argparse.Namespace) -> Result:
     if args.n < 0:
         raise ValueError("aperyd takes n >= 0")
     value = _fraction_str(apery_deriv(args.n))
     return 0, {"n": args.n, "value": value}, value
 
 
-def _cmd_digits(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def _cmd_digits(args: argparse.Namespace) -> Result:
     if args.scan is not None:
         sets = scan_digit_sets(args.scan, args.min_size)
     elif args.p is not None:
@@ -197,7 +187,7 @@ def _cmd_digits(args: argparse.Namespace, cfg: RunConfig) -> Result:
     else:
         raise ValueError("give a prime or --scan BOUND")
     payload = {"digit_sets": [{"p": ds.p, "digits": list(ds.digits)} for ds in sets]}
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = ["p,digits"] + [f"{ds.p},{' '.join(map(str, ds.digits))}" for ds in sets]
     else:
         rows = [ds.format_row() for ds in sets]
@@ -205,7 +195,7 @@ def _cmd_digits(args: argparse.Namespace, cfg: RunConfig) -> Result:
     return 0, payload, "\n".join(rows) or None
 
 
-def _cmd_taylor(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def _cmd_taylor(args: argparse.Namespace) -> Result:
     m = args.m
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -231,7 +221,7 @@ def _cmd_taylor(args: argparse.Namespace, cfg: RunConfig) -> Result:
     return 0, payload, "\n".join(lines)
 
 
-def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def _cmd_eval(args: argparse.Namespace) -> Result:
     z = _parse_complex(args.z)
     approx = apery_eval(z, args.terms)
     payload = {
@@ -245,10 +235,10 @@ def _cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> Result:
     return 0, payload, text
 
 
-def _cmd_cache(args: argparse.Namespace, cfg: RunConfig) -> Result:
-    if not cfg.cache_path:
+def _cmd_cache(args: argparse.Namespace) -> Result:
+    if not args.cache:
         raise ValueError(f"give --cache PATH or set {CACHE_ENV}")
-    path = cfg.cache_path
+    path = args.cache
     if args.action == "fill":
         lo, hi = args.n
         if lo < 0:
@@ -297,14 +287,14 @@ def _residual_check(label: str, residual: float, tol: float | None, asserted=Tru
     }
 
 
-def _verify_congruence(sweep, args, cfg) -> dict:
+def _verify_congruence(sweep, args) -> dict:
     if args.p is None:
         raise ValueError(f"verify {args.theorem} needs --p")
     default = (-args.p, args.p) if args.theorem == "digitset-p2" else (-10, 10)
-    return sweep(args.p, args.n or default, _open_cache(cfg)).to_dict()
+    return sweep(args.p, args.n or default, _open_cache(args)).to_dict()
 
 
-def _verify_multi_digit(args, cfg) -> dict:
+def _verify_multi_digit(args) -> dict:
     if args.n is not None:
         # the laws range over every n of --depth base-p digits
         raise ValueError(f"verify {args.theorem} takes --depth, not --n")
@@ -328,7 +318,7 @@ def _verify_multi_digit(args, cfg) -> dict:
     return payload
 
 
-def _verify_taylor_identity(args, cfg) -> dict:
+def _verify_taylor_identity(args) -> dict:
     m_lo, m_hi = args.m or (1, 12)
     if m_lo < 1:
         raise ValueError("taylor-identity needs m >= 1")
@@ -342,7 +332,7 @@ def _verify_taylor_identity(args, cfg) -> dict:
     )
 
 
-def _verify_reduced_forms(args, cfg) -> dict:
+def _verify_reduced_forms(args) -> dict:
     N = args.N if args.N is not None else 10_000
     tol = args.tol if args.tol is not None else 1e-5
     checks = []
@@ -359,7 +349,7 @@ def _verify_reduced_forms(args, cfg) -> dict:
     return _check_payload("reduced-forms", {"N": N, "tolerance": tol}, checks)
 
 
-def _verify_stuffle(args, cfg) -> dict:
+def _verify_stuffle(args) -> dict:
     N = args.N if args.N is not None else 10_000
     tol = args.tol if args.tol is not None else 1e-6
     checks = []
@@ -378,7 +368,7 @@ def _verify_stuffle(args, cfg) -> dict:
     return _check_payload("stuffle", {"N": N, "tolerance": tol}, checks)
 
 
-def _verify_functional_eq(args, cfg) -> dict:
+def _verify_functional_eq(args) -> dict:
     label = "0.5" if args.z is None else args.z
     z = _parse_complex(label)
     terms = args.terms if args.terms is not None else 100_000
@@ -392,7 +382,7 @@ def _verify_functional_eq(args, cfg) -> dict:
     )
 
 
-def _verify_jacobsthal(args, cfg) -> dict:
+def _verify_jacobsthal(args) -> dict:
     primes = [p for p in primes_upto(31) if p >= 5] if args.p is None else [args.p]
     checks = []
     for p in primes:
@@ -403,7 +393,7 @@ def _verify_jacobsthal(args, cfg) -> dict:
     return _check_payload("jacobsthal", {"primes": primes, "a_max": 8}, checks)
 
 
-def _verify_wolstenholme(args, cfg) -> dict:
+def _verify_wolstenholme(args) -> dict:
     if args.p is not None and args.p < 5:
         raise ValueError(f"p must be a prime >= 5, got {args.p}")
     primes = [p for p in primes_upto(200) if p >= 5] if args.p is None else [args.p]
@@ -431,10 +421,10 @@ THEOREMS = {
 }
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     if args.tol is not None and not 0 < args.tol < math.inf:
         raise ValueError("--tol must be finite and positive")
-    payload = THEOREMS[args.theorem](args, cfg)
+    payload = THEOREMS[args.theorem](args)
     ok = payload["pass"] and payload.get("conclusive", True)
     cases = f" ({payload['checked']} cases)" if "checked" in payload else ""
     lines = [f"{payload['theorem']}: {'PASS' if ok else 'FAIL'}{cases}"]
@@ -451,6 +441,35 @@ def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> Result:
 
 # --- parser --------------------------------------------------------------
 
+_RANGE_VALUE = re.compile(r"^-?\d+\.\.-?\d+$")
+
+
+def _value_like(token: str) -> bool:
+    """Whether a token reads as LO..HI or as a number to complex()."""
+    if _RANGE_VALUE.match(token):
+        return True
+    try:
+        complex(token)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-3, -0.5+0.3j and -10..10 as values.
+
+    argparse itself takes only tokens like -7 and -.5 for values, so it
+    would read "--z -1e-3" as a flag missing its value and the point of
+    "eval -0.5+0.3j" as an unknown option.  add_subparsers builds each
+    subparser from type(self), so every subcommand reads tokens this way.
+    """
+
+    def _parse_optional(self, arg_string):
+        # None is argparse's answer for a positional, as for -7
+        if arg_string.startswith("-") and _value_like(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -461,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help=f"JSON config file (default ${CONFIG_ENV})")
     common.add_argument("--workers", type=int, help="ignored; scans run serially")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apery",
         description="Apery numbers: exact values, congruence checks, digit "
         "sets, and Taylor/MZV identities.",
@@ -522,77 +541,23 @@ _HANDLERS = {
 }
 
 
-_RANGE_VALUE = re.compile(r"^-?\d+\.\.-?\d+$")
-# eval's options that take a value: the token after one is never the point
-_EVAL_VALUE_FLAGS = ("--terms", "--format", "--cache", "--config", "--workers")
-
-
-def _negative_point(tok: str) -> bool:
-    """A token argparse reads as an option that complex() reads as a
-    number, such as -0.5+0.3j or -1e-3."""
-    if not tok.startswith("-"):
-        return False
-    try:
-        complex(tok)
-    except ValueError:
-        return False
-    return True
-
-
-def _merge_flag_values(argv: list[str]) -> list[str]:
-    # argparse reads "--n -10..10" and "--z -0.5+0.3j" as a flag missing its
-    # value, and the point of "eval -0.5+0.3j" as an unknown option: join a
-    # flag and its value with '=', and move eval's point behind '--'
-    out, point, i = argv[:1], None, 1
-    seeking = out == ["eval"]  # eval's point not yet found
-    while i < len(argv):
-        tok = argv[i]
-        value = argv[i + 1] if i + 1 < len(argv) else None
-        if tok == "--":
-            out += argv[i:]
-            break
-        if value is not None and (
-            (tok in ("--n", "--m") and _RANGE_VALUE.match(value))
-            or (tok == "--z" and _negative_point(value))
-        ):
-            out.append(f"{tok}={value}")
-            i += 2
-            continue
-        if seeking and tok in _EVAL_VALUE_FLAGS:
-            out += argv[i : i + 2]
-            i += 2
-            continue
-        if seeking and _negative_point(tok):
-            point = tok
-        else:
-            out.append(tok)
-        # a plain token is eval's point as typed; other options keep looking
-        seeking = seeking and point is None and tok.startswith("-")
-        i += 1
-    return out if point is None else out + ["--", point]
-
-
 def main(argv: list[str] | None = None) -> int:
     # decimal output of arbitrary-precision values is part of the contract;
     # lift the interpreter's int/str conversion cap
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_flag_values(list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = _run_config(args)
+        _run_config(args)
         if args.command == "cache" and args.action == "fill" and args.n is None:
             raise ValueError("cache fill needs --n LO..HI")
-        if cfg.format == "csv" and args.command != "digits":
+        if args.format == "csv" and args.command != "digits":
             raise ValueError("csv output is only available for the digits command")
-        code, payload, text = _HANDLERS[args.command](args, cfg)
-        if cfg.format == "json":
+        code, payload, text = _HANDLERS[args.command](args)
+        if args.format == "json":
             print(json.dumps(payload, sort_keys=True))
         elif text is not None:
             print(text)

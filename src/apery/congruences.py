@@ -188,16 +188,6 @@ def scan_digit_sets(
     return [ds for ds in _digit_sets(primes_upto(p_max)) if len(ds) >= min_size]
 
 
-def _case(
-    report: CongruenceReport, d: int | None, n: int, p: int, lhs: int, rhs: int, m: int
-) -> Counterexample | None:
-    """Count one checked case; the counterexample when lhs and rhs differ."""
-    report.checked += 1
-    if lhs == rhs:
-        return None
-    return Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
-
-
 def _residues(p: int, m: int, cache: AperyCache | None) -> Callable[[int], int]:
     """A function i -> A(i) mod m, for any integer i and a modulus m that
     divides p^3.
@@ -236,10 +226,11 @@ def _sweep(
     factors and every n in range, both sides reduced from exact values.
     factors=None stands for the exact factors (A(d) mod m, 0), d < p.
 
-    Cases run n by n, digits ascending, and each adds one to report.checked.
-    A failing case is a counterexample, except that the first failure of a
-    digit in expected_to_fail is its witness and ends that digit's sweep;
-    the digits in expected_to_fail that never fail land in unwitnessed.
+    Cases run n by n, digits ascending, and the row of each n adds the
+    number of digits it starts with to report.checked.  A failing case is a
+    counterexample, except that the first failure of a digit in
+    expected_to_fail is its witness and ends that digit's sweep; the digits
+    in expected_to_fail that never fail land in unwitnessed.
 
     n and -1-n read the same exact values, since A(d + p n) =
     A((p-1-d) + p(-1-n)), and a range can repeat an index in other ways
@@ -257,10 +248,12 @@ def _sweep(
     digits = sorted(factors.items())
     for n in _span(n_range):
         an = read(n)
+        report.checked += len(digits)
         for d, (a, s) in digits:
-            case = _case(report, d, n, p, read(d + p * n), (a + p * n * s) * an % m, m)
-            if case is None:
+            lhs, rhs = read(d + p * n), (a + p * n * s) * an % m
+            if lhs == rhs:
                 continue
+            case = Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
             if d in expected_to_fail:
                 report.witnesses.append(case)
                 digits = [entry for entry in digits if entry[0] != d]
@@ -319,9 +312,12 @@ def verify_mod_p3_suite(
     if p == 2:
         read = _residues(2, 8, cache)  # n and -1-n share one read
         for n in _span(n_range):
-            rhs = pow(5, n if n >= 0 else n + 1, 8)
-            if case := _case(report, None, n, 2, read(n), rhs, 8):
-                report.counterexamples.append(case)
+            report.checked += 1
+            lhs, rhs = read(n), pow(5, n if n >= 0 else n + 1, 8)
+            if lhs != rhs:
+                report.counterexamples.append(
+                    Counterexample(None, n, 2, Residue(lhs, 8), Residue(rhs, 8))
+                )
     elif p == 3:
         factors = {d: (a, 0) for d, a in enumerate(mod_p2_tables(3)[0])}
         _sweep(report, 3, 9, n_range, factors, cache)
@@ -429,6 +425,10 @@ def verify_multi_digit(
         if level < depth:
             stack.extend((level + 1, n * p + d, _dp_step(state, n % (p * p), p, d),
                           rhs * factor[d] % modulus) for d in reversed(alphabet))
-        elif case := _case(report, None, n, p, state[0] % modulus, rhs, modulus):
-            report.counterexamples.append(case)
+            continue
+        report.checked += 1
+        if (lhs := state[0] % modulus) != rhs:
+            report.counterexamples.append(
+                Counterexample(None, n, p, Residue(lhs, modulus), Residue(rhs, modulus))
+            )
     return report

@@ -24,7 +24,7 @@ import math
 import threading
 from array import array
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Iterable, Iterator, Mapping
 
 from .arith import Residue, _digits, _require_prime
@@ -313,18 +313,19 @@ def mod_p2_tables(p: int, cache: AperyCache | None = None) -> tuple[list[int], l
 def apery_mod_p(n: int, p: int, table: list[int] | None = None) -> Residue:
     """A(n) mod p for n >= 0 as the product of A(d) over base-p digits d.
 
-    O(log_p n) multiplications once the digit table is built; pass a
+    n is split into its digits once (arith._digits, divide and conquer),
+    then O(log_p n) multiplications once the digit table is built; pass a
     precomputed table when sweeping many n.  Without one, the table stops
     at the largest base-p digit of n.
     """
     if n < 0:
         raise ValueError(f"apery_mod_p requires n >= 0, got {n}")
     _require_prime(p)
+    digits = _digits(n, p)
     if table is None:
-        table = _mod_p_digits(p, max(_digits(n, p), default=0))
+        table = _mod_p_digits(p, max(digits, default=0))
     result = 1
-    while n > 0:
-        n, d = divmod(n, p)
+    for d in digits:
         result = result * table[d] % p
     return Residue(result, p)
 
@@ -335,20 +336,22 @@ def apery_mod_p2(
     """A(n) mod p^2 for n >= 0, digit by digit from the least significant.
 
     Each digit d with quotient q contributes the factor A(d) + p*q*A'(d);
-    only q mod p matters there because of the explicit factor p.  Without
-    tables, they stop at the largest base-p digit of n.
+    only q mod p matters there because of the explicit factor p, and q mod
+    p is the next digit of n (0 after the last).  n is split into its
+    digits once (arith._digits, divide and conquer).  Without tables, they
+    stop at the largest base-p digit of n.
     """
     if n < 0:
         raise ValueError(f"apery_mod_p2 requires n >= 0, got {n}")
     _require_prime(p)
+    digits = _digits(n, p)
     if tables is None:
-        tables = _digit_tables(p, max(_digits(n, p), default=0))
+        tables = _digit_tables(p, max(digits, default=0))
     values, derivs = tables
     m = p * p
     result = 1
-    while n > 0:
-        n, d = divmod(n, p)
-        result = result * (values[d] + p * (n % p) * derivs[d]) % m
+    for d, q in pairwise(digits + [0]):
+        result = result * (values[d] + p * q * derivs[d]) % m
     return Residue(result, m)
 
 

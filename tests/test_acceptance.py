@@ -413,3 +413,19 @@ def test_20_padic_dp_leaves_no_prefix_states():
         tracemalloc.stop()
     ok = size < budget_mib and value == expected
     report("20 padic-dp-memory", ok, t0, 3, f" {size:.2f} MiB / {budget_mib} MiB")
+
+
+def test_21_long_n_digit_split_budget():
+    # A(n) mod 101 and mod 101^2 at n = 10^40000 + 12345, about 2 * 10^4
+    # base-101 digits, by both digit routes and the p-adic digit DP, which
+    # must agree.  Each splits n into its digits once, by divide and
+    # conquer: 0.2 s for the three on 2 vCPUs.  Peeling one digit per
+    # divmod of the whole remaining n took 2.2 s, most of it in the splits
+    from apery.sequence import _apery_mod_pk, apery_mod_p
+
+    n = 10**40000 + 12345
+    t0 = time.time()
+    residue_p = apery_mod_p(n, 101).value
+    residue_p2 = apery_mod_p2(n, 101).value
+    ok = residue_p2 == _apery_mod_pk(n, 101, 2) and residue_p == residue_p2 % 101
+    report("21 long-n-digit-split-budget", ok, t0, 1)

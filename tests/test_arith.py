@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from apery.arith import (
     PRIMALITY_BOUND,
     Residue,
+    _digits,
     binomial,
     is_prime,
     jacobsthal_holds,
@@ -112,6 +113,31 @@ class TestJacobsthal:
             jacobsthal_holds(2, 3, 5)
         with pytest.raises(ValueError):
             jacobsthal_holds(3, 1, 4)
+
+
+def peeled_digits(n, p):
+    # reference for _digits: one digit per divmod of the whole remaining n
+    digits = []
+    while n:
+        n, d = divmod(n, p)
+        digits.append(d)
+    return digits
+
+
+class TestDigits:
+    @pytest.mark.parametrize("p", [2, 3, 7, 101, 1000003])
+    def test_powers_and_their_neighbours(self, p):
+        for e in (0, 1, 2, 3, 4, 5, 8, 16, 33, 64, 100):
+            for n in (p**e - 1, p**e, p**e + 1, 2 * p**e, (p - 1) * p**e):
+                assert _digits(n, p) == peeled_digits(n, p), (n, p)
+
+    @given(
+        st.integers(min_value=0, max_value=10**600),
+        st.sampled_from([2, 3, 5, 7, 101, 10**9 + 7]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_peeling(self, n, p):
+        assert _digits(n, p) == peeled_digits(n, p)
 
 
 def test_primes_upto():

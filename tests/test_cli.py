@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from apery.cli import _EVAL_VALUE_FLAGS, build_parser, main, parse_range
+from apery.cli import build_parser, main, parse_range
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -293,24 +293,62 @@ class TestEvalCommand:
         assert want[0] == 0 and want[1]
         assert run_cli(capsys, *argv) == want
 
-    def test_value_flags_match_the_parser(self):
-        # the point search skips the token after each of these; an eval
-        # option that takes a value and is missing here would be read as
-        # the point's neighbour
-        (subparsers,) = (
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        taking = {
-            flag
-            for action in subparsers.choices["eval"]._actions
-            if action.nargs != 0
-            for flag in action.option_strings
-        }
-        assert set(_EVAL_VALUE_FLAGS) == taking
-
     def test_negative_terms_stay_the_terms_value(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--terms", "-5", "0.5")
         assert code == 2 and out == "" and "terms must be >= 1" in err
+
+
+class TestNegativeValues:
+    # a token that starts with '-' and reads as a number or as LO..HI is a
+    # value wherever it stands; argparse alone takes only -7 and -.5 that way
+    TOKENS = ("-7", "-.5", "-1e-3", "-0.5+0.3j", "-inf", "-3..5")
+
+    def test_every_value_option_takes_a_negative_value(self, capsys):
+        parser = build_parser()
+        (subparsers,) = (
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command, sub in subparsers.choices.items():
+            # the positionals the command requires, so that only the option is tried
+            head = [command] + [
+                a.choices[0] if a.choices else "1"
+                for a in sub._actions
+                if not a.option_strings and a.nargs is None
+            ]
+            for action in sub._actions:
+                if not action.option_strings or action.nargs == 0:
+                    continue
+                flag = action.option_strings[0]
+                for token in self.TOKENS:
+                    try:
+                        args = parser.parse_args([*head, flag, token])
+                    except SystemExit:
+                        # the option took the token and its type or choices refused it
+                        err = capsys.readouterr().err
+                        assert f"argument {flag}: invalid" in err and repr(token) in err, err
+                    else:
+                        assert getattr(args, action.dest) == (action.type or str)(token)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "taylor-identity", "--m", "-3..5"], "taylor-identity needs m >= 1"),
+            (["cache", "fill", "--n", "-3..5", "--cache", "F"], "cache fill needs n >= 0"),
+            (["verify", "lucas-p", "--p", "-7"], "-7 is not prime"),
+        ],
+        ids=["taylor-identity-m", "cache-fill-n", "lucas-p-p"],
+    )
+    def test_library_refuses_the_value(self, capsys, tmp_path, argv, message):
+        argv = [str(tmp_path / a) if a == "F" else a for a in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_help_and_unknown_options_stay_options(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "-h")
+        assert code == 0 and out.startswith("usage: apery eval")
+        code, out, err = run_cli(capsys, "apery", "5", "-x")
+        assert code == 2 and out == "" and "unrecognized arguments: -x" in err
+        code, out, err = run_cli(capsys, "verify", "functional-eq", "--z", "-x")
+        assert code == 2 and out == "" and "argument --z: expected one argument" in err
 
 
 class TestNonFiniteInput:
