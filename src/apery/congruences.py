@@ -11,9 +11,9 @@ per-(d, n) laws share one sweep, _sweep, with both sides A(d + p n) and
 A(n) reduced from exact values and the factors A(d), A'(d) read from the
 digit tables (the recurrence and its derivative modulo p or p^2), except
 that digitset-p2 keeps exact factors (see verify_digit_set_lucas).  The
-memo that holds an exact value also keeps its residue mod p^3, so each held
-value is reduced once per prime however many sweeps read it; _sweep and
-_residues say how.
+sweep reads a row of p left sides at a time, from spans of residues mod
+p^3 that the memo holding the exact values reduces once per prime and
+keeps (AperyCache.residues); _sweep says how.
 verify_multi_digit takes A(n) from the p-adic digit DP, which uses neither
 the recurrence nor a digit theorem, and its factors from the digit tables.
 digit_set and scan_digit_sets read no exact value: each block of
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import Residue, _require_prime, primes_upto
 from .sequence import (
@@ -33,7 +33,6 @@ from .sequence import (
     AperyCache,
     _dp_step,
     _recurrence_mod,
-    apery_fast,
     mod_p2_tables,
     mod_p_table,
     shared_cache,
@@ -188,29 +187,13 @@ def scan_digit_sets(
     return [ds for ds in _digit_sets(primes_upto(p_max)) if len(ds) >= min_size]
 
 
-def _residues(p: int, m: int, cache: AperyCache | None) -> Callable[[int], int]:
-    """A function i -> A(i) mod m, for any integer i and a modulus m that
-    divides p^3.
-
-    A(i) = A(-1-i), so i and -1-i share one entry, keyed by the non-negative
-    index k.  The first read of k in the returned function asks
-    apery_fast(k, cache) for the exact value and takes its residue mod p^3
-    from the memo (AperyCache.residue), which reduces each value it holds
-    once per prime and serves every later sweep at p from its table; m is
-    taken from that residue.  Later reads of k in the same function reuse
-    the result.
-    """
-    residue = (cache if cache is not None else shared_cache()).residue
-    residues: dict[int, int] = {}
-
-    def read(i: int) -> int:
-        k = i if i >= 0 else -1 - i
-        r = residues.get(k)
-        if r is None:
-            r = residues[k] = residue(k, apery_fast(k, cache), p) % m
-        return r
-
-    return read
+def _heads(n_range: tuple[int, int]) -> tuple[int, int]:
+    """[a, b], the non-negative indices k of A(n) = A(k) for n in range, with
+    k = n for n >= 0 and k = -1-n for n < 0; they always form one span."""
+    lo, hi = n_range
+    if lo < 0 <= hi:
+        return 0, max(hi, -1 - lo)
+    return (lo, hi) if lo >= 0 else (-1 - hi, -1 - lo)
 
 
 def _sweep(
@@ -232,28 +215,43 @@ def _sweep(
     expected_to_fail is its witness and ends that digit's sweep; the digits
     in expected_to_fail that never fail land in unwitnessed.
 
-    n and -1-n read the same exact values, since A(d + p n) =
-    A((p-1-d) + p(-1-n)), and a range can repeat an index in other ways
-    too.  Every read, exact factors included, goes through one reader
-    (_residues), which asks apery_fast once per index per call and takes
-    the residue from the memo's table of p, so each exact value held there
-    is reduced once per prime, by whichever sweep reads it first.  Reads
-    run in case order, so a digit that leaves at its witness reads nothing
-    past it.  The p = 2 loop of verify_mod_p3_suite, which has no digits,
-    reads A(n) mod 8 through _residues the same way.
+    A(n) = A(k) for the index k = n or -1-n (_heads), and the left sides
+    of row n are A(pk), ..., A(pk + p - 1), in digit order for n >= 0 and
+    reversed for n < 0, since A(d + p n) = A((p-1-d) + p(-1-n)).  So the
+    sweep reads A(k) mod p^3 for the span of k and the span of rows from
+    the memo (AperyCache.residues), once each, together with the exact
+    factors when the rows do not hold them; the memo reduces each value it
+    holds once per prime.  Each row's left sides at the active digits are
+    compared with the list of right sides at once, and only a row that
+    differs is walked digit by digit.  verify_mod_p3_suite at p = 2, which
+    has no digits, reads A(n) mod 8 the same way.
     """
-    read = _residues(p, m, cache)
+    span = _span(n_range)
+    memo = cache if cache is not None else shared_cache()
+    a, b = _heads(n_range)
+    rows = memo.residues(p, p * a, p * b + p - 1)  # row of k at p * (k - a)
+    heads = rows if a == 0 else memo.residues(p, a, b)  # A(k) at k - a
     if factors is None:
-        factors = {d: (read(d), 0) for d in range(p)}
+        exact = rows if a == 0 else memo.residues(p, 0, p - 1)
+        factors = {d: (exact[d] % m, 0) for d in range(p)}
+    if m != p**3:
+        rows = [r % m for r in rows]
     digits = sorted(factors.items())
-    for n in _span(n_range):
-        an = read(n)
+    for n in span:
+        k = n if n >= 0 else -1 - n
+        row = rows[p * (k - a) : p * (k - a) + p]
+        if n < 0:
+            row.reverse()
+        an, pn = heads[k - a] % m, p * n
         report.checked += len(digits)
-        for d, (a, s) in digits:
-            lhs, rhs = read(d + p * n), (a + p * n * s) * an % m
-            if lhs == rhs:
+        lhs = row if len(digits) == p else [row[d] for d, _ in digits]
+        rhs = [(f + pn * s) * an % m for _, (f, s) in digits]
+        if lhs == rhs:
+            continue
+        for (d, _), left, right in zip(digits, lhs, rhs):
+            if left == right:
                 continue
-            case = Counterexample(d, n, p, Residue(lhs, m), Residue(rhs, m))
+            case = Counterexample(d, n, p, Residue(left, m), Residue(right, m))
             if d in expected_to_fail:
                 report.witnesses.append(case)
                 digits = [entry for entry in digits if entry[0] != d]
@@ -310,10 +308,13 @@ def verify_mod_p3_suite(
         "p3-suite", {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]}
     )
     if p == 2:
-        read = _residues(2, 8, cache)  # n and -1-n share one read
-        for n in _span(n_range):
+        span = _span(n_range)
+        a, b = _heads(n_range)
+        heads = (cache if cache is not None else shared_cache()).residues(2, a, b)
+        for n in span:
             report.checked += 1
-            lhs, rhs = read(n), pow(5, n if n >= 0 else n + 1, 8)
+            k, e = (n, n) if n >= 0 else (-1 - n, n + 1)
+            lhs, rhs = heads[k - a], (1, 5)[e % 2]  # 5^e mod 8, as 5^2 = 1 mod 8
             if lhs != rhs:
                 report.counterexamples.append(
                     Counterexample(None, n, 2, Residue(lhs, 8), Residue(rhs, 8))

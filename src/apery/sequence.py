@@ -5,8 +5,8 @@ by the reflection A(n) = A(-1-n).  A'(n) is the harmonic-weighted variant
 2 sum_k C(n,k)^2 C(n+k,k)^2 (H_{n+k} - H_{n-k}), an exact rational.
 
 Besides the defining sums this module provides the three-term recurrence
-(apery_fast, the one exact route, with a shared memo cache, which also keeps
-each value's residue mod p^3 for the congruence sweeps), A'(n) from the
+(apery_fast, the one exact route, with a shared memo cache, which also serves
+spans of residues mod p^3 to the congruence sweeps), A'(n) from the
 recurrence's derivative, O(log n) modular evaluation through the base-p
 digit congruences, and a memory-flat recurrence sweep for reducing A(n) at
 scattered large indices.  The digit table A(d) mod p comes from the
@@ -121,11 +121,15 @@ class AperyCache:
     contiguous high-water mark lets apery_fast restart the recurrence from
     the longest verified prefix instead of from zero.
 
-    Beside the values the memo keeps one array('q') per prime p, filled by
-    residue(): entry n holds A(n) mod p^3, or -1 while not reduced.  The
-    tables take no lock either.  They only grow, and an entry only changes
-    from -1 to the residue of the value held at n, which never changes; two
-    threads that fill one entry write the same number.
+    Beside the values the memo keeps one array('q') per prime p, filled a
+    span at a time by residues(): entry n holds A(n) mod p^3, reduced from
+    the value this memo holds at n, or -1 while not reduced.  A table
+    belongs to its memo, so another memo's values, equal or not, never
+    answer from it.  The tables take no lock either.  They only grow, and
+    an entry only changes from -1 to the residue of the value held at n,
+    which never changes; two threads that fill one entry write the same
+    number, and two that grow one table at once only leave spare -1
+    entries past its end.
     """
 
     def __init__(self, values: Mapping[int, int] | None = None):
@@ -153,27 +157,33 @@ class AperyCache:
             while self._contiguous + 1 in self._values:
                 self._contiguous += 1
 
-    def residue(self, n: int, value: int, p: int) -> int:
-        """value mod p^3, where value was read as A(n) for n >= 0.
+    def residues(self, p: int, lo: int, hi: int) -> list[int]:
+        """A(k) mod p^3 for k = lo, ..., hi, with 0 <= lo <= hi.
 
-        The residue is stored in the table of p, and later served from it,
-        only when value is the very object this memo holds at n: a value
-        that came from elsewhere, equal or not, is reduced afresh and never
-        stored.  So each held value is reduced once per prime.  A prime
-        p >= 2^21, where p^3 overflows an entry, is never stored.
+        One apery_fast(hi, self) puts every value up to hi in the memo;
+        the residues are reduced from the values held there.  The table of
+        p serves every entry reduced before, and only the entries of the
+        span that are still -1 are reduced and stored, so each held value
+        is reduced once per prime, and an index outside every span asked
+        for is never reduced.  A prime p >= 2^21, where p^3 overflows an
+        entry, has no table: its residues are reduced afresh each time.
         """
-        cube = p * p * p
-        if value is not self._values.get(n) or cube > _ENTRY_MAX:
-            return value % cube
+        apery_fast(hi, self)
+        values, cube = self._values, p * p * p
+        if cube > _ENTRY_MAX:
+            return [values[k] % cube for k in range(lo, hi + 1)]
         table = self._tables.get(p)
         if table is None:
             table = self._tables.setdefault(p, array("q"))
-        if n >= len(table):
-            table.frombytes(b"\xff" * (8 * (n + 1 - len(table))))  # -1 each
-        r = table[n]
-        if r < 0:
-            r = table[n] = value % cube
-        return r
+        if hi >= len(table):
+            table.frombytes(b"\xff" * (8 * (hi + 1 - len(table))))  # -1 each
+        row = table[lo : hi + 1]
+        if -1 in row:
+            for k in range(lo, hi + 1):
+                if table[k] < 0:
+                    table[k] = values[k] % cube
+            row = table[lo : hi + 1]
+        return row.tolist()
 
     def items(self) -> list[tuple[int, int]]:
         return sorted(self._values.items())

@@ -301,12 +301,12 @@ def test_14_digit_set_scan_budget():
 def test_15_symmetric_sweep_budget():
     # `verify lucas-p --p 5 --n -1000..999`, `verify gessel-p2 --p 101
     # --n -49..49` and `verify p3-suite --p 2 --n -5000..4999`: n and -1-n
-    # read the same exact values, and the memo reduces each once per prime
-    # and keeps the residue (about 0.06 s here when cold).  The shared memo
-    # is warmed to the top index, A(5049), outside the timer, so the budget
-    # covers the reductions, not the prefix.  A suite run may have reduced
-    # some of these values at p = 2, 5 or 101 already, so CI also runs this
-    # test in a process of its own, where every reduction is timed cold.
+    # read the same row, and the memo reduces each exact value once per
+    # prime and keeps the residue (0.06-0.07 s here when cold).  The shared
+    # memo is warmed to the top index, A(5049), outside the timer, so the
+    # budget covers the reductions, not the prefix.  A suite run may have
+    # filled the tables of 2, 5 or 101 already, so CI also runs this test in
+    # a process of its own, where every reduction is timed cold.
     apery_fast(5049)
     t0 = time.time()
     reports = [
@@ -367,10 +367,10 @@ def test_18_eval_many_terms():
 
 def test_19_residue_table_memory():
     # the residues mod p^3 that the sweeps keep on a memo, for the 12 largest
-    # primes below 100 at every index 0..10^4: one array('q') per prime is
-    # 0.92 MiB traced here; a list per prime took 4.6 MiB and a dict 10.2.
-    # The table only reads the identity of the held value, so stand-ins for
-    # A(k) keep the test fast
+    # primes below 100 at every index 0..10^4, each table filled by one bulk
+    # read: one array('q') per prime is 0.97 MiB traced here; a list per
+    # prime took 4.6 MiB and a dict 10.2.  Stand-ins of 257 bits for A(k)
+    # keep the test fast
     from apery.sequence import AperyCache
 
     budget_mib = 1.25
@@ -382,13 +382,12 @@ def test_19_residue_table_memory():
     try:
         t0 = time.time()
         for p in primes:
-            for k, value in enumerate(held):
-                cache.residue(k, value, p)
+            cache.residues(p, 0, top)
         size = tracemalloc.get_traced_memory()[0] / 2**20
     finally:
         tracemalloc.stop()
     ok = size < budget_mib and all(
-        cache.residue(k, held[k], p) == held[k] % p**3 for p in primes for k in (0, 1, 57, top)
+        cache.residues(p, k, k) == [held[k] % p**3] for p in primes for k in (0, 1, 57, top)
     )
     report("19 residue-table-memory", ok, t0, 5, f" {size:.2f} MiB / {budget_mib} MiB")
 

@@ -1,5 +1,6 @@
 """Digit sets and the congruence verification sweeps."""
 
+import functools
 import json
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ import jsonschema
 import pytest
 
 import apery.congruences
+import apery.sequence
 from apery.arith import Residue, primes_upto
 from apery.congruences import (
     CongruenceReport,
@@ -365,44 +367,46 @@ class TestFastPathConsistency:
 
 
 class TestSweepFailures:
-    # A(17) + 1 in place of A(17), and so A(-18) + 1 by reflection: every
-    # case that reads index 17 or -18 must fail, and nothing else may
+    # A(17) + 1 in place of A(17) on a private memo (_corrupted_memo), and so
+    # A(-18) + 1 by reflection: every case that reads index 17 or -18 must
+    # fail, and nothing else may
     CASES = {
         "lucas-p": (
-            lambda: verify_lucas_mod_p(5, (-4, 4)),
+            lambda cache: verify_lucas_mod_p(5, (-4, 4), cache),
             45, [(2, -4, 1, 0), (2, 3, 1, 0)], [], [],
         ),
         "gessel-p2": (
-            lambda: verify_gessel_mod_p2(5, (-4, 4)),
+            lambda cache: verify_gessel_mod_p2(5, (-4, 4), cache),
             45, [(2, -4, 11, 10), (2, 3, 11, 10)], [], [],
         ),
         "p3-suite-3": (
-            lambda: verify_mod_p3_suite(3, (-6, 6)),
+            lambda cache: verify_mod_p3_suite(3, (-6, 6), cache),
             39, [(0, -6, 6, 5), (2, 5, 6, 5)], [], [],
         ),
         "p3-suite-5": (
-            lambda: verify_mod_p3_suite(5, (-18, 17)),
+            lambda cache: verify_mod_p3_suite(5, (-18, 17), cache),
             72,
             [(0, -18, 110, 111), (4, -18, 110, 111), (0, 17, 110, 111), (4, 17, 110, 111)],
             [], [],
         ),
         "digitset-p2-5": (
-            lambda: verify_digit_set_lucas(5, (-4, 4)),
+            lambda cache: verify_digit_set_lucas(5, (-4, 4), cache),
             31, [(2, -4, 11, 10), (2, 3, 11, 10)], [(1, -3, 0, 15), (3, -3, 0, 10)], [],
         ),
         "digitset-p2-5-unwitnessed": (
-            lambda: verify_digit_set_lucas(5, (3, 3)),
+            lambda cache: verify_digit_set_lucas(5, (3, 3), cache),
             5, [(2, 3, 11, 10)], [], [1, 3],
         ),
         "digitset-p2-7": (
-            lambda: verify_digit_set_lucas(7, (-3, 2)),
+            lambda cache: verify_digit_set_lucas(7, (-3, 2), cache),
             32, [(3, -3, 38, 37), (3, 2, 38, 37)], [(1, -3, 1, 22), (5, -3, 36, 15)], [],
         ),
     }
 
     # the p = 5 cases again, after a clean sweep has filled the shared memo's
-    # p = 5 residues at every index they read (0..89): a stored residue
-    # must not answer for a value that is not the one the memo holds
+    # table of 5 at every index they read (0..89): a table belongs to its
+    # memo, so the residues of the shared memo's values must not answer for
+    # the private memo's
     WARM = ["digitset-p2-5", "digitset-p2-5-unwitnessed", "gessel-p2", "lucas-p", "p3-suite-5"]
 
     @pytest.mark.parametrize(
@@ -410,16 +414,11 @@ class TestSweepFailures:
         [(name, False) for name in sorted(CASES)] + [(name, True) for name in WARM],
         ids=[*sorted(CASES), *(f"{name}-warm" for name in WARM)],
     )
-    def test_corrupted_value_is_reported(self, name, warm, monkeypatch):
+    def test_corrupted_value_is_reported(self, name, warm):
         if warm:
             assert verify_lucas_mod_p(5, (-18, 17)).passed
-
-        def corrupted(n, cache=None):
-            return apery_fast(n, cache) + (n in (17, -18))
-
-        monkeypatch.setattr(apery.congruences, "apery_fast", corrupted)
         run, checked, counterexamples, witnesses, unwitnessed = self.CASES[name]
-        report = run()
+        report = run(_corrupted_memo(17, 89))
 
         def cases(found):
             return [(c.d, c.n, c.lhs.value, c.rhs.value) for c in found]
@@ -462,11 +461,23 @@ class TestSweepFailures:
         assert at_zero.rhs.value == (at_zero.lhs.value + 1) % at_zero.lhs.modulus
 
 
-def _reference_sweep(report, p, m, n_range, factors, cache, expected_to_fail=frozenset()):
-    # the per-case loop _sweep ran before it shared reads: every case reduces
-    # A(n) and A(d + p n) afresh, with n < 0 left to apery_fast's reflection
+def _corrupted_memo(bad, top):
+    # a private memo of the exact A(2), ..., A(top), built with the public
+    # constructor, with A(bad) off by one; A(0) and A(1) are the memo's own
+    assert 2 <= bad <= top
+    return AperyCache({k: apery_fast(k) + (k == bad) for k in range(2, top + 1)})
+
+
+def _reference_sweep(
+    report, p, m, n_range, factors, cache, expected_to_fail=frozenset(), reads=None
+):
+    # the per-case loop: every case reduces A(n) and A(d + p n) afresh, with
+    # n < 0 left to apery_fast's reflection; reads, when given, tallies each
+    # exact read under its non-negative index
     def reduced(i):
-        return apery.congruences.apery_fast(i, cache) % m
+        if reads is not None:
+            reads[i if i >= 0 else -1 - i] += 1
+        return apery_fast(i, cache) % m
 
     if factors is None:  # digitset-p2's exact factors, reduced before the sweep
         factors = {d: (reduced(d), 0) for d in range(p)}
@@ -487,12 +498,14 @@ def _reference_sweep(report, p, m, n_range, factors, cache, expected_to_fail=fro
     report.unwitnessed = [d for d, _ in digits if d in expected_to_fail]
 
 
-def _reference_p3_suite_at_2(n_range):
-    # verify_mod_p3_suite's p = 2 loop as it ran before it shared reads
+def _reference_p3_suite_at_2(n_range, cache, reads):
+    # verify_mod_p3_suite's p = 2 loop, case by case
     lo, hi = n_range
     report = CongruenceReport("p3-suite", {"p": 2, "n_lo": lo, "n_hi": hi})
     for n in range(lo, hi + 1):
-        lhs, rhs = apery.congruences.apery_fast(n) % 8, pow(5, n if n >= 0 else n + 1, 8)
+        if reads is not None:
+            reads[n if n >= 0 else -1 - n] += 1
+        lhs, rhs = apery_fast(n, cache) % 8, pow(5, n if n >= 0 else n + 1, 8)
         report.checked += 1
         if lhs != rhs:
             report.counterexamples.append(
@@ -501,28 +514,23 @@ def _reference_p3_suite_at_2(n_range):
     return report
 
 
-def _reference_report(verify, p, n_range, monkeypatch):
+def _reference_report(verify, p, n_range, monkeypatch, cache=None, reads=None):
     if verify is verify_mod_p3_suite and p == 2:
-        return _reference_p3_suite_at_2(n_range)
+        return _reference_p3_suite_at_2(n_range, cache, reads)
     with monkeypatch.context() as patched:
-        patched.setattr(apery.congruences, "_sweep", _reference_sweep)
-        return verify(p, n_range)
+        patched.setattr(apery.congruences, "_sweep", functools.partial(_reference_sweep, reads=reads))
+        return verify(p, n_range, cache)
 
 
-def _counting(counts):
-    # apery_fast that tallies each request under its non-negative index
-    def counted(n, cache=None):
-        counts[n if n >= 0 else -1 - n] += 1
-        return apery_fast(n, cache)
-
-    return counted
+def _row_indices(p, n_range, exact_factors=False):
+    # the indices a sweep at p may read: k = n or -1-n for A(n), its row
+    # p k, ..., p k + p - 1, and the digits d < p for exact factors
+    heads = {n if n >= 0 else -1 - n for n in range(n_range[0], n_range[1] + 1)}
+    rows = {p * k + d for k in heads for d in range(p)}
+    return heads | rows | (set(range(p)) if exact_factors else set())
 
 
 class TestReadOnce:
-    # A(n) = A(-1-n), so over a range that straddles zero n and -1-n read the
-    # same exact values; one call reduces each of them once, and reads no
-    # index that the per-case loop would not have read (digitset-p2 drops a
-    # digit at its witness, so its later cases read nothing)
     CASES = {
         "lucas-p-5": (verify_lucas_mod_p, 5),
         "gessel-p2-7": (verify_gessel_mod_p2, 7),
@@ -532,24 +540,14 @@ class TestReadOnce:
         "digitset-p2-5": (verify_digit_set_lucas, 5),
     }
 
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_each_index_reduced_once(self, name, monkeypatch):
-        verify, p = self.CASES[name]
-        counts, reference_counts = Counter(), Counter()
-        monkeypatch.setattr(apery.congruences, "apery_fast", _counting(counts))
-        report = verify(p, (-4, 9))
-        monkeypatch.setattr(apery.congruences, "apery_fast", _counting(reference_counts))
-        reference = _reference_report(verify, p, (-4, 9), monkeypatch)
-        assert report.passed and report.to_dict() == reference.to_dict()
-        assert max(counts.values()) == 1
-        assert set(counts) == set(reference_counts)
-        assert max(reference_counts.values()) > 1  # the range does repeat reads
-
-    def test_one_reduction_per_prime_and_index(self, monkeypatch):
+    def test_one_reduction_per_prime_and_index(self):
         # four theorem ids at p = 5 over overlapping ranges on one memo whose
-        # values count their reductions: each held value is reduced once,
-        # however many sweeps and moduli (5, 25, 125) read it.  A(0) and A(1)
-        # are the memo's own ints, so only k >= 2 is counted
+        # values count their reductions: each held value is reduced at most
+        # once, however many sweeps and moduli (5, 25, 125) read it, and only
+        # at an index that some row, A(n) or exact factor reads.  On a fresh
+        # memo, the offset range n = 7..9 reads A(7..9) and rows 35..49 and
+        # reduces nothing in between.  A(0) and A(1) are the memo's own ints,
+        # so only k >= 2 is counted
         reductions = Counter()
 
         class Counted(int):
@@ -557,21 +555,51 @@ class TestReadOnce:
                 reductions[self.k] += 1
                 return int(self) % m
 
-        values = {k: Counted(apery_fast(k)) for k in range(2, 60)}
-        for k, value in values.items():
-            value.k = k
-        cache = AperyCache(values)
-        read = Counter()
-        monkeypatch.setattr(apery.congruences, "apery_fast", _counting(read))
-        reports = [
-            verify_lucas_mod_p(5, (-6, 5), cache),
-            verify_gessel_mod_p2(5, (-3, 8), cache),
-            verify_mod_p3_suite(5, (-8, 3), cache),
-            verify_digit_set_lucas(5, (-5, 5), cache),
+        def counted_memo():
+            values = {k: Counted(apery_fast(k)) for k in range(2, 60)}
+            for k, value in values.items():
+                value.k = k
+            return AperyCache(values)
+
+        cache = counted_memo()
+        sweeps = [
+            (verify_lucas_mod_p, (-6, 5), False),
+            (verify_gessel_mod_p2, (-3, 8), False),
+            (verify_mod_p3_suite, (-8, 3), False),
+            (verify_digit_set_lucas, (-5, 5), True),
         ]
-        assert all(r.passed for r in reports) and max(read) < 60
-        assert reductions == Counter(k for k in read if k >= 2)
-        assert max(read.values()) > 1  # the sweeps do read indices in common
+        assert all(verify(5, n_range, cache).passed for verify, n_range, _ in sweeps)
+        read = [_row_indices(5, n_range, exact) for _, n_range, exact in sweeps]
+        allowed = set().union(*read)
+        assert sum(map(len, read)) > len(allowed)  # the sweeps read indices in common
+        assert max(reductions.values()) == 1 and set(reductions) <= allowed
+
+        reductions.clear()
+        assert verify_gessel_mod_p2(5, (7, 9), counted_memo()).passed
+        assert max(reductions.values()) == 1
+        assert set(reductions) <= {7, 8, 9} | set(range(35, 50))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_warm_sweep_asks_the_memo_once(self, name, monkeypatch):
+        # a warm sweep over a range through zero takes its rows, A(n) and any
+        # exact factors from one span of the memo: one apery_fast call, which
+        # finds the top value held, and no memo call per index
+        verify, p = self.CASES[name]
+        cache = AperyCache()
+        assert verify(p, (-40, 30), cache).passed
+        calls = Counter()
+
+        def counted(label, real):
+            def call(*args):
+                calls[label] += 1
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(apery.sequence, "apery_fast", counted("apery_fast", apery_fast))
+        monkeypatch.setattr(AperyCache, "get", counted("get", AperyCache.get))
+        assert verify(p, (-40, 30), cache).passed
+        assert calls == {"apery_fast": 1, "get": 1}
 
 
 class TestSameReport:
@@ -594,21 +622,15 @@ class TestSameReport:
             p = rng.choice(primes_upto(31))
             lo = rng.randint(-40, 25)
             n_range = (lo, lo + rng.randint(0, 20))
-            read = Counter()
-            monkeypatch.setattr(apery.congruences, "apery_fast", _counting(read))
-            want = _reference_report(verify, p, n_range, monkeypatch).to_dict()
-            monkeypatch.undo()
+            reads = Counter()
+            want = _reference_report(verify, p, n_range, monkeypatch, reads=reads).to_dict()
             assert want["pass"] and verify(p, n_range).to_dict() == want
 
-            bad = rng.choice(sorted(read))
-
-            def corrupted(n, cache=None):
-                return apery_fast(n, cache) + (n in (bad, -1 - bad))
-
-            monkeypatch.setattr(apery.congruences, "apery_fast", corrupted)
-            got = verify(p, n_range).to_dict()
-            assert got == _reference_report(verify, p, n_range, monkeypatch).to_dict()
-            monkeypatch.undo()
+            # A(bad) off by one on a private memo, at an index the range reads
+            bad = rng.choice(sorted(k for k in reads if k >= 2))
+            cache = _corrupted_memo(bad, max(reads))
+            got = verify(p, n_range, cache).to_dict()
+            assert got == _reference_report(verify, p, n_range, monkeypatch, cache).to_dict()
 
     @pytest.mark.parametrize("name", sorted(TestReadOnce.CASES))
     def test_cold_and_warm_tables(self, name, monkeypatch):

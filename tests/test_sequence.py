@@ -98,6 +98,16 @@ class TestCache:
         cache = AperyCache({10: apery(10)})
         assert apery_fast(12, cache) == apery(12)
 
+    def test_residues_fill_only_their_spans(self):
+        # spans of A(k) mod p^3 on a sparse memo, against the defining sum:
+        # the entries of the table of 5 outside the spans asked for stay -1,
+        # and 2097169 > 2^21, whose cube overflows an entry, keeps no table
+        cache = AperyCache({40: apery(40)})
+        for p, lo, hi in ((5, 35, 49), (5, 7, 9), (2097169, 3, 8)):
+            assert cache.residues(p, lo, hi) == [apery(k) % p**3 for k in range(lo, hi + 1)]
+        assert [k for k, r in enumerate(cache._tables[5]) if r >= 0] == [7, 8, 9, *range(35, 50)]
+        assert list(cache._tables) == [5]
+
     def test_items_sorted(self):
         cache = AperyCache()
         apery_fast(5, cache)
