@@ -2,16 +2,15 @@
 
 Arbitrary-precision integers are plain Python ints and exact rationals are
 ``fractions.Fraction``; both round-trip through decimal strings, which is the
-serialization the CLI uses.  This module adds residues, rational reduction
-mod m, and the two classical congruence facts (Wolstenholme, Jacobsthal)
-that feed the mod p^3 checks.
+serialization the CLI uses.  This module adds residues and the two
+classical congruence facts (Wolstenholme, Jacobsthal) that feed the mod p^3
+checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "PRIMALITY_BOUND",
@@ -20,7 +19,6 @@ __all__ = [
     "is_prime",
     "jacobsthal_holds",
     "primes_upto",
-    "rational_mod",
     "wolstenholme_residue",
 ]
 
@@ -125,20 +123,6 @@ class Residue:
 
     def __str__(self) -> str:
         return f"{self.value} (mod {self.modulus})"
-
-
-def rational_mod(q: Fraction | int, m: int) -> Residue:
-    """Reduce an exact rational modulo m as numerator * denominator^-1.
-
-    The reduction only makes sense when the denominator is coprime to m;
-    otherwise ValueError is raised.
-    """
-    q = Fraction(q)
-    if math.gcd(q.denominator, m) != 1:
-        raise ValueError(
-            f"denominator {q.denominator} is not invertible modulo {m}"
-        )
-    return Residue(q.numerator * pow(q.denominator, -1, m), m)
 
 
 def wolstenholme_residue(p: int) -> Residue:

@@ -11,8 +11,8 @@ per-(d, n) laws share one sweep, _sweep, with both sides A(d + p n) and
 A(n) reduced from exact values and the factors A(d), A'(d) read from the
 digit tables (the recurrence and its derivative modulo p or p^2), except
 that digitset-p2 keeps exact factors (see verify_digit_set_lucas).  The
-sweep reads a row of p left sides at a time, from spans of residues mod
-p^3 that the memo holding the exact values reduces once per prime and
+sweep reads a row of p left sides at a time, from one prefix of residues
+mod p^3 that the memo holding the exact values reduces once per prime and
 keeps (AperyCache.residues); _sweep says how.
 verify_multi_digit takes A(n) from the p-adic digit DP, which uses neither
 the recurrence nor a digit theorem, and its factors from the digit tables.
@@ -187,15 +187,6 @@ def scan_digit_sets(
     return [ds for ds in _digit_sets(primes_upto(p_max)) if len(ds) >= min_size]
 
 
-def _heads(n_range: tuple[int, int]) -> tuple[int, int]:
-    """[a, b], the non-negative indices k of A(n) = A(k) for n in range, with
-    k = n for n >= 0 and k = -1-n for n < 0; they always form one span."""
-    lo, hi = n_range
-    if lo < 0 <= hi:
-        return 0, max(hi, -1 - lo)
-    return (lo, hi) if lo >= 0 else (-1 - hi, -1 - lo)
-
-
 def _sweep(
     report: CongruenceReport,
     p: int,
@@ -215,34 +206,31 @@ def _sweep(
     expected_to_fail is its witness and ends that digit's sweep; the digits
     in expected_to_fail that never fail land in unwitnessed.
 
-    A(n) = A(k) for the index k = n or -1-n (_heads), and the left sides
-    of row n are A(pk), ..., A(pk + p - 1), in digit order for n >= 0 and
-    reversed for n < 0, since A(d + p n) = A((p-1-d) + p(-1-n)).  So the
-    sweep reads A(k) mod p^3 for the span of k and the span of rows from
-    the memo (AperyCache.residues), once each, together with the exact
-    factors when the rows do not hold them; the memo reduces each value it
-    holds once per prime.  Each row's left sides at the active digits are
-    compared with the list of right sides at once, and only a row that
-    differs is walked digit by digit.  verify_mod_p3_suite at p = 2, which
-    has no digits, reads A(n) mod 8 the same way.
+    A(n) = A(k) for the index k = n or -1-n, and the left sides of row n
+    are A(pk), ..., A(pk + p - 1), in digit order for n >= 0 and reversed
+    for n < 0, since A(d + p n) = A((p-1-d) + p(-1-n)).  So one read of the
+    memo's prefix A(0..pK + p - 1) mod p^3 (AperyCache.residues), with K
+    the largest k, holds every row, every A(n) and the exact factors; the
+    memo reduces each value it holds once per prime.  Each row's left sides
+    at the active digits are compared with the list of right sides at once,
+    and only a row that differs is walked digit by digit.
+    verify_mod_p3_suite at p = 2, which has no digits, reads A(n) mod 8 from
+    the prefix A(0..K) the same way.
     """
     span = _span(n_range)
     memo = cache if cache is not None else shared_cache()
-    a, b = _heads(n_range)
-    rows = memo.residues(p, p * a, p * b + p - 1)  # row of k at p * (k - a)
-    heads = rows if a == 0 else memo.residues(p, a, b)  # A(k) at k - a
+    rows = memo.residues(p, p * max(span[-1], -1 - span[0]) + p - 1)
     if factors is None:
-        exact = rows if a == 0 else memo.residues(p, 0, p - 1)
-        factors = {d: (exact[d] % m, 0) for d in range(p)}
+        factors = {d: (rows[d] % m, 0) for d in range(p)}
     if m != p**3:
         rows = [r % m for r in rows]
     digits = sorted(factors.items())
     for n in span:
         k = n if n >= 0 else -1 - n
-        row = rows[p * (k - a) : p * (k - a) + p]
+        row = rows[p * k : p * k + p]
         if n < 0:
             row.reverse()
-        an, pn = heads[k - a] % m, p * n
+        an, pn = rows[k], p * n
         report.checked += len(digits)
         lhs = row if len(digits) == p else [row[d] for d, _ in digits]
         rhs = [(f + pn * s) * an % m for _, (f, s) in digits]
@@ -309,12 +297,12 @@ def verify_mod_p3_suite(
     )
     if p == 2:
         span = _span(n_range)
-        a, b = _heads(n_range)
-        heads = (cache if cache is not None else shared_cache()).residues(2, a, b)
+        memo = cache if cache is not None else shared_cache()
+        heads = memo.residues(2, max(span[-1], -1 - span[0]))
         for n in span:
             report.checked += 1
             k, e = (n, n) if n >= 0 else (-1 - n, n + 1)
-            lhs, rhs = heads[k - a], (1, 5)[e % 2]  # 5^e mod 8, as 5^2 = 1 mod 8
+            lhs, rhs = heads[k], (1, 5)[e % 2]  # 5^e mod 8, as 5^2 = 1 mod 8
             if lhs != rhs:
                 report.counterexamples.append(
                     Counterexample(None, n, 2, Residue(lhs, 8), Residue(rhs, 8))

@@ -224,9 +224,10 @@ def mzv_float(s: Sequence[int], N: int) -> float:
     """Floating partial sum of zeta(s); needs s1 >= 2 to have a limit.
 
     The one-step Richardson value 2 S(2N) - S(N) is returned, cancelling
-    the leading c/N tail that the slowest (s1 = 2) modes leave behind.  Both sums come from one pass to 2N: S(N) is the
-    sum of its first N terms.  Several compositions at one truncation are
-    cheaper together: see _mzv_floats, which this calls.
+    the leading c/N tail that the slowest (s1 = 2) modes leave behind.
+    Both sums come from one pass to 2N: S(N) is the sum of its first N
+    terms.  Several compositions at one truncation are cheaper together:
+    see _mzv_floats, which this calls.
     """
     s = _validate_composition(s)
     return _mzv_floats([s], N)[s]

@@ -6,7 +6,7 @@ by the reflection A(n) = A(-1-n).  A'(n) is the harmonic-weighted variant
 
 Besides the defining sums this module provides the three-term recurrence
 (apery_fast, the one exact route, with a shared memo cache, which also serves
-spans of residues mod p^3 to the congruence sweeps), A'(n) from the
+prefixes of residues mod p^3 to the congruence sweeps), A'(n) from the
 recurrence's derivative, O(log n) modular evaluation through the base-p
 digit congruences, and a memory-flat recurrence sweep for reducing A(n) at
 scattered large indices.  The digit table A(d) mod p comes from the
@@ -118,18 +118,15 @@ class AperyCache:
 
     Values are immutable once inserted, so lock-free reads are safe; writes
     go through preload, under a lock (put is a one-record preload).  A
-    contiguous high-water mark lets apery_fast restart the recurrence from
-    the longest verified prefix instead of from zero.
+    contiguous high-water mark lets the recurrence restart from the longest
+    held prefix instead of from zero (_walk).
 
-    Beside the values the memo keeps one array('q') per prime p, filled a
-    span at a time by residues(): entry n holds A(n) mod p^3, reduced from
-    the value this memo holds at n, or -1 while not reduced.  A table
-    belongs to its memo, so another memo's values, equal or not, never
-    answer from it.  The tables take no lock either.  They only grow, and
-    an entry only changes from -1 to the residue of the value held at n,
-    which never changes; two threads that fill one entry write the same
-    number, and two that grow one table at once only leave spare -1
-    entries past its end.
+    Beside the values the memo keeps one array('q') per prime p, the prefix
+    A(0), ..., A(len - 1) mod p^3 reduced from the values this memo holds,
+    which residues() extends under the lock.  A table belongs to its memo,
+    so another memo's values, equal or not, never answer from it.  Readers
+    take no lock: a table only grows, and an entry never changes once
+    written.
     """
 
     def __init__(self, values: Mapping[int, int] | None = None):
@@ -157,33 +154,40 @@ class AperyCache:
             while self._contiguous + 1 in self._values:
                 self._contiguous += 1
 
-    def residues(self, p: int, lo: int, hi: int) -> list[int]:
-        """A(k) mod p^3 for k = lo, ..., hi, with 0 <= lo <= hi.
+    def _walk(self, top: int) -> int:
+        """A(top), after the recurrence has run from the contiguous prefix
+        to top: every value the memo lacks is made and put, and every value
+        it holds is read, so a value held at top does not stop the walk
+        short of the indices below it."""
+        start = min(top, self._contiguous)
+        prev2, prev1 = self.get(start - 1), self.get(start)
+        for m in range(start + 1, top + 1):
+            value = self.get(m)
+            if value is None:
+                value = _recurrence_step(m, prev1, prev2)
+                self.put(m, value)
+            prev2, prev1 = prev1, value
+        return prev1
 
-        One apery_fast(hi, self) puts every value up to hi in the memo;
-        the residues are reduced from the values held there.  The table of
-        p serves every entry reduced before, and only the entries of the
-        span that are still -1 are reduced and stored, so each held value
-        is reduced once per prime, and an index outside every span asked
-        for is never reduced.  A prime p >= 2^21, where p^3 overflows an
-        entry, has no table: its residues are reduced afresh each time.
+    def residues(self, p: int, top: int) -> list[int]:
+        """A(k) mod p^3 for k = 0, ..., top.
+
+        The walk (_walk) first puts every value up to top in the memo.  The
+        table of p then serves the prefix it holds and is extended, under
+        the lock, by the values past its end, each reduced once per prime.
+        A prime p >= 2^21, where p^3 overflows an entry, has no table: its
+        residues are reduced afresh each time.
         """
-        apery_fast(hi, self)
+        self._walk(top)  # before the lock, which its puts take
         values, cube = self._values, p * p * p
         if cube > _ENTRY_MAX:
-            return [values[k] % cube for k in range(lo, hi + 1)]
+            return [values[k] % cube for k in range(top + 1)]
         table = self._tables.get(p)
-        if table is None:
-            table = self._tables.setdefault(p, array("q"))
-        if hi >= len(table):
-            table.frombytes(b"\xff" * (8 * (hi + 1 - len(table))))  # -1 each
-        row = table[lo : hi + 1]
-        if -1 in row:
-            for k in range(lo, hi + 1):
-                if table[k] < 0:
-                    table[k] = values[k] % cube
-            row = table[lo : hi + 1]
-        return row.tolist()
+        if table is None or len(table) <= top:
+            with self._lock:
+                table = self._tables.setdefault(p, array("q"))
+                table.extend([values[k] % cube for k in range(len(table), top + 1)])
+        return table[: top + 1].tolist()
 
     def items(self) -> list[tuple[int, int]]:
         return sorted(self._values.items())
@@ -205,7 +209,8 @@ def shared_cache() -> AperyCache:
 
 def apery_fast(n: int, cache: AperyCache | None = None) -> int:
     """A(n) for any integer n: the reflection A(n) = A(-1-n), then the
-    three-term recurrence from the memo's longest contiguous prefix.
+    three-term recurrence from the memo's longest contiguous prefix (the
+    walk, AperyCache._walk, that residues also runs).
 
     Every value the recurrence makes is put in the memo (the process-wide
     one when cache is None).  The test suite checks this route against
@@ -216,18 +221,7 @@ def apery_fast(n: int, cache: AperyCache | None = None) -> int:
     if cache is None:
         cache = _SHARED_CACHE
     hit = cache.get(n)
-    if hit is not None:
-        return hit
-    start = min(n, cache._contiguous)
-    # n >= 2 here (the memo holds 0 and 1), so 1 <= start <= _contiguous
-    prev2, prev1 = cache.get(start - 1), cache.get(start)
-    for m in range(start + 1, n + 1):
-        value = cache.get(m)
-        if value is None:
-            value = _recurrence_step(m, prev1, prev2)
-            cache.put(m, value)
-        prev2, prev1 = prev1, value
-    return prev1
+    return hit if hit is not None else cache._walk(n)
 
 
 def apery_deriv(n: int) -> Fraction:

@@ -1,5 +1,5 @@
-"""Exact-arithmetic helpers: binomials, residues, rational reduction, and the
-classical congruence ingredients."""
+"""Exact-arithmetic helpers: binomials, residues, and the classical congruence
+ingredients, with the tests' own rational reduction."""
 
 import math
 from fractions import Fraction
@@ -16,9 +16,9 @@ from apery.arith import (
     is_prime,
     jacobsthal_holds,
     primes_upto,
-    rational_mod,
     wolstenholme_residue,
 )
+from oracles import rational_mod
 
 
 def factorial_binomial(n, k):

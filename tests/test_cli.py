@@ -76,8 +76,8 @@ class TestAperyCommand:
     def test_large_prime_square_modulus(self, capsys):
         # the digit congruence with A(d), A'(d) from the exact sums: only
         # the digits of n enter, so the tables stop at 19 there
-        from apery.arith import rational_mod
         from apery.sequence import apery, apery_deriv, apery_mod_p2
+        from oracles import rational_mod
 
         p = 1000003
         m = p * p
@@ -663,6 +663,16 @@ class TestCacheCommand:
         from apery.sequence import apery
 
         assert code == 0 and int(out) == apery(40)
+
+    def test_sweep_on_a_cache_of_its_last_value(self, capsys, tmp_path):
+        # a cache that holds A(99) alone, the last index the sweep reads:
+        # the values below it are made, and the run reports as without it
+        path = str(tmp_path / "a.cache")
+        assert run_cli(capsys, "cache", "fill", "--n", "99..99", "--cache", path)[0] == 0
+        argv = ["verify", "lucas-p", "--p", "5", "--n", "0..19"]
+        want = (0, "lucas-p: PASS (100 cases)\n", "")
+        assert run_cli(capsys, *argv, "--cache", path) == want
+        assert run_cli(capsys, *argv) == want
 
     def test_rescaled_cache_refused(self, capsys, tmp_path):
         from apery.cachefile import cache_store

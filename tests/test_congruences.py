@@ -139,8 +139,8 @@ class TestGesselModP2:
             assert report.passed
 
     def test_p3_derivatives_vanish_mod3(self):
-        from apery.arith import rational_mod
         from apery.sequence import apery_deriv
+        from oracles import rational_mod
 
         assert all(rational_mod(apery_deriv(d), 3).value == 0 for d in range(3))
 
@@ -522,6 +522,20 @@ def _reference_report(verify, p, n_range, monkeypatch, cache=None, reads=None):
         return verify(p, n_range, cache)
 
 
+def _counted_memo(top, reductions):
+    # a private memo of the exact A(2), ..., A(top) whose values tally each
+    # reduction under their index in reductions
+    class Counted(int):
+        def __mod__(self, m):
+            reductions[self.k] += 1
+            return int(self) % m
+
+    values = {k: Counted(apery_fast(k)) for k in range(2, top + 1)}
+    for k, value in values.items():
+        value.k = k
+    return AperyCache(values)
+
+
 def _row_indices(p, n_range, exact_factors=False):
     # the indices a sweep at p may read: k = n or -1-n for A(n), its row
     # p k, ..., p k + p - 1, and the digits d < p for exact factors
@@ -544,24 +558,12 @@ class TestReadOnce:
         # four theorem ids at p = 5 over overlapping ranges on one memo whose
         # values count their reductions: each held value is reduced at most
         # once, however many sweeps and moduli (5, 25, 125) read it, and only
-        # at an index that some row, A(n) or exact factor reads.  On a fresh
-        # memo, the offset range n = 7..9 reads A(7..9) and rows 35..49 and
-        # reduces nothing in between.  A(0) and A(1) are the memo's own ints,
-        # so only k >= 2 is counted
+        # up to the last row any sweep reads.  On a fresh memo, the offset
+        # range n = 7..9 reduces the prefix up to its last row, A(0..49),
+        # and no value twice.  A(0) and A(1) are the memo's own ints, so
+        # only k >= 2 is counted
         reductions = Counter()
-
-        class Counted(int):
-            def __mod__(self, m):
-                reductions[self.k] += 1
-                return int(self) % m
-
-        def counted_memo():
-            values = {k: Counted(apery_fast(k)) for k in range(2, 60)}
-            for k, value in values.items():
-                value.k = k
-            return AperyCache(values)
-
-        cache = counted_memo()
+        cache = _counted_memo(59, reductions)
         sweeps = [
             (verify_lucas_mod_p, (-6, 5), False),
             (verify_gessel_mod_p2, (-3, 8), False),
@@ -570,23 +572,24 @@ class TestReadOnce:
         ]
         assert all(verify(5, n_range, cache).passed for verify, n_range, _ in sweeps)
         read = [_row_indices(5, n_range, exact) for _, n_range, exact in sweeps]
-        allowed = set().union(*read)
-        assert sum(map(len, read)) > len(allowed)  # the sweeps read indices in common
-        assert max(reductions.values()) == 1 and set(reductions) <= allowed
+        assert sum(map(len, read)) > len(set().union(*read))  # indices in common
+        assert max(reductions.values()) == 1
+        assert set(reductions) <= set(range(max(map(max, read)) + 1))
 
         reductions.clear()
-        assert verify_gessel_mod_p2(5, (7, 9), counted_memo()).passed
-        assert max(reductions.values()) == 1
-        assert set(reductions) <= {7, 8, 9} | set(range(35, 50))
+        assert verify_gessel_mod_p2(5, (7, 9), _counted_memo(59, reductions)).passed
+        assert max(reductions.values()) == 1 and set(reductions) <= set(range(50))
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_warm_sweep_asks_the_memo_once(self, name, monkeypatch):
-        # a warm sweep over a range through zero takes its rows, A(n) and any
-        # exact factors from one span of the memo: one apery_fast call, which
-        # finds the top value held, and no memo call per index
+        # a warm sweep over a range through zero reads its rows, A(n) and
+        # any exact factors with one AperyCache.residues call, which makes
+        # no exact step and reduces no value
         verify, p = self.CASES[name]
-        cache = AperyCache()
+        reductions = Counter()
+        cache = _counted_memo(p * 41 - 1, reductions)
         assert verify(p, (-40, 30), cache).passed
+        reductions.clear()
         calls = Counter()
 
         def counted(label, real):
@@ -596,10 +599,33 @@ class TestReadOnce:
 
             return call
 
-        monkeypatch.setattr(apery.sequence, "apery_fast", counted("apery_fast", apery_fast))
-        monkeypatch.setattr(AperyCache, "get", counted("get", AperyCache.get))
+        monkeypatch.setattr(AperyCache, "residues", counted("residues", AperyCache.residues))
+        monkeypatch.setattr(AperyCache, "put", counted("put", AperyCache.put))
+        monkeypatch.setattr(
+            apery.sequence, "_recurrence_step", counted("step", apery.sequence._recurrence_step)
+        )
         assert verify(p, (-40, 30), cache).passed
-        assert calls == {"apery_fast": 1, "get": 1}
+        assert calls == {"residues": 1} and not reductions
+
+
+class TestSparseMemo:
+    # a memo that holds only A(top), the last index the sweep reads: the
+    # walk must still make every value below it, so each report is the one
+    # from a fresh memo
+    CASES = {
+        "lucas-p": (verify_lucas_mod_p, 5, (0, 19), 99),
+        "gessel-p2": (verify_gessel_mod_p2, 5, (0, 19), 99),
+        "p3-suite-5": (verify_mod_p3_suite, 5, (0, 19), 99),
+        "digitset-p2": (verify_digit_set_lucas, 5, (0, 19), 99),
+        "p3-suite-2": (verify_mod_p3_suite, 2, (0, 40), 40),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_report_as_on_a_fresh_memo(self, name):
+        verify, p, n_range, top = self.CASES[name]
+        got = verify(p, n_range, AperyCache({top: apery.sequence.apery(top)}))
+        assert got.to_dict() == verify(p, n_range, AperyCache()).to_dict()
+        assert got.passed
 
 
 class TestSameReport:

@@ -3,6 +3,9 @@
 import itertools
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
 
@@ -98,15 +101,40 @@ class TestCache:
         cache = AperyCache({10: apery(10)})
         assert apery_fast(12, cache) == apery(12)
 
-    def test_residues_fill_only_their_spans(self):
-        # spans of A(k) mod p^3 on a sparse memo, against the defining sum:
-        # the entries of the table of 5 outside the spans asked for stay -1,
+    def test_residues_are_prefixes(self):
+        # prefixes of A(k) mod p^3 on a sparse memo, against the defining
+        # sum: the held A(40) does not end the walk below it (top = 40), a
+        # shorter prefix is read from the table and a longer one extends it,
         # and 2097169 > 2^21, whose cube overflows an entry, keeps no table
         cache = AperyCache({40: apery(40)})
-        for p, lo, hi in ((5, 35, 49), (5, 7, 9), (2097169, 3, 8)):
-            assert cache.residues(p, lo, hi) == [apery(k) % p**3 for k in range(lo, hi + 1)]
-        assert [k for k, r in enumerate(cache._tables[5]) if r >= 0] == [7, 8, 9, *range(35, 50)]
+        for p, top in ((5, 40), (5, 9), (5, 49), (2097169, 8)):
+            assert cache.residues(p, top) == [apery(k) % p**3 for k in range(top + 1)]
+        assert cache._tables[5].tolist() == [apery(k) % 125 for k in range(50)]
         assert list(cache._tables) == [5]
+
+    def test_residues_from_threads(self):
+        # threads that extend one table at once, with the interpreter
+        # switching threads often, leave every entry once: an extend outside
+        # the lock would append part of the prefix twice
+        cache = AperyCache()
+        apery_fast(3000, cache)
+        tops = [600, 3000, 1500, 2400, 3000, 900]
+        start = threading.Barrier(len(tops), timeout=30)
+
+        def read(top):
+            start.wait()
+            return cache.residues(5, top)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(tops)) as pool:
+                got = list(pool.map(read, tops))
+        finally:
+            sys.setswitchinterval(interval)
+        want = [apery_fast(k, cache) % 125 for k in range(max(tops) + 1)]
+        assert got == [want[: top + 1] for top in tops]
+        assert cache._tables[5].tolist() == want
 
     def test_items_sorted(self):
         cache = AperyCache()
@@ -219,7 +247,7 @@ class TestFastModPaths:
         # the tables stop at the largest digit of n, so a prime near 10^6
         # costs no table of 10^6 entries; the oracle is the digit formula
         # with exact A(d) and A'(d)
-        from apery.arith import rational_mod
+        from oracles import rational_mod
 
         p = 1000003
         m = p * p
@@ -238,7 +266,8 @@ class TestDigitTables:
     def test_kernel_matches_exact_reduction(self):
         # the recurrence and its derivative modulo p and p^2 against exact
         # values and the harmonic-sum A'(d), for every prime p <= 113
-        from apery.arith import primes_upto, rational_mod
+        from apery.arith import primes_upto
+        from oracles import rational_mod
 
         exact = [apery(d) for d in range(113)]
         derivs = [harmonic_deriv(d) for d in range(113)]
