@@ -84,6 +84,20 @@ def _digits(n: int, p: int) -> list[int]:
     return fill(lo, len(powers) - 1) + _digits(hi, p)
 
 
+def _icbrt(n: int) -> int:
+    """The integer cube root floor(n^(1/3)) of n >= 0, by Newton's method on
+    integers from 2^ceil(bitlen/3), which is at least the root; no float
+    enters, so it is exact at any size."""
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def primes_upto(limit: int) -> list[int]:
     """All primes p <= limit, ascending."""
     if limit < 2:

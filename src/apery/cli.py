@@ -29,10 +29,7 @@ import sys
 from fractions import Fraction
 
 from .arith import (
-    PRIMALITY_BOUND,
-    Residue,
     _require_prime,
-    is_prime,
     jacobsthal_holds,
     primes_upto,
     wolstenholme_residue,
@@ -60,14 +57,7 @@ from .mzv import (
     taylor_identity_holds,
     taylor_terms,
 )
-from .sequence import (
-    AperyCache,
-    _recurrence_mod,
-    apery_deriv,
-    apery_fast,
-    apery_mod_p,
-    apery_mod_p2,
-)
+from .sequence import AperyCache, apery_deriv, apery_fast, apery_mod
 
 CACHE_ENV = "APERY_CACHE"
 CONFIG_ENV = "APERY_CONFIG"
@@ -148,28 +138,13 @@ def _cmd_apery(args: argparse.Namespace) -> Result:
         return 0, {"n": args.n, "value": value}, value
     if args.mod < 2:
         raise ValueError("--mod must be >= 2")
-    value = str(_reduce_apery(args).value)
+    residue = apery_mod(args.n, args.mod)
+    # only the exact fallback reads --cache
+    if residue is None:
+        value = str(apery_fast(args.n, _open_cache(args)) % args.mod)
+    else:
+        value = str(residue.value)
     return 0, {"n": args.n, "modulus": str(args.mod), "value": value}, value
-
-
-def _reduce_apery(args: argparse.Namespace) -> Residue:
-    n, modulus = args.n, args.mod
-    if n < 0:
-        n = -1 - n
-    # the digit routes for prime and prime-squared moduli build their tables
-    # up to the largest base-p digit of n; below p that would be the whole
-    # pass to n, which the modular pass makes without a primality test
-    if modulus <= min(n, PRIMALITY_BOUND) and is_prime(modulus):
-        return apery_mod_p(n, modulus)
-    root = math.isqrt(modulus)
-    if root * root == modulus and root <= min(n, PRIMALITY_BOUND) and is_prime(root):
-        return apery_mod_p2(n, root)
-    # x/den is A(n) mod M unless some k <= n shares a factor with M
-    for x, den in _recurrence_mod(modulus, n):
-        pass
-    if math.gcd(den, modulus) == 1:
-        return Residue(x * pow(den, -1, modulus), modulus)
-    return Residue(apery_fast(n, _open_cache(args)) % modulus, modulus)
 
 
 def _cmd_aperyd(args: argparse.Namespace) -> Result:

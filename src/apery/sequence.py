@@ -15,6 +15,7 @@ from the recurrence and its derivative modulo p^2, with no exact values;
 the exact routes stay as their oracles.  A p-adic digit DP gives
 A(n) mod p^e, e <= 3, from Kummer's theorem and p-free factorials, with no
 recurrence and no digit theorem, in time linear in the digits of n.
+apery_mod is the one entry for A(n) mod any M: it picks among those routes.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from fractions import Fraction
 from itertools import accumulate, pairwise
 from typing import Iterable, Iterator, Mapping
 
-from .arith import Residue, _digits, _require_prime
+from .arith import PRIMALITY_BOUND, Residue, _digits, _icbrt, _require_prime, is_prime
 
 __all__ = [
     "AperyCache",
     "apery",
     "apery_deriv",
     "apery_fast",
+    "apery_mod",
     "apery_mod_p",
     "apery_mod_p2",
     "apery_mod_sweep",
@@ -475,3 +477,44 @@ def _apery_mod_pk(n: int, p: int, e: int) -> int:
         state = _dp_step(state, big, p, t)
         big = (big * p + t) % m
     return state[0] % p**e
+
+
+def apery_mod(n: int, modulus: int) -> Residue | None:
+    """A(n) mod M for any integer n and M >= 2, or None when only the exact
+    value answers; a caller then reduces apery_fast(n).
+
+    n < 0 is reflected to -1-n first.  With p a prime <= min(n,
+    PRIMALITY_BOUND), the route for M is
+    - p: the Lucas digit route apery_mod_p;
+    - p^2: Gessel's digit route apery_mod_p2;
+    - p^3 with p >= 5: the p-adic digit DP _apery_mod_pk (8 and 27 fall
+      through: the DP reads mod p^3 only from p = 5 on);
+    - any other M > n: one pass of the recurrence modulo M to n, carried
+      as x/den (_recurrence_mod).  That is A(n) mod M when den, the product
+      of k^3 over 1 <= k <= n, is a unit mod M, and None when some k <= n
+      shares a factor with M;
+    - any other M <= n: None without the pass, since k = M shares M.
+    The digit tables stop at the largest base-p digit of n, and the DP
+    reads each base-p digit of n once.  With p > n a table would be the
+    whole pass to n, which the pass makes without a primality test.
+    """
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if n < 0:
+        n = -1 - n
+    bound = min(n, PRIMALITY_BOUND)
+    if modulus <= bound and is_prime(modulus):
+        return apery_mod_p(n, modulus)
+    root = math.isqrt(modulus)
+    if root * root == modulus and root <= bound and is_prime(root):
+        return apery_mod_p2(n, root)
+    root = _icbrt(modulus)
+    if root**3 == modulus and 5 <= root <= bound and is_prime(root):
+        return Residue(_apery_mod_pk(n, root, 3), modulus)
+    if modulus <= n:
+        return None
+    for x, den in _recurrence_mod(modulus, n):
+        pass
+    if math.gcd(den, modulus) == 1:
+        return Residue(x * pow(den, -1, modulus), modulus)
+    return None

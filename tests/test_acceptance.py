@@ -3,9 +3,13 @@ pass/fail line per criterion (run with -s to see them)."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 from apery.arith import jacobsthal_holds, primes_upto, wolstenholme_residue
 from apery.congruences import (
@@ -79,7 +83,7 @@ def test_02_dual_method_equivalence():
 
 def test_03_digit_set_table():
     t0 = time.time()
-    rows = scan_digit_sets(167, 4, cache=shared_cache())
+    rows = scan_digit_sets(167, 4)
     got = "\n".join(ds.format_row() for ds in rows)
     report("3 digit-set-table", got == DIGIT_SET_TABLE_TEXT, t0, 60)
 
@@ -167,8 +171,7 @@ def test_06_congruence_sweeps():
 
 def test_07_base5_power_law():
     t0 = time.time()
-    cache = shared_cache()
-    tables = mod_p2_tables(5, cache)
+    tables = mod_p2_tables(5)
     assert tables[0][2] == 23  # A(2) = 73 = 23 mod 25
     numbers = []
     ok = True
@@ -302,17 +305,19 @@ def test_15_symmetric_sweep_budget():
     # `verify lucas-p --p 5 --n -1000..999`, `verify gessel-p2 --p 101
     # --n -49..49` and `verify p3-suite --p 2 --n -5000..4999`: n and -1-n
     # read the same row, and the memo reduces each exact value once per
-    # prime and keeps the residue (0.06-0.07 s here when cold).  The shared
-    # memo is warmed to the top index, A(5049), outside the timer, so the
-    # budget covers the reductions, not the prefix.  A suite run may have
-    # filled the tables of 2, 5 or 101 already, so CI also runs this test in
-    # a process of its own, where every reduction is timed cold.
-    apery_fast(5049)
+    # prime and keeps the residue (0.06-0.07 s here when cold).  A memo of
+    # its own is warmed to the top index, A(5049), outside the timer, so
+    # the budget covers the reductions, not the prefix, and every reduction
+    # is timed cold: no other test has filled that memo's residue tables
+    from apery.sequence import AperyCache
+
+    cache = AperyCache()
+    apery_fast(5049, cache)
     t0 = time.time()
     reports = [
-        verify_lucas_mod_p(5, (-1000, 999)),
-        verify_gessel_mod_p2(101, (-49, 49)),
-        verify_mod_p3_suite(2, (-5000, 4999)),
+        verify_lucas_mod_p(5, (-1000, 999), cache),
+        verify_gessel_mod_p2(101, (-49, 49), cache),
+        verify_mod_p3_suite(2, (-5000, 4999), cache),
     ]
     ok = all(r.passed for r in reports) and [r.checked for r in reports] == [10000, 9999, 10000]
     report("15 symmetric-sweep-budget", ok, t0, 0.2)
@@ -430,3 +435,22 @@ def test_21_long_n_digit_split_budget():
     residue_p2 = apery_mod_p2(n, 101).value
     ok = residue_p2 == _apery_mod_pk(n, 101, 2) and residue_p == residue_p2 % 101
     report("21 long-n-digit-split-budget", ok, t0, 1)
+
+
+def test_22_prime_cube_modulus_budget():
+    # `apery 10**21 --mod 343` in a process of its own: apery_mod sends a
+    # prime cube p^3 with 5 <= p <= |n| to the p-adic digit DP: 0.15 s with
+    # interpreter start-up on 2 vCPUs.  The x/den pass it took before runs 10^21 steps and
+    # never returned, so a timeout at the budget fails the test instead of
+    # hanging it.  The answer is checked mod 49 against the Gessel digit route
+    budget = 1
+    n = 10**21
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    t0 = time.time()
+    done = subprocess.run(
+        [sys.executable, "-m", "apery", "apery", str(n), "--mod", "343"],
+        env=env, capture_output=True, text=True, timeout=budget,
+    )
+    value = int(done.stdout) if done.returncode == 0 else None
+    ok = value is not None and 0 <= value < 343 and value % 49 == apery_mod_p2(n, 7).value
+    report("22 prime-cube-modulus-budget", ok, t0, budget)

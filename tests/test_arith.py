@@ -12,6 +12,7 @@ from apery.arith import (
     PRIMALITY_BOUND,
     Residue,
     _digits,
+    _icbrt,
     binomial,
     is_prime,
     jacobsthal_holds,
@@ -138,6 +139,19 @@ class TestDigits:
     @settings(max_examples=200, deadline=None)
     def test_matches_peeling(self, n, p):
         assert _digits(n, p) == peeled_digits(n, p)
+
+
+class TestCubeRoot:
+    def test_cubes_and_their_neighbours(self):
+        for r in [*range(1, 200), 10**7 + 19, 2**200 - 1, 1000003**5]:
+            for n in (r**3 - 1, r**3, r**3 + 1):
+                assert _icbrt(n) == (r - 1 if n < r**3 else r), n
+
+    @given(st.integers(min_value=0, max_value=10**900))
+    @settings(max_examples=200, deadline=None)
+    def test_floor_root(self, n):
+        r = _icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3
 
 
 def test_primes_upto():

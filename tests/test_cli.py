@@ -704,6 +704,7 @@ class TestCacheCommand:
             ["verify", "lucas-p3", "--p", "5", "--depth", "2"],
             ["apery", "1000", "--mod", "7"],
             ["apery", "1000", "--mod", "49"],
+            ["apery", "40", "--mod", "343"],  # the p-adic digit DP
         ],
         ids=[
             "digits",
@@ -712,6 +713,7 @@ class TestCacheCommand:
             "verify-lucas-p3",
             "apery-mod-p",
             "apery-mod-p2",
+            "apery-mod-p3",
         ],
     )
     def test_routes_without_exact_values_ignore_cache(self, capsys, rescaled, argv):

@@ -356,7 +356,7 @@ class TestFastPathConsistency:
         # same grid (reflecting negative arguments first)
         cache = AperyCache()
         for p in (3, 5, 7):
-            tables = mod_p2_tables(p, cache)
+            tables = mod_p2_tables(p)
             m = p * p
             for n in range(-12, 13):
                 for d in range(p):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apery.arith import Residue
 from apery.congruences import verify_lucas_mod_p
 from apery.sequence import (
     AperyCache,
@@ -20,6 +21,7 @@ from apery.sequence import (
     apery,
     apery_deriv,
     apery_fast,
+    apery_mod,
     apery_mod_p,
     apery_mod_p2,
     apery_mod_sweep,
@@ -205,7 +207,7 @@ class TestFastModPaths:
         cache = AperyCache()
         for p in (2, 3, 5, 7):
             table = mod_p_table(p)
-            tables = mod_p2_tables(p, cache)
+            tables = mod_p2_tables(p)
             for n in range(250):
                 exact = apery_fast(n, cache)
                 assert apery_mod_p(n, p, table).value == exact % p
@@ -227,7 +229,7 @@ class TestFastModPaths:
         exact = [apery_fast(n, cache) for n in range(3001)]
         for p in primes_upto(31):
             table = mod_p_table(p)
-            tables = mod_p2_tables(p, cache)
+            tables = mod_p2_tables(p)
             m = p * p
             for n, value in enumerate(exact):
                 assert apery_mod_p(n, p, table).value == value % p
@@ -260,6 +262,36 @@ class TestFastModPaths:
             want = math.prod(exact[0][d] for d in digits) % p
             assert apery_mod_p(n, p).value == want
             assert apery_mod_p2(n, p) == apery_mod_p2(n, p, exact)
+
+
+class TestAperyMod:
+    # moduli p^e that a digit route takes once p <= |n|, keyed to p: the
+    # tables mod p and p^2, and the p-adic digit DP for p^3 at p >= 5
+    ROUTED = {p**e: p for p in (2, 3, 5, 7, 11, 13) for e in (1, 2, 3) if e < 3 or p >= 5}
+    # a prime above every |n| of the grid, a coprime composite above it, a
+    # multiple of 3 above PRIMALITY_BOUND, and moduli with a factor <= |n|
+    # that only the exact value answers there
+    OTHERS = (401, 10007 * 10009, 3317044064679887385961983, 8, 27, 35, 1000)
+
+    def test_route_grid(self):
+        # against the defining sum; None exactly where no digit route takes
+        # M and some k <= |n| shares a factor with M
+        exact = [apery(k) for k in range(400)]
+        moduli = [*self.ROUTED, *self.OTHERS]
+        for n in range(-60, 400):
+            k = n if n >= 0 else -1 - n
+            factorial = math.factorial(k)
+            for m in moduli:
+                got = apery_mod(n, m)
+                if self.ROUTED.get(m, k + 1) > k and math.gcd(m, factorial) > 1:
+                    assert got is None, (n, m)
+                else:
+                    assert got == Residue(exact[k], m), (n, m)
+
+    def test_modulus_below_two_rejected(self):
+        for bad in (1, 0, -5):
+            with pytest.raises(ValueError):
+                apery_mod(5, bad)
 
 
 class TestDigitTables:
