@@ -147,10 +147,10 @@ def cache_load(path: str | os.PathLike, verify: bool = True) -> dict[int, int]:
             if record is None:
                 raise CacheError("non-integer record", line=idx)
             n, value = record
-            if n <= previous:
-                raise CacheError(f"n={n} is not strictly increasing", line=idx)
             if n < 0:
                 raise CacheError(f"negative index n={n}", line=idx)
+            if n <= previous:
+                raise CacheError(f"n={n} is not strictly increasing", line=idx)
             previous = n
             values[n] = value
     finally:

@@ -262,10 +262,10 @@ def _residual_check(label: str, residual: float, tol: float | None, asserted=Tru
     }
 
 
-def _verify_congruence(sweep, args) -> dict:
+def _verify_congruence(sweep, default, args) -> dict:
+    # default is the range without --n; None leaves it to the sweep
     if args.p is None:
         raise ValueError(f"verify {args.theorem} needs --p")
-    default = (-args.p, args.p) if args.theorem == "digitset-p2" else (-10, 10)
     return sweep(args.p, args.n or default, _open_cache(args)).to_dict()
 
 
@@ -381,10 +381,10 @@ def _verify_wolstenholme(args) -> dict:
 
 # the verify theorem ids, in the order the help text lists them
 THEOREMS = {
-    "lucas-p": functools.partial(_verify_congruence, verify_lucas_mod_p),
-    "gessel-p2": functools.partial(_verify_congruence, verify_gessel_mod_p2),
-    "p3-suite": functools.partial(_verify_congruence, verify_mod_p3_suite),
-    "digitset-p2": functools.partial(_verify_congruence, verify_digit_set_lucas),
+    "lucas-p": functools.partial(_verify_congruence, verify_lucas_mod_p, (-10, 10)),
+    "gessel-p2": functools.partial(_verify_congruence, verify_gessel_mod_p2, (-10, 10)),
+    "p3-suite": functools.partial(_verify_congruence, verify_mod_p3_suite, (-10, 10)),
+    "digitset-p2": functools.partial(_verify_congruence, verify_digit_set_lucas, None),
     "corollary": _verify_multi_digit,
     "lucas-p3": _verify_multi_digit,
     "taylor-identity": _verify_taylor_identity,

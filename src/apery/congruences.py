@@ -7,13 +7,14 @@ integer n.  Negative n are always in scope: reflection A(n) = A(-1-n) turns
 them into non-negative evaluations.
 
 Each digit law is a modulus plus a table of per-digit factors.  The
-per-(d, n) laws share one sweep, _sweep, with both sides A(d + p n) and
-A(n) reduced from exact values and the factors A(d), A'(d) read from the
-digit tables (the recurrence and its derivative modulo p or p^2), except
-that digitset-p2 keeps exact factors (see verify_digit_set_lucas).  The
-sweep reads a row of p left sides at a time, from one prefix of residues
-mod p^3 that the memo holding the exact values reduces once per prime and
-keeps (AperyCache.residues); _sweep says how.
+per-(d, n) laws share one sweep, _sweep, which builds, fills and returns
+their report, with both sides A(d + p n) and A(n) reduced from exact
+values and the factors A(d), A'(d) read from the digit tables (the
+recurrence and its derivative modulo p or p^2), except that digitset-p2
+keeps exact factors (see verify_digit_set_lucas).  The sweep reads a row
+of p left sides at a time, from one prefix of residues mod p^3 that the
+memo holding the exact values reduces once per prime and keeps
+(AperyCache.residues); _sweep says how.
 verify_multi_digit takes A(n) from the p-adic digit DP, which uses neither
 the recurrence nor a digit theorem, and its factors from the digit tables.
 digit_set and scan_digit_sets read no exact value: each block of
@@ -188,23 +189,25 @@ def scan_digit_sets(
 
 
 def _sweep(
-    report: CongruenceReport,
+    theorem: str,
     p: int,
     m: int,
     n_range: tuple[int, int],
     factors: dict[int, tuple[int, int]] | None,
     cache: AperyCache | None,
     expected_to_fail: frozenset[int] = frozenset(),
-) -> None:
-    """Check A(d + p n) = (a + p n s) A(n) mod m for every digit d: (a, s) in
-    factors and every n in range, both sides reduced from exact values.
+) -> CongruenceReport:
+    """The report of theorem at p over the range, with parameters p, n_lo
+    and n_hi: A(d + p n) = (a + p n s) A(n) mod m for every digit d: (a, s)
+    in factors and every n in range, both sides reduced from exact values.
     factors=None stands for the exact factors (A(d) mod m, 0), d < p.
 
     Cases run n by n, digits ascending, and the row of each n adds the
-    number of digits it starts with to report.checked.  A failing case is a
+    number of digits it starts with to checked.  A failing case is a
     counterexample, except that the first failure of a digit in
     expected_to_fail is its witness and ends that digit's sweep; the digits
-    in expected_to_fail that never fail land in unwitnessed.
+    in expected_to_fail that never fail land in unwitnessed, and a note
+    says to widen the range.
 
     A(n) = A(k) for the index k = n or -1-n, and the left sides of row n
     are A(pk), ..., A(pk + p - 1), in digit order for n >= 0 and reversed
@@ -218,6 +221,7 @@ def _sweep(
     the prefix A(0..K) the same way.
     """
     span = _span(n_range)
+    report = CongruenceReport(theorem, {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]})
     memo = cache if cache is not None else shared_cache()
     rows = memo.residues(p, p * max(span[-1], -1 - span[0]) + p - 1)
     if factors is None:
@@ -246,6 +250,12 @@ def _sweep(
             else:
                 report.counterexamples.append(case)
     report.unwitnessed = [d for d, _ in digits if d in expected_to_fail]
+    if report.unwitnessed:
+        report.notes.append(
+            "no violating n found in range for some digits outside D(p); "
+            "widen the range (existence is guaranteed)"
+        )
+    return report
 
 
 def verify_lucas_mod_p(
@@ -254,12 +264,8 @@ def verify_lucas_mod_p(
     """Check A(d + p n) = A(d) A(n) mod p for every digit d and n in range,
     with A(d) mod p from the digit table."""
     _require_prime(p)
-    report = CongruenceReport(
-        "lucas-p", {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]}
-    )
     factors = {d: (a, 0) for d, a in enumerate(mod_p_table(p))}
-    _sweep(report, p, p, n_range, factors, cache)
-    return report
+    return _sweep("lucas-p", p, p, n_range, factors, cache)
 
 
 def verify_gessel_mod_p2(
@@ -272,12 +278,8 @@ def verify_gessel_mod_p2(
     every digit d.
     """
     _require_prime(p)
-    report = CongruenceReport(
-        "gessel-p2", {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]}
-    )
     factors = dict(enumerate(zip(*mod_p2_tables(p))))
-    _sweep(report, p, p * p, n_range, factors, cache)
-    return report
+    return _sweep("gessel-p2", p, p * p, n_range, factors, cache)
 
 
 def verify_mod_p3_suite(
@@ -290,28 +292,24 @@ def verify_mod_p3_suite(
             from the mod p^2 digit tables.
     p >= 5: A(p n) = A(n) = A(p n + p - 1) mod p^3.
     """
-    if p not in (2, 3):
-        _require_prime(p)  # a prime other than 2 and 3 is >= 5
-    report = CongruenceReport(
-        "p3-suite", {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]}
-    )
-    if p == 2:
-        span = _span(n_range)
-        memo = cache if cache is not None else shared_cache()
-        heads = memo.residues(2, max(span[-1], -1 - span[0]))
-        for n in span:
-            report.checked += 1
-            k, e = (n, n) if n >= 0 else (-1 - n, n + 1)
-            lhs, rhs = heads[k], (1, 5)[e % 2]  # 5^e mod 8, as 5^2 = 1 mod 8
-            if lhs != rhs:
-                report.counterexamples.append(
-                    Counterexample(None, n, 2, Residue(lhs, 8), Residue(rhs, 8))
-                )
-    elif p == 3:
+    if p == 3:
         factors = {d: (a, 0) for d, a in enumerate(mod_p2_tables(3)[0])}
-        _sweep(report, 3, 9, n_range, factors, cache)
-    else:
-        _sweep(report, p, p**3, n_range, {0: (1, 0), p - 1: (1, 0)}, cache)
+        return _sweep("p3-suite", 3, 9, n_range, factors, cache)
+    if p != 2:
+        _require_prime(p)  # a prime other than 2 and 3 is >= 5
+        return _sweep("p3-suite", p, p**3, n_range, {0: (1, 0), p - 1: (1, 0)}, cache)
+    span = _span(n_range)
+    report = CongruenceReport("p3-suite", {"p": 2, "n_lo": n_range[0], "n_hi": n_range[1]})
+    memo = cache if cache is not None else shared_cache()
+    heads = memo.residues(2, max(span[-1], -1 - span[0]))
+    for n in span:
+        report.checked += 1
+        k, e = (n, n) if n >= 0 else (-1 - n, n + 1)
+        lhs, rhs = heads[k], (1, 5)[e % 2]  # 5^e mod 8, as 5^2 = 1 mod 8
+        if lhs != rhs:
+            report.counterexamples.append(
+                Counterexample(None, n, 2, Residue(lhs, 8), Residue(rhs, 8))
+            )
     return report
 
 
@@ -326,28 +324,20 @@ def verify_digit_set_lucas(
     range; digits outside D(p) must violate it for some n (the first such n
     is recorded as a witness).  The default range is -p..p, which in
     practice always contains a witness.
+
+    D(p) comes from the modular recurrence, so the factors must not: with
+    table factors, a wrong A(d) for a digit d outside D(p) fails at n = 0
+    and witnesses its own exclusion.  With exact factors (factors=None,
+    read by _sweep through the same reader as both sides) the same fault
+    leaves d unwitnessed, so the report is inconclusive.
     """
     _require_prime(p)
     if n_range is None:
         n_range = (-p, p)
-    m = p * p
     ds = digit_set(p)
-    report = CongruenceReport(
-        "digitset-p2",
-        {"p": p, "n_lo": n_range[0], "n_hi": n_range[1], "digits": list(ds.digits)},
-    )
-    # D(p) comes from the modular recurrence, so the factors must not: a wrong
-    # A(d) there would drop d from D(p) and then witness its own exclusion.
-    # With exact factors the same fault leaves d unwitnessed, so the report
-    # is inconclusive.  factors=None has _sweep read them exactly, through
-    # the same reader as both sides.
     outside = frozenset(range(p)) - frozenset(ds.digits)
-    _sweep(report, p, m, n_range, None, cache, outside)
-    if report.unwitnessed:
-        report.notes.append(
-            "no violating n found in range for some digits outside D(p); "
-            "widen the range (existence is guaranteed)"
-        )
+    report = _sweep("digitset-p2", p, p * p, n_range, None, cache, outside)
+    report.parameters["digits"] = list(ds.digits)
     return report
 
 

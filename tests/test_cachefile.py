@@ -192,6 +192,20 @@ def test_non_monotone_rejected(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "records, line",
+    [("-3\t1\n", 2), ("0\t1\n-3\t1\n", 3)],
+    ids=["first-record", "after-zero"],
+)
+def test_negative_index_rejected(tmp_path, records, line):
+    # named as negative, not as out of order, wherever it stands
+    path = tmp_path / "values.cache"
+    path.write_text("apery-cache\t1\tapery\n" + records)
+    with pytest.raises(CacheError, match="negative index n=-3") as err:
+        cache_load(path)
+    assert err.value.line == line
+
+
 def test_malformed_record_rejected(tmp_path):
     path = tmp_path / "values.cache"
     path.write_text("apery-cache\t1\tapery\n2 73\n")

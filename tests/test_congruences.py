@@ -469,11 +469,14 @@ def _corrupted_memo(bad, top):
 
 
 def _reference_sweep(
-    report, p, m, n_range, factors, cache, expected_to_fail=frozenset(), reads=None
+    theorem, p, m, n_range, factors, cache, expected_to_fail=frozenset(), reads=None
 ):
     # the per-case loop: every case reduces A(n) and A(d + p n) afresh, with
     # n < 0 left to apery_fast's reflection; reads, when given, tallies each
     # exact read under its non-negative index
+    lo, hi = n_range
+    report = CongruenceReport(theorem, {"p": p, "n_lo": lo, "n_hi": hi})
+
     def reduced(i):
         if reads is not None:
             reads[i if i >= 0 else -1 - i] += 1
@@ -482,7 +485,7 @@ def _reference_sweep(
     if factors is None:  # digitset-p2's exact factors, reduced before the sweep
         factors = {d: (reduced(d), 0) for d in range(p)}
     digits = sorted(factors.items())
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in range(lo, hi + 1):
         an = reduced(n)
         for d, (a, s) in digits:
             lhs, rhs = reduced(d + p * n), (a + p * n * s) * an % m
@@ -496,6 +499,12 @@ def _reference_sweep(
             else:
                 report.counterexamples.append(case)
     report.unwitnessed = [d for d, _ in digits if d in expected_to_fail]
+    if report.unwitnessed:
+        report.notes.append(
+            "no violating n found in range for some digits outside D(p); "
+            "widen the range (existence is guaranteed)"
+        )
+    return report
 
 
 def _reference_p3_suite_at_2(n_range, cache, reads):

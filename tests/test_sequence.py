@@ -288,6 +288,18 @@ class TestAperyMod:
                 else:
                     assert got == Residue(exact[k], m), (n, m)
 
+    def test_no_pass_for_a_modulus_at_most_n(self, monkeypatch):
+        # M <= |n| with no digit route answers None without the x/den pass,
+        # since k = M shares a factor with M; a coprime M > |n| takes it
+        assert apery_mod(50, 10007 * 10009) == Residue(apery(50), 10007 * 10009)
+
+        def no_pass(*args):
+            raise AssertionError("the x/den pass ran")
+
+        monkeypatch.setattr("apery.sequence._recurrence_mod", no_pass)
+        for n, m in ((100, 35), (-1001, 1000), (60, 8)):
+            assert apery_mod(n, m) is None, (n, m)
+
     def test_modulus_below_two_rejected(self):
         for bad in (1, 0, -5):
             with pytest.raises(ValueError):
