@@ -50,9 +50,9 @@ from .function import (
     taylor_coeff_truncated,
 )
 from .mzv import (
+    REDUCED_FORMS,
     reduced_form_residual,
-    stuffle_depth1_residual,
-    stuffle_depth2_residual,
+    stuffle_residual,
     taylor_coeff_float,
     taylor_identity_holds,
     taylor_terms,
@@ -311,7 +311,7 @@ def _verify_reduced_forms(args) -> dict:
     N = args.N if args.N is not None else 10_000
     tol = args.tol if args.tol is not None else 1e-5
     checks = []
-    for m in (4, 6, 8, 10, 12):
+    for m in sorted(REDUCED_FORMS):
         asserted = m != 12  # the weight-12 short form is data under test
         checks.append(
             _residual_check(
@@ -328,18 +328,11 @@ def _verify_stuffle(args) -> dict:
     N = args.N if args.N is not None else 10_000
     tol = args.tol if args.tol is not None else 1e-6
     checks = []
-    for a, b in ((4, 4), (4, 6), (2, 2)):
-        checks.append(
-            _residual_check(
-                f"zeta({a})zeta({b})", stuffle_depth1_residual(a, b, N), tol
-            )
-        )
-    for a, b, c in ((4, 4, 2), (2, 2, 6), (2, 2, 4)):
-        checks.append(
-            _residual_check(
-                f"zeta({a},{b})zeta({c})", stuffle_depth2_residual(a, b, c, N), tol
-            )
-        )
+    depth1 = [((4,), (4,)), ((4,), (6,)), ((2,), (2,))]
+    depth2 = [((4, 4), (2,)), ((2, 2), (6,)), ((2, 2), (4,))]
+    for s, t in depth1 + depth2:
+        label = "".join(f"zeta({','.join(map(str, u))})" for u in (s, t))
+        checks.append(_residual_check(label, stuffle_residual(s, t, N), tol))
     return _check_payload("stuffle", {"N": N, "tolerance": tol}, checks)
 
 

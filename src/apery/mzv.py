@@ -1,5 +1,6 @@
 """Multiple zeta values: exact partial sums, the composition expansion of
-the Apery function's Taylor coefficients, and stuffle-product checks.
+the Apery function's Taylor coefficients, the quasi-shuffle (stuffle)
+product and the numeric identity checks built on it.
 
 zeta(s1, ..., sj) = sum over n1 > n2 > ... > nj > 0 of 1/(n1^s1 ... nj^sj).
 The m-th Taylor coefficient a_m of the Apery function is an integer
@@ -18,9 +19,9 @@ checks precisely that, exactly and for every truncation up to N in one
 integer pass.  mzv_partial stays on Fraction, as the independent route the
 tests compare that pass against.
 
-Floating values (mzv_float and the float checks built on it) come from
-_mzv_floats, which takes every composition a caller needs at one truncation
-and builds the tail of each distinct suffix once, in an array('d').
+Floating values (mzv_float and the identity checks) come from _mzv_floats,
+one call per identity, which builds the tail of each distinct suffix once,
+in an array('d').  Every stuffle product is expanded by _stuffle.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ __all__ = [
     "mzv_float",
     "mzv_partial",
     "reduced_form_residual",
-    "reduced_form_value",
-    "stuffle_depth1_residual",
-    "stuffle_depth2_residual",
+    "stuffle_residual",
     "taylor_coeff_float",
     "taylor_identity_holds",
     "taylor_terms",
@@ -308,28 +307,32 @@ def zeta_all_twos(j: int) -> PiPower:
     return PiPower(2 * j, Fraction(1, math.factorial(2 * j + 1)))
 
 
-def stuffle_depth1_residual(a: int, b: int, N: int = 10_000) -> float:
-    """|zeta(a) zeta(b) - zeta(a,b) - zeta(b,a) - zeta(a+b)| numerically."""
-    if a < 2 or b < 2:
-        raise ValueError("need a, b >= 2")
-    v = _mzv_floats([(a,), (b,), (a, b), (b, a), (a + b,)], N)
-    return abs(v[(a,)] * v[(b,)] - v[a, b] - v[b, a] - v[(a + b,)])
+def _stuffle(s: Composition, t: Composition) -> list[Composition]:
+    """The quasi-shuffle (stuffle) product s * t, as a list of compositions
+    with multiplicity, written outermost index first:
 
+        s * t = s1 (s' * t) + t1 (s * t') + (s1 + t1) (s' * t'),
 
-def stuffle_depth2_residual(a: int, b: int, c: int, N: int = 10_000) -> float:
-    """Residual of the depth-2 stuffle identity
-
-    zeta(a,b) zeta(c) = zeta(c,a,b) + zeta(a,c,b) + zeta(a,b,c)
-                        + zeta(a+c,b) + zeta(a,b+c).
+    with () * t = t and s * () = s.  zeta(s) zeta(t) is the sum of zeta(u)
+    over u in s * t, and the same holds for partial sums at every
+    truncation (Hoffman, "Quasi-shuffle products", 2000).
     """
-    if a < 2 or c < 2 or b < 1:
-        raise ValueError("need a >= 2, c >= 2, b >= 1")
-    v = _mzv_floats(
-        [(a, b), (c,), (c, a, b), (a, c, b), (a, b, c), (a + c, b), (a, b + c)], N
+    if not s or not t:
+        return [s + t]
+    return (
+        [s[:1] + u for u in _stuffle(s[1:], t)]
+        + [t[:1] + u for u in _stuffle(s, t[1:])]
+        + [(s[0] + t[0],) + u for u in _stuffle(s[1:], t[1:])]
     )
-    lhs = v[a, b] * v[(c,)]
-    rhs = v[c, a, b] + v[a, c, b] + v[a, b, c] + v[a + c, b] + v[a, b + c]
-    return abs(lhs - rhs)
+
+
+def stuffle_residual(s: Sequence[int], t: Sequence[int], N: int = 10_000) -> float:
+    """|zeta(s) zeta(t) - sum of zeta(u) over u in s * t| numerically, the
+    right side summed in _stuffle's order.  Needs s1, t1 >= 2."""
+    s, t = _validate_composition(s), _validate_composition(t)
+    product = _stuffle(s, t)
+    v = _mzv_floats([s, t, *product], N)
+    return abs(v[s] * v[t] - sum(v[u] for u in product))
 
 
 # Shorter known forms of the even-weight coefficients, stored as
@@ -359,28 +362,6 @@ REDUCED_FORMS: dict[int, list[tuple[Fraction, Composition]]] = {
 }
 
 
-def _deep_compositions(m: int) -> list[Composition]:
-    # the compositions of the stored short form that need a series
-    if m not in REDUCED_FORMS:
-        raise ValueError(f"no reduced form stored for m={m}")
-    return [s for _, s in REDUCED_FORMS[m] if len(s) > 1]
-
-
-def _reduced_form_sum(m: int, values: dict[Composition, float]) -> float:
-    total = 0.0
-    for coeff, s in REDUCED_FORMS[m]:
-        if len(s) == 1:
-            total += float(coeff) * even_zeta(s[0] // 2).value
-        else:
-            total += float(coeff) * values[s]
-    return total
-
-
-def reduced_form_value(m: int, N: int = 10_000) -> float:
-    """Numeric value of the stored short form of a_m (even m, 4 <= m <= 12)."""
-    return _reduced_form_sum(m, _mzv_floats(_deep_compositions(m), N))
-
-
 def reduced_form_residual(m: int, N: int = 10_000) -> float:
     """|expansion value of a_m - stored short form of a_m| numerically.
 
@@ -389,7 +370,14 @@ def reduced_form_residual(m: int, N: int = 10_000) -> float:
     residual rather than assert a bound on it.  Both sides share one
     _mzv_floats call.
     """
-    deep = _deep_compositions(m)
+    if m not in REDUCED_FORMS:
+        raise ValueError(f"no reduced form stored for m={m}")
+    form = REDUCED_FORMS[m]
     terms = taylor_terms(m)
+    deep = [s for _, s in form if len(s) > 1]
     values = _mzv_floats([s for s, _ in terms] + deep, N)
-    return abs(_expansion_value(terms, values) - _reduced_form_sum(m, values))
+    short = 0.0
+    for coeff, s in form:
+        value = even_zeta(s[0] // 2).value if len(s) == 1 else values[s]
+        short += float(coeff) * value
+    return abs(_expansion_value(terms, values) - short)

@@ -492,7 +492,16 @@ class TestVerifyCommand:
     def test_stuffle(self, capsys):
         code, payload = run_report(capsys, "verify", "stuffle", "--N", "2000", "--tol", "1e-5")
         assert code == 0 and payload["pass"]
-        assert len(payload["checks"]) == 6
+        assert [c["label"] for c in payload["checks"]] == [
+            "zeta(4)zeta(4)",
+            "zeta(4)zeta(6)",
+            "zeta(2)zeta(2)",
+            "zeta(4,4)zeta(2)",
+            "zeta(2,2)zeta(6)",
+            "zeta(2,2)zeta(4)",
+        ]
+        assert all(c["asserted"] is True for c in payload["checks"])
+        assert payload["parameters"] == {"N": 2000, "tolerance": 1e-5}
 
     def test_functional_eq(self, capsys):
         code, payload = run_report(

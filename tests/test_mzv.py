@@ -3,6 +3,7 @@ truncated expansion identity, and the numeric relation checks."""
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,7 @@ from apery.mzv import (
     mzv_float,
     mzv_partial,
     reduced_form_residual,
-    reduced_form_value,
-    stuffle_depth1_residual,
-    stuffle_depth2_residual,
+    stuffle_residual,
     taylor_coeff_float,
     taylor_identity_holds,
     taylor_terms,
@@ -315,16 +314,38 @@ class TestClosedForms:
             )
 
 
+# first part 2-4, later parts 1-4, depth at most 3
+COMPOSITIONS = st.builds(
+    lambda head, rest: (head, *rest), st.integers(2, 4), st.lists(st.integers(1, 4), max_size=2)
+)
+
+
 class TestStuffle:
     def test_depth1(self):
-        assert stuffle_depth1_residual(4, 4, 10_000) < 1e-6
-        assert stuffle_depth1_residual(4, 6, 10_000) < 1e-6
-        assert stuffle_depth1_residual(2, 2, 10_000) < 1e-6
+        for a, b in STUFFLE_CASES["depth1"]:
+            assert stuffle_residual((a,), (b,), 10_000) < 1e-6
 
     def test_depth2(self):
-        assert stuffle_depth2_residual(4, 4, 2, 10_000) < 1e-6
-        assert stuffle_depth2_residual(2, 2, 6, 10_000) < 1e-6
-        assert stuffle_depth2_residual(2, 2, 4, 10_000) < 1e-6
+        for a, b, c in STUFFLE_CASES["depth2"]:
+            assert stuffle_residual((a, b), (c,), 10_000) < 1e-6
+
+    @given(COMPOSITIONS, COMPOSITIONS)
+    @settings(max_examples=25, deadline=None)
+    def test_product_exact_at_every_truncation(self, s, t):
+        product = mzv._stuffle(s, t)
+        for N in range(21):
+            rhs = sum(mzv_partial(u, N) for u in product)
+            assert mzv_partial(s, N) * mzv_partial(t, N) == rhs
+
+    @pytest.mark.parametrize("a, b, c", [(2, 1, 3), (4, 4, 2), (2, 3, 2)])
+    def test_matches_hand_expansions(self, a, b, c):
+        assert Counter(mzv._stuffle((a,), (b,))) == Counter([(a, b), (b, a), (a + b,)])
+        hand = [(c, a, b), (a, c, b), (a, b, c), (a + c, b), (a, b + c)]
+        assert Counter(mzv._stuffle((a, b), (c,))) == Counter(hand)
+
+    def test_divergent_factor_rejected(self):
+        with pytest.raises(ValueError):
+            stuffle_residual((1, 2), (2,), 10)
 
 
 class TestReducedForms:
@@ -338,7 +359,7 @@ class TestReducedForms:
 
     def test_unknown_weight_rejected(self):
         with pytest.raises(ValueError):
-            reduced_form_value(14)
+            reduced_form_residual(14)
 
     def test_terms_are_even_weight_data(self):
         for m, terms in REDUCED_FORMS.items():
@@ -401,17 +422,17 @@ class TestAgainstReferenceLoop:
                     short += float(coeff) * even_zeta(s[0] // 2).value
                 else:
                     short += float(coeff) * _reference_mzv_float(s, N)
-            assert reduced_form_value(m, N) == short
             assert reduced_form_residual(m, N) == abs(taylor - short)
 
     def test_stuffle_residuals(self):
+        # the right side summed in the rule's order
         def z(*s):
             return _reference_mzv_float(s, N)
 
         for N in (1, 30, 2000):
             for a, b in STUFFLE_CASES["depth1"]:
-                want = abs(z(a) * z(b) - z(a, b) - z(b, a) - z(a + b))
-                assert stuffle_depth1_residual(a, b, N) == want
+                want = abs(z(a) * z(b) - (z(a, b) + z(b, a) + z(a + b)))
+                assert stuffle_residual((a,), (b,), N) == want
             for a, b, c in STUFFLE_CASES["depth2"]:
-                rhs = z(c, a, b) + z(a, c, b) + z(a, b, c) + z(a + c, b) + z(a, b + c)
-                assert stuffle_depth2_residual(a, b, c, N) == abs(z(a, b) * z(c) - rhs)
+                rhs = z(a, b, c) + z(a, c, b) + z(a, b + c) + z(c, a, b) + z(a + c, b)
+                assert stuffle_residual((a, b), (c,), N) == abs(z(a, b) * z(c) - rhs)
