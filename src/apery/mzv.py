@@ -20,8 +20,12 @@ integer pass.  mzv_partial stays on Fraction, as the independent route the
 tests compare that pass against.
 
 Floating values (mzv_float and the identity checks) come from _mzv_floats,
-one call per identity, which builds the tail of each distinct suffix once,
-in an array('d').  Every stuffle product is expanded by _stuffle.
+which builds the divisor table of each distinct part and the tail of each
+distinct suffix once per call, in an array('d').  The plural checks
+stuffle_residuals and reduced_form_residuals make one call for a whole
+list of identities, so a CLI command evaluates its MZVs in one pass; the
+singular forms are one-element calls of them.  Every stuffle product is
+expanded by _stuffle.
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ __all__ = [
     "mzv_float",
     "mzv_partial",
     "reduced_form_residual",
+    "reduced_form_residuals",
     "stuffle_residual",
+    "stuffle_residuals",
     "taylor_coeff_float",
     "taylor_identity_holds",
     "taylor_terms",
@@ -326,13 +332,30 @@ def _stuffle(s: Composition, t: Composition) -> list[Composition]:
     )
 
 
+def stuffle_residuals(
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]], N: int = 10_000
+) -> list[float]:
+    """|zeta(s) zeta(t) - sum of zeta(u) over u in s * t| numerically, for
+    each pair (s, t) in order, the right side summed in _stuffle's order.
+    Needs s1, t1 >= 2.
+
+    Every factor and product term of every pair comes from one _mzv_floats
+    call, so the divisor tables and shared tails are built once.
+    """
+    pairs = [(_validate_composition(s), _validate_composition(t)) for s, t in pairs]
+    products = [_stuffle(s, t) for s, t in pairs]
+    v = _mzv_floats(
+        [u for (s, t), product in zip(pairs, products) for u in (s, t, *product)], N
+    )
+    return [
+        abs(v[s] * v[t] - sum(v[u] for u in product))
+        for (s, t), product in zip(pairs, products)
+    ]
+
+
 def stuffle_residual(s: Sequence[int], t: Sequence[int], N: int = 10_000) -> float:
-    """|zeta(s) zeta(t) - sum of zeta(u) over u in s * t| numerically, the
-    right side summed in _stuffle's order.  Needs s1, t1 >= 2."""
-    s, t = _validate_composition(s), _validate_composition(t)
-    product = _stuffle(s, t)
-    v = _mzv_floats([s, t, *product], N)
-    return abs(v[s] * v[t] - sum(v[u] for u in product))
+    """stuffle_residuals for the one pair (s, t)."""
+    return stuffle_residuals([(s, t)], N)[0]
 
 
 # Shorter known forms of the even-weight coefficients, stored as
@@ -362,22 +385,36 @@ REDUCED_FORMS: dict[int, list[tuple[Fraction, Composition]]] = {
 }
 
 
-def reduced_form_residual(m: int, N: int = 10_000) -> float:
-    """|expansion value of a_m - stored short form of a_m| numerically.
+def reduced_form_residuals(ms: Sequence[int], N: int = 10_000) -> list[float]:
+    """|expansion value of a_m - stored short form of a_m| numerically, for
+    each m in order.
 
     For m in {4, 6, 8, 10} this is a genuine consistency check.  For m = 12
     the stored short form is data under test: callers should report the
-    residual rather than assert a bound on it.  Both sides share one
-    _mzv_floats call.
+    residual rather than assert a bound on it.  Every expansion term and
+    every deep short-form entry of every m comes from one _mzv_floats call;
+    depth-1 entries come from the even-zeta closed form.
     """
-    if m not in REDUCED_FORMS:
-        raise ValueError(f"no reduced form stored for m={m}")
-    form = REDUCED_FORMS[m]
-    terms = taylor_terms(m)
-    deep = [s for _, s in form if len(s) > 1]
-    values = _mzv_floats([s for s, _ in terms] + deep, N)
-    short = 0.0
-    for coeff, s in form:
-        value = even_zeta(s[0] // 2).value if len(s) == 1 else values[s]
-        short += float(coeff) * value
-    return abs(_expansion_value(terms, values) - short)
+    for m in ms:
+        if m not in REDUCED_FORMS:
+            raise ValueError(f"no reduced form stored for m={m}")
+    terms = [taylor_terms(m) for m in ms]
+    forms = [REDUCED_FORMS[m] for m in ms]
+    values = _mzv_floats(
+        [s for expansion in terms for s, _ in expansion]
+        + [s for form in forms for _, s in form if len(s) > 1],
+        N,
+    )
+    residuals = []
+    for expansion, form in zip(terms, forms):
+        short = 0.0
+        for coeff, s in form:
+            value = even_zeta(s[0] // 2).value if len(s) == 1 else values[s]
+            short += float(coeff) * value
+        residuals.append(abs(_expansion_value(expansion, values) - short))
+    return residuals
+
+
+def reduced_form_residual(m: int, N: int = 10_000) -> float:
+    """reduced_form_residuals for the one weight m."""
+    return reduced_form_residuals([m], N)[0]

@@ -503,6 +503,25 @@ class TestVerifyCommand:
         assert all(c["asserted"] is True for c in payload["checks"])
         assert payload["parameters"] == {"N": 2000, "tolerance": 1e-5}
 
+    @pytest.mark.parametrize("check, identities", [("stuffle", 6), ("reduced-forms", 5)])
+    def test_one_float_mzv_pass(self, capsys, monkeypatch, check, identities):
+        # every identity of the command shares one set of divisor tables
+        # and tails; N = 50 is too short for the tolerances, so only the
+        # report's shape is checked
+        import apery.mzv
+
+        real = apery.mzv._mzv_floats
+        calls = []
+
+        def counted(compositions, N):
+            calls.append(N)
+            return real(compositions, N)
+
+        monkeypatch.setattr(apery.mzv, "_mzv_floats", counted)
+        _, payload = run_report(capsys, "verify", check, "--N", "50")
+        assert len(payload["checks"]) == identities
+        assert calls == [50]
+
     def test_functional_eq(self, capsys):
         code, payload = run_report(
             capsys, "verify", "functional-eq", "--z", "0.5", "--terms", "20000", "--tol", "1e-3"

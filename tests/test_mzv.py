@@ -22,7 +22,9 @@ from apery.mzv import (
     mzv_float,
     mzv_partial,
     reduced_form_residual,
+    reduced_form_residuals,
     stuffle_residual,
+    stuffle_residuals,
     taylor_coeff_float,
     taylor_identity_holds,
     taylor_terms,
@@ -78,6 +80,10 @@ left_to_right_sum = pytest.mark.skipif(
 )
 
 STUFFLE_CASES = {"depth1": [(4, 4), (4, 6), (2, 2)], "depth2": [(4, 4, 2), (2, 2, 6), (2, 2, 4)]}
+# the six (s, t) pairs of `verify stuffle`, in its order
+STUFFLE_PAIRS = [((a,), (b,)) for a, b in STUFFLE_CASES["depth1"]] + [
+    ((a, b), (c,)) for a, b, c in STUFFLE_CASES["depth2"]
+]
 
 
 def stuffle_compositions():
@@ -415,24 +421,85 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("m", sorted(REDUCED_FORMS))
     def test_reduced_form_residual(self, m):
         for N in (1, 40, 500):
-            taylor = float(sum(c * _reference_mzv_float(s, N) for s, c in taylor_terms(m)))
-            short = 0.0
-            for coeff, s in REDUCED_FORMS[m]:
-                if len(s) == 1:
-                    short += float(coeff) * even_zeta(s[0] // 2).value
-                else:
-                    short += float(coeff) * _reference_mzv_float(s, N)
-            assert reduced_form_residual(m, N) == abs(taylor - short)
+            assert reduced_form_residual(m, N) == _reference_reduced_form_residual(m, N)
+
+    def test_reduced_form_residuals(self):
+        ms = sorted(REDUCED_FORMS)
+        for N in (1, 30, 2000):
+            want = [_reference_reduced_form_residual(m, N) for m in ms]
+            assert reduced_form_residuals(ms, N) == want
 
     def test_stuffle_residuals(self):
-        # the right side summed in the rule's order
-        def z(*s):
-            return _reference_mzv_float(s, N)
-
         for N in (1, 30, 2000):
-            for a, b in STUFFLE_CASES["depth1"]:
-                want = abs(z(a) * z(b) - (z(a, b) + z(b, a) + z(a + b)))
-                assert stuffle_residual((a,), (b,), N) == want
-            for a, b, c in STUFFLE_CASES["depth2"]:
-                rhs = z(a, b, c) + z(a, c, b) + z(a, b + c) + z(c, a, b) + z(a + c, b)
-                assert stuffle_residual((a, b), (c,), N) == abs(z(a, b) * z(c) - rhs)
+            want = [_reference_stuffle_residual(s, t, N) for s, t in STUFFLE_PAIRS]
+            assert stuffle_residuals(STUFFLE_PAIRS, N) == want
+            assert [stuffle_residual(s, t, N) for s, t in STUFFLE_PAIRS] == want
+
+
+def _reference_reduced_form_residual(m, N):
+    taylor = float(sum(c * _reference_mzv_float(s, N) for s, c in taylor_terms(m)))
+    short = 0.0
+    for coeff, s in REDUCED_FORMS[m]:
+        if len(s) == 1:
+            short += float(coeff) * even_zeta(s[0] // 2).value
+        else:
+            short += float(coeff) * _reference_mzv_float(s, N)
+    return abs(taylor - short)
+
+
+def _reference_stuffle_residual(s, t, N):
+    # the right side summed in the rule's order, written out by hand
+    def z(*u):
+        return _reference_mzv_float(u, N)
+
+    if len(s) == 1:
+        (a,), (b,) = s, t
+        return abs(z(a) * z(b) - (z(a, b) + z(b, a) + z(a + b)))
+    (a, b), (c,) = s, t
+    rhs = z(a, b, c) + z(a, c, b) + z(a, b + c) + z(c, a, b) + z(a + c, b)
+    return abs(z(a, b) * z(c) - rhs)
+
+
+class TestOnePass:
+    # sharing one _mzv_floats call among identities changes no value, on
+    # every interpreter: each tail and divisor table is built the same way
+    # whichever other compositions ride along
+    @pytest.mark.parametrize("N", [1, 30, 2000])
+    def test_stuffle_residuals_match_one_pair_at_a_time(self, N):
+        single = [stuffle_residual(s, t, N) for s, t in STUFFLE_PAIRS]
+        assert stuffle_residuals(STUFFLE_PAIRS, N) == single
+        assert stuffle_residuals(STUFFLE_PAIRS[::-1], N) == single[::-1]
+
+    @pytest.mark.parametrize("N", [1, 30, 2000])
+    def test_reduced_form_residuals_match_one_weight_at_a_time(self, N):
+        ms = sorted(REDUCED_FORMS)
+        single = [reduced_form_residual(m, N) for m in ms]
+        assert reduced_form_residuals(ms, N) == single
+        assert reduced_form_residuals(ms[::-1], N) == single[::-1]
+
+    @pytest.mark.parametrize(
+        "call, alone",
+        [
+            (
+                lambda: stuffle_residuals([((4,), (4,)), ((1, 2), (2,))], 10),
+                lambda: stuffle_residual((1, 2), (2,), 10),
+            ),
+            (
+                lambda: stuffle_residuals([((4,), (4,)), ((), (2,))], 10),
+                lambda: stuffle_residual((), (2,), 10),
+            ),
+            (lambda: reduced_form_residuals([4, 14], 10), lambda: reduced_form_residual(14, 10)),
+        ],
+        ids=["divergent-pair", "empty-composition", "unknown-weight"],
+    )
+    def test_bad_identity_rejected_before_any_pass(self, monkeypatch, call, alone):
+        with pytest.raises(ValueError) as want:
+            alone()
+
+        def no_table(*args):
+            raise AssertionError("a divisor table or tail was built")
+
+        monkeypatch.setattr(mzv, "array", no_table)
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value)
