@@ -1,120 +1,21 @@
 """Apery numbers on all of Z: exact values, the derivative sequence,
 Lucas-type congruences modulo p, p^2 and p^3, digit sets D(p), numeric
 evaluation of the entire interpolation A(z), and the multiple-zeta-value
-expansion of its Taylor coefficients."""
+expansion of its Taylor coefficients.
 
-from .arith import (
-    Residue,
-    binomial,
-    is_prime,
-    jacobsthal_holds,
-    primes_upto,
-    wolstenholme_residue,
-)
-from .cachefile import CacheError, cache_load, cache_store
-from .congruences import (
-    CongruenceReport,
-    Counterexample,
-    DigitSet,
-    digit_set,
-    scan_digit_sets,
-    verify_digit_set_lucas,
-    verify_gessel_mod_p2,
-    verify_lucas_mod_p,
-    verify_mod_p3_suite,
-    verify_multi_digit,
-)
-from .function import (
-    ComplexApprox,
-    apery_eval,
-    functional_equation_residual,
-    taylor_coeff_truncated,
-)
-from .mzv import (
-    MzvTerm,
-    PiPower,
-    REDUCED_FORMS,
-    admissible_compositions,
-    composition_coefficient,
-    even_zeta,
-    is_admissible,
-    mzv_float,
-    mzv_partial,
-    reduced_form_residual,
-    reduced_form_residuals,
-    stuffle_residual,
-    stuffle_residuals,
-    taylor_coeff_float,
-    taylor_identity_holds,
-    taylor_terms,
-    zeta_all_twos,
-)
-from .sequence import (
-    AperyCache,
-    apery,
-    apery_deriv,
-    apery_fast,
-    apery_mod,
-    apery_mod_p,
-    apery_mod_p2,
-    apery_mod_sweep,
-    mod_p2_tables,
-    mod_p_table,
-    shared_cache,
-)
+Each module's __all__ is the one list of its public names: the package
+re-exports them all, and its own __all__ is their sorted union."""
+
+from . import arith, cachefile, congruences, function, mzv, sequence
+from .arith import *  # noqa: F401,F403
+from .cachefile import *  # noqa: F401,F403
+from .congruences import *  # noqa: F401,F403
+from .function import *  # noqa: F401,F403
+from .mzv import *  # noqa: F401,F403
+from .sequence import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AperyCache",
-    "CacheError",
-    "ComplexApprox",
-    "CongruenceReport",
-    "Counterexample",
-    "DigitSet",
-    "MzvTerm",
-    "PiPower",
-    "REDUCED_FORMS",
-    "Residue",
-    "admissible_compositions",
-    "apery",
-    "apery_deriv",
-    "apery_eval",
-    "apery_fast",
-    "apery_mod",
-    "apery_mod_p",
-    "apery_mod_p2",
-    "apery_mod_sweep",
-    "binomial",
-    "cache_load",
-    "cache_store",
-    "composition_coefficient",
-    "digit_set",
-    "even_zeta",
-    "functional_equation_residual",
-    "is_admissible",
-    "is_prime",
-    "jacobsthal_holds",
-    "mod_p2_tables",
-    "mod_p_table",
-    "mzv_float",
-    "mzv_partial",
-    "primes_upto",
-    "reduced_form_residual",
-    "reduced_form_residuals",
-    "scan_digit_sets",
-    "shared_cache",
-    "stuffle_residual",
-    "stuffle_residuals",
-    "taylor_coeff_float",
-    "taylor_coeff_truncated",
-    "taylor_identity_holds",
-    "taylor_terms",
-    "verify_digit_set_lucas",
-    "verify_gessel_mod_p2",
-    "verify_lucas_mod_p",
-    "verify_mod_p3_suite",
-    "verify_multi_digit",
-    "wolstenholme_residue",
-    "zeta_all_twos",
-]
+__all__ = sorted(
+    {n for m in (arith, cachefile, congruences, function, mzv, sequence) for n in m.__all__}
+)

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import functools
 import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .arith import (
     _require_prime,
@@ -264,17 +264,10 @@ def _residual_check(label: str, residual: float, tol: float | None, asserted=Tru
 
 def _verify_congruence(sweep, default, args) -> dict:
     # default is the range without --n; None leaves it to the sweep
-    if args.p is None:
-        raise ValueError(f"verify {args.theorem} needs --p")
     return sweep(args.p, args.n or default, _open_cache(args)).to_dict()
 
 
 def _verify_multi_digit(args) -> dict:
-    if args.n is not None:
-        # the laws range over every n of --depth base-p digits
-        raise ValueError(f"verify {args.theorem} takes --depth, not --n")
-    if args.p is None:
-        raise ValueError(f"verify {args.theorem} needs --p")
     # name the flag, not the law's alphabet that the user never typed
     _require_prime(args.p)
     if args.theorem == "corollary" and args.p == 2:
@@ -334,7 +327,8 @@ def _verify_stuffle(args) -> dict:
 
 
 def _verify_functional_eq(args) -> dict:
-    label = "0.5" if args.z is None else args.z
+    # at z = 0.5 the equation holds for any A with A(z) = A(-1-z)
+    label = "0.25" if args.z is None else args.z
     z = _parse_complex(label)
     terms = args.terms if args.terms is not None else 100_000
     tol = args.tol if args.tol is not None else 1e-3
@@ -369,27 +363,38 @@ def _verify_wolstenholme(args) -> dict:
     return _check_payload("wolstenholme", {"primes": primes}, checks)
 
 
-# the verify theorem ids, in the order the help text lists them
+# the verify theorem ids, in the order the help text lists them, each with
+# the flags it needs and the flags it takes besides; it refuses the others
+# (the corollary and lucas-p3 laws cover every n of --depth base-p digits,
+# so --n would be ignored)
 THEOREMS = {
-    "lucas-p": functools.partial(_verify_congruence, verify_lucas_mod_p, (-10, 10)),
-    "gessel-p2": functools.partial(_verify_congruence, verify_gessel_mod_p2, (-10, 10)),
-    "p3-suite": functools.partial(_verify_congruence, verify_mod_p3_suite, (-10, 10)),
-    "digitset-p2": functools.partial(_verify_congruence, verify_digit_set_lucas, None),
-    "corollary": _verify_multi_digit,
-    "lucas-p3": _verify_multi_digit,
-    "taylor-identity": _verify_taylor_identity,
-    "reduced-forms": _verify_reduced_forms,
-    "stuffle": _verify_stuffle,
-    "functional-eq": _verify_functional_eq,
-    "jacobsthal": _verify_jacobsthal,
-    "wolstenholme": _verify_wolstenholme,
+    "lucas-p": (partial(_verify_congruence, verify_lucas_mod_p, (-10, 10)), ("--p",), ("--n",)),
+    "gessel-p2": (partial(_verify_congruence, verify_gessel_mod_p2, (-10, 10)), ("--p",), ("--n",)),
+    "p3-suite": (partial(_verify_congruence, verify_mod_p3_suite, (-10, 10)), ("--p",), ("--n",)),
+    "digitset-p2": (partial(_verify_congruence, verify_digit_set_lucas, None), ("--p",), ("--n",)),
+    "corollary": (_verify_multi_digit, ("--p",), ("--depth",)),
+    "lucas-p3": (_verify_multi_digit, ("--p",), ("--depth",)),
+    "taylor-identity": (_verify_taylor_identity, (), ("--m", "--N")),
+    "reduced-forms": (_verify_reduced_forms, (), ("--N", "--tol")),
+    "stuffle": (_verify_stuffle, (), ("--N", "--tol")),
+    "functional-eq": (_verify_functional_eq, (), ("--z", "--terms", "--tol")),
+    "jacobsthal": (_verify_jacobsthal, (), ("--p",)),
+    "wolstenholme": (_verify_wolstenholme, (), ("--p",)),
 }
+_VERIFY_FLAGS = ("--p", "--n", "--m", "--N", "--terms", "--tol", "--depth", "--z")
 
 
 def _cmd_verify(args: argparse.Namespace) -> Result:
     if args.tol is not None and not 0 < args.tol < math.inf:
         raise ValueError("--tol must be finite and positive")
-    payload = THEOREMS[args.theorem](args)
+    handler, needs, takes = THEOREMS[args.theorem]
+    for flag in _VERIFY_FLAGS:
+        if getattr(args, flag[2:]) is not None and flag not in needs + takes:
+            raise ValueError(f"verify {args.theorem} takes {' and '.join(takes)}, not {flag}")
+    for flag in needs:
+        if getattr(args, flag[2:]) is None:
+            raise ValueError(f"verify {args.theorem} needs {flag}")
+    payload = handler(args)
     ok = payload["pass"] and payload.get("conclusive", True)
     cases = f" ({payload['checked']} cases)" if "checked" in payload else ""
     lines = [f"{payload['theorem']}: {'PASS' if ok else 'FAIL'}{cases}"]

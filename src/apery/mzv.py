@@ -21,11 +21,11 @@ tests compare that pass against.
 
 Floating values (mzv_float and the identity checks) come from _mzv_floats,
 which builds the divisor table of each distinct part and the tail of each
-distinct suffix once per call, in an array('d').  The plural checks
-stuffle_residuals and reduced_form_residuals make one call for a whole
-list of identities, so a CLI command evaluates its MZVs in one pass; the
-singular forms are one-element calls of them.  Every stuffle product is
-expanded by _stuffle.
+distinct suffix once per call, in an array('d').  The identity checks
+stuffle_residuals and reduced_form_residuals each make one call for a whole
+list of identities, so a CLI command evaluates its MZVs in one pass; a
+caller with one identity passes a one-element list.  Every stuffle product
+is expanded by _stuffle.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ __all__ = [
     "is_admissible",
     "mzv_float",
     "mzv_partial",
-    "reduced_form_residual",
     "reduced_form_residuals",
-    "stuffle_residual",
     "stuffle_residuals",
     "taylor_coeff_float",
     "taylor_identity_holds",
@@ -353,11 +351,6 @@ def stuffle_residuals(
     ]
 
 
-def stuffle_residual(s: Sequence[int], t: Sequence[int], N: int = 10_000) -> float:
-    """stuffle_residuals for the one pair (s, t)."""
-    return stuffle_residuals([(s, t)], N)[0]
-
-
 # Shorter known forms of the even-weight coefficients, stored as
 # (rational coefficient, composition) pairs.  Depth-1 entries are evaluated
 # through the even-zeta closed form, deeper ones through mzv_float.  The
@@ -365,7 +358,7 @@ def stuffle_residual(s: Sequence[int], t: Sequence[int], N: int = 10_000) -> flo
 # stuffle identities and the all-twos closed forms gives exactly
 # 7/7484400 pi^10 = (7/80) zeta(10), and the numeric residual agrees.  The
 # weight-12 entry is recorded data whose residual is reported rather than
-# asserted; see reduced_form_residual.
+# asserted; see reduced_form_residuals.
 REDUCED_FORMS: dict[int, list[tuple[Fraction, Composition]]] = {
     4: [(Fraction(-1, 2), (4,))],
     6: [(Fraction(3, 2), (6,)), (Fraction(-3), (4, 2))],
@@ -413,8 +406,3 @@ def reduced_form_residuals(ms: Sequence[int], N: int = 10_000) -> list[float]:
             short += float(coeff) * value
         residuals.append(abs(_expansion_value(expansion, values) - short))
     return residuals
-
-
-def reduced_form_residual(m: int, N: int = 10_000) -> float:
-    """reduced_form_residuals for the one weight m."""
-    return reduced_form_residuals([m], N)[0]

@@ -21,7 +21,7 @@ from apery.congruences import (
     verify_multi_digit,
 )
 from apery.function import apery_eval, functional_equation_residual
-from apery.mzv import reduced_form_residual, taylor_coeff_float, taylor_identity_holds
+from apery.mzv import reduced_form_residuals, taylor_coeff_float, taylor_identity_holds
 from apery.sequence import (
     apery,
     apery_deriv,
@@ -101,10 +101,10 @@ def test_05_reduced_forms():
     ok = True
     details = []
     for m in (4, 6, 8, 10):
-        residual = reduced_form_residual(m, 10_000)
+        residual = reduced_form_residuals([m], 10_000)[0]
         details.append(f"m={m}:{residual:.2e}")
         ok = ok and residual < 1e-5
-    recorded = reduced_form_residual(12, 10_000)
+    recorded = reduced_form_residuals([12], 10_000)[0]
     details.append(f"m=12:{recorded:.2e} (recorded)")
     report("5 reduced-forms", ok, t0, 120, " " + " ".join(details))
 

@@ -524,9 +524,16 @@ class TestVerifyCommand:
 
     def test_functional_eq(self, capsys):
         code, payload = run_report(
-            capsys, "verify", "functional-eq", "--z", "0.5", "--terms", "20000", "--tol", "1e-3"
+            capsys, "verify", "functional-eq", "--z", "1.5", "--terms", "20000", "--tol", "1e-3"
         )
         assert code == 0 and payload["pass"]
+
+    def test_functional_eq_default_point_can_fail(self, capsys):
+        # one term is far from A, and the default point must notice; at
+        # z = 0.5 every symmetric A passes, so its residual would read 0
+        code, payload = run_report(capsys, "verify", "functional-eq", "--terms", "1")
+        assert code == 1 and not payload["pass"]
+        assert payload["checks"][0]["residual"] > 0.1
 
     def test_jacobsthal(self, capsys):
         code, payload = run_report(capsys, "verify", "jacobsthal", "--p", "7")
@@ -593,6 +600,41 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert message in err and "alphabet" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stuffle", "--N", "200", "--p", "7"], "stuffle takes --N and --tol, not --p"),
+            (["lucas-p", "--p", "5", "--depth", "3"], "lucas-p takes --n, not --depth"),
+            (["jacobsthal", "--p", "7", "--n", "0..3"], "jacobsthal takes --p, not --n"),
+            (
+                ["functional-eq", "--z", "0.5", "--terms", "1000", "--N", "5", "--depth", "2"],
+                "functional-eq takes --z and --terms and --tol, not --N",
+            ),
+            (
+                ["taylor-identity", "--m", "1..2", "--tol", "1e-3"],
+                "taylor-identity takes --m and --N, not --tol",
+            ),
+            (["reduced-forms", "--terms", "10"], "reduced-forms takes --N and --tol, not --terms"),
+            (["wolstenholme", "--z", "0.5"], "wolstenholme takes --p, not --z"),
+            (["digitset-p2", "--p", "7", "--m", "1..2"], "digitset-p2 takes --n, not --m"),
+        ],
+        ids=[
+            "stuffle-p",
+            "lucas-p-depth",
+            "jacobsthal-n",
+            "functional-eq-N",
+            "taylor-identity-tol",
+            "reduced-forms-terms",
+            "wolstenholme-z",
+            "digitset-p2-m",
+        ],
+    )
+    def test_unread_flag_rejected(self, capsys, argv, message):
+        # a flag the theorem never reads would otherwise pass in silence
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {message}\n"
 
 
 class TestExplicitValues:

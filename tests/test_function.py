@@ -261,7 +261,9 @@ class TestFunctionalEquation:
         assert functional_equation_residual(2, 50) < 1e-20
 
     def test_half_integer(self):
-        assert functional_equation_residual(0.5, 100_000) < 1e-3
+        # not z = 0.5, where the equation holds for any A with A(z) = A(-1-z)
+        for z in (-0.5, 1.5):
+            assert functional_equation_residual(z, 100_000) < 1e-3
 
     def test_complex_point(self):
         assert functional_equation_residual(0.25 + 0.25j, 100_000) < 1e-3

@@ -21,9 +21,7 @@ from apery.mzv import (
     is_admissible,
     mzv_float,
     mzv_partial,
-    reduced_form_residual,
     reduced_form_residuals,
-    stuffle_residual,
     stuffle_residuals,
     taylor_coeff_float,
     taylor_identity_holds,
@@ -329,11 +327,11 @@ COMPOSITIONS = st.builds(
 class TestStuffle:
     def test_depth1(self):
         for a, b in STUFFLE_CASES["depth1"]:
-            assert stuffle_residual((a,), (b,), 10_000) < 1e-6
+            assert stuffle_residuals([((a,), (b,))], 10_000)[0] < 1e-6
 
     def test_depth2(self):
         for a, b, c in STUFFLE_CASES["depth2"]:
-            assert stuffle_residual((a, b), (c,), 10_000) < 1e-6
+            assert stuffle_residuals([((a, b), (c,))], 10_000)[0] < 1e-6
 
     @given(COMPOSITIONS, COMPOSITIONS)
     @settings(max_examples=25, deadline=None)
@@ -351,21 +349,21 @@ class TestStuffle:
 
     def test_divergent_factor_rejected(self):
         with pytest.raises(ValueError):
-            stuffle_residual((1, 2), (2,), 10)
+            stuffle_residuals([((1, 2), (2,))], 10)
 
 
 class TestReducedForms:
     def test_residuals_converge(self):
-        assert reduced_form_residual(4, 10_000) < 1e-6
-        assert reduced_form_residual(10, 10_000) < 1e-5
+        assert reduced_form_residuals([4], 10_000)[0] < 1e-6
+        assert reduced_form_residuals([10], 10_000)[0] < 1e-5
 
     def test_weight12_residual_is_finite(self):
         # recorded, not asserted against a tolerance
-        assert reduced_form_residual(12, 4_000) < 1.0
+        assert reduced_form_residuals([12], 4_000)[0] < 1.0
 
     def test_unknown_weight_rejected(self):
         with pytest.raises(ValueError):
-            reduced_form_residual(14)
+            reduced_form_residuals([14])
 
     def test_terms_are_even_weight_data(self):
         for m, terms in REDUCED_FORMS.items():
@@ -421,7 +419,7 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("m", sorted(REDUCED_FORMS))
     def test_reduced_form_residual(self, m):
         for N in (1, 40, 500):
-            assert reduced_form_residual(m, N) == _reference_reduced_form_residual(m, N)
+            assert reduced_form_residuals([m], N)[0] == _reference_reduced_form_residual(m, N)
 
     def test_reduced_form_residuals(self):
         ms = sorted(REDUCED_FORMS)
@@ -433,7 +431,7 @@ class TestAgainstReferenceLoop:
         for N in (1, 30, 2000):
             want = [_reference_stuffle_residual(s, t, N) for s, t in STUFFLE_PAIRS]
             assert stuffle_residuals(STUFFLE_PAIRS, N) == want
-            assert [stuffle_residual(s, t, N) for s, t in STUFFLE_PAIRS] == want
+            assert [stuffle_residuals([(s, t)], N)[0] for s, t in STUFFLE_PAIRS] == want
 
 
 def _reference_reduced_form_residual(m, N):
@@ -466,14 +464,14 @@ class TestOnePass:
     # whichever other compositions ride along
     @pytest.mark.parametrize("N", [1, 30, 2000])
     def test_stuffle_residuals_match_one_pair_at_a_time(self, N):
-        single = [stuffle_residual(s, t, N) for s, t in STUFFLE_PAIRS]
+        single = [stuffle_residuals([(s, t)], N)[0] for s, t in STUFFLE_PAIRS]
         assert stuffle_residuals(STUFFLE_PAIRS, N) == single
         assert stuffle_residuals(STUFFLE_PAIRS[::-1], N) == single[::-1]
 
     @pytest.mark.parametrize("N", [1, 30, 2000])
     def test_reduced_form_residuals_match_one_weight_at_a_time(self, N):
         ms = sorted(REDUCED_FORMS)
-        single = [reduced_form_residual(m, N) for m in ms]
+        single = [reduced_form_residuals([m], N)[0] for m in ms]
         assert reduced_form_residuals(ms, N) == single
         assert reduced_form_residuals(ms[::-1], N) == single[::-1]
 
@@ -482,13 +480,13 @@ class TestOnePass:
         [
             (
                 lambda: stuffle_residuals([((4,), (4,)), ((1, 2), (2,))], 10),
-                lambda: stuffle_residual((1, 2), (2,), 10),
+                lambda: stuffle_residuals([((1, 2), (2,))], 10),
             ),
             (
                 lambda: stuffle_residuals([((4,), (4,)), ((), (2,))], 10),
-                lambda: stuffle_residual((), (2,), 10),
+                lambda: stuffle_residuals([((), (2,))], 10),
             ),
-            (lambda: reduced_form_residuals([4, 14], 10), lambda: reduced_form_residual(14, 10)),
+            (lambda: reduced_form_residuals([4, 14], 10), lambda: reduced_form_residuals([14], 10)),
         ],
         ids=["divergent-pair", "empty-composition", "unknown-weight"],
     )
