@@ -4,12 +4,18 @@ Subcommands: apery, aperyd, digits, verify, taylor, eval, cache.
 Exit codes: 0 everything checked out, 1 a verification found a claim false
 or inconclusive, 2 usage or input error.
 
-Each `_cmd_*` handler takes the parsed `args` alone, returns (exit code,
-payload, text) and prints nothing; `_run_config` has already filled in
-`args.format` and `args.cache`.  `main` prints `json.dumps(payload,
-sort_keys=True)` under `--format json`, else the text unless it is None.
-Only `_cmd_digits` reads the format (csv).  A token that reads as a number
-or as LO..HI is a value wherever it stands, negative or not (`_Parser`).
+Each subparser binds its `_cmd_*` handler with `set_defaults(handler=...)`.
+A handler takes the parsed `args` alone, returns (exit code, payload, text)
+and prints nothing; `_run_config` has already filled in `args.format` and
+`args.cache`.  `main` prints `json.dumps(payload, sort_keys=True)` under
+`--format json`, else the text unless it is None.  Only `_cmd_digits` reads
+the format (csv).  A token that reads as a number or as LO..HI is a value
+wherever it stands, negative or not (`_Parser`).
+
+`THEOREMS` maps each `verify` theorem id to (handler, the flags it needs,
+{each flag it takes: its default}).  `_cmd_verify` refuses any other flag
+and a missing needed one, then fills the defaults onto `args`, so a verify
+handler reads `args` alone.
 
 Big integers are serialized as decimal strings and rationals as "num/den";
 residues always carry their modulus.  Reports emitted by `verify` follow
@@ -262,138 +268,131 @@ def _residual_check(label: str, residual: float, tol: float | None, asserted=Tru
     }
 
 
-def _verify_congruence(sweep, default, args) -> dict:
-    # default is the range without --n; None leaves it to the sweep
-    return sweep(args.p, args.n or default, _open_cache(args)).to_dict()
+def _verify_congruence(sweep, args) -> dict:
+    return sweep(args.p, args.n, _open_cache(args)).to_dict()
 
 
-def _verify_multi_digit(args) -> dict:
+def _verify_multi_digit(law, args) -> dict:
     # name the flag, not the law's alphabet that the user never typed
-    _require_prime(args.p)
-    if args.theorem == "corollary" and args.p == 2:
-        raise ValueError(f"corollary needs an odd prime --p, got {args.p}")
-    if args.theorem == "lucas-p3" and args.p < 5:
-        raise ValueError(f"lucas-p3 needs a prime --p >= 5, got {args.p}")
-    if args.theorem == "corollary":
-        depth = 4 if args.depth is None else args.depth
-        alphabet = {0, (args.p - 1) // 2, args.p - 1}
-        report = verify_multi_digit(args.p, alphabet, depth, "power")
-    else:  # lucas-p3
-        depth = 5 if args.depth is None else args.depth
-        report = verify_multi_digit(args.p, {0, args.p - 1}, depth, "unit")
-    payload = report.to_dict()
+    p = args.p
+    _require_prime(p)
+    if law == "power":
+        if p == 2:
+            raise ValueError(f"corollary needs an odd prime --p, got {p}")
+        alphabet = {0, (p - 1) // 2, p - 1}
+    else:  # unit
+        if p < 5:
+            raise ValueError(f"lucas-p3 needs a prime --p >= 5, got {p}")
+        alphabet = {0, p - 1}
+    payload = verify_multi_digit(p, alphabet, args.depth, law).to_dict()
     payload["theorem"] = args.theorem
     return payload
 
 
 def _verify_taylor_identity(args) -> dict:
-    m_lo, m_hi = args.m or (1, 12)
+    m_lo, m_hi = args.m
     if m_lo < 1:
         raise ValueError("taylor-identity needs m >= 1")
-    upper = args.N if args.N is not None else 50
     checks = []
     for m in range(m_lo, m_hi + 1):
-        ok = taylor_identity_holds(m, upper)  # checks every N' <= upper
+        ok = taylor_identity_holds(m, args.N)  # checks every N' <= args.N
         checks.append({"label": f"m={m}", "pass": ok, "asserted": True})
     return _check_payload(
-        "taylor-identity", {"m_lo": m_lo, "m_hi": m_hi, "N": upper}, checks
+        "taylor-identity", {"m_lo": m_lo, "m_hi": m_hi, "N": args.N}, checks
     )
 
 
 def _verify_reduced_forms(args) -> dict:
-    N = args.N if args.N is not None else 10_000
-    tol = args.tol if args.tol is not None else 1e-5
     ms = sorted(REDUCED_FORMS)
     checks = []
-    for m, residual in zip(ms, reduced_form_residuals(ms, N)):
+    for m, residual in zip(ms, reduced_form_residuals(ms, args.N)):
         asserted = m != 12  # the weight-12 short form is data under test
         checks.append(
-            _residual_check(f"m={m}", residual, tol if asserted else None, asserted)
+            _residual_check(f"m={m}", residual, args.tol if asserted else None, asserted)
         )
-    return _check_payload("reduced-forms", {"N": N, "tolerance": tol}, checks)
+    return _check_payload("reduced-forms", {"N": args.N, "tolerance": args.tol}, checks)
 
 
 def _verify_stuffle(args) -> dict:
-    N = args.N if args.N is not None else 10_000
-    tol = args.tol if args.tol is not None else 1e-6
     checks = []
     depth1 = [((4,), (4,)), ((4,), (6,)), ((2,), (2,))]
     depth2 = [((4, 4), (2,)), ((2, 2), (6,)), ((2, 2), (4,))]
     pairs = depth1 + depth2
-    for (s, t), residual in zip(pairs, stuffle_residuals(pairs, N)):
+    for (s, t), residual in zip(pairs, stuffle_residuals(pairs, args.N)):
         label = "".join(f"zeta({','.join(map(str, u))})" for u in (s, t))
-        checks.append(_residual_check(label, residual, tol))
-    return _check_payload("stuffle", {"N": N, "tolerance": tol}, checks)
+        checks.append(_residual_check(label, residual, args.tol))
+    return _check_payload("stuffle", {"N": args.N, "tolerance": args.tol}, checks)
 
 
 def _verify_functional_eq(args) -> dict:
-    # at z = 0.5 the equation holds for any A with A(z) = A(-1-z)
-    label = "0.25" if args.z is None else args.z
-    z = _parse_complex(label)
-    terms = args.terms if args.terms is not None else 100_000
-    tol = args.tol if args.tol is not None else 1e-3
-    residual = functional_equation_residual(z, terms)
-    checks = [_residual_check(f"z={label}", residual, tol)]
+    z = _parse_complex(args.z)
+    residual = functional_equation_residual(z, args.terms)
+    checks = [_residual_check(f"z={args.z}", residual, args.tol)]
     return _check_payload(
         "functional-eq",
-        {"z": {"re": z.real, "im": z.imag}, "terms": terms, "tolerance": tol},
+        {"z": {"re": z.real, "im": z.imag}, "terms": args.terms, "tolerance": args.tol},
         checks,
     )
 
 
-def _verify_jacobsthal(args) -> dict:
-    primes = [p for p in primes_upto(31) if p >= 5] if args.p is None else [args.p]
-    checks = []
-    for p in primes:
-        ok = all(
-            jacobsthal_holds(a, b, p) for a in range(9) for b in range(a + 1)
-        )
-        checks.append({"label": f"p={p}", "pass": ok, "asserted": True})
-    return _check_payload("jacobsthal", {"primes": primes, "a_max": 8}, checks)
+def _jacobsthal_upto(p: int, a_max: int) -> bool:
+    return all(jacobsthal_holds(a, b, p) for a in range(a_max + 1) for b in range(a + 1))
 
 
-def _verify_wolstenholme(args) -> dict:
+def _wolstenholme_holds(p: int) -> bool:
+    return wolstenholme_residue(p).value == 0
+
+
+def _verify_lemma(bound, holds, extra, args) -> dict:
+    # the lemmas claim nothing below p = 5; without --p, check every prime
+    # 5 <= p <= bound.  extra holds the check's own parameters, which the
+    # report lists beside the primes
     if args.p is not None and args.p < 5:
         raise ValueError(f"p must be a prime >= 5, got {args.p}")
-    primes = [p for p in primes_upto(200) if p >= 5] if args.p is None else [args.p]
+    primes = [p for p in primes_upto(bound) if p >= 5] if args.p is None else [args.p]
     checks = [
-        {"label": f"p={p}", "pass": wolstenholme_residue(p).value == 0, "asserted": True}
-        for p in primes
+        {"label": f"p={p}", "pass": holds(p, **extra), "asserted": True} for p in primes
     ]
-    return _check_payload("wolstenholme", {"primes": primes}, checks)
+    return _check_payload(args.theorem, {"primes": primes, **extra}, checks)
 
 
 # the verify theorem ids, in the order the help text lists them, each with
-# the flags it needs and the flags it takes besides; it refuses the others
-# (the corollary and lucas-p3 laws cover every n of --depth base-p digits,
-# so --n would be ignored)
+# its handler, the flags it needs, and the flags it takes besides with their
+# defaults; it refuses the others (the corollary and lucas-p3 laws cover
+# every n of --depth base-p digits, so --n would be ignored)
 THEOREMS = {
-    "lucas-p": (partial(_verify_congruence, verify_lucas_mod_p, (-10, 10)), ("--p",), ("--n",)),
-    "gessel-p2": (partial(_verify_congruence, verify_gessel_mod_p2, (-10, 10)), ("--p",), ("--n",)),
-    "p3-suite": (partial(_verify_congruence, verify_mod_p3_suite, (-10, 10)), ("--p",), ("--n",)),
-    "digitset-p2": (partial(_verify_congruence, verify_digit_set_lucas, None), ("--p",), ("--n",)),
-    "corollary": (_verify_multi_digit, ("--p",), ("--depth",)),
-    "lucas-p3": (_verify_multi_digit, ("--p",), ("--depth",)),
-    "taylor-identity": (_verify_taylor_identity, (), ("--m", "--N")),
-    "reduced-forms": (_verify_reduced_forms, (), ("--N", "--tol")),
-    "stuffle": (_verify_stuffle, (), ("--N", "--tol")),
-    "functional-eq": (_verify_functional_eq, (), ("--z", "--terms", "--tol")),
-    "jacobsthal": (_verify_jacobsthal, (), ("--p",)),
-    "wolstenholme": (_verify_wolstenholme, (), ("--p",)),
+    "lucas-p": (partial(_verify_congruence, verify_lucas_mod_p), ("p",), {"n": (-10, 10)}),
+    "gessel-p2": (partial(_verify_congruence, verify_gessel_mod_p2), ("p",), {"n": (-10, 10)}),
+    "p3-suite": (partial(_verify_congruence, verify_mod_p3_suite), ("p",), {"n": (-10, 10)}),
+    # None leaves the range to the sweep
+    "digitset-p2": (partial(_verify_congruence, verify_digit_set_lucas), ("p",), {"n": None}),
+    "corollary": (partial(_verify_multi_digit, "power"), ("p",), {"depth": 4}),
+    "lucas-p3": (partial(_verify_multi_digit, "unit"), ("p",), {"depth": 5}),
+    "taylor-identity": (_verify_taylor_identity, (), {"m": (1, 12), "N": 50}),
+    "reduced-forms": (_verify_reduced_forms, (), {"N": 10_000, "tol": 1e-5}),
+    "stuffle": (_verify_stuffle, (), {"N": 10_000, "tol": 1e-6}),
+    # at z = 0.5 the equation holds for any A with A(z) = A(-1-z)
+    "functional-eq": (_verify_functional_eq, (), {"z": "0.25", "terms": 100_000, "tol": 1e-3}),
+    "jacobsthal": (partial(_verify_lemma, 31, _jacobsthal_upto, {"a_max": 8}), (), {"p": None}),
+    "wolstenholme": (partial(_verify_lemma, 200, _wolstenholme_holds, {}), (), {"p": None}),
 }
-_VERIFY_FLAGS = ("--p", "--n", "--m", "--N", "--terms", "--tol", "--depth", "--z")
+_VERIFY_FLAGS = ("p", "n", "m", "N", "terms", "tol", "depth", "z")
 
 
 def _cmd_verify(args: argparse.Namespace) -> Result:
     if args.tol is not None and not 0 < args.tol < math.inf:
         raise ValueError("--tol must be finite and positive")
     handler, needs, takes = THEOREMS[args.theorem]
-    for flag in _VERIFY_FLAGS:
-        if getattr(args, flag[2:]) is not None and flag not in needs + takes:
-            raise ValueError(f"verify {args.theorem} takes {' and '.join(takes)}, not {flag}")
-    for flag in needs:
-        if getattr(args, flag[2:]) is None:
-            raise ValueError(f"verify {args.theorem} needs {flag}")
+    for name in _VERIFY_FLAGS:
+        if getattr(args, name) is not None and name not in needs and name not in takes:
+            taken = " and ".join(f"--{t}" for t in takes)
+            raise ValueError(f"verify {args.theorem} takes {taken}, not --{name}")
+    for name in needs:
+        if getattr(args, name) is None:
+            raise ValueError(f"verify {args.theorem} needs --{name}")
+    for name, default in takes.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     payload = handler(args)
     ok = payload["pass"] and payload.get("conclusive", True)
     cases = f" ({payload['checked']} cases)" if "checked" in payload else ""
@@ -460,14 +459,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apery", parents=[common], help="print A(n), optionally mod M")
     p.add_argument("n", type=int)
     p.add_argument("--mod", type=int, help="reduce modulo M (fast for p and p^2)")
+    p.set_defaults(handler=_cmd_apery)
 
     p = sub.add_parser("aperyd", parents=[common], help="print A'(n) as num/den")
     p.add_argument("n", type=int)
+    p.set_defaults(handler=_cmd_aperyd)
 
     p = sub.add_parser("digits", parents=[common], help="digit sets D(p)")
     p.add_argument("p", type=int, nargs="?")
     p.add_argument("--scan", type=int, metavar="PMAX", help="scan all primes <= PMAX")
     p.add_argument("--min-size", type=int, default=1, help="minimum |D(p)| to report")
+    p.set_defaults(handler=_cmd_digits)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification sweep")
     p.add_argument("theorem", choices=tuple(THEOREMS))
@@ -479,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="numeric tolerance")
     p.add_argument("--depth", type=int, help="base-p digit count for digit laws")
     p.add_argument("--z", help="evaluation point, e.g. 0.5 or 0.3+0.2j")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("taylor", parents=[common], help="Taylor coefficient a_m")
     p.add_argument("m", type=int)
@@ -488,27 +491,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--float", dest="as_float", action="store_true", help="extrapolated estimate"
     )
     p.add_argument("--N", type=int, default=50, help="truncation bound")
+    p.set_defaults(handler=_cmd_taylor)
 
     p = sub.add_parser("eval", parents=[common], help="numeric A(z)")
     p.add_argument("z", help="evaluation point, e.g. -0.5 or 0.25+0.25j")
     p.add_argument("--terms", type=int, default=100_000)
+    p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("cache", parents=[common], help="manage the value cache")
     p.add_argument("action", choices=("fill", "verify", "info"))
     p.add_argument("--n", type=parse_range, metavar="LO..HI", help="range for fill")
+    p.set_defaults(handler=_cmd_cache)
 
     return parser
-
-
-_HANDLERS = {
-    "apery": _cmd_apery,
-    "aperyd": _cmd_aperyd,
-    "digits": _cmd_digits,
-    "verify": _cmd_verify,
-    "taylor": _cmd_taylor,
-    "eval": _cmd_eval,
-    "cache": _cmd_cache,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -526,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("cache fill needs --n LO..HI")
         if args.format == "csv" and args.command != "digits":
             raise ValueError("csv output is only available for the digits command")
-        code, payload, text = _HANDLERS[args.command](args)
+        code, payload, text = args.handler(args)
         if args.format == "json":
             print(json.dumps(payload, sort_keys=True))
         elif text is not None:

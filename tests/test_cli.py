@@ -543,9 +543,48 @@ class TestVerifyCommand:
         code, payload = run_report(capsys, "verify", "wolstenholme", "--p", "13")
         assert code == 0 and payload["pass"]
 
-    def test_missing_p(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "lucas-p")
-        assert code == 2 and "--p" in err
+    @pytest.mark.parametrize(
+        "theorem", ["lucas-p", "gessel-p2", "p3-suite", "digitset-p2", "corollary", "lucas-p3"]
+    )
+    def test_missing_p(self, capsys, theorem):
+        assert run_cli(capsys, "verify", theorem) == (2, "", f"error: verify {theorem} needs --p\n")
+
+    # each id, the flags it needs, and the flags it takes with their defaults
+    # written out (None: the lemmas' default is every prime 5 <= p <= bound)
+    DEFAULTS = [
+        ("lucas-p", ["--p", "5"], ["--n", "-10..10"]),
+        ("gessel-p2", ["--p", "5"], ["--n", "-10..10"]),
+        ("p3-suite", ["--p", "5"], ["--n", "-10..10"]),
+        ("digitset-p2", ["--p", "7"], ["--n", "-7..7"]),
+        ("corollary", ["--p", "7"], ["--depth", "4"]),
+        ("lucas-p3", ["--p", "5"], ["--depth", "5"]),
+        ("taylor-identity", [], ["--m", "1..12", "--N", "50"]),
+        ("reduced-forms", [], ["--N", "10000", "--tol", "1e-5"]),
+        ("stuffle", [], ["--N", "10000", "--tol", "1e-6"]),
+        ("functional-eq", [], ["--z", "0.25", "--terms", "100000", "--tol", "0.001"]),
+        ("jacobsthal", [], None),
+        ("wolstenholme", [], None),
+    ]
+
+    @pytest.mark.parametrize(
+        "theorem, needed, spelled_out", DEFAULTS, ids=[d[0] for d in DEFAULTS]
+    )
+    def test_defaults_spelled_out(self, capsys, theorem, needed, spelled_out):
+        _, payload = run_report(capsys, "verify", theorem, *needed)
+        if spelled_out is not None:
+            assert run_report(capsys, "verify", theorem, *needed, *spelled_out)[1] == payload
+        else:
+            bound = {"jacobsthal": 31, "wolstenholme": 199}[theorem]
+            primes = [p for p in range(5, bound + 1) if all(p % d for d in range(2, p))]
+            assert payload["parameters"]["primes"] == primes
+
+    def test_help_lists_theorems_in_order(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--help")
+        ids = (
+            "lucas-p,gessel-p2,p3-suite,digitset-p2,corollary,lucas-p3,taylor-identity,"
+            "reduced-forms,stuffle,functional-eq,jacobsthal,wolstenholme"
+        )
+        assert code == 0 and "{" + ids + "}" in out
 
     @pytest.mark.parametrize(
         "argv",
@@ -618,6 +657,8 @@ class TestVerifyCommand:
             (["reduced-forms", "--terms", "10"], "reduced-forms takes --N and --tol, not --terms"),
             (["wolstenholme", "--z", "0.5"], "wolstenholme takes --p, not --z"),
             (["digitset-p2", "--p", "7", "--m", "1..2"], "digitset-p2 takes --n, not --m"),
+            (["gessel-p2", "--p", "5", "--tol", "1e-3"], "gessel-p2 takes --n, not --tol"),
+            (["p3-suite", "--p", "5", "--z", "0.5"], "p3-suite takes --n, not --z"),
         ],
         ids=[
             "stuffle-p",
@@ -628,6 +669,8 @@ class TestVerifyCommand:
             "reduced-forms-terms",
             "wolstenholme-z",
             "digitset-p2-m",
+            "gessel-p2-tol",
+            "p3-suite-z",
         ],
     )
     def test_unread_flag_rejected(self, capsys, argv, message):
