@@ -12,11 +12,14 @@ empty cache.
 - Version 1: ``n <tab> A(n)`` in decimal, as ``int()`` reads it.  Still
   loaded; storing the loaded values writes version 2.
 
-Loading validates the structure and checks every record against A(n)
-modulo the prime q = 2^61 - 1, by one pass of the recurrence up to the
-largest index in the file.  That catches any single-digit edit, truncation
-or rescaling by k != 1 (mod q); a value changed by an exact multiple of q
-is the one change that passes.
+Loading validates the structure, then checks every record (_wrong_record).
+A value of at most 4n - 2 bitlen(2n+1) bits is too short, since
+A(n) >= C(2n,n)^2 >= 16^n/(2n+1)^2; refusing those first bounds the rest
+of the check by the size of the values and keeps every n far below the
+prime q = 2^61 - 1.  The rest are compared with A(n) mod q from one pass of
+the recurrence up to the largest index in the file (_recurrence_mod).  That
+catches any single-digit edit, truncation or rescaling by k != 1 (mod q); a
+value changed by an exact multiple of q is the one change that passes.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import sys
 from typing import Mapping
 
-from .sequence import _wrong_record
+from .sequence import _recurrence_mod
 
 __all__ = ["CacheError", "FORMAT_VERSION", "cache_load", "cache_store"]
 
@@ -61,9 +64,12 @@ def cache_store(path: str | os.PathLike, values: Mapping[int, int]) -> None:
             raise ValueError(f"cache keys must be integers >= 0, got {n!r}")
         if not _is_count(values[n]):
             raise ValueError(f"cache values must be integers >= 0, got {values[n]!r}")
-    tmp = f"{os.fspath(path)}.tmp"
+    # a name no other call uses, beside path, opened exclusively before the
+    # try: a name that exists after all is neither written nor removed
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="ascii")
     try:
-        with open(tmp, "w", encoding="ascii") as fh:
+        with fh:
             fh.write(f"apery-cache\t{FORMAT_VERSION}\t{_SEQUENCE_ID}\n")
             for n in keys:
                 fh.write(f"{n}\t{values[n]:x}\n")
@@ -106,6 +112,20 @@ def _parse_record(version: int, n_field: str, value_field: str) -> tuple[int, in
             return int(n_field), int(value_field, 16)
     except ValueError:  # not an integer, or an n past the int/str digit cap
         pass
+    return None
+
+
+def _wrong_record(values: Mapping[int, int]) -> int | None:
+    """An n whose record fails the check the module docstring describes,
+    or None when every record passes."""
+    for n in sorted(values):
+        if values[n].bit_length() <= 4 * n - 2 * (2 * n + 1).bit_length():
+            return n
+    q = 2**61 - 1
+    for n, (x, den) in enumerate(_recurrence_mod(q, max(values, default=0))):
+        value = values.get(n)
+        if value is not None and (value % q * den - x) % q:
+            return n
     return None
 
 

@@ -6,13 +6,13 @@ by the reflection A(n) = A(-1-n).  A'(n) is the harmonic-weighted variant
 
 Besides the defining sums this module provides the three-term recurrence
 (apery_fast, the one exact route, with a shared memo cache, which also serves
-prefixes of residues mod p^3 to the congruence sweeps), A'(n) from the
-recurrence's derivative, O(log n) modular evaluation through the base-p
-digit congruences, and a memory-flat recurrence sweep for reducing A(n) at
-scattered large indices.  The digit table A(d) mod p comes from the
-inverse-free x/den pass of the recurrence modulo p, and A(d), A'(d) mod p^2
-from the recurrence and its derivative modulo p^2, with no exact values;
-the exact routes stay as their oracles.  A p-adic digit DP gives
+prefixes of residues mod p^3 to the congruence sweeps), O(log n) modular
+evaluation through the base-p digit congruences, and a memory-flat
+recurrence sweep for reducing A(n) at scattered large indices.  The digit
+table A(d) mod p comes from the inverse-free x/den pass of the recurrence
+modulo p.  One pass of the recurrence and its derivative (_with_slopes)
+gives both A'(n) exactly and A(d), A'(d) mod p^2, the latter with no exact
+values; the exact routes stay as their oracles.  A p-adic digit DP gives
 A(n) mod p^e, e <= 3, from Kummer's theorem and p-free factorials, with no
 recurrence and no digit theorem, in time linear in the digits of n.
 apery_mod is the one entry for A(n) mod any M: it picks among those routes.
@@ -26,7 +26,7 @@ import threading
 from array import array
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .arith import PRIMALITY_BOUND, Residue, _digits, _icbrt, _require_prime, is_prime
 
@@ -62,13 +62,43 @@ def _r1(m: int) -> int:
     return 34 * m**3 - 51 * m**2 + 27 * m - 5
 
 
+def _exact_div(x: int, k: int) -> int:
+    """x / k^3, which must be exact."""
+    value, remainder = divmod(x, k**3)
+    if remainder:
+        raise ArithmeticError(f"recurrence step not exact at k={k}")
+    return value
+
+
 def _recurrence_step(m: int, prev1: int, prev2: int) -> int:
     """A(m) from A(m-1), A(m-2) via m^3 A(m) = r1(m) A(m-1) - (m-1)^3 A(m-2)."""
-    numerator = _r1(m) * prev1 - (m - 1) ** 3 * prev2
-    value, remainder = divmod(numerator, m**3)
-    if remainder:
-        raise ArithmeticError(f"recurrence step not exact at m={m}")
-    return value
+    return _exact_div(_r1(m) * prev1 - (m - 1) ** 3 * prev2, m)
+
+
+def _with_slopes(
+    top: int, start: int, divide: Callable[[int, int], int]
+) -> Iterator[tuple[int, int]]:
+    """(start A(k), start A'(k)) for k = 0, ..., top, where divide(x, k) is
+    x / k^3 in the caller's ring.
+
+    Runs the recurrence and its derivative together, starting from
+    A(0) = 1, A'(0) = 0:
+        k^3 A(k) = r1(k) A(k-1) - (k-1)^3 A(k-2),
+        k^3 A'(k) = -3k^2 A(k) + r1'(k) A(k-1) + r1(k) A'(k-1)
+                    - 3(k-1)^2 A(k-2) - (k-1)^3 A'(k-2).
+    The second is the derivative of the functional equation at z = k, whose
+    sin^2(pi z) term has zero derivative at integers.  At k = 1 the
+    (k-1) factors drop A(-1), which gives A'(1) = 12.
+    """
+    a2, a1, s2, s1 = 0, start, 0, 0  # start times A(k-2), A(k-1), A'(k-2), A'(k-1)
+    yield a1, s1
+    for k in range(1, top + 1):
+        j = k - 1
+        r, dr, c = _r1(k), 102 * k * j + 27, j * j * j  # r1(k), r1'(k), (k-1)^3
+        a = divide(r * a1 - c * a2, k)
+        s = divide(r * s1 - c * s2 + dr * a1 - 3 * (k * k * a + j * j * a2), k)
+        yield a, s
+        a2, a1, s2, s1 = a1, a, s1, s
 
 
 def _recurrence_mod(q: int, top: int) -> Iterator[tuple[int, int]]:
@@ -89,27 +119,6 @@ def _recurrence_mod(q: int, top: int) -> Iterator[tuple[int, int]]:
         x1, x2 = (r1 * x1 - prev * prev * x2) % q, x1
         den = den * cube % q
         yield x1, den
-
-
-def _wrong_record(values: Mapping[int, int]) -> int | None:
-    """An n whose value is not A(n), or None when every record checks out.
-
-    A value of at most 4n - 2 bitlen(2n+1) bits is too short, since
-    A(n) >= C(2n,n)^2 >= 16^n/(2n+1)^2.  Rejecting those first bounds the
-    pass by the size of the values and keeps every n far below the prime
-    q = 2^61 - 1.  The rest are compared with A(n) mod q from one pass of
-    the recurrence (_recurrence_mod).  A value off from A(n) by a nonzero
-    multiple of q passes.
-    """
-    for n in sorted(values):
-        if values[n].bit_length() <= 4 * n - 2 * (2 * n + 1).bit_length():
-            return n
-    q = 2**61 - 1
-    for n, (x, den) in enumerate(_recurrence_mod(q, max(values, default=0))):
-        value = values.get(n)
-        if value is not None and (value % q * den - x) % q:
-            return n
-    return None
 
 
 _ENTRY_MAX = 2**63 - 1  # the largest array('q') entry
@@ -233,27 +242,17 @@ def apery_deriv(n: int) -> Fraction:
     gives A'(n) = -A'(-1-n) for n <= -1, so a caller writes
     -apery_deriv(-1 - n) there.
 
-    Runs the recurrence and its derivative (_digit_tables has both) on
-    L A(k) and L A'(k) with L = lcm(1..2n).  For k <= n the denominator of
-    A'(k) divides lcm(1..2k), so both stay integers and every step divides
-    exactly by k^3; each step multiplies small numbers by big ones.
+    The exact pass of _with_slopes, on L A(k) and L A'(k) with
+    L = lcm(1..2n).  For k <= n the denominator of A'(k) divides
+    lcm(1..2k), so both stay integers and every step divides exactly by
+    k^3; each step multiplies small numbers by big ones.
     """
     if n < 0:
         raise ValueError(f"apery_deriv requires n >= 0, got {n}")
     L = math.lcm(*range(1, 2 * n + 1))
-    a2, a1, s2, s1 = 0, L, 0, 0  # L A(k-2), L A(k-1), L A'(k-2), L A'(k-1)
-    for k in range(1, n + 1):
-        cube, c, r = k**3, (k - 1) ** 3, _r1(k)
-        a, rem = divmod(r * a1 - c * a2, cube)
-        s, rem_s = divmod(
-            -3 * k * k * a + (102 * k * k - 102 * k + 27) * a1 + r * s1
-            - 3 * (k - 1) ** 2 * a2 - c * s2,
-            cube,
-        )
-        if rem or rem_s:
-            raise ArithmeticError(f"derivative recurrence step not exact at k={k}")
-        a2, a1, s2, s1 = a1, a, s1, s
-    return Fraction(s1, L)
+    for _, slope in _with_slopes(n, L, _exact_div):
+        pass
+    return Fraction(slope, L)
 
 
 def _digit_tables(p: int, top: int | None = None) -> tuple[list[int], list[int]]:
@@ -261,33 +260,13 @@ def _digit_tables(p: int, top: int | None = None) -> tuple[list[int], list[int]]
     caller has checked.
 
     top defaults to p - 1, the full table; a caller that knows the largest
-    base-p digit it will look up can stop there.
-
-    Runs the recurrence and its derivative together, starting from
-    A(0) = 1, A'(0) = 0:
-        k^3 A(k) = r1(k) A(k-1) - (k-1)^3 A(k-2),
-        k^3 A'(k) = -3k^2 A(k) + r1'(k) A(k-1) + r1(k) A'(k-1)
-                    - 3(k-1)^2 A(k-2) - (k-1)^3 A'(k-2).
-    The second is the derivative of the functional equation at z = k, whose
-    sin^2(pi z) term has zero derivative at integers.  At k = 1 the
-    (k-1) factors drop A(-1), which gives A'(1) = 12.  For k < p, k^3 is a
-    unit mod p^2, so every step divides exactly.
+    base-p digit it will look up can stop there.  The pass of _with_slopes
+    modulo p^2: for k < p, k^3 is a unit mod p^2, inverted once per k.
     """
     m = p * p
-    values, slopes = [1], [0]
-    a2, a1, s2, s1 = 0, 1, 0, 0  # A(k-2), A(k-1), A'(k-2), A'(k-1)
-    for k in range(1, (p - 1 if top is None else top) + 1):
-        inv = pow(k**3, -1, m)
-        r, c = _r1(k), (k - 1) ** 3
-        a = (r * a1 - c * a2) * inv % m
-        r_prime = 102 * k * k - 102 * k + 27
-        s = (
-            -3 * k * k * a + r_prime * a1 + r * s1
-            - 3 * (k - 1) ** 2 * a2 - c * s2
-        ) * inv % m
-        values.append(a)
-        slopes.append(s)
-        a2, a1, s2, s1 = a1, a, s1, s
+    inverse = functools.lru_cache(maxsize=1)(lambda k: pow(k**3, -1, m))
+    pairs = _with_slopes(p - 1 if top is None else top, 1, lambda x, k: x * inverse(k) % m)
+    values, slopes = map(list, zip(*pairs))
     return values, slopes
 
 

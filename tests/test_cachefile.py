@@ -160,6 +160,27 @@ def test_failed_store_leaves_path_untouched(tmp_path, values):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["values.cache"]
 
 
+def test_store_leaves_a_file_named_like_its_temporary_alone(tmp_path, monkeypatch):
+    # a user's <path>.tmp is neither truncated nor renamed nor removed,
+    # by a store that succeeds or by one that fails after opening its file
+    path = tmp_path / "values.cache"
+    notes = tmp_path / "values.cache.tmp"
+    notes.write_bytes(b"my notes\n")
+    cache_store(path, {0: 1, 1: 5})
+    assert notes.read_bytes() == b"my notes\n"
+    before = path.read_bytes()
+
+    def no_replace(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr("apery.cachefile.os.replace", no_replace)
+    with pytest.raises(OSError, match="replace refused"):
+        cache_store(path, {0: 1, 1: 5, 2: 73})
+    assert notes.read_bytes() == b"my notes\n"
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["values.cache", "values.cache.tmp"]
+
+
 def test_tampered_isolated_record(tmp_path):
     path = tmp_path / "values.cache"
     cache_store(path, {0: 1, 1: 5, 50: apery(50) + 1})

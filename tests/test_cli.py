@@ -913,6 +913,23 @@ def test_module_entry_point():
     assert (done.returncode, done.stdout, done.stderr) == (0, "1445\n", "")
 
 
+def test_console_script_entry_point(monkeypatch, capsys):
+    # the `apery` command that pyproject.toml installs: its target resolves
+    # and runs the CLI, exiting with main's code
+    import importlib
+
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, attr = scripts["apery"].partition(":")
+    assert (module, attr) == ("apery.cli", "run")
+    entry = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["apery", "apery", "4"])
+    with pytest.raises(SystemExit) as done:
+        entry()
+    assert done.value.code == 0
+    assert capsys.readouterr().out == "33001\n"
+
+
 def test_module_entry_point_input_error():
     done = run_module("verify", "lucas-p", "--p", "4")
     assert done.returncode == 2 and done.stdout == ""

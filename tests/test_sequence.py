@@ -190,6 +190,27 @@ class TestDerivative:
             assert apery_deriv(n) == harmonic_deriv(n), n
 
 
+class TestExactDivision:
+    def test_every_exact_route_refuses_an_inexact_step(self, monkeypatch, capsys):
+        # with r1 off by one, some k^3 division leaves a remainder: the
+        # derivative pass, the memo's walk, the rolling sweep and the CLI
+        # must each refuse it rather than return a floor quotient
+        from apery import sequence
+        from apery.cli import main
+
+        r1 = sequence._r1
+        monkeypatch.setattr(sequence, "_r1", lambda m: r1(m) + 1)
+        with pytest.raises(ArithmeticError):
+            apery_deriv(5)
+        with pytest.raises(ArithmeticError):
+            apery_fast(5, AperyCache())
+        with pytest.raises(ArithmeticError):
+            apery_mod_sweep([5], 7)
+        assert main(["aperyd", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not exact" in err
+
+
 class TestFastModPaths:
     def test_examples(self):
         assert apery_mod_p(7, 5).value == 0
