@@ -140,6 +140,9 @@ def _tail(z: complex, head: int, terms: int, t_head: complex) -> tuple[complex, 
     large as A(z), order 15 leaves about 1e-15 and order 14 about 5e-14.
     The dropped 2 D_9 k^-9 is about 1e-17 there.
     """
+    # the sums here add complex numbers, which sum() adds left to right on
+    # 3.10-3.13 (only float sums compensate, from 3.12), so they print the
+    # same digits on every supported Python
     x = -z
     two_d = [0j] * (_EXP_ORDER + 1)  # 2 D_n at index n
     for n in range(1, _PHI_ORDER + 1, 2):
@@ -201,7 +204,10 @@ def functional_equation_residual(z: complex, terms: int = 100_000) -> float:
     parts = [c * apery_eval(z - j, terms).value for j, c in enumerate(weights)]
     rhs = 8 / math.pi**2 * (2 * z - 1) * cmath.sin(cmath.pi * z) ** 2
     residual = abs(parts[0] + parts[1] + parts[2] - rhs)
-    scale = max(1.0, sum(map(abs, parts)))
+    try:  # fsum raises where finite terms add up past the largest double
+        scale = max(1.0, math.fsum(map(abs, parts)))
+    except OverflowError:
+        raise overflow from None
     if not (math.isfinite(residual) and math.isfinite(scale)):
         raise overflow
     return residual / scale

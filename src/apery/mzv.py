@@ -25,7 +25,9 @@ distinct suffix once per call, in an array('d').  The identity checks
 stuffle_residuals and reduced_form_residuals each make one call for a whole
 list of identities, so a CLI command evaluates its MZVs in one pass; a
 caller with one identity passes a one-element list.  Every stuffle product
-is expanded by _stuffle.
+is expanded by _stuffle.  Every float sum that reaches output goes through
+math.fsum, which rounds once, so the printed digits are the same on every
+Python; sum() of floats compensates from 3.12 on and not before.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
@@ -183,8 +185,8 @@ def _mzv_floats(
     in an array('d'); the walk keeps only the tails on its current path.
     The divisor float(v**part) is tabulated once per distinct part, so
     every quotient is the one the term-by-term loop forms.  The head terms
-    are summed left to right: S(N) over the first N of them, then S(2N)
-    continues from S(N).
+    stream into math.fsum, with no list of them: S(N) is the fsum of the
+    first N terms, and S(2N) the fsum of S(N) and the next N terms.
     """
     comps = [_validate_composition(s) for s in compositions]
     for s in comps:
@@ -217,8 +219,8 @@ def _mzv_floats(
             tail = array("d", accumulate(steps, initial=0.0))
         for s in heads:
             terms = map(truediv, tail, power(s[0]))
-            half = sum(islice(terms, N))
-            values[s] = 2 * sum(terms, half) - half
+            half = math.fsum(islice(terms, N))
+            values[s] = 2 * math.fsum(chain((half,), terms)) - half
         stack.extend((child, tail, edge) for edge, child in children.items())
     return values
 
@@ -228,9 +230,10 @@ def mzv_float(s: Sequence[int], N: int) -> float:
 
     The one-step Richardson value 2 S(2N) - S(N) is returned, cancelling
     the leading c/N tail that the slowest (s1 = 2) modes leave behind.
-    Both sums come from one pass to 2N: S(N) is the sum of its first N
-    terms.  Several compositions at one truncation are cheaper together:
-    see _mzv_floats, which this calls.
+    Both sums come from one pass to 2N: S(N) is the math.fsum of its first
+    N terms, and S(2N) the fsum of S(N) and the next N, so the value is the
+    same double on every Python.  Several compositions at one truncation
+    are cheaper together: see _mzv_floats, which this calls.
     """
     s = _validate_composition(s)
     return _mzv_floats([s], N)[s]
@@ -269,7 +272,7 @@ def taylor_identity_holds(m: int, N: int) -> bool:
 
 
 def _expansion_value(terms: list[MzvTerm], values: dict[Composition, float]) -> float:
-    return float(sum(coeff * values[s] for s, coeff in terms))
+    return math.fsum(coeff * values[s] for s, coeff in terms)
 
 
 def taylor_coeff_float(m: int, N: int = 10_000) -> float:
@@ -334,8 +337,8 @@ def stuffle_residuals(
     pairs: Sequence[tuple[Sequence[int], Sequence[int]]], N: int = 10_000
 ) -> list[float]:
     """|zeta(s) zeta(t) - sum of zeta(u) over u in s * t| numerically, for
-    each pair (s, t) in order, the right side summed in _stuffle's order.
-    Needs s1, t1 >= 2.
+    each pair (s, t) in order, the right side summed by math.fsum.  Needs
+    s1, t1 >= 2.
 
     Every factor and product term of every pair comes from one _mzv_floats
     call, so the divisor tables and shared tails are built once.
@@ -346,7 +349,7 @@ def stuffle_residuals(
         [u for (s, t), product in zip(pairs, products) for u in (s, t, *product)], N
     )
     return [
-        abs(v[s] * v[t] - sum(v[u] for u in product))
+        abs(v[s] * v[t] - math.fsum(v[u] for u in product))
         for (s, t), product in zip(pairs, products)
     ]
 

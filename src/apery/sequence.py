@@ -261,11 +261,20 @@ def _digit_tables(p: int, top: int | None = None) -> tuple[list[int], list[int]]
 
     top defaults to p - 1, the full table; a caller that knows the largest
     base-p digit it will look up can stop there.  The pass of _with_slopes
-    modulo p^2: for k < p, k^3 is a unit mod p^2, inverted once per k.
+    modulo p^2: for k < p, k^3 is a unit mod p^2.  Its inverses come from
+    one batch inversion: with P(k) = (1^3 ... k^3) mod p^2, 1/k^3 is
+    P(k-1)/P(k), and 1/P(k-1) is k^3/P(k), so one pow and three products
+    per k give them all.
     """
     m = p * p
-    inverse = functools.lru_cache(maxsize=1)(lambda k: pow(k**3, -1, m))
-    pairs = _with_slopes(p - 1 if top is None else top, 1, lambda x, k: x * inverse(k) % m)
+    top = p - 1 if top is None else top
+    cubes = (k * k * k for k in range(1, top + 1))
+    inverses = list(accumulate(cubes, lambda a, b: a * b % m, initial=1))  # P(0..top)
+    inv = pow(inverses[-1], -1, m)  # 1/P(k), from k = top down
+    for k in range(top, 0, -1):  # P(k) becomes 1/k^3 while P(k-1) is still there
+        inverses[k] = inv * inverses[k - 1] % m
+        inv = inv * k**3 % m
+    pairs = _with_slopes(top, 1, lambda x, k: x * inverses[k] % m)
     values, slopes = map(list, zip(*pairs))
     return values, slopes
 

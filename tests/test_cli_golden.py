@@ -1,15 +1,17 @@
-"""Byte-for-byte CLI output on a fixed grid of exact-output command lines.
+"""Byte-for-byte CLI output on a fixed grid of command lines.
 
 tests/data/cli_golden.json holds the argv, exit code, stdout and stderr of
 every command line in COMMANDS, run plain (no --format flag), json and csv,
 in that order and in one scratch directory.  "{tmp}" in an argv stands for
 that directory, in the stored output too.
 
-Left out on purpose:
-- the float-printing commands (eval, taylor --float, verify stuffle,
-  reduced-forms and functional-eq), whose last digits may differ between
-  Python versions (sum() of floats is compensated from 3.12 on);
-- argparse's own usage errors, whose wording belongs to the Python version.
+The float-printing commands (eval, taylor --float, verify stuffle,
+reduced-forms and functional-eq) are on the grid too: every float sum that
+reaches their output goes through math.fsum, which rounds once on every
+Python, so they print the same bytes on each.
+
+Left out on purpose: argparse's own usage errors, whose wording belongs to
+the Python version.
 
 After an intended output change, regenerate with
 
@@ -100,6 +102,13 @@ COMMANDS = [
     "verify jacobsthal", "verify jacobsthal --p 7", "verify jacobsthal --tol 0",
     "verify wolstenholme --p 13", "verify wolstenholme", "verify wolstenholme --p 3",
     "verify wolstenholme --tol inf",
+    # the float commands: series values, the functional equation, the MZV
+    # checks and Taylor coefficients from their compositions
+    "eval 0.5", "eval 0.25+0.25j --terms 100000", "eval -0.5 --terms 5000",
+    "eval 3 --terms 1000", "verify functional-eq",
+    "verify functional-eq --z 1.5 --terms 20000", "verify stuffle --N 2000",
+    "verify reduced-forms --N 2000", "taylor 8 --float --N 3000",
+    "taylor 12 --float --N 1000", "taylor 2 --float --N 10000", "taylor 16 --float --N 600",
     # the value cache
     "cache fill --n 0..30 --cache {tmp}/fill.cache", "cache info --cache {tmp}/fill.cache",
     "cache verify --cache {tmp}/fill.cache", "cache fill --n 40..45 --cache {tmp}/fill.cache",

@@ -284,6 +284,17 @@ class TestFunctionalEquation:
             rhs = 8 / math.pi**2 * (2 * z - 1) * cmath.sin(cmath.pi * z) ** 2
             assert functional_equation_residual(z, 20_000) <= abs(lhs - rhs) * (1 + 1e-9)
 
+    def test_scale_rounds_once(self):
+        # at z = 0.263 the terms' sizes added left to right miss their
+        # correctly rounded sum by one unit, and so would the residual
+        z, terms = complex(0.263), 2000
+        weights = (z**3, -(34 * z**3 - 51 * z**2 + 27 * z - 5), (z - 1) ** 3)
+        parts = [c * apery_eval(z - j, terms).value for j, c in enumerate(weights)]
+        rhs = 8 / math.pi**2 * (2 * z - 1) * cmath.sin(cmath.pi * z) ** 2
+        residual = abs(parts[0] + parts[1] + parts[2] - rhs)
+        scale = max(1.0, math.fsum(map(abs, parts)))
+        assert functional_equation_residual(z, terms) == residual / scale
+
 
 class TestOverflow:
     # a value that overflows a double is an error, not an answer
@@ -303,6 +314,12 @@ class TestOverflow:
             assert apery_eval(z, 1000).value.real == pytest.approx(apery(z), rel=1e-9)
         with pytest.raises(OverflowError):
             functional_equation_residual(200, 1000)
+
+    def test_residual_names_z_where_the_terms_add_past_a_double(self):
+        # each term of the equation is finite at z = 199.4, but the sum of
+        # their sizes is not
+        with pytest.raises(OverflowError, match=r"functional equation overflows .* at z="):
+            functional_equation_residual(199.4, 1000)
 
     def test_residual_names_z_where_z_cubed_overflows(self):
         # beyond |z| of about 5.6e102 the complex power z^3 itself raises

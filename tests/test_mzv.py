@@ -2,7 +2,6 @@
 truncated expansion identity, and the numeric relation checks."""
 
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -52,10 +51,9 @@ EXPANSIONS = {
 }
 
 
-def _reference_mzv_float(s, N, extrapolate=True):
-    """The per-composition loop mzv_float replaced: list tails, every
-    suffix rebuilt for every composition, a list of head terms."""
-    top = 2 * N if extrapolate else N
+def _reference_terms(s, top):
+    """The head terms of the per-composition loop mzv_float replaced: list
+    tails, every suffix rebuilt for every composition."""
     tail = [1.0] * (top + 1)
     for part in reversed(s[1:]):
         running = 0.0
@@ -65,17 +63,18 @@ def _reference_mzv_float(s, N, extrapolate=True):
             if v:
                 running += tail[v] / v**part
         tail = new
-    terms = [tail[n] / n ** s[0] for n in range(1, top + 1)]
-    if extrapolate:
-        return 2 * sum(terms) - sum(terms[:N])
-    return sum(terms)
+    return [tail[n] / n ** s[0] for n in range(1, top + 1)]
 
 
-# sum() adds floats left to right before Python 3.12 and compensates from
-# 3.12 on; only the former makes sum(rest, sum(head)) == sum(head + rest)
-left_to_right_sum = pytest.mark.skipif(
-    sys.version_info >= (3, 12), reason="sum() compensates from Python 3.12 on"
-)
+def _reference_mzv_float(s, N, extrapolate=True):
+    """That loop's value: S(N) is the fsum of the first N head terms, and
+    S(2N) the fsum of S(N) and the next N terms."""
+    if not extrapolate:
+        return math.fsum(_reference_terms(s, N))
+    terms = _reference_terms(s, 2 * N)
+    half = math.fsum(terms[:N])
+    return 2 * math.fsum([half, *terms[N:]]) - half
+
 
 STUFFLE_CASES = {"depth1": [(4, 4), (4, 6), (2, 2)], "depth2": [(4, 4, 2), (2, 2, 6), (2, 2, 4)]}
 # the six (s, t) pairs of `verify stuffle`, in its order
@@ -229,11 +228,12 @@ class TestMzvFloat:
 
     @pytest.mark.parametrize("s", [(2,), (3,), (4, 2), (2, 4, 4), (3, 2, 2, 4)])
     def test_extrapolation_is_two_raw_sums(self, s):
-        # S(N) is read off the pass to 2N; it must equal a pass to N exactly
+        # S(N) is read off the pass to 2N; it must equal a pass to N exactly,
+        # and S(2N) continues from it through the next N terms
         for N in (1, 7, 100, 1234):
-            raw = (_reference_mzv_float(s, 2 * N, False),
-                   _reference_mzv_float(s, N, False))
-            assert mzv_float(s, N) == 2 * raw[0] - raw[1]
+            head = _reference_mzv_float(s, N, False)
+            rest = _reference_terms(s, 2 * N)[N:]
+            assert mzv_float(s, N) == 2 * math.fsum([head, *rest]) - head
 
 
 class TestTruncatedIdentity:
@@ -378,10 +378,10 @@ class TestReducedForms:
         assert taylor_coeff_float(3, 10_000) == pytest.approx(2 * zeta3, abs=1e-9)
 
 
-@left_to_right_sum
 class TestAgainstReferenceLoop:
-    # the suffix trie forms the same quotients and adds them in the same
-    # order as the per-composition loop, so every value is the same double
+    # the suffix trie forms the same quotients as the per-composition loop,
+    # and both round each sum once through math.fsum, so every value is the
+    # same double on every Python
     @pytest.mark.parametrize("m", range(1, 13))
     def test_admissible_compositions(self, m):
         for s in admissible_compositions(m):
@@ -405,15 +405,15 @@ class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("m", range(0, 17))
     def test_taylor_coeff_float(self, m):
         for N in (1, 5, 300):
-            want = 1.0 if m == 0 else float(
-                sum(c * _reference_mzv_float(s, N) for s, c in taylor_terms(m))
+            want = 1.0 if m == 0 else math.fsum(
+                c * _reference_mzv_float(s, N) for s, c in taylor_terms(m)
             )
             assert taylor_coeff_float(m, N) == want
 
     def test_divisors_above_two_to_the_53(self):
         # v^4 for v > 9741 is rounded to a double; both loops divide by the
         # same rounded value
-        want = float(sum(c * _reference_mzv_float(s, 6000) for s, c in taylor_terms(8)))
+        want = math.fsum(c * _reference_mzv_float(s, 6000) for s, c in taylor_terms(8))
         assert taylor_coeff_float(8, 6000) == want
 
     @pytest.mark.parametrize("m", sorted(REDUCED_FORMS))
@@ -435,7 +435,7 @@ class TestAgainstReferenceLoop:
 
 
 def _reference_reduced_form_residual(m, N):
-    taylor = float(sum(c * _reference_mzv_float(s, N) for s, c in taylor_terms(m)))
+    taylor = math.fsum(c * _reference_mzv_float(s, N) for s, c in taylor_terms(m))
     short = 0.0
     for coeff, s in REDUCED_FORMS[m]:
         if len(s) == 1:
@@ -446,15 +446,15 @@ def _reference_reduced_form_residual(m, N):
 
 
 def _reference_stuffle_residual(s, t, N):
-    # the right side summed in the rule's order, written out by hand
+    # the right side written out by hand, and rounded once
     def z(*u):
         return _reference_mzv_float(u, N)
 
     if len(s) == 1:
         (a,), (b,) = s, t
-        return abs(z(a) * z(b) - (z(a, b) + z(b, a) + z(a + b)))
+        return abs(z(a) * z(b) - math.fsum([z(a, b), z(b, a), z(a + b)]))
     (a, b), (c,) = s, t
-    rhs = z(a, b, c) + z(a, c, b) + z(a, b + c) + z(c, a, b) + z(a + c, b)
+    rhs = math.fsum([z(a, b, c), z(a, c, b), z(a, b + c), z(c, a, b), z(a + c, b)])
     return abs(z(a, b) * z(c) - rhs)
 
 
