@@ -8,7 +8,11 @@ empty cache.
   decimal digits and hex is ``format(A(n), "x")``.  Each field admits one
   spelling: a sign, a ``0x`` prefix, an underscore, a space or an uppercase
   digit is a malformed record.  Base 16 converts in linear time and is
-  exempt from the interpreter's int/str digit limit.
+  exempt from the interpreter's int/str digit limit.  The hex goes through
+  bytes both ways (_hex, _parse_record): int.to_bytes(...).hex() writes it
+  with the one leading "0" nibble of an odd-length field dropped, and
+  int.from_bytes(bytes.fromhex(...)) reads it with that nibble put back:
+  the same text and values as format(v, "x") and int(h, 16), faster.
 - Version 1: ``n <tab> A(n)`` in decimal, as ``int()`` reads it.  Still
   loaded; storing the loaded values writes version 2.
 
@@ -20,12 +24,22 @@ prime q = 2^61 - 1.  The rest are compared with A(n) mod q from one pass of
 the recurrence up to the largest index in the file (_recurrence_mod).  That
 catches any single-digit edit, truncation or rescaling by k != 1 (mod q); a
 value changed by an exact multiple of q is the one change that passes.
+
+The pass is kept (_kept_upto): the module holds the pairs (x, den) of every
+index any load has reached, and a load walks only the indices above them.
+That costs 16 bytes per index up to the largest n checked, which the bound
+above keeps below about 16 bytes per hex digit of the largest record loaded
+(160 KB at n = 10^4).  It only grows, and only after every record of a load
+has passed the length bound.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
+from array import array
+from itertools import chain, islice
 from typing import Mapping
 
 from .sequence import _recurrence_mod
@@ -36,6 +50,11 @@ FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 _SEQUENCE_ID = "apery"
 _HEX_DIGITS = b"0123456789abcdef"
+_Q = 2**61 - 1  # the check's prime
+# (x, den) of _recurrence_mod(_Q, ...) for n = 0, 1, ..., one pair per n:
+# x(n) at 2n and den(n) at 2n + 1.  Entries are below _Q < 2^64
+_kept = array("Q", chain.from_iterable(_recurrence_mod(_Q, 1)))
+_kept_lock = threading.Lock()
 
 
 class CacheError(ValueError):
@@ -72,12 +91,18 @@ def cache_store(path: str | os.PathLike, values: Mapping[int, int]) -> None:
         with fh:
             fh.write(f"apery-cache\t{FORMAT_VERSION}\t{_SEQUENCE_ID}\n")
             for n in keys:
-                fh.write(f"{n}\t{values[n]:x}\n")
+                fh.write(f"{n}\t{_hex(values[n])}\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _hex(value: int) -> str:
+    """format(value, "x") for value >= 0, through bytes.hex."""
+    nibbles = (value.bit_length() + 3) // 4 or 1
+    return value.to_bytes((nibbles + 1) // 2, "big").hex()[nibbles & 1 :]
 
 
 def _parse_header(line: str) -> int:
@@ -108,23 +133,43 @@ def _parse_record(version: int, n_field: str, value_field: str) -> tuple[int, in
     try:
         if version == 1:
             return int(n_field), int(value_field)
+        # fromhex also reads uppercase digits and spaces: the grammar first
         if n_field.isdecimal() and _is_lower_hex(value_field):
-            return int(n_field), int(value_field, 16)
+            if len(value_field) % 2:
+                value_field = "0" + value_field
+            return int(n_field), int.from_bytes(bytes.fromhex(value_field), "big")
     except ValueError:  # not an integer, or an n past the int/str digit cap
         pass
     return None
 
 
+def _kept_upto(top: int) -> array:
+    """The kept pairs, extended to hold every index up to top.
+
+    One lock serializes the extensions; a reader takes none, since the
+    array only grows and an entry never changes once written.  The new
+    pairs are made apart and appended by one extend, so an interrupted
+    extension leaves no pair half written.
+    """
+    with _kept_lock:
+        n = len(_kept) // 2 - 1  # the largest index held, >= 1
+        if top > n:
+            x, x_prev, den = _kept[2 * n], _kept[2 * n - 2], _kept[2 * n + 1]
+            steps = islice(_recurrence_mod(_Q, top, n, x, x_prev, den), 1, None)
+            _kept.extend(array("Q", chain.from_iterable(steps)))
+    return _kept
+
+
 def _wrong_record(values: Mapping[int, int]) -> int | None:
     """An n whose record fails the check the module docstring describes,
     or None when every record passes."""
-    for n in sorted(values):
+    ns = sorted(values)
+    for n in ns:
         if values[n].bit_length() <= 4 * n - 2 * (2 * n + 1).bit_length():
             return n
-    q = 2**61 - 1
-    for n, (x, den) in enumerate(_recurrence_mod(q, max(values, default=0))):
-        value = values.get(n)
-        if value is not None and (value % q * den - x) % q:
+    kept = _kept_upto(ns[-1] if ns else 0)
+    for n in ns:
+        if (values[n] % _Q * kept[2 * n + 1] - kept[2 * n]) % _Q:
             return n
     return None
 
@@ -160,10 +205,10 @@ def cache_load(path: str | os.PathLike, verify: bool = True) -> dict[int, int]:
         for idx, line in enumerate(text[1:], start=2):
             if line == "":
                 raise CacheError("blank record", line=idx)
-            fields = line.split("\t")
-            if len(fields) != 2:
+            n_field, tab, value_field = line.partition("\t")
+            if not tab or "\t" in value_field:
                 raise CacheError("expected 'n<TAB>value'", line=idx)
-            record = _parse_record(version, *fields)
+            record = _parse_record(version, n_field, value_field)
             if record is None:
                 raise CacheError("non-integer record", line=idx)
             n, value = record

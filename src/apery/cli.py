@@ -4,7 +4,8 @@ Subcommands: apery, aperyd, digits, verify, taylor, eval, cache.
 Exit codes: 0 everything checked out, 1 a verification found a claim false
 or inconclusive, 2 usage or input error.
 
-Each subparser binds its `_cmd_*` handler with `set_defaults(handler=...)`.
+Each subparser binds its `_cmd_*` handler with `set_defaults(handler=...)`;
+`main` builds only the one its first token names (`_parse`).
 A handler takes the parsed `args` alone, returns (exit code, payload, text)
 and prints nothing; `_run_config` has already filled in `args.format` and
 `args.cache`.  `main` prints `json.dumps(payload, sort_keys=True)` under
@@ -440,7 +441,75 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _apery_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n", type=int)
+    p.add_argument("--mod", type=int, help="reduce modulo M (fast for p and p^2)")
+    p.set_defaults(handler=_cmd_apery)
+
+
+def _aperyd_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n", type=int)
+    p.set_defaults(handler=_cmd_aperyd)
+
+
+def _digits_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("p", type=int, nargs="?")
+    p.add_argument("--scan", type=int, metavar="PMAX", help="scan all primes <= PMAX")
+    p.add_argument("--min-size", type=int, default=1, help="minimum |D(p)| to report")
+    p.set_defaults(handler=_cmd_digits)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("theorem", choices=tuple(THEOREMS))
+    p.add_argument("--p", type=int)
+    p.add_argument("--n", type=parse_range, metavar="LO..HI")
+    p.add_argument("--m", type=parse_range, metavar="LO..HI")
+    p.add_argument("--N", type=int, help="truncation bound")
+    p.add_argument("--terms", type=int, help="series terms for numeric checks")
+    p.add_argument("--tol", type=float, help="numeric tolerance")
+    p.add_argument("--depth", type=int, help="base-p digit count for digit laws")
+    p.add_argument("--z", help="evaluation point, e.g. 0.5 or 0.3+0.2j")
+    p.set_defaults(handler=_cmd_verify)
+
+
+def _taylor_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("m", type=int)
+    p.add_argument("--terms", action="store_true", help="list the MZV terms")
+    p.add_argument("--exact", action="store_true", help="exact truncated value")
+    p.add_argument(
+        "--float", dest="as_float", action="store_true", help="extrapolated estimate"
+    )
+    p.add_argument("--N", type=int, default=50, help="truncation bound")
+    p.set_defaults(handler=_cmd_taylor)
+
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("z", help="evaluation point, e.g. -0.5 or 0.25+0.25j")
+    p.add_argument("--terms", type=int, default=100_000)
+    p.set_defaults(handler=_cmd_eval)
+
+
+def _cache_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=("fill", "verify", "info"))
+    p.add_argument("--n", type=parse_range, metavar="LO..HI", help="range for fill")
+    p.set_defaults(handler=_cmd_cache)
+
+
+# each command, in the order the help text lists them, with its help line
+# and the function that adds its own arguments to its subparser
+_COMMANDS = {
+    "apery": ("print A(n), optionally mod M", _apery_args),
+    "aperyd": ("print A'(n) as num/den", _aperyd_args),
+    "digits": ("digit sets D(p)", _digits_args),
+    "verify": ("run a verification sweep", _verify_args),
+    "taylor": ("Taylor coefficient a_m", _taylor_args),
+    "eval": ("numeric A(z)", _eval_args),
+    "cache": ("manage the value cache", _cache_args),
+}
+
+
+def _build_parser(commands) -> argparse.ArgumentParser:
+    """The parser with a subparser for each of the named commands."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("plain", "json", "csv"), help="output format"
@@ -455,55 +524,31 @@ def build_parser() -> argparse.ArgumentParser:
         "sets, and Taylor/MZV identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("apery", parents=[common], help="print A(n), optionally mod M")
-    p.add_argument("n", type=int)
-    p.add_argument("--mod", type=int, help="reduce modulo M (fast for p and p^2)")
-    p.set_defaults(handler=_cmd_apery)
-
-    p = sub.add_parser("aperyd", parents=[common], help="print A'(n) as num/den")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_aperyd)
-
-    p = sub.add_parser("digits", parents=[common], help="digit sets D(p)")
-    p.add_argument("p", type=int, nargs="?")
-    p.add_argument("--scan", type=int, metavar="PMAX", help="scan all primes <= PMAX")
-    p.add_argument("--min-size", type=int, default=1, help="minimum |D(p)| to report")
-    p.set_defaults(handler=_cmd_digits)
-
-    p = sub.add_parser("verify", parents=[common], help="run a verification sweep")
-    p.add_argument("theorem", choices=tuple(THEOREMS))
-    p.add_argument("--p", type=int)
-    p.add_argument("--n", type=parse_range, metavar="LO..HI")
-    p.add_argument("--m", type=parse_range, metavar="LO..HI")
-    p.add_argument("--N", type=int, help="truncation bound")
-    p.add_argument("--terms", type=int, help="series terms for numeric checks")
-    p.add_argument("--tol", type=float, help="numeric tolerance")
-    p.add_argument("--depth", type=int, help="base-p digit count for digit laws")
-    p.add_argument("--z", help="evaluation point, e.g. 0.5 or 0.3+0.2j")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("taylor", parents=[common], help="Taylor coefficient a_m")
-    p.add_argument("m", type=int)
-    p.add_argument("--terms", action="store_true", help="list the MZV terms")
-    p.add_argument("--exact", action="store_true", help="exact truncated value")
-    p.add_argument(
-        "--float", dest="as_float", action="store_true", help="extrapolated estimate"
-    )
-    p.add_argument("--N", type=int, default=50, help="truncation bound")
-    p.set_defaults(handler=_cmd_taylor)
-
-    p = sub.add_parser("eval", parents=[common], help="numeric A(z)")
-    p.add_argument("z", help="evaluation point, e.g. -0.5 or 0.25+0.25j")
-    p.add_argument("--terms", type=int, default=100_000)
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("cache", parents=[common], help="manage the value cache")
-    p.add_argument("action", choices=("fill", "verify", "info"))
-    p.add_argument("--n", type=parse_range, metavar="LO..HI", help="range for fill")
-    p.set_defaults(handler=_cmd_cache)
-
+    for name in commands:
+        help_line, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, parents=[common], help=help_line))
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parser(_COMMANDS)
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building one subparser when the
+    first token names a command.
+
+    Help, a missing or unknown command and any argument left over are left
+    to the whole parser: argparse names a left-over argument in the top
+    parser's usage line, which lists every command it holds.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv[:1] and argv[0] in _COMMANDS:
+        args, extras = _build_parser(argv[:1]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -512,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -173,10 +173,11 @@ def mzv_partial(s: Sequence[int], N: int) -> Fraction:
 
 
 def _mzv_floats(
-    compositions: Sequence[Sequence[int]], N: int
+    compositions: Sequence[Sequence[int]], N: int, extrapolate: bool = True
 ) -> dict[Composition, float]:
     """mzv_float for several compositions at one truncation, keyed by
-    composition.
+    composition; with extrapolate false, the partial sums S(N) themselves,
+    from a pass to N.
 
     The suffixes s[1:] form a trie, walked innermost part first, so each
     distinct suffix's tail is built once per call however many compositions
@@ -194,7 +195,7 @@ def _mzv_floats(
             raise ValueError(f"first part must be >= 2 for convergence, got {s}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    top = 2 * N
+    top = 2 * N if extrapolate else N
     root: tuple[list, dict] = ([], {})  # (compositions with this suffix, children)
     for s in dict.fromkeys(comps):
         node = root
@@ -220,7 +221,7 @@ def _mzv_floats(
         for s in heads:
             terms = map(truediv, tail, power(s[0]))
             half = math.fsum(islice(terms, N))
-            values[s] = 2 * math.fsum(chain((half,), terms)) - half
+            values[s] = 2 * math.fsum(chain((half,), terms)) - half if extrapolate else half
         stack.extend((child, tail, edge) for edge, child in children.items())
     return values
 
@@ -336,17 +337,22 @@ def _stuffle(s: Composition, t: Composition) -> list[Composition]:
 def stuffle_residuals(
     pairs: Sequence[tuple[Sequence[int], Sequence[int]]], N: int = 10_000
 ) -> list[float]:
-    """|zeta(s) zeta(t) - sum of zeta(u) over u in s * t| numerically, for
-    each pair (s, t) in order, the right side summed by math.fsum.  Needs
-    s1, t1 >= 2.
+    """|S_N(s) S_N(t) - sum of S_N(u) over u in s * t| for each pair (s, t)
+    in order, where S_N is the float partial sum to N and the right side is
+    summed by math.fsum.  Needs s1, t1 >= 2.
 
-    Every factor and product term of every pair comes from one _mzv_floats
-    call, so the divisor tables and shared tails are built once.
+    The product holds exactly at every truncation, so the residual is
+    rounding alone.  Extrapolated values would not do: 2 S(2N) - S(N) does
+    not multiply as the partial sums do.  Every factor and product term of
+    every pair comes from one _mzv_floats call, so the divisor tables and
+    shared tails are built once.
     """
     pairs = [(_validate_composition(s), _validate_composition(t)) for s, t in pairs]
     products = [_stuffle(s, t) for s, t in pairs]
     v = _mzv_floats(
-        [u for (s, t), product in zip(pairs, products) for u in (s, t, *product)], N
+        [u for (s, t), product in zip(pairs, products) for u in (s, t, *product)],
+        N,
+        False,
     )
     return [
         abs(v[s] * v[t] - math.fsum(v[u] for u in product))

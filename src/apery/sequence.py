@@ -101,19 +101,23 @@ def _with_slopes(
         a2, a1, s2, s1 = a1, a, s1, s
 
 
-def _recurrence_mod(q: int, top: int) -> Iterator[tuple[int, int]]:
-    """Pairs (x, den) with A(n) = x/den (mod q), for n = 0, ..., top.
+def _recurrence_mod(
+    q: int, top: int, start: int = 0, x: int = 1, x_prev: int = 0, den: int = 1
+) -> Iterator[tuple[int, int]]:
+    """Pairs (x, den) with A(n) = x/den (mod q), for n = start, ..., top.
 
     One pass of the recurrence modulo q that carries A(n) as x/den, so no
     step needs an inverse: den is the product of k^3 over 1 <= k <= n and
     x = den A(n) mod q, so x/den is A(n) mod q whenever den is a unit mod q.
     Multiplying the recurrence at n by den(n-1) gives
         x(n) = r1(n) x(n-1) - (n-1)^6 x(n-2).
+    A pass resumes from the pair (x, den) at start, with x_prev = x(start-1);
+    the defaults are those at n = 0, where x(-1) meets the coefficient 0.
     """
-    x1, x2, den = 1, 0, 1  # x(n-1), x(n-2)
+    x1, x2 = x, x_prev  # x(n-1), x(n-2)
     yield x1, den
-    cube = 0  # (n-1)^3 when step n begins
-    for n in range(1, top + 1):
+    cube = start**3  # (n-1)^3 when step n begins
+    for n in range(start + 1, top + 1):
         prev, cube = cube, n * n * n
         r1 = 34 * cube - 51 * n * n + 27 * n - 5  # _r1(n), inlined for speed
         x1, x2 = (r1 * x1 - prev * prev * x2) % q, x1

@@ -1,12 +1,15 @@
 """On-disk cache round trips and integrity checks."""
 
 import sys
+import threading
 import time
+from array import array
 
 import pytest
 
+from apery import cachefile
 from apery.cachefile import CacheError, cache_load, cache_store
-from apery.sequence import apery
+from apery.sequence import _recurrence_mod, apery, apery_fast
 
 
 def test_round_trip(tmp_path):
@@ -295,3 +298,148 @@ def test_tampered_record_names_line(tmp_path, values, line):
         cache_load(path)
     assert err.value.line == line
     assert time.perf_counter() - started < 1.0
+
+
+# --- the byte conversions and the kept recurrence pass ---------------------
+
+
+def edge_values():
+    """0, 1, one and two nibbles, and 2^k - 1, 2^k, 2^k + 1 at odd and even
+    nibble counts (k = 4j gives j + 1 nibbles, k = 4j - 1 gives j)."""
+    values = [0, 1, 15, 16, 255, 256]
+    for k in (3, 4, 7, 8, 11, 12, 63, 64, 67, 68, 4095, 4096, 4099, 4100):
+        values += [2**k - 1, 2**k, 2**k + 1]
+    return values
+
+
+@pytest.mark.parametrize(
+    "values",
+    [dict(enumerate(edge_values())), {n: apery(n) for n in range(301)}],
+    ids=["edges", "apery-0-300"],
+)
+def test_store_writes_format_x_text(tmp_path, values):
+    path = tmp_path / "values.cache"
+    cache_store(path, values)
+    records = "".join(f"{n}\t{format(values[n], 'x')}\n" for n in sorted(values))
+    assert path.read_bytes() == f"apery-cache\t2\tapery\n{records}".encode()
+    assert cache_load(path, verify=False) == values
+
+
+def test_odd_and_even_length_fields_load(tmp_path):
+    fields = ["0", "1", "f", "10", "5a5", "80a1", "1ffff", "0001", "00", "0a"]
+    path = tmp_path / "values.cache"
+    records = "".join(f"{n}\t{field}\n" for n, field in enumerate(fields))
+    path.write_text(f"apery-cache\t2\tapery\n{records}")
+    assert cache_load(path, verify=False) == {n: int(f, 16) for n, f in enumerate(fields)}
+
+
+@pytest.fixture
+def fresh_prefix(monkeypatch):
+    """A kept pass holding only n = 0 and 1, as at import."""
+    kept = array("Q", [1, 1, 5, 1])
+    monkeypatch.setattr(cachefile, "_kept", kept)
+    return kept
+
+
+def fresh_pass(top):
+    return array("Q", [v for pair in _recurrence_mod(2**61 - 1, top) for v in pair])
+
+
+def test_kept_prefix_is_the_one_pass(tmp_path, fresh_prefix):
+    # each load extends the pass to its top, and a lower top leaves it be
+    path = tmp_path / "values.cache"
+    reached = 1
+    for top in (3, 2, 40, 41, 1, 300, 150):
+        cache_store(path, {n: apery(n) for n in (0, top)})
+        assert cache_load(path) == {0: 1, top: apery(top)}
+        reached = max(reached, top)
+        assert cachefile._kept == fresh_pass(reached)
+
+
+def test_wrong_record_below_kept_top_still_fails(tmp_path):
+    path = tmp_path / "values.cache"
+    cache_store(path, {0: 1, 2000: apery(2000)})
+    cache_load(path)
+    assert len(cachefile._kept) >= 2 * 2001
+    cache_store(path, {n: apery(n) + (n == 1500) for n in (0, 1, 1499, 1500, 1501)})
+    with pytest.raises(CacheError, match="record for n=1500 is wrong") as err:
+        cache_load(path)
+    assert err.value.line == 5
+
+
+def test_floor_failure_leaves_prefix_alone(tmp_path, fresh_prefix):
+    # every record below the floor's victim is right, yet none extends the pass
+    path = tmp_path / "values.cache"
+    cache_store(path, {0: 1, 1: 5, 2: 73, 3000: 7})
+    with pytest.raises(CacheError, match="record for n=3000 is wrong") as err:
+        cache_load(path)
+    assert err.value.line == 5
+    assert cachefile._kept == array("Q", [1, 1, 5, 1])
+
+
+def test_unverified_load_leaves_prefix_alone(tmp_path, fresh_prefix):
+    path = tmp_path / "values.cache"
+    cache_store(path, {n: apery(n) for n in (0, 1, 500)})
+    assert cache_load(path, verify=False)[500] == apery(500)
+    assert cachefile._kept == array("Q", [1, 1, 5, 1])
+
+
+def test_interrupted_extension_keeps_prefix_whole(tmp_path, fresh_prefix, monkeypatch):
+    real = cachefile._recurrence_mod
+
+    def interrupted(*args):
+        for i, pair in enumerate(real(*args)):
+            if i == 50:
+                raise KeyboardInterrupt
+            yield pair
+
+    path = tmp_path / "values.cache"
+    cache_store(path, {n: apery(n) for n in (0, 1, 120)})
+    monkeypatch.setattr(cachefile, "_recurrence_mod", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cache_load(path)
+    assert cachefile._kept == array("Q", [1, 1, 5, 1])
+    monkeypatch.setattr(cachefile, "_recurrence_mod", real)
+    assert cache_load(path)[120] == apery(120)
+    assert cachefile._kept == fresh_pass(120)
+
+
+def test_loads_on_eight_threads(tmp_path, fresh_prefix):
+    # each thread loads its own file to its own top, half of them with one
+    # wrong record, all at once against one prefix that starts at n = 1
+    jobs = []
+    for i in range(8):
+        top = 1500 + 700 * i  # long enough passes to overlap
+        values = {n: apery_fast(n) for n in (0, 1, 60 + i, top)}
+        if i % 2:
+            values[60 + i] += 1
+        path = tmp_path / f"values{i}.cache"
+        cache_store(path, values)
+        jobs.append((path, values))
+    results = [None] * 8
+    start = threading.Barrier(8)
+
+    def load(i):
+        start.wait()
+        try:
+            results[i] = cache_load(jobs[i][0])
+        except Exception as exc:  # noqa: BLE001 - the test compares it
+            results[i] = exc
+
+    threads = [threading.Thread(target=load, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so that extensions overlap
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for i, (path, values) in enumerate(jobs):
+        if i % 2:
+            assert isinstance(results[i], CacheError), results[i]
+            assert results[i].line == 4
+        else:
+            assert results[i] == values
+    assert cachefile._kept == fresh_pass(1500 + 700 * 7)

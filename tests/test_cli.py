@@ -503,6 +503,14 @@ class TestVerifyCommand:
         assert all(c["asserted"] is True for c in payload["checks"])
         assert payload["parameters"] == {"N": 2000, "tolerance": 1e-5}
 
+    def test_stuffle_passes_at_short_truncation(self, capsys):
+        # the product holds exactly at every truncation, so a short one
+        # leaves only rounding; extrapolated values left 5.5e-06 for
+        # zeta(2)zeta(2) at N = 300
+        code, payload = run_report(capsys, "verify", "stuffle", "--N", "300")
+        assert code == 0 and payload["pass"]
+        assert max(c["residual"] for c in payload["checks"]) < 1e-14
+
     @pytest.mark.parametrize("check, identities", [("stuffle", 6), ("reduced-forms", 5)])
     def test_one_float_mzv_pass(self, capsys, monkeypatch, check, identities):
         # every identity of the command shares one set of divisor tables
@@ -513,9 +521,9 @@ class TestVerifyCommand:
         real = apery.mzv._mzv_floats
         calls = []
 
-        def counted(compositions, N):
+        def counted(compositions, N, *extrapolate):
             calls.append(N)
-            return real(compositions, N)
+            return real(compositions, N, *extrapolate)
 
         monkeypatch.setattr(apery.mzv, "_mzv_floats", counted)
         _, payload = run_report(capsys, "verify", check, "--N", "50")
@@ -934,3 +942,44 @@ def test_module_entry_point_input_error():
     done = run_module("verify", "lucas-p", "--p", "4")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ")
+
+
+# each command with arguments it accepts, so that a trailing token is the
+# only thing wrong with a command line
+VALID_HEADS = {
+    "apery": ["apery", "7"],
+    "aperyd": ["aperyd", "7"],
+    "digits": ["digits", "7"],
+    "verify": ["verify", "lucas-p", "--p", "5"],
+    "taylor": ["taylor", "4"],
+    "eval": ["eval", "0.5"],
+    "cache": ["cache", "info"],
+}
+
+
+def whole_parser_output(capsys, argv):
+    """What build_parser().parse_args(argv) prints, and its exit code."""
+    with pytest.raises(SystemExit) as done:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return done.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, "--help"] for command in VALID_HEADS]
+    + [head + ["--bogus"] for head in VALID_HEADS.values()]
+    + [head + ["extra"] for head in VALID_HEADS.values()]
+    + [[], ["--help"], ["--format", "json"], ["bogus"], ["bogus", "7"]],
+    ids=lambda argv: " ".join(argv) or "no-command",
+)
+def test_usage_errors_and_help_match_whole_parser(capsys, argv):
+    # main builds the one subparser its command names; what it prints must
+    # not show that, argparse's wording on this Python included
+    (commands,) = (
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert sorted(VALID_HEADS) == sorted(commands)
+    want = whole_parser_output(capsys, argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == want

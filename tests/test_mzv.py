@@ -446,9 +446,10 @@ def _reference_reduced_form_residual(m, N):
 
 
 def _reference_stuffle_residual(s, t, N):
-    # the right side written out by hand, and rounded once
+    # the right side written out by hand, and rounded once, over the
+    # partial sums at N
     def z(*u):
-        return _reference_mzv_float(u, N)
+        return _reference_mzv_float(u, N, extrapolate=False)
 
     if len(s) == 1:
         (a,), (b,) = s, t
