@@ -200,7 +200,8 @@ def _cmd_taylor(args: argparse.Namespace) -> Result:
         payload["N"] = args.N
         payload["float"] = value
         lines.append(repr(value))
-    return 0, payload, "\n".join(lines)
+    # `taylor 0 --terms` and `taylor 1 --terms` print nothing, not an empty line
+    return 0, payload, "\n".join(lines) or None
 
 
 def _cmd_eval(args: argparse.Namespace) -> Result:

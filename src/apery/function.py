@@ -10,8 +10,8 @@ rest of a long partial sum comes from the asymptotic expansion of the terms
 (Stirling's series and Hurwitz zeta values, _tail), not from more terms.
 
 The exact Taylor coefficients come from one integer pass over the
-truncations (_taylor_numerators): numerators over lcm(1..upper)^m, with no
-Fraction arithmetic inside the loop.
+truncations (_taylor_numerators): the numerator of truncation k over
+lcm(1..k)^m, with no Fraction arithmetic inside the loop.
 """
 
 from __future__ import annotations
@@ -213,32 +213,40 @@ def functional_equation_residual(z: complex, terms: int = 100_000) -> float:
     return residual / scale
 
 
-def _taylor_numerators(m: int, upper: int, scale: int) -> Iterator[int]:
-    """Yield scale^m times the coefficient of z^m in the series truncated at
-    k <= N, for N = 0, 1, ..., upper, in one pass.
+def _taylor_numerators(m: int, upper: int) -> Iterator[tuple[int, int]]:
+    """Yield (s, s^m times the coefficient of z^m in the series truncated at
+    k <= N), with s = lcm(1..N), for N = 0, 1, ..., upper, in one pass.
 
-    scale must be a multiple of every k <= upper; lcm(1..upper) is the
-    smallest.  The running product holds its z^j coefficient times scale^j,
-    so with q = scale // k the factor 1 - 2z^2/k^2 + z^4/k^4 contributes
-    the integers q^2 and q^4 and no step divides.
+    The running product holds its z^j coefficient times s^j at the scale of
+    the truncation it has reached.  s grows only at a prime power k = g^e,
+    by the prime g; then entry i (the z^(2i) coefficient) is multiplied by
+    g^(2i) and the total by g^m.  With q = s // k the factor
+    1 - 2z^2/k^2 + z^4/k^4 contributes the integers q^2 and q^4, and no step
+    divides.  Every entry is as large as its truncation needs, not as the
+    last one's denominator lcm(1..upper)^m.
     """
-    total = 1 if m == 0 else 0  # the k = 0 summand
-    yield total
-    if m < 2:  # every k >= 1 summand starts at z^2
-        for _ in range(upper):
-            yield total
-        return
+    scale, total = 1, int(m == 0)  # the k = 0 summand
+    yield scale, total
     # running[i] is the scaled z^(2i) coefficient; the product is even in z
     running = [1] + [0] * ((m - 2) // 2)
     top = len(running) - 1
     for k in range(1, upper + 1):
+        g = k // math.gcd(k, scale % k)  # s_k / s_(k-1)
+        if g > 1:
+            scale *= g
+            total *= g**m
+            lift = g2 = g * g
+            for i in range(1, top + 1):
+                running[i] *= lift
+                lift *= g2
         q = scale // k
         q2 = q * q
-        if m % 2:  # 2 z^3/k^3 times z^(m-3)
-            total += 2 * q2 * q * running[top]
-        else:  # z^2/k^2 times z^(m-2), z^4/k^4 times z^(m-4)
-            total += q2 * (running[top] + (q2 * running[top - 1] if top else 0))
-        yield total
+        if m >= 2:  # every k >= 1 summand starts at z^2
+            if m % 2:  # 2 z^3/k^3 times z^(m-3)
+                total += 2 * q2 * q * running[top]
+            else:  # z^2/k^2 times z^(m-2), z^4/k^4 times z^(m-4)
+                total += q2 * (running[top] + (q2 * running[top - 1] if top else 0))
+        yield scale, total
         # times 1 - 2q^2 z^2 + q^4 z^4, top first so lower entries are old
         for i in range(top, 0, -1):
             lower = 2 * running[i - 1] - (q2 * running[i - 2] if i >= 2 else 0)
@@ -254,15 +262,13 @@ def taylor_coeff_truncated(m: int, N: int) -> Fraction:
         * (z^2/k^2 + 2 z^3/k^3 + z^4/k^4)
 
     for k >= 1 (and 1 for k = 0).  The running product is carried as
-    integers over the common denominator lcm(1..N)^m, capped at degree
-    m, so the cost is O(N * m) integer multiplications and one gcd at
-    the end.
+    integers over lcm(1..k)^m, capped at degree m, so the cost is
+    O(N * m) integer multiplications and one gcd at the end.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    scale = math.lcm(*range(1, N + 1))
-    for last in _taylor_numerators(m, N, scale):
+    for scale, last in _taylor_numerators(m, N):
         pass
     return Fraction(last, scale**m)

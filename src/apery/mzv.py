@@ -19,15 +19,20 @@ checks precisely that, exactly and for every truncation up to N in one
 integer pass.  mzv_partial stays on Fraction, as the independent route the
 tests compare that pass against.
 
-Floating values (mzv_float and the identity checks) come from _mzv_floats,
-which builds the divisor table of each distinct part and the tail of each
-distinct suffix once per call, in an array('d').  The identity checks
-stuffle_residuals and reduced_form_residuals each make one call for a whole
-list of identities, so a CLI command evaluates its MZVs in one pass; a
-caller with one identity passes a one-element list.  Every stuffle product
-is expanded by _stuffle.  Every float sum that reaches output goes through
-math.fsum, which rounds once, so the printed digits are the same on every
-Python; sum() of floats compensates from 3.12 on and not before.
+The coefficient attached to s is also a product of letter weights, one per
+part, and taylor_coeff_float sums the expansion by weight: (m - 2)//2
+passes over one array('d') per weight (_weight_step), however many
+compositions m has.  The other floating values (mzv_float and the identity
+checks) come from _mzv_floats, which builds the divisor table of each
+distinct part and the tail of each distinct suffix once per call, in an
+array('d'); the deep compositions of the reduced forms need those tails.
+The identity checks stuffle_residuals and reduced_form_residuals each make
+one call for a whole list of identities, so a CLI command evaluates its
+MZVs in one pass; a caller with one identity passes a one-element list.
+Every stuffle product is expanded by _stuffle.  Every float sum that
+reaches output goes through math.fsum, which rounds once, so the printed
+digits are the same on every Python; sum() of floats compensates from 3.12
+on and not before.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ import math
 from array import array
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
-from operator import mul, truediv
-from typing import NamedTuple, Sequence
+from operator import mul, sub, truediv
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .function import _taylor_numerators
 
@@ -60,6 +65,8 @@ __all__ = [
 ]
 
 Composition = tuple[int, ...]
+
+_CHUNK = 4096  # entries a weight pass writes at a time
 
 
 class MzvTerm(NamedTuple):
@@ -172,6 +179,11 @@ def mzv_partial(s: Sequence[int], N: int) -> Fraction:
     )
 
 
+def _divisors(part: int, top: int) -> Iterator[float]:
+    # float(v**part) for v = 1..top: the exact power, rounded once
+    return map(float, map(pow, range(1, top + 1), repeat(part)))
+
+
 def _mzv_floats(
     compositions: Sequence[Sequence[int]], N: int, extrapolate: bool = True
 ) -> dict[Composition, float]:
@@ -206,8 +218,7 @@ def _mzv_floats(
 
     def power(part: int) -> array:
         if part not in powers:
-            exact = map(pow, range(1, top + 1), repeat(part))
-            powers[part] = array("d", map(float, exact))
+            powers[part] = array("d", _divisors(part, top))
         return powers[part]
 
     values = {}
@@ -247,9 +258,11 @@ def taylor_identity_holds(m: int, N: int) -> bool:
 
     Both sides are cut at the same place (series index k <= N, outermost
     MZV index n1 <= N), so equality is exact for every m >= 1 and N >= 0.
-    One pass gives every truncation: both sides are integer numerators over
-    lcm(1..N)^m.  The right side is summed composition by composition, with
-    no use of the running product that builds the left side.
+    One pass gives every truncation: both sides are compared as integer
+    numerators over lcm(1..N)^m, the left side's lifted from the
+    lcm(1..k)^m of its own truncation k.  The right side is summed
+    composition by composition, with no use of the running product that
+    builds the left side.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
@@ -269,24 +282,83 @@ def taylor_identity_holds(m: int, N: int) -> bool:
             tail = list(accumulate(map(mul, weights[part][:N], tail), initial=0))
         partial = accumulate(map(mul, weights[s[0]], tail))  # n1 <= 0, 1, ..., N
         rhs = [r + coeff * x for r, x in zip(rhs, partial)]
-    return list(_taylor_numerators(m, N, scale)) == rhs
+    lifts = {}  # s -> (scale / s)^m; s grows at prime powers only
+    left = []
+    for s, value in _taylor_numerators(m, N):
+        if s not in lifts:
+            lifts[s] = (scale // s) ** m
+        left.append(value * lifts[s])
+    return left == rhs
 
 
-def _expansion_value(terms: list[MzvTerm], values: dict[Composition, float]) -> float:
-    return math.fsum(coeff * values[s] for s, coeff in terms)
+def _weight_step(older: Iterable[float] | None, old: Iterable[float], p2: array) -> array:
+    """T_w from T_(w-4) (older; None for T_-2 = 0) and T_(w-2) (old), over
+    v = 1..len(p2) (entry v - 1 holds v):
+
+        T_w[v] = sum over u < v of (T_(w-4)[u]/u^4 - 2 T_(w-2)[u]/u^2),
+
+    each step rounded once after its two quotients, and the steps added
+    left to right.  When older is an array, T_w is written over it, _CHUNK
+    entries at a time, each entry after the step that reads it; so the pass
+    holds two weight arrays, not three.
+    """
+    second = map(truediv, old, p2)
+    if older is None:
+        steps = map(mul, second, repeat(-2.0))
+    else:
+        fourth = map(truediv, older, _fourth_powers(p2))
+        steps = map(sub, fourth, map(mul, second, repeat(2.0)))
+    out = older if isinstance(older, array) else array("d", [0.0]) * len(p2)
+    running = 0.0
+    for lo in range(0, len(out), _CHUNK):
+        chunk = array("d", accumulate(islice(steps, _CHUNK), initial=running))
+        running = chunk.pop()  # T_w at the next entry
+        out[lo : lo + _CHUNK] = chunk
+    return out
+
+
+def _fourth_powers(p2: array) -> Iterator[float]:
+    # float(v**4) from p2[v] = float(v**2): v^2 < 2^53 is exact for
+    # v < 94906266, so the product is v^4 rounded once, with no table
+    return map(mul, p2, p2)
 
 
 def taylor_coeff_float(m: int, N: int = 10_000) -> float:
-    """Floating estimate of the m-th Taylor coefficient from its MZV terms.
+    """Floating estimate of the m-th Taylor coefficient, summed by weight.
 
-    a_0 = 1, the constant term, which no composition covers.
+    The coefficient of a composition is a product of letter weights, since
+    expanding the k-th summand (z^2/k^2 + 2z^3/k^3 + z^4/k^4) times the
+    product over j < k of (1 - 2z^2/j^2 + z^4/j^4) picks one term of each
+    factor: a later part 2 weighs -2 and a later 4 weighs 1; a first part 3
+    weighs 2, and a first 2 or 4 weighs 1.  So with T_0 = 1 and T_w from
+    _weight_step, the expansion truncated at n1 <= N is the sum over n <= N
+    of 2 T_(m-3)[n]/n^3 for odd m, and of T_(m-2)[n]/n^2 + T_(m-4)[n]/n^4
+    for even m: (m - 2)//2 weight passes over 2N entries, however many
+    compositions m has.  T_0 is repeat(1.0), never an array.  The value is
+    the Richardson 2 S(2N) - S(N), where S(N) is the math.fsum of the head
+    quotients for n <= N and S(2N) the fsum of S(N) and the rest.  The
+    divisors are float(v**part), as in mzv_float, for 2N < 94906266.
+
+    a_0 = 1, the constant term, which no composition covers; a_1 = 0.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if m == 0:
-        return 1.0
-    terms = taylor_terms(m)
-    return _expansion_value(terms, _mzv_floats([s for s, _ in terms], N))
+    if m < 2:
+        return 1.0 if m == 0 else 0.0
+    top = 2 * N
+    p2 = array("d", _divisors(2, top))
+    older, old = None, repeat(1.0)  # T_-2 = 0 and T_0
+    for _ in range((m - 2) // 2):
+        older, old = old, _weight_step(older, old, p2)
+    if m % 2:
+        weight, heads = 2, [(old, _divisors(3, top))]
+    else:  # no T_(m-4) head at m = 2
+        weight, heads = 1, [(old, p2)]
+        if older is not None:
+            heads.append((older, _fourth_powers(p2)))
+    quotients = [map(truediv, t, p) for t, p in heads]
+    half = math.fsum(chain.from_iterable(islice(q, N) for q in quotients))
+    return weight * (2 * math.fsum(chain((half,), *quotients)) - half)
 
 
 def _bernoulli(n: int) -> Fraction:
@@ -413,5 +485,5 @@ def reduced_form_residuals(ms: Sequence[int], N: int = 10_000) -> list[float]:
         for coeff, s in form:
             value = even_zeta(s[0] // 2).value if len(s) == 1 else values[s]
             short += float(coeff) * value
-        residuals.append(abs(_expansion_value(expansion, values) - short))
+        residuals.append(abs(math.fsum(coeff * values[s] for s, coeff in expansion) - short))
     return residuals

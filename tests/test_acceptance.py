@@ -2,6 +2,7 @@
 pass/fail line per criterion (run with -s to see them)."""
 
 import cmath
+import hashlib
 import math
 import os
 import subprocess
@@ -336,9 +337,11 @@ def test_16_padic_middle_digits_budget():
 
 
 def test_17_mzv_float_memory():
-    # `taylor 8 --float --N 30000`: the suffix trie holds one array('d')
-    # tail per level of its current path and one divisor table per part
-    # (1.9 MiB traced here); a list tail per composition peaked at 3.9 MiB
+    # `taylor 8 --float --N 30000`: the weight passes hold the float(v^2)
+    # table and two weight arrays of 2N doubles, written in place, with
+    # T_0 = 1 and the fourth powers streamed (1.5 MiB traced here); the
+    # suffix trie peaked at 1.9 MiB and a list tail per composition at
+    # 3.9 MiB
     budget_mib = 2.5
     tracemalloc.start()
     try:
@@ -454,3 +457,41 @@ def test_22_prime_cube_modulus_budget():
     value = int(done.stdout) if done.returncode == 0 else None
     ok = value is not None and 0 <= value < 343 and value % 49 == apery_mod_p2(n, 7).value
     report("22 prime-cube-modulus-budget", ok, t0, budget)
+
+
+def test_23_taylor_float_budget(capsys):
+    # `taylor 40 --float --N 2000`, then `taylor 60 --float --N 100`: 19 and
+    # 29 weight passes over 2N entries, 0.03 s and 0.005 s here; summing
+    # the 10946 compositions of weight 40 one at a time took 14.0 s, and
+    # weight 60 has 1346269 of them.  a_40 = -5.9255750089474531e-20 comes
+    # from a fixed-point Hoelder convolution at 128-256 bits (Borwein,
+    # Bradley, Broadhurst and Lisonek, Trans. AMS 353, 2001, section 7).
+    # The error of 2 S(2N) - S(N) falls like 1/N^2: at m = 40 it was 2.5e-2,
+    # 6.6e-3, 1.7e-3, 4.4e-4, 1.1e-4 and 2.8e-5 relative for N = 250 .. 8000
+    # doubling, so N = 2000 is held to 1e-3.
+    from apery.cli import main
+
+    t0 = time.time()
+    code = main(["taylor", "40", "--float", "--N", "2000"])
+    a40 = float(capsys.readouterr().out)
+    code_60 = main(["taylor", "60", "--float", "--N", "100"])
+    a60 = float(capsys.readouterr().out)
+    ok = code == code_60 == 0 and abs(a40 / -5.9255750089474531e-20 - 1) < 1e-3
+    ok = ok and math.isfinite(a60) and a60 != 0
+    with capsys.disabled():
+        report("23 taylor-float-budget", ok, t0, 1)
+
+
+def test_24_taylor_exact_budget(capsys):
+    # `taylor 20 --exact --N 360`: one integer pass with every entry over
+    # lcm(1..k)^j, 0.02 s here (0.04 s over the fixed lcm(1..360)^j); the
+    # 2812 bytes printed are those of the fixed-scale pass
+    from apery.cli import main
+
+    t0 = time.time()
+    code = main(["taylor", "20", "--exact", "--N", "360"])
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    ok = code == 0 and digest == "e2beece23054d3b51e766f091e03ac9b6a1aac210d66e32d2f966afb5d1af453"
+    with capsys.disabled():
+        report("24 taylor-exact-budget", ok, t0, 0.5)

@@ -187,6 +187,13 @@ class TestTaylorCommand:
         assert code == 0
         assert out == "(3,2): -4\n"
 
+    @pytest.mark.parametrize("m", ["0", "1"])
+    def test_no_terms_prints_nothing(self, capsys, m):
+        # no composition covers a_0 or a_1: no line at all, not an empty one
+        assert run_cli(capsys, "taylor", m, "--terms") == (0, "", "")
+        code, out, _ = run_cli(capsys, "taylor", m, "--terms", "--format", "json")
+        assert code == 0 and json.loads(out) == {"m": int(m), "terms": []}
+
     def test_exact(self, capsys):
         assert run_cli(capsys, "taylor", "1", "--exact", "--N", "40") == (0, "0/1\n", "")
 

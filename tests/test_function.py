@@ -14,6 +14,7 @@ from apery.function import (
     _BERNOULLI,
     _HEAD_MIN,
     ComplexApprox,
+    _taylor_numerators,
     apery_eval,
     functional_equation_residual,
     taylor_coeff_truncated,
@@ -374,3 +375,52 @@ class TestTaylorCoefficients:
             taylor_coeff_truncated(-1, 5)
         with pytest.raises(ValueError):
             taylor_coeff_truncated(2, -1)
+
+
+def _reference_numerators(m, upper, scale):
+    """The fixed-scale pass _taylor_numerators replaced: scale^m times the
+    coefficient of z^m truncated at N = 0..upper, every entry over scale^j
+    from k = 1 on; scale is a multiple of every k <= upper."""
+    total = 1 if m == 0 else 0
+    yield total
+    if m < 2:
+        for _ in range(upper):
+            yield total
+        return
+    running = [1] + [0] * ((m - 2) // 2)
+    top = len(running) - 1
+    for k in range(1, upper + 1):
+        q = scale // k
+        q2 = q * q
+        if m % 2:
+            total += 2 * q2 * q * running[top]
+        else:
+            total += q2 * (running[top] + (q2 * running[top - 1] if top else 0))
+        yield total
+        for i in range(top, 0, -1):
+            lower = 2 * running[i - 1] - (q2 * running[i - 2] if i >= 2 else 0)
+            running[i] -= q2 * lower
+
+
+class TestTaylorNumerators:
+    # each yield lifted to the common scale lcm(1..upper)^m is the
+    # fixed-scale numerator, integer for integer
+    @staticmethod
+    def lifted(m, upper):
+        scale = math.lcm(*range(1, upper + 1))
+        return [value * (scale // s) ** m for s, value in _taylor_numerators(m, upper)]
+
+    @pytest.mark.parametrize("m", range(25))
+    def test_equal_to_the_fixed_scale_pass(self, m):
+        # one pass to 150 yields every truncation N <= 150
+        for upper in (0, 1, 2, 3, 7, 150):
+            scale = math.lcm(*range(1, upper + 1))
+            assert self.lifted(m, upper) == list(_reference_numerators(m, upper, scale))
+
+    def test_equal_at_weight_20_to_360(self):
+        scale = math.lcm(*range(1, 361))
+        assert self.lifted(20, 360) == list(_reference_numerators(20, 360, scale))
+
+    def test_scale_is_the_truncation_lcm(self):
+        scales = [s for s, _ in _taylor_numerators(6, 40)]
+        assert scales == [math.lcm(*range(1, N + 1)) for N in range(41)]

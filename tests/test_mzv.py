@@ -76,6 +76,30 @@ def _reference_mzv_float(s, N, extrapolate=True):
     return 2 * math.fsum([half, *terms[N:]]) - half
 
 
+def _reference_weight_float(m, N):
+    """taylor_coeff_float term by term: list tails of the weight recursion
+    T_w[v] = sum over u < v of (T_(w-4)[u]/u^4 - 2 T_(w-2)[u]/u^2), T_0 = 1
+    and T_-2 = 0, then the head terms of each n <= 2N, 2 T_(m-3)[n]/n^3 or
+    T_(m-2)[n]/n^2 and T_(m-4)[n]/n^4, with S(N) the fsum of those of
+    n <= N and S(2N) the fsum of S(N) and the rest.  a_0 = 1 is the
+    constant term, and a_1 = 0 has no head part."""
+    if m < 2:
+        return 1.0 if m == 0 else 0.0
+    top = 2 * N
+    tails = {-2: [0.0] * (top + 1), 0: [1.0] * (top + 1)}  # indexed by v
+    for w in range(2, m - 1, 2):
+        running = 0.0
+        tail = [0.0] * (top + 1)
+        for v in range(1, top + 1):
+            tail[v] = running
+            running += tails[w - 4][v] / float(v**4) - 2 * (tails[w - 2][v] / float(v**2))
+        tails[w] = tail
+    heads = [(2, 3)] if m % 2 else [(1, 2), (1, 4)]  # (weight, first part)
+    terms = [[c * tails[m - h][n] / float(n**h) for c, h in heads] for n in range(1, top + 1)]
+    half = math.fsum(x for row in terms[:N] for x in row)
+    return 2 * math.fsum([half] + [x for row in terms[N:] for x in row]) - half
+
+
 STUFFLE_CASES = {"depth1": [(4, 4), (4, 6), (2, 2)], "depth2": [(4, 4, 2), (2, 2, 6), (2, 2, 4)]}
 # the six (s, t) pairs of `verify stuffle`, in its order
 STUFFLE_PAIRS = [((a,), (b,)) for a, b in STUFFLE_CASES["depth1"]] + [
@@ -267,13 +291,12 @@ class TestTruncatedIdentity:
         # so a check of the last truncation alone would pass
         real = mzv._taylor_numerators
 
-        def corrupted(m, upper, scale):
-            for N, value in enumerate(real(m, upper, scale)):
-                yield value + (N == 7)
+        def corrupted(m, upper):
+            for N, (scale, value) in enumerate(real(m, upper)):
+                yield scale, value + (N == 7)
 
         monkeypatch.setattr(mzv, "_taylor_numerators", corrupted)
-        scale = math.lcm(*range(1, 21))
-        *_, last = corrupted(8, 20, scale)
+        *_, (scale, last) = corrupted(8, 20)
         assert Fraction(last, scale**8) == taylor_coeff_truncated(8, 20)
         assert not taylor_identity_holds(8, 20)
 
@@ -380,8 +403,9 @@ class TestReducedForms:
 
 class TestAgainstReferenceLoop:
     # the suffix trie forms the same quotients as the per-composition loop,
-    # and both round each sum once through math.fsum, so every value is the
-    # same double on every Python
+    # and the weight passes those of the weight recursion's loop; each pair
+    # rounds each sum once through math.fsum, so every value is the same
+    # double on every Python
     @pytest.mark.parametrize("m", range(1, 13))
     def test_admissible_compositions(self, m):
         for s in admissible_compositions(m):
@@ -402,19 +426,47 @@ class TestAgainstReferenceLoop:
         for s in comps:
             assert values[s] == _reference_mzv_float(s, 60)
 
-    @pytest.mark.parametrize("m", range(0, 17))
+    @pytest.mark.parametrize("m", range(0, 41))
     def test_taylor_coeff_float(self, m):
         for N in (1, 5, 300):
-            want = 1.0 if m == 0 else math.fsum(
-                c * _reference_mzv_float(s, N) for s, c in taylor_terms(m)
-            )
-            assert taylor_coeff_float(m, N) == want
+            assert taylor_coeff_float(m, N) == _reference_weight_float(m, N)
 
     def test_divisors_above_two_to_the_53(self):
-        # v^4 for v > 9741 is rounded to a double; both loops divide by the
-        # same rounded value
-        want = math.fsum(c * _reference_mzv_float(s, 6000) for s, c in taylor_terms(8))
-        assert taylor_coeff_float(8, 6000) == want
+        # v^4 for v > 9741 is rounded to a double; the weight passes, the
+        # trie and the term-by-term loops all divide by the same rounded
+        # value
+        assert taylor_coeff_float(8, 6000) == _reference_weight_float(8, 6000)
+        for s in ((4, 4), (2, 2, 4)):
+            assert mzv_float(s, 6000) == _reference_mzv_float(s, 6000)
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_taylor_coeff_float_against_compositions(self, m):
+        # The sum over compositions, as mzv_float values, is the same
+        # truncated expansion summed in another order, so the two differ by
+        # rounding alone.  A first-order bound, u = 2^-53: a recursive sum
+        # of k terms is off by at most (k - 1) u times the sum of their
+        # magnitudes (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2nd ed., section 4.2).  Let V be the sum over s of
+        # |c_s| Z(s), Z(s) the partial sum of zeta(s) to 2N; both routes
+        # divide by the same float(v**part), and every term either adds is
+        # in magnitude a piece of V.
+        # - A tail (one composition) or a weight array (the DP) at nesting
+        #   level l is a running sum of at most 2N steps, each a quotient of
+        #   level l - 1 entries, rounded once per quotient and once for the
+        #   DP's subtraction.  Relative to the same sums over magnitudes its
+        #   error is e_l <= e_(l-1) + (2N + 2) u, and there are at most m/2
+        #   levels: e <= (m/2)(2N + 2) u.
+        # - The head quotients and each fsum round once more: S(N) and
+        #   S(2N) are each within ((m/2)(2N + 2) + 2) u V of exact.
+        # - 2 S(2N) - S(N) triples that, and its subtraction adds u V.
+        # Two routes: |difference| <= 2 (3 ((m/2)(2N + 2) + 2) + 1) u V.
+        terms = taylor_terms(m)
+        for N in (1, 5, 300):
+            raw = mzv._mzv_floats([s for s, _ in terms], 2 * N, False)
+            magnitude = math.fsum(abs(c) * raw[s] for s, c in terms)
+            bound = 2 * (3 * (m / 2 * (2 * N + 2) + 2) + 1) * 2.0**-53 * magnitude
+            want = math.fsum(c * _reference_mzv_float(s, N) for s, c in terms)
+            assert abs(taylor_coeff_float(m, N) - want) <= bound
 
     @pytest.mark.parametrize("m", sorted(REDUCED_FORMS))
     def test_reduced_form_residual(self, m):
