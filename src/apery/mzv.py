@@ -282,18 +282,12 @@ def taylor_identity_holds(m: int, N: int) -> bool:
             tail = list(accumulate(map(mul, weights[part][:N], tail), initial=0))
         partial = accumulate(map(mul, weights[s[0]], tail))  # n1 <= 0, 1, ..., N
         rhs = [r + coeff * x for r, x in zip(rhs, partial)]
-    lifts = {}  # s -> (scale / s)^m; s grows at prime powers only
-    left = []
-    for s, value in _taylor_numerators(m, N):
-        if s not in lifts:
-            lifts[s] = (scale // s) ** m
-        left.append(value * lifts[s])
-    return left == rhs
+    return [v * (scale // s) ** m for s, v in _taylor_numerators(m, N)] == rhs
 
 
-def _weight_step(older: Iterable[float] | None, old: Iterable[float], p2: array) -> array:
-    """T_w from T_(w-4) (older; None for T_-2 = 0) and T_(w-2) (old), over
-    v = 1..len(p2) (entry v - 1 holds v):
+def _weight_step(older: Iterable[float], old: Iterable[float], p2: array) -> array:
+    """T_w from T_(w-4) (older) and T_(w-2) (old), over v = 1..len(p2)
+    (entry v - 1 holds v):
 
         T_w[v] = sum over u < v of (T_(w-4)[u]/u^4 - 2 T_(w-2)[u]/u^2),
 
@@ -302,12 +296,8 @@ def _weight_step(older: Iterable[float] | None, old: Iterable[float], p2: array)
     entries at a time, each entry after the step that reads it; so the pass
     holds two weight arrays, not three.
     """
-    second = map(truediv, old, p2)
-    if older is None:
-        steps = map(mul, second, repeat(-2.0))
-    else:
-        fourth = map(truediv, older, _fourth_powers(p2))
-        steps = map(sub, fourth, map(mul, second, repeat(2.0)))
+    fourth = map(truediv, older, _fourth_powers(p2))
+    steps = map(sub, fourth, map(mul, map(truediv, old, p2), repeat(2.0)))
     out = older if isinstance(older, array) else array("d", [0.0]) * len(p2)
     running = 0.0
     for lo in range(0, len(out), _CHUNK):
@@ -318,8 +308,11 @@ def _weight_step(older: Iterable[float] | None, old: Iterable[float], p2: array)
 
 
 def _fourth_powers(p2: array) -> Iterator[float]:
-    # float(v**4) from p2[v] = float(v**2): v^2 < 2^53 is exact for
-    # v < 94906266, so the product is v^4 rounded once, with no table
+    # float(v**4) for v = 1..len(p2), from p2[v] = float(v**2): while
+    # v <= isqrt(2^53) = 94906265, v^2 is exact, so the product is v^4
+    # rounded once, with no table; beyond, the exact powers are streamed
+    if len(p2) > 94_906_265:
+        return _divisors(4, len(p2))
     return map(mul, p2, p2)
 
 
@@ -337,7 +330,7 @@ def taylor_coeff_float(m: int, N: int = 10_000) -> float:
     compositions m has.  T_0 is repeat(1.0), never an array.  The value is
     the Richardson 2 S(2N) - S(N), where S(N) is the math.fsum of the head
     quotients for n <= N and S(2N) the fsum of S(N) and the rest.  The
-    divisors are float(v**part), as in mzv_float, for 2N < 94906266.
+    divisors are float(v**part), as in mzv_float.
 
     a_0 = 1, the constant term, which no composition covers; a_1 = 0.
     """
@@ -347,15 +340,13 @@ def taylor_coeff_float(m: int, N: int = 10_000) -> float:
         return 1.0 if m == 0 else 0.0
     top = 2 * N
     p2 = array("d", _divisors(2, top))
-    older, old = None, repeat(1.0)  # T_-2 = 0 and T_0
+    older, old = repeat(0.0), repeat(1.0)  # T_-2 = 0 and T_0
     for _ in range((m - 2) // 2):
         older, old = old, _weight_step(older, old, p2)
     if m % 2:
         weight, heads = 2, [(old, _divisors(3, top))]
-    else:  # no T_(m-4) head at m = 2
-        weight, heads = 1, [(old, p2)]
-        if older is not None:
-            heads.append((older, _fourth_powers(p2)))
+    else:  # at m = 2 the T_(m-4) head is T_-2 = 0
+        weight, heads = 1, [(old, p2), (older, _fourth_powers(p2))]
     quotients = [map(truediv, t, p) for t, p in heads]
     half = math.fsum(chain.from_iterable(islice(q, N) for q in quotients))
     return weight * (2 * math.fsum(chain((half,), *quotients)) - half)

@@ -439,6 +439,29 @@ class TestAgainstReferenceLoop:
         for s in ((4, 4), (2, 2, 4)):
             assert mzv_float(s, 6000) == _reference_mzv_float(s, 6000)
 
+    def test_fourth_powers_beyond_exact_squares(self):
+        # The weight passes take float(v**4) as float(v**2) squared, which
+        # is v^4 rounded once while v^2 is exact, v <= isqrt(2^53), and not
+        # always beyond; past that bound they stream float(v**4) instead.
+        bound = math.isqrt(2**53)
+        assert all(float(v * v) * float(v * v) == float(v**4) for v in range(bound - 999, bound + 1))
+        v = bound + 2
+        assert float(v * v) * float(v * v) != float(v**4)
+
+        class Sized(list):
+            # the length of a p2 array over 1..length, without building one
+            def __init__(self, length, values):
+                super().__init__(values)
+                self.length = length
+
+            def __len__(self):
+                return self.length
+
+        head = [float(bound**2)]
+        assert next(mzv._fourth_powers(Sized(bound, head))) == float(bound**4)
+        # streamed from v = 1, whatever p2 holds
+        assert next(mzv._fourth_powers(Sized(bound + 1, head))) == 1.0
+
     @pytest.mark.parametrize("m", range(2, 17))
     def test_taylor_coeff_float_against_compositions(self, m):
         # The sum over compositions, as mzv_float values, is the same
