@@ -5,12 +5,13 @@ by one record per line, with strictly increasing n.  An empty file is an
 empty cache.
 
 - Version 2, the one ``cache_store`` writes: ``n <tab> hex``, where n is
-  decimal digits and hex is ``format(A(n), "x")``.  Each field admits one
-  spelling: a sign, a ``0x`` prefix, an underscore, a space or an uppercase
-  digit is a malformed record.  Base 16 converts in linear time and is
-  exempt from the interpreter's int/str digit limit.  The hex goes through
-  bytes both ways (_hex, _parse_record): int.to_bytes(...).hex() writes it
-  with the one leading "0" nibble of an odd-length field dropped, and
+  decimal digits and hex is ``format(A(n), "x")``.  A load also reads
+  leading zeros in either field (``01``, ``00``, ``0a``), but a sign, a
+  ``0x`` prefix, an underscore, a space or an uppercase digit is a
+  malformed record.  Base 16 converts in linear time and is exempt from
+  the interpreter's int/str digit limit.  The hex goes through bytes both
+  ways (_hex, _parse_record): int.to_bytes(...).hex() writes it with the
+  one leading "0" nibble of an odd-length field dropped, and
   int.from_bytes(bytes.fromhex(...)) reads it with that nibble put back:
   the same text and values as format(v, "x") and int(h, 16), faster.
 - Version 1: ``n <tab> A(n)`` in decimal, as ``int()`` reads it.  Still
@@ -26,11 +27,11 @@ catches any single-digit edit, truncation or rescaling by k != 1 (mod q); a
 value changed by an exact multiple of q is the one change that passes.
 
 The pass is kept (_kept_upto): the module holds the pairs (x, den) of every
-index any load has reached, and a load walks only the indices above them.
-That costs 16 bytes per index up to the largest n checked, which the bound
-above keeps below about 16 bytes per hex digit of the largest record loaded
-(160 KB at n = 10^4).  It only grows, and only after every record of a load
-has passed the length bound.
+index up to the largest any load has reached.  A load past them runs the
+pass again from n = 0, about 1 us per index, and publishes the new array,
+only after every record has passed the length bound.  That costs 16 bytes
+per index up to the largest n checked, which the bound above keeps below
+about 16 bytes per hex digit of the largest record loaded (160 KB at n = 10^4).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import os
 import sys
 import threading
 from array import array
-from itertools import chain, islice
+from itertools import chain
 from typing import Mapping
 
 from .sequence import _recurrence_mod
@@ -53,7 +54,7 @@ _HEX_DIGITS = b"0123456789abcdef"
 _Q = 2**61 - 1  # the check's prime
 # (x, den) of _recurrence_mod(_Q, ...) for n = 0, 1, ..., one pair per n:
 # x(n) at 2n and den(n) at 2n + 1.  Entries are below _Q < 2^64
-_kept = array("Q", chain.from_iterable(_recurrence_mod(_Q, 1)))
+_kept = array("Q")
 _kept_lock = threading.Lock()
 
 
@@ -144,20 +145,17 @@ def _parse_record(version: int, n_field: str, value_field: str) -> tuple[int, in
 
 
 def _kept_upto(top: int) -> array:
-    """The kept pairs, extended to hold every index up to top.
+    """The kept pairs, holding every index up to top.
 
-    One lock serializes the extensions; a reader takes none, since the
-    array only grows and an entry never changes once written.  The new
-    pairs are made apart and appended by one extend, so an interrupted
-    extension leaves no pair half written.
+    A top past them gets a new array, one pass from n = 0 published under
+    the lock, which serializes the builders; a published array is never
+    written again, so its readers take no lock.
     """
+    global _kept
     with _kept_lock:
-        n = len(_kept) // 2 - 1  # the largest index held, >= 1
-        if top > n:
-            x, x_prev, den = _kept[2 * n], _kept[2 * n - 2], _kept[2 * n + 1]
-            steps = islice(_recurrence_mod(_Q, top, n, x, x_prev, den), 1, None)
-            _kept.extend(array("Q", chain.from_iterable(steps)))
-    return _kept
+        if top >= len(_kept) // 2:
+            _kept = array("Q", chain.from_iterable(_recurrence_mod(_Q, top)))
+        return _kept
 
 
 def _wrong_record(values: Mapping[int, int]) -> int | None:

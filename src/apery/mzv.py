@@ -334,6 +334,8 @@ def taylor_coeff_float(m: int, N: int = 10_000) -> float:
 
     a_0 = 1, the constant term, which no composition covers; a_1 = 0.
     """
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if m < 2:

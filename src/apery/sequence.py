@@ -101,23 +101,20 @@ def _with_slopes(
         a2, a1, s2, s1 = a1, a, s1, s
 
 
-def _recurrence_mod(
-    q: int, top: int, start: int = 0, x: int = 1, x_prev: int = 0, den: int = 1
-) -> Iterator[tuple[int, int]]:
-    """Pairs (x, den) with A(n) = x/den (mod q), for n = start, ..., top.
+def _recurrence_mod(q: int, top: int) -> Iterator[tuple[int, int]]:
+    """Pairs (x, den) with A(n) = x/den (mod q), for n = 0, ..., top.
 
     One pass of the recurrence modulo q that carries A(n) as x/den, so no
     step needs an inverse: den is the product of k^3 over 1 <= k <= n and
     x = den A(n) mod q, so x/den is A(n) mod q whenever den is a unit mod q.
     Multiplying the recurrence at n by den(n-1) gives
         x(n) = r1(n) x(n-1) - (n-1)^6 x(n-2).
-    A pass resumes from the pair (x, den) at start, with x_prev = x(start-1);
-    the defaults are those at n = 0, where x(-1) meets the coefficient 0.
+    The pass starts from the seed x(-1) = 0, x(0) = den(0) = 1; x(-1) meets
+    the coefficient 0^6 at n = 1.
     """
-    x1, x2 = x, x_prev  # x(n-1), x(n-2)
+    x1, x2, den, cube = 1, 0, 1, 0  # x(n-1), x(n-2), den(n-1), (n-1)^3 at step n
     yield x1, den
-    cube = start**3  # (n-1)^3 when step n begins
-    for n in range(start + 1, top + 1):
+    for n in range(1, top + 1):
         prev, cube = cube, n * n * n
         r1 = 34 * cube - 51 * n * n + 27 * n - 5  # _r1(n), inlined for speed
         x1, x2 = (r1 * x1 - prev * prev * x2) % q, x1
@@ -354,30 +351,23 @@ def apery_mod_p2(
 
 
 def apery_mod_sweep(targets: Iterable[int], modulus: int) -> dict[int, int]:
-    """A(n) mod modulus at the given n >= 0, via one exact recurrence pass.
+    """A(n) mod modulus at the given n >= 0, in ascending n.
 
-    Keeps only a two-value window of exact A values, so memory stays flat no
-    matter how large max(targets) is.  Intended for the occasional reduction
-    at indices too large to be worth caching exactly.
+    One exact recurrence pass from the seed (A(-1), A(0)) = (1, 1), two values
+    at a time, so memory stays flat however large max(targets) is: for the
+    occasional reduction at indices too large to be worth caching exactly.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     wanted = set(targets)
-    if not wanted:
-        return {}
-    if min(wanted) < 0:
+    if min(wanted, default=0) < 0:
         raise ValueError("sweep targets must be >= 0")
-    out: dict[int, int] = {}
-    if 0 in wanted:
-        out[0] = 1 % modulus
-    if 1 in wanted:
-        out[1] = 5 % modulus
-    prev2, prev1 = 1, 5
-    for m in range(2, max(wanted) + 1):
-        prev2, prev1 = prev1, _recurrence_step(m, prev1, prev2)
-        if m in wanted:
-            out[m] = prev1 % modulus
-    return out
+    pairs = accumulate(  # (A(m-1), A(m)) for m = 0, ..., max(wanted)
+        range(1, max(wanted, default=0) + 1),
+        lambda pair, m: (pair[1], _recurrence_step(m, pair[1], pair[0])),
+        initial=(1, 1),  # A(-1) = A(0) by reflection; (m-1)^3 is 0 at m = 1
+    )
+    return {m: a % modulus for m, (_, a) in enumerate(pairs) if m in wanted}
 
 
 @functools.lru_cache(maxsize=16)

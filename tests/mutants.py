@@ -1,0 +1,132 @@
+"""Hand mutants of the package, each run against the tests recorded for it.
+
+Run from the repository root, with pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+Each entry names a file, an exact old text, its new text, pytest node ids,
+and whether the mutant must be killed or is known to be equivalent.  For
+each entry the script copies src, tests, schema, demos and pyproject.toml
+to a temporary directory, replaces the old text, which must occur exactly
+once, and runs each node id there in its own pytest process;
+pyproject.toml's pythonpath = ["src"] puts the mutated copy first on
+sys.path.  A killed mutant must fail every one of its node ids, and an
+equivalent one must pass every one: an equivalent mutant is recorded so
+that no test is written to kill it.  Any other pytest exit (a node id that
+selects nothing, an error at collection) is an error of the entry.
+
+Two self-checks run first: a whitespace-only mutant must survive, and a
+known-bad one must be killed.  The exit status is 0 when every entry
+behaves as recorded, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "schema", "demos", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    nodes: tuple[str, ...]
+    killed: bool = True
+
+
+SWEEP_DIRECT = "tests/test_sequence.py::TestModSweep::test_matches_direct_reduction"
+
+SELF_CHECKS = (
+    Mutant("self-check: whitespace only", "src/apery/sequence.py",
+           "    total = 0\n", "    total  =  0\n", (SWEEP_DIRECT,), killed=False),
+    Mutant("self-check: known bad", "src/apery/sequence.py",
+           "    total = 0\n", "    total = 1\n", (SWEEP_DIRECT,)),
+)
+
+MUTANTS = (
+    # the kept pass rebuilt one index short when top is the first index past it
+    Mutant("_kept_upto: >= made >", "src/apery/cachefile.py",
+           "if top >= len(_kept) // 2:", "if top > len(_kept) // 2:",
+           ("tests/test_cachefile.py::test_kept_prefix_is_the_one_pass",)),
+    # the same pairs, grown into the array a reader may hold
+    Mutant("_kept_upto: in-place extend", "src/apery/cachefile.py",
+           '_kept = array("Q", chain.from_iterable(_recurrence_mod(_Q, top)))',
+           '_kept[len(_kept):] = array("Q", chain.from_iterable('
+           "_recurrence_mod(_Q, top)))[len(_kept):]",
+           ("tests/test_cachefile.py::test_extension_leaves_a_held_prefix_alone",)),
+    Mutant("taylor_coeff_float: negative-m guard dropped", "src/apery/mzv.py",
+           '    if m < 0:\n        raise ValueError(f"m must be >= 0, got {m}")\n', "",
+           ("tests/test_mzv.py::TestReducedForms::test_negative_m_rejected",)),
+    Mutant("taylor_coeff_float: head-3 weight 2 made 1", "src/apery/mzv.py",
+           "weight, heads = 2, [(old, _divisors(3, top))]",
+           "weight, heads = 1, [(old, _divisors(3, top))]",
+           ("tests/test_mzv.py::TestAgainstReferenceLoop::test_taylor_coeff_float",
+            "tests/test_mzv.py::TestReducedForms::test_float_expansion_matches_exact_truncation",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden")),
+    # A(-1) meets the coefficient (m-1)^3 = 0 at m = 1, so no test can see it
+    Mutant("apery_mod_sweep: seed A(-1) = 1 made 0", "src/apery/sequence.py",
+           "initial=(1, 1),", "initial=(0, 1),",
+           ("tests/test_sequence.py::TestModSweep",
+            "tests/test_sequence.py::TestPadicEvaluator::test_matches_sweep_at_scattered_indices",
+            "tests/test_acceptance.py::test_07_base5_power_law"),
+           killed=False),
+)
+
+
+def run(mutant: Mutant) -> str | None:
+    """None when the mutant behaves as recorded, else what went wrong."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in COPIED:
+            source, target = ROOT / name, Path(tmp) / name
+            if source.is_dir():
+                shutil.copytree(source, target, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".hypothesis", ".pytest_cache"))
+            else:
+                shutil.copy2(source, target)
+        path = Path(tmp) / mutant.path
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return f"old text occurs {text.count(mutant.old)} times in {mutant.path}"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env.pop("PYTHONPATH", None)
+        want = 1 if mutant.killed else 0
+        for node in mutant.nodes:
+            code = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", node],
+                cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            ).returncode
+            if code != want:
+                outcome = {0: "passed", 1: "failed"}.get(code, f"exited {code}")
+                return f"{node} {outcome}"
+    return None
+
+
+def main() -> int:
+    bad = 0
+    for mutant in SELF_CHECKS + MUTANTS:
+        start = time.perf_counter()
+        problem = run(mutant)
+        verdict = "killed" if mutant.killed else "survives"
+        status = "ok" if problem is None else f"WRONG: {problem}"
+        print(f"{mutant.name}: {verdict}, {status} ({time.perf_counter() - start:.1f} s)",
+              flush=True)
+        bad += problem is not None
+        if problem is not None and mutant in SELF_CHECKS:
+            print("the harness itself is broken; no mutant was run", flush=True)
+            return 1
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

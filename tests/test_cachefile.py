@@ -101,7 +101,7 @@ def test_digit_cap_lifted_only_for_v1(tmp_path):
     ["0x49", "+49", "-49", "4_9", " 49", "49 ", "4 9", "4A", "4B9"],
 )
 def test_v2_refuses_other_spellings(tmp_path, field):
-    # int(field, 16) reads each of these; the v2 grammar admits only format(v, "x")
+    # int(field, 16) reads each of these; the v2 grammar admits lowercase hex digits only
     path = tmp_path / "values.cache"
     path.write_text(f"apery-cache\t2\tapery\n0\t1\n1\t5\n2\t{field}\n")
     with pytest.raises(CacheError, match="non-integer record") as err:
@@ -335,7 +335,7 @@ def test_odd_and_even_length_fields_load(tmp_path):
 
 @pytest.fixture
 def fresh_prefix(monkeypatch):
-    """A kept pass holding only n = 0 and 1, as at import."""
+    """A kept pass holding only n = 0 and 1."""
     kept = array("Q", [1, 1, 5, 1])
     monkeypatch.setattr(cachefile, "_kept", kept)
     return kept
@@ -354,6 +354,18 @@ def test_kept_prefix_is_the_one_pass(tmp_path, fresh_prefix):
         assert cache_load(path) == {0: 1, top: apery(top)}
         reached = max(reached, top)
         assert cachefile._kept == fresh_pass(reached)
+
+
+def test_extension_leaves_a_held_prefix_alone(tmp_path, fresh_prefix):
+    # a reader holding the kept array while a load extends the pass sees it
+    # unchanged: the extension publishes a new array
+    held = cachefile._kept_upto(10)
+    assert held == fresh_pass(10)
+    path = tmp_path / "values.cache"
+    cache_store(path, {n: apery(n) for n in (0, 500)})
+    assert cache_load(path)[500] == apery(500)
+    assert held == fresh_pass(10)
+    assert cachefile._kept == fresh_pass(500)
 
 
 def test_wrong_record_below_kept_top_still_fails(tmp_path):

@@ -109,6 +109,7 @@ COMMANDS = [
     "verify functional-eq --z 1.5 --terms 20000", "verify stuffle --N 2000",
     "verify reduced-forms --N 2000", "taylor 8 --float --N 3000",
     "taylor 12 --float --N 1000", "taylor 2 --float --N 10000", "taylor 16 --float --N 600",
+    "taylor 3 --float --N 2000", "taylor 9 --float --N 500",
     # the value cache
     "cache fill --n 0..30 --cache {tmp}/fill.cache", "cache info --cache {tmp}/fill.cache",
     "cache verify --cache {tmp}/fill.cache", "cache fill --n 40..45 --cache {tmp}/fill.cache",

@@ -400,6 +400,11 @@ class TestReducedForms:
         zeta3 = mzv_float((3,), 10_000)
         assert taylor_coeff_float(3, 10_000) == pytest.approx(2 * zeta3, abs=1e-9)
 
+    @pytest.mark.parametrize("route", [taylor_coeff_float, taylor_coeff_truncated])
+    def test_negative_m_rejected(self, route):
+        with pytest.raises(ValueError, match="m must be >= 0, got -3"):
+            route(-3, 10)
+
 
 class TestAgainstReferenceLoop:
     # the suffix trie forms the same quotients as the per-composition loop,

@@ -358,6 +358,13 @@ class TestModSweep:
         out = apery_mod_sweep(targets, 343)
         assert out == {n: apery(n) % 343 for n in targets}
 
+    @pytest.mark.parametrize("modulus", [2, 343])
+    @pytest.mark.parametrize("targets", [[0], [1], [0, 1], [1, 0], [41, 2, 0, 17, 1]])
+    def test_first_indices_ascending(self, targets, modulus):
+        out = apery_mod_sweep(targets, modulus)
+        assert out == {n: apery(n) % modulus for n in targets}
+        assert list(out) == sorted(targets)
+
     def test_empty(self):
         assert apery_mod_sweep([], 9) == {}
 
