@@ -29,7 +29,7 @@ for p in (2, 3, 5):
     name = {2: "A(n) = 5^n mod 8", 3: "mod 9 digit law", 5: "mod 125 supercongruence"}[p]
     print(f"{name}: {'ok' if r.passed else 'FAILED'} on {r.checked} cases")
 
-r = verify_digit_set_lucas(7)
+r = verify_digit_set_lucas(7, (-10, 10))
 print(f"\ndigit-set theorem at p=7: membership ok on {r.checked} cases")
 for w in r.witnesses:
     print(f"  digit {w.d} fails at n={w.n}: {w.lhs} != {w.rhs}")

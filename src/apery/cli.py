@@ -162,8 +162,10 @@ def _cmd_aperyd(args: argparse.Namespace) -> Result:
 
 
 def _cmd_digits(args: argparse.Namespace) -> Result:
+    if args.p is not None and (args.scan, args.min_size) != (None, None):
+        raise ValueError("digits P takes neither --scan nor --min-size")
     if args.scan is not None:
-        sets = scan_digit_sets(args.scan, args.min_size)
+        sets = scan_digit_sets(args.scan, 1 if args.min_size is None else args.min_size)
     elif args.p is not None:
         sets = [digit_set(args.p)]  # rejects a p that is not prime
     else:
@@ -271,7 +273,8 @@ def _residual_check(label: str, residual: float, tol: float | None, asserted=Tru
 
 
 def _verify_congruence(sweep, args) -> dict:
-    return sweep(args.p, args.n, _open_cache(args)).to_dict()
+    # a sweep walks every index below its top, so a cache file cannot help
+    return sweep(args.p, args.n).to_dict()
 
 
 def _verify_multi_digit(law, args) -> dict:
@@ -360,14 +363,14 @@ def _verify_lemma(bound, holds, extra, args) -> dict:
 
 # the verify theorem ids, in the order the help text lists them, each with
 # its handler, the flags it needs, and the flags it takes besides with their
-# defaults; it refuses the others (the corollary and lucas-p3 laws cover
-# every n of --depth base-p digits, so --n would be ignored)
+# defaults (the four per-digit sweeps share one); it refuses the others (the
+# corollary and lucas-p3 laws cover every n of --depth digits, so --n is unread)
+_SWEEP_RANGE = {"n": (-10, 10)}
 THEOREMS = {
-    "lucas-p": (partial(_verify_congruence, verify_lucas_mod_p), ("p",), {"n": (-10, 10)}),
-    "gessel-p2": (partial(_verify_congruence, verify_gessel_mod_p2), ("p",), {"n": (-10, 10)}),
-    "p3-suite": (partial(_verify_congruence, verify_mod_p3_suite), ("p",), {"n": (-10, 10)}),
-    # None leaves the range to the sweep
-    "digitset-p2": (partial(_verify_congruence, verify_digit_set_lucas), ("p",), {"n": None}),
+    "lucas-p": (partial(_verify_congruence, verify_lucas_mod_p), ("p",), _SWEEP_RANGE),
+    "gessel-p2": (partial(_verify_congruence, verify_gessel_mod_p2), ("p",), _SWEEP_RANGE),
+    "p3-suite": (partial(_verify_congruence, verify_mod_p3_suite), ("p",), _SWEEP_RANGE),
+    "digitset-p2": (partial(_verify_congruence, verify_digit_set_lucas), ("p",), _SWEEP_RANGE),
     "corollary": (partial(_verify_multi_digit, "power"), ("p",), {"depth": 4}),
     "lucas-p3": (partial(_verify_multi_digit, "unit"), ("p",), {"depth": 5}),
     "taylor-identity": (_verify_taylor_identity, (), {"m": (1, 12), "N": 50}),
@@ -456,7 +459,7 @@ def _aperyd_args(p: argparse.ArgumentParser) -> None:
 def _digits_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("p", type=int, nargs="?")
     p.add_argument("--scan", type=int, metavar="PMAX", help="scan all primes <= PMAX")
-    p.add_argument("--min-size", type=int, default=1, help="minimum |D(p)| to report")
+    p.add_argument("--min-size", type=int, help="minimum |D(p)| a scan reports (default 1)")
     p.set_defaults(handler=_cmd_digits)
 
 

@@ -314,16 +314,14 @@ def verify_mod_p3_suite(
 
 
 def verify_digit_set_lucas(
-    p: int,
-    n_range: tuple[int, int] | None = None,
-    cache: AperyCache | None = None,
+    p: int, n_range: tuple[int, int], cache: AperyCache | None = None
 ) -> CongruenceReport:
     """Membership check for the digit-set theorem modulo p^2.
 
     Digits in D(p) must satisfy A(d + p n) = A(d) A(n) mod p^2 on the whole
     range; digits outside D(p) must violate it for some n (the first such n
-    is recorded as a witness).  The default range is -p..p, which in
-    practice always contains a witness.
+    is recorded as a witness).  Measured, not proven: for each prime below
+    5000, every digit outside D(p) has a witness at n = -1 or n = 1.
 
     D(p) comes from the modular recurrence, so the factors must not: with
     table factors, a wrong A(d) for a digit d outside D(p) fails at n = 0
@@ -332,8 +330,6 @@ def verify_digit_set_lucas(
     leaves d unwitnessed, so the report is inconclusive.
     """
     _require_prime(p)
-    if n_range is None:
-        n_range = (-p, p)
     ds = digit_set(p)
     outside = frozenset(range(p)) - frozenset(ds.digits)
     report = _sweep("digitset-p2", p, p * p, n_range, None, cache, outside)

@@ -80,6 +80,32 @@ MUTANTS = (
             "tests/test_sequence.py::TestPadicEvaluator::test_matches_sweep_at_scattered_indices",
             "tests/test_acceptance.py::test_07_base5_power_law"),
            killed=False),
+    # a sweep that loads the cache file again, bad files and all
+    Mutant("_verify_congruence: cache file opened", "src/apery/cli.py",
+           "return sweep(args.p, args.n).to_dict()",
+           "return sweep(args.p, args.n, _open_cache(args)).to_dict()",
+           ("tests/test_cli.py::TestCacheCommand::test_sweeps_never_open_cache",)),
+    Mutant("THEOREMS: digitset-p2 default made -7..7", "src/apery/cli.py",
+           '"digitset-p2": (partial(_verify_congruence, verify_digit_set_lucas), ("p",), '
+           "_SWEEP_RANGE),",
+           '"digitset-p2": (partial(_verify_congruence, verify_digit_set_lucas), ("p",), '
+           '{"n": (-7, 7)}),',
+           ("tests/test_cli.py::TestVerifyCommand::test_defaults_spelled_out[digitset-p2]",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden",
+            "tests/test_acceptance.py::test_25_digitset_default_range_budget")),
+    Mutant("_cmd_digits: prime-and-scan-flag check deleted", "src/apery/cli.py",
+           "    if args.p is not None and (args.scan, args.min_size) != (None, None):\n"
+           '        raise ValueError("digits P takes neither --scan nor --min-size")\n', "",
+           ("tests/test_cli.py::TestDigitsCommand::test_prime_takes_no_scan_flags",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden")),
+    Mutant("_cmd_digits: prime with --scan let through", "src/apery/cli.py",
+           "(args.scan, args.min_size) != (None, None)", "args.min_size is not None",
+           ("tests/test_cli.py::TestDigitsCommand::test_prime_takes_no_scan_flags[scan]",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden")),
+    # an explicit --min-size 0 read as the default 1
+    Mutant("_cmd_digits: min-size default by truth value", "src/apery/cli.py",
+           "1 if args.min_size is None else args.min_size", "args.min_size or 1",
+           ("tests/test_cli.py::TestExplicitValues::test_exits_2[scan-min-size]",)),
 )
 
 

@@ -3,6 +3,7 @@ pass/fail line per criterion (run with -s to see them)."""
 
 import cmath
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -495,3 +496,37 @@ def test_24_taylor_exact_budget(capsys):
     ok = code == 0 and digest == "e2beece23054d3b51e766f091e03ac9b6a1aac210d66e32d2f966afb5d1af453"
     with capsys.disabled():
         report("24 taylor-exact-budget", ok, t0, 0.5)
+
+
+def test_25_digitset_default_range_budget():
+    # `verify digitset-p2 --p 211` without --n, in a process of its own.  The
+    # default range is -10..10, as for the other sweeps: the exact memo holds
+    # A(0..2320), 2.5 MiB traced at its peak in 0.1-0.3 s here.  The old
+    # default -p..p read A(0..44731), 8.7 s and 699 MB, so the timeout at
+    # the budget fails the test instead of filling memory
+    budget, budget_mib = 2, 6
+    code = (
+        "import contextlib, io, tracemalloc\n"
+        "from apery.cli import main\n"
+        "out = io.StringIO()\n"
+        "tracemalloc.start()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(['verify', 'digitset-p2', '--p', '211', '--format', 'json'])\n"
+        "print(code, tracemalloc.get_traced_memory()[1], out.getvalue())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("APERY_CACHE", None)
+    t0 = time.time()
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=budget
+    )
+    exit_code, peak, payload = done.stdout.split(" ", 2)
+    peak_mib = int(peak) / 2**20
+    reported = json.loads(payload)
+    ok = exit_code == "0" and reported["pass"] and reported["conclusive"]
+    ok = ok and (reported["parameters"]["n_lo"], reported["parameters"]["n_hi"]) == (-10, 10)
+    ok = ok and peak_mib < budget_mib
+    report(
+        "25 digitset-default-range-budget", ok, t0, budget,
+        f" peak {peak_mib:.2f} MiB / {budget_mib} MiB",
+    )

@@ -165,6 +165,16 @@ class TestDigitsCommand:
         code, _, err = run_cli(capsys, "digits")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["7", "--scan", "20"], ["7", "--min-size", "0"], ["7", "--min-size", "1"]],
+        ids=["scan", "min-size-0", "min-size-1"],
+    )
+    def test_prime_takes_no_scan_flags(self, capsys, argv):
+        # a prime and a scan flag: one of them would be dropped in silence
+        message = "error: digits P takes neither --scan nor --min-size\n"
+        assert run_cli(capsys, "digits", *argv) == (2, "", message)
+
 
 class TestCsvRestriction:
     def test_csv_only_for_digit_scans(self, capsys):
@@ -570,7 +580,7 @@ class TestVerifyCommand:
         ("lucas-p", ["--p", "5"], ["--n", "-10..10"]),
         ("gessel-p2", ["--p", "5"], ["--n", "-10..10"]),
         ("p3-suite", ["--p", "5"], ["--n", "-10..10"]),
-        ("digitset-p2", ["--p", "7"], ["--n", "-7..7"]),
+        ("digitset-p2", ["--p", "7"], ["--n", "-10..10"]),
         ("corollary", ["--p", "7"], ["--depth", "4"]),
         ("lucas-p3", ["--p", "5"], ["--depth", "5"]),
         ("taylor-identity", [], ["--m", "1..12", "--N", "50"]),
@@ -705,6 +715,7 @@ class TestExplicitValues:
             (["verify", "corollary", "--p", "5", "--depth", "0"], "depth must be >= 1"),
             (["verify", "lucas-p3", "--p", "5", "--depth", "0"], "depth must be >= 1"),
             (["digits", "--scan", "10", "--workers", "0"], "workers must be >= 1"),
+            (["digits", "--scan", "10", "--min-size", "0"], "min_size >= 1"),
             (["verify", "functional-eq", "--z", ""], "expected a number"),
         ],
         ids=[
@@ -713,6 +724,7 @@ class TestExplicitValues:
             "corollary-depth",
             "lucas-p3-depth",
             "scan-workers",
+            "scan-min-size",
             "functional-eq-z",
         ],
     )
@@ -794,7 +806,7 @@ class TestCacheCommand:
 
     def test_sweep_on_a_cache_of_its_last_value(self, capsys, tmp_path):
         # a cache that holds A(99) alone, the last index the sweep reads:
-        # the values below it are made, and the run reports as without it
+        # the sweep never opens it, and reports as without it
         path = str(tmp_path / "a.cache")
         assert run_cli(capsys, "cache", "fill", "--n", "99..99", "--cache", path)[0] == 0
         argv = ["verify", "lucas-p", "--p", "5", "--n", "0..19"]
@@ -815,9 +827,8 @@ class TestCacheCommand:
         "argv",
         [
             ["apery", "12", "--mod", "35"],  # the exact fallback
-            ["verify", "lucas-p", "--p", "5"],
         ],
-        ids=["apery-mod-exact", "verify-lucas-p"],
+        ids=["apery-mod-exact"],
     )
     def test_routes_reading_values_refuse_rescaled_cache(self, capsys, rescaled, argv):
         code, _, err = run_cli(capsys, *argv, "--cache", rescaled)
@@ -849,6 +860,29 @@ class TestCacheCommand:
         plain = run_cli(capsys, *argv)
         assert plain[0] == 0
         assert run_cli(capsys, *argv, "--cache", rescaled) == plain
+
+    @pytest.mark.parametrize("theorem", ["lucas-p", "gessel-p2", "p3-suite", "digitset-p2"])
+    @pytest.mark.parametrize("kind", ["rescaled", "not-a-cache"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_sweeps_never_open_cache(
+        self, capsys, monkeypatch, tmp_path, rescaled, source, kind, theorem
+    ):
+        # a sweep walks every index below its top, so it reads the process
+        # memo alone: a file that every load refuses, named by --cache or
+        # $APERY_CACHE, changes no byte
+        path = rescaled
+        if kind == "not-a-cache":
+            path = str(tmp_path / "notes.txt")
+            Path(path).write_text("not a cache\n")
+        argv = ["verify", theorem, "--p", "5"]
+        monkeypatch.delenv("APERY_CACHE", raising=False)
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
+        if source == "flag":
+            argv += ["--cache", path]
+        else:
+            monkeypatch.setenv("APERY_CACHE", path)
+        assert run_cli(capsys, *argv) == plain
 
 
 class TestConfigFile:

@@ -179,7 +179,7 @@ class TestDigitSetLucas:
         assert sorted({w.d for w in report.witnesses}) == [1, 5]
 
     def test_p5_default_range(self):
-        report = verify_digit_set_lucas(5)
+        report = verify_digit_set_lucas(5, (-10, 10))  # the CLI's default
         assert report.passed and report.conclusive
         assert sorted({w.d for w in report.witnesses}) == [1, 3]
 
@@ -190,7 +190,7 @@ class TestDigitSetLucas:
 
     def test_witness_soundness(self):
         # every recorded witness must reproduce from scratch, exactly
-        report = verify_digit_set_lucas(11)
+        report = verify_digit_set_lucas(11, (-11, 11))
         assert report.witnesses
         m = 11 * 11
         for w in report.witnesses:
@@ -198,6 +198,13 @@ class TestDigitSetLucas:
             rhs = apery_fast(w.d) * apery_fast(w.n) % m
             assert (lhs, rhs) == (w.lhs.value, w.rhs.value)
             assert lhs != rhs
+
+    def test_witness_at_minus_one_or_one(self):
+        # the fact behind the CLI's default range -10..10: below 1000 every
+        # digit outside D(p) fails at n = -1 or n = 1 (measured below 5000 too)
+        for p in primes_upto(1000):
+            report = verify_digit_set_lucas(p, (-1, 1))
+            assert report.passed and report.conclusive, p
 
     def test_inconclusive_range_reported(self):
         # n = 0 can never witness a violation, so searching only {0} must
