@@ -185,7 +185,11 @@ def cache_load(path: str | os.PathLike, verify: bool = True) -> dict[int, int]:
         raw = fh.read()
     if raw == "":
         return {}
-    text = raw.splitlines()
+    # text mode has made every line end "\n"; str.splitlines would also
+    # break at \v, \f and \x1c-\x1e inside a line, and misnumber the rest
+    text = raw.split("\n")
+    if text[-1] == "":  # after the last line's "\n"
+        text.pop()
     if not raw.isascii():
         idx = next(i for i, line in enumerate(text, start=1) if not line.isascii())
         raise CacheError("non-ASCII byte", line=idx)

@@ -34,6 +34,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import count, takewhile
 
 from .arith import (
     _require_prime,
@@ -100,12 +101,6 @@ def _run_config(args: argparse.Namespace) -> None:
         raise ValueError("workers must be >= 1")
 
 
-def _open_cache(args: argparse.Namespace) -> AperyCache:
-    if args.cache and os.path.exists(args.cache):
-        return AperyCache(cache_load(args.cache))
-    return AperyCache()
-
-
 def parse_range(text: str) -> tuple[int, int]:
     """Parse 'LO..HI' into an inclusive integer pair."""
     lo, sep, hi = text.partition("..")
@@ -140,15 +135,16 @@ Result = tuple[int, dict, "str | None"]
 
 
 def _cmd_apery(args: argparse.Namespace) -> Result:
+    # the walk from A(0) costs less than loading a file of values, so no
+    # route here opens --cache
     if args.mod is None:
-        value = str(apery_fast(args.n, _open_cache(args)))
+        value = str(apery_fast(args.n))
         return 0, {"n": args.n, "value": value}, value
     if args.mod < 2:
         raise ValueError("--mod must be >= 2")
     residue = apery_mod(args.n, args.mod)
-    # only the exact fallback reads --cache
     if residue is None:
-        value = str(apery_fast(args.n, _open_cache(args)) % args.mod)
+        value = str(apery_fast(args.n) % args.mod)
     else:
         value = str(residue.value)
     return 0, {"n": args.n, "modulus": str(args.mod), "value": value}, value
@@ -229,7 +225,9 @@ def _cmd_cache(args: argparse.Namespace) -> Result:
         if lo < 0:
             raise ValueError("cache fill needs n >= 0")
         values = cache_load(path) if os.path.exists(path) else {}
-        cache = AperyCache(values)
+        # the file's run A(0), A(1), ... seeds the memo, so a refill walks
+        # only the indices past it
+        cache = AperyCache(values[n] for n in takewhile(values.__contains__, count()))
         for n in range(lo, hi + 1):
             values[n] = apery_fast(n, cache)
         cache_store(path, values)
@@ -518,7 +516,7 @@ def _build_parser(commands) -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("plain", "json", "csv"), help="output format"
     )
-    common.add_argument("--cache", help=f"cache file path (default ${CACHE_ENV})")
+    common.add_argument("--cache", help=f"cache file for the cache command (default ${CACHE_ENV})")
     common.add_argument("--config", help=f"JSON config file (default ${CONFIG_ENV})")
     common.add_argument("--workers", type=int, help="ignored; scans run serially")
 

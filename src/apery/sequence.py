@@ -5,9 +5,9 @@ by the reflection A(n) = A(-1-n).  A'(n) is the harmonic-weighted variant
 2 sum_k C(n,k)^2 C(n+k,k)^2 (H_{n+k} - H_{n-k}), an exact rational.
 
 Besides the defining sums this module provides the three-term recurrence
-(apery_fast, the one exact route, with a shared memo cache, which also serves
-prefixes of residues mod p^3 to the congruence sweeps), O(log n) modular
-evaluation through the base-p digit congruences, and a memory-flat
+(apery_fast, the one exact route, on a shared memo of the prefix A(0..K),
+which also serves its residues mod p^3 to the congruence sweeps), O(log n)
+modular evaluation through the base-p digit congruences, and a memory-flat
 recurrence sweep for reducing A(n) at scattered large indices.  The digit
 table A(d) mod p comes from the inverse-free x/den pass of the recurrence
 modulo p.  One pass of the recurrence and its derivative (_with_slopes)
@@ -26,7 +26,7 @@ import threading
 from array import array
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .arith import PRIMALITY_BOUND, Residue, _digits, _icbrt, _require_prime, is_prime
 
@@ -126,12 +126,16 @@ _ENTRY_MAX = 2**63 - 1  # the largest array('q') entry
 
 
 class AperyCache:
-    """Thread-safe memo of exact A(n) values for n >= 0, with their residues.
+    """Thread-safe memo of the exact prefix A(0), ..., A(len - 1), with its
+    residues.
 
-    Values are immutable once inserted, so lock-free reads are safe; writes
-    go through preload, under a lock (put is a one-record preload).  A
-    contiguous high-water mark lets the recurrence restart from the longest
-    held prefix instead of from zero (_walk).
+    The values are a list from A(0) = 1, A(1) = 5.  put is the one write
+    path, under a lock: it appends A(len), takes an equal value below len
+    as a no-op, and refuses anything else, so the memo never has a gap.
+    A value never changes once appended, so reads take no lock.
+    AperyCache(prefix) puts A(0), A(1), ... of prefix in that order; tests
+    pass values that are not A(k).  The walk (_walk) resumes the recurrence
+    from the end of the prefix.
 
     Beside the values the memo keeps one array('q') per prime p, the prefix
     A(0), ..., A(len - 1) mod p^3 reduced from the values this memo holds,
@@ -141,45 +145,34 @@ class AperyCache:
     written.
     """
 
-    def __init__(self, values: Mapping[int, int] | None = None):
-        self._values: dict[int, int] = {0: 1, 1: 5}
+    def __init__(self, prefix: Iterable[int] = ()):
+        self._values = [1, 5]
         self._lock = threading.Lock()
-        self._contiguous = 1
         self._tables: dict[int, array] = {}
-        if values:
-            self.preload(values)
+        for n, value in enumerate(prefix):
+            self.put(n, value)
 
     def get(self, n: int) -> int | None:
-        return self._values.get(n)
+        values = self._values
+        return values[n] if 0 <= n < len(values) else None
 
     def put(self, n: int, value: int) -> None:
-        self.preload({n: value})
-
-    def preload(self, values: Mapping[int, int]) -> None:
         with self._lock:
-            for n, value in values.items():
-                if n < 0:
-                    raise ValueError(f"cache keys must be >= 0, got {n}")
-                existing = self._values.setdefault(n, value)
-                if existing != value:
-                    raise ValueError(f"conflicting cache values at n={n}")
-            while self._contiguous + 1 in self._values:
-                self._contiguous += 1
+            values = self._values
+            if n == len(values):
+                values.append(value)
+            elif not 0 <= n < len(values):
+                raise ValueError(f"cache keys must be in 0..{len(values)}, got {n}")
+            elif values[n] != value:
+                raise ValueError(f"conflicting cache values at n={n}")
 
     def _walk(self, top: int) -> int:
-        """A(top), after the recurrence has run from the contiguous prefix
-        to top: every value the memo lacks is made and put, and every value
-        it holds is read, so a value held at top does not stop the walk
-        short of the indices below it."""
-        start = min(top, self._contiguous)
-        prev2, prev1 = self.get(start - 1), self.get(start)
-        for m in range(start + 1, top + 1):
-            value = self.get(m)
-            if value is None:
-                value = _recurrence_step(m, prev1, prev2)
-                self.put(m, value)
-            prev2, prev1 = prev1, value
-        return prev1
+        """A(top), after the recurrence has put every value from the end of
+        the prefix to top."""
+        values = self._values
+        for m in range(len(values), top + 1):
+            self.put(m, _recurrence_step(m, values[m - 1], values[m - 2]))
+        return values[top]
 
     def residues(self, p: int, top: int) -> list[int]:
         """A(k) mod p^3 for k = 0, ..., top.
@@ -201,14 +194,8 @@ class AperyCache:
                 table.extend([values[k] % cube for k in range(len(table), top + 1)])
         return table[: top + 1].tolist()
 
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self._values.items())
-
     def __len__(self) -> int:
         return len(self._values)
-
-    def __contains__(self, n: int) -> bool:
-        return n in self._values
 
 
 _SHARED_CACHE = AperyCache()
@@ -221,8 +208,8 @@ def shared_cache() -> AperyCache:
 
 def apery_fast(n: int, cache: AperyCache | None = None) -> int:
     """A(n) for any integer n: the reflection A(n) = A(-1-n), then the
-    three-term recurrence from the memo's longest contiguous prefix (the
-    walk, AperyCache._walk, that residues also runs).
+    three-term recurrence from the end of the memo's prefix (the walk,
+    AperyCache._walk, that residues also runs).
 
     Every value the recurrence makes is put in the memo (the process-wide
     one when cache is None).  The test suite checks this route against

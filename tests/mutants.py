@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 
 SWEEP_DIRECT = "tests/test_sequence.py::TestModSweep::test_matches_direct_reduction"
+NEVER_OPEN = "tests/test_cli.py::TestCacheCommand::test_exact_values_never_open_cache"
 
 SELF_CHECKS = (
     Mutant("self-check: whitespace only", "src/apery/sequence.py",
@@ -83,8 +84,40 @@ MUTANTS = (
     # a sweep that loads the cache file again, bad files and all
     Mutant("_verify_congruence: cache file opened", "src/apery/cli.py",
            "return sweep(args.p, args.n).to_dict()",
-           "return sweep(args.p, args.n, _open_cache(args)).to_dict()",
+           "return sweep(args.p, args.n, args.cache and AperyCache("
+           "cache_load(args.cache).values())).to_dict()",
            ("tests/test_cli.py::TestCacheCommand::test_sweeps_never_open_cache",)),
+    # `apery N` that pours the file into a memo again, bad files and all
+    Mutant("_cmd_apery: cache file opened", "src/apery/cli.py",
+           "value = str(apery_fast(args.n))\n",
+           "value = str(apery_fast(args.n, args.cache and AperyCache("
+           "cache_load(args.cache).values())))\n",
+           (f"{NEVER_OPEN}[flag-rescaled-apery]", f"{NEVER_OPEN}[env-not-a-cache-apery]",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden")),
+    # a refill that walks from A(0), past the run the file already holds
+    Mutant("cache fill: empty prefix seeded", "src/apery/cli.py",
+           "cache = AperyCache(values[n] for n in takewhile(values.__contains__, count()))",
+           "cache = AperyCache()",
+           ("tests/test_cli.py::TestCacheCommand::test_refill_walks_only_past_the_file_prefix",)),
+    # a memo with a gap, whose walk would read a value it never made
+    Mutant("AperyCache.put: append at any index", "src/apery/sequence.py",
+           "if n == len(values):", "if n >= len(values):",
+           ("tests/test_sequence.py::TestCache::test_put_appends_only_at_the_end",)),
+    Mutant("AperyCache.residues: extend outside the lock", "src/apery/sequence.py",
+           "                table = self._tables.setdefault(p, array(\"q\"))\n"
+           "                table.extend(",
+           "                table = self._tables.setdefault(p, array(\"q\"))\n"
+           "            table.extend(",
+           ("tests/test_sequence.py::TestCache::test_residues_from_threads",)),
+    Mutant("AperyCache.residues: start read before the lock", "src/apery/sequence.py",
+           "            with self._lock:\n"
+           "                table = self._tables.setdefault(p, array(\"q\"))\n"
+           "                table.extend([values[k] % cube for k in range(len(table), top + 1)])",
+           "            start = 0 if table is None else len(table)\n"
+           "            with self._lock:\n"
+           "                table = self._tables.setdefault(p, array(\"q\"))\n"
+           "                table.extend([values[k] % cube for k in range(start, top + 1)])",
+           ("tests/test_sequence.py::TestCache::test_residues_from_threads",)),
     Mutant("THEOREMS: digitset-p2 default made -7..7", "src/apery/cli.py",
            '"digitset-p2": (partial(_verify_congruence, verify_digit_set_lucas), ("p",), '
            "_SWEEP_RANGE),",

@@ -148,6 +148,23 @@ def test_non_ascii_byte_names_line(tmp_path, version, record):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("byte", [b"\f", b"\x1d"], ids=["form-feed", "group-separator"])
+def test_control_byte_names_its_own_line(tmp_path, byte):
+    # str.splitlines breaks lines at these bytes too, which named line 3,
+    # a blank record, of this 3-line file
+    path = tmp_path / "values.cache"
+    path.write_bytes(b"apery-cache\t2\tapery\n0\t1%s\n1\t5\n" % byte)
+    with pytest.raises(CacheError, match="non-integer record") as err:
+        cache_load(path)
+    assert err.value.line == 2
+
+
+def test_crlf_file_loads(tmp_path):
+    path = tmp_path / "values.cache"
+    path.write_bytes(b"apery-cache\t2\tapery\r\n0\t1\r\n1\t5\r\n2\t49\r\n")
+    assert cache_load(path) == {0: 1, 1: 5, 2: 73}
+
+
 @pytest.mark.parametrize(
     "values",
     [{0: 1, -1: 1}, {0: 1, 1.0: 5}, {0: 1, 1: 1.5}, {0: 1, 1: -5}, {0: 1, 1: "5"}],

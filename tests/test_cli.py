@@ -814,25 +814,55 @@ class TestCacheCommand:
         assert run_cli(capsys, *argv, "--cache", path) == want
         assert run_cli(capsys, *argv) == want
 
-    def test_rescaled_cache_refused(self, capsys, tmp_path):
-        from apery.cachefile import cache_store
+    def test_refill_walks_only_past_the_file_prefix(self, capsys, tmp_path, monkeypatch):
+        # the file's run A(0..5) seeds the memo of a refill, so filling
+        # 13..14 steps the recurrence at 6..14 alone; A(10..12) in the file
+        # lie past a gap and are not read
+        from apery import sequence
+        from apery.cachefile import cache_load
         from apery.sequence import apery
 
-        path = tmp_path / "a.cache"
-        cache_store(path, {n: 3 * apery(n) for n in range(2, 50)})
-        code, _, err = run_cli(capsys, "apery", "10", "--cache", str(path))
-        assert code == 2 and "line 2" in err
+        path = str(tmp_path / "a.cache")
+        run_cli(capsys, "cache", "fill", "--n", "0..5", "--cache", path)
+        run_cli(capsys, "cache", "fill", "--n", "10..12", "--cache", path)
+        steps = []
+        step = sequence._recurrence_step
+
+        def counted(m, prev1, prev2):
+            steps.append(m)
+            return step(m, prev1, prev2)
+
+        monkeypatch.setattr(sequence, "_recurrence_step", counted)
+        code, out, _ = run_cli(capsys, "cache", "fill", "--n", "13..14", "--cache", path)
+        assert code == 0 and "records=11" in out
+        assert steps == list(range(6, 15))
+        assert cache_load(path) == {n: apery(n) for n in (*range(6), *range(10, 15))}
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["apery", "12", "--mod", "35"],  # the exact fallback
-        ],
-        ids=["apery-mod-exact"],
+        [["apery", "10"], ["apery", "12", "--mod", "35"]],  # the second is the exact fallback
+        ids=["apery", "apery-mod-exact"],
     )
-    def test_routes_reading_values_refuse_rescaled_cache(self, capsys, rescaled, argv):
-        code, _, err = run_cli(capsys, *argv, "--cache", rescaled)
-        assert code == 2 and "line 2" in err
+    @pytest.mark.parametrize("kind", ["rescaled", "not-a-cache"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_exact_values_never_open_cache(
+        self, capsys, monkeypatch, tmp_path, rescaled, source, kind, argv
+    ):
+        # the walk from A(0) costs less than a load, so the routes that read
+        # exact values use the process memo alone: a file that every load
+        # refuses, named by --cache or $APERY_CACHE, changes no byte
+        path = rescaled
+        if kind == "not-a-cache":
+            path = str(tmp_path / "notes.txt")
+            Path(path).write_text("not a cache\n")
+        monkeypatch.delenv("APERY_CACHE", raising=False)
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
+        if source == "flag":
+            argv = argv + ["--cache", path]
+        else:
+            monkeypatch.setenv("APERY_CACHE", path)
+        assert run_cli(capsys, *argv) == plain
 
     @pytest.mark.parametrize(
         "argv",

@@ -469,10 +469,11 @@ class TestSweepFailures:
 
 
 def _corrupted_memo(bad, top):
-    # a private memo of the exact A(2), ..., A(top), built with the public
-    # constructor, with A(bad) off by one; A(0) and A(1) are the memo's own
+    # a private memo of the exact prefix A(0), ..., A(top), built with the
+    # public constructor, with A(bad) off by one; A(0) and A(1) are the
+    # memo's own
     assert 2 <= bad <= top
-    return AperyCache({k: apery_fast(k) + (k == bad) for k in range(2, top + 1)})
+    return AperyCache(apery_fast(k) + (k == bad) for k in range(top + 1))
 
 
 def _reference_sweep(
@@ -539,15 +540,16 @@ def _reference_report(verify, p, n_range, monkeypatch, cache=None, reads=None):
 
 
 def _counted_memo(top, reductions):
-    # a private memo of the exact A(2), ..., A(top) whose values tally each
-    # reduction under their index in reductions
+    # a private memo of the exact prefix A(0), ..., A(top) whose values tally
+    # each reduction under their index in reductions; the equal A(0) and
+    # A(1) leave the memo's own ints in place
     class Counted(int):
         def __mod__(self, m):
             reductions[self.k] += 1
             return int(self) % m
 
-    values = {k: Counted(apery_fast(k)) for k in range(2, top + 1)}
-    for k, value in values.items():
+    values = [Counted(apery_fast(k)) for k in range(top + 1)]
+    for k, value in enumerate(values):
         value.k = k
     return AperyCache(values)
 
@@ -624,10 +626,10 @@ class TestReadOnce:
         assert calls == {"residues": 1} and not reductions
 
 
-class TestSparseMemo:
-    # a memo that holds only A(top), the last index the sweep reads: the
-    # walk must still make every value below it, so each report is the one
-    # from a fresh memo
+class TestPrefixMemo:
+    # a memo that holds the prefix A(0..top/2), short of top, the last
+    # index the sweep reads: the walk makes every value past it, so each
+    # report is the one from a fresh memo
     CASES = {
         "lucas-p": (verify_lucas_mod_p, 5, (0, 19), 99),
         "gessel-p2": (verify_gessel_mod_p2, 5, (0, 19), 99),
@@ -639,7 +641,7 @@ class TestSparseMemo:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_report_as_on_a_fresh_memo(self, name):
         verify, p, n_range, top = self.CASES[name]
-        got = verify(p, n_range, AperyCache({top: apery.sequence.apery(top)}))
+        got = verify(p, n_range, AperyCache(map(apery.sequence.apery, range(top // 2))))
         assert got.to_dict() == verify(p, n_range, AperyCache()).to_dict()
         assert got.passed
 

@@ -86,29 +86,28 @@ class TestApery:
 
 class TestCache:
     def test_preload_and_get(self):
-        cache = AperyCache({0: 1, 1: 5, 2: 73})
-        assert cache.get(2) == 73
-        assert 2 in cache and 3 not in cache
+        # the constructor puts a prefix A(0), A(1), ...; the walk resumes past it
+        cache = AperyCache([1, 5, 73])
+        assert cache.get(2) == 73 and cache.get(3) is None
         assert apery_fast(4, cache) == 33001
+        assert cache._values == APERY_HEAD[:5]
 
     def test_conflicting_value_rejected(self):
+        with pytest.raises(ValueError, match="conflicting"):
+            AperyCache([1, 6])  # disagrees with the seeded A(1)
         cache = AperyCache()
-        with pytest.raises(ValueError):
-            cache.preload({1: 6})  # disagrees with the seeded A(1)
         apery_fast(2, cache)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="conflicting"):
             cache.put(2, 74)
-
-    def test_sparse_preload(self):
-        cache = AperyCache({10: apery(10)})
-        assert apery_fast(12, cache) == apery(12)
+        cache.put(2, 73)  # an equal value is a no-op
+        assert cache._values == APERY_HEAD[:3]
 
     def test_residues_are_prefixes(self):
-        # prefixes of A(k) mod p^3 on a sparse memo, against the defining
-        # sum: the held A(40) does not end the walk below it (top = 40), a
+        # prefixes of A(k) mod p^3 on a memo of A(0..19), against the
+        # defining sum: the walk to 40 starts past the held prefix, a
         # shorter prefix is read from the table and a longer one extends it,
         # and 2097169 > 2^21, whose cube overflows an entry, keeps no table
-        cache = AperyCache({40: apery(40)})
+        cache = AperyCache(apery(k) for k in range(20))
         for p, top in ((5, 40), (5, 9), (5, 49), (2097169, 8)):
             assert cache.residues(p, top) == [apery(k) % p**3 for k in range(top + 1)]
         assert cache._tables[5].tolist() == [apery(k) % 125 for k in range(50)]
@@ -138,15 +137,41 @@ class TestCache:
         assert got == [want[: top + 1] for top in tops]
         assert cache._tables[5].tolist() == want
 
-    def test_items_sorted(self):
+    def test_walks_from_threads(self):
+        # threads that walk one fresh memo at once, with the interpreter
+        # switching threads often, leave the prefix A(0..max top) with each
+        # value once: a step another thread has put is a no-op
         cache = AperyCache()
-        apery_fast(5, cache)
-        assert [n for n, _ in cache.items()] == list(range(6))
+        tops = [300, 1200, 700, 1200, 50, 1000]
+        start = threading.Barrier(len(tops), timeout=30)
+
+        def walk(top):
+            start.wait()
+            return apery_fast(top, cache)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(tops)) as pool:
+                got = list(pool.map(walk, tops))
+        finally:
+            sys.setswitchinterval(interval)
+        want = AperyCache()
+        apery_fast(max(tops), want)
+        assert cache._values == want._values
+        assert got == [want._values[top] for top in tops]
 
     def test_put_rejects_negative_key(self):
-        # put is a one-record preload, with preload's key check
-        with pytest.raises(ValueError, match="cache keys must be >= 0"):
+        with pytest.raises(ValueError, match=r"cache keys must be in 0\.\.2, got -1"):
             AperyCache().put(-1, 1)
+
+    def test_put_appends_only_at_the_end(self):
+        # the memo is a prefix: a put past its end would leave a gap
+        cache = AperyCache()
+        with pytest.raises(ValueError, match=r"cache keys must be in 0\.\.2, got 3"):
+            cache.put(3, 1445)
+        cache.put(2, 73)
+        assert cache._values == APERY_HEAD[:3]
 
     def test_memo_is_picked_without_its_length(self):
         # a passed memo is used as it is; no route asks for its size, which
@@ -157,7 +182,7 @@ class TestCache:
 
         cache = Sizeless()
         assert apery_fast(-13, cache) == apery(12)
-        assert 12 in cache
+        assert cache.get(12) == apery(12)
         assert verify_lucas_mod_p(5, (-4, 4), cache).passed
 
 
