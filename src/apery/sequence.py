@@ -26,9 +26,17 @@ import threading
 from array import array
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .arith import PRIMALITY_BOUND, Residue, _digits, _icbrt, _require_prime, is_prime
+from .arith import (
+    PRIMALITY_BOUND,
+    Residue,
+    _digits,
+    _icbrt,
+    _require_prime,
+    is_prime,
+    primes_upto,
+)
 
 __all__ = [
     "AperyCache",
@@ -76,10 +84,11 @@ def _recurrence_step(m: int, prev1: int, prev2: int) -> int:
 
 
 def _with_slopes(
-    top: int, start: int, divide: Callable[[int, int], int]
+    top: int, divide: Callable[[int, int], int], lifts: Mapping[int, int]
 ) -> Iterator[tuple[int, int]]:
-    """(start A(k), start A'(k)) for k = 0, ..., top, where divide(x, k) is
-    x / k^3 in the caller's ring.
+    """(L(k) A(k), L(k) A'(k)) for k = 0, ..., top, where divide(x, k) is
+    x / k^3 in the caller's ring and L(k) is the product of lifts[j] over
+    the j <= k in lifts.
 
     Runs the recurrence and its derivative together, starting from
     A(0) = 1, A'(0) = 0:
@@ -88,17 +97,42 @@ def _with_slopes(
                     - 3(k-1)^2 A(k-2) - (k-1)^3 A'(k-2).
     The second is the derivative of the functional equation at z = k, whose
     sin^2(pi z) term has zero derivative at integers.  At k = 1 the
-    (k-1) factors drop A(-1), which gives A'(1) = 12.
+    (k-1) factors drop A(-1), which gives A'(1) = 12.  Before step k the
+    four entries of the state are multiplied by lifts[k], when k is in
+    lifts; both equations are linear, so the state is then at scale L(k).
     """
-    a2, a1, s2, s1 = 0, start, 0, 0  # start times A(k-2), A(k-1), A'(k-2), A'(k-1)
+    a2, a1, s2, s1 = 0, 1, 0, 0  # L(k-1) times A(k-2), A(k-1), A'(k-2), A'(k-1)
     yield a1, s1
     for k in range(1, top + 1):
+        if k in lifts:
+            f = lifts[k]
+            a2, a1, s2, s1 = a2 * f, a1 * f, s2 * f, s1 * f
         j = k - 1
         r, dr, c = _r1(k), 102 * k * j + 27, j * j * j  # r1(k), r1'(k), (k-1)^3
         a = divide(r * a1 - c * a2, k)
         s = divide(r * s1 - c * s2 + dr * a1 - 3 * (k * k * a + j * j * a2), k)
         yield a, s
         a2, a1, s2, s1 = a1, a, s1, s
+
+
+def _lcm_lifts(n: int) -> dict[int, int]:
+    """{k: lcm(1..2k) / lcm(1..2k-2)} for the k <= n where that is not 1.
+
+    The ratio is the product of the primes p of which 2k - 1 or 2k is a
+    power.  2k - 1 is odd, so only an odd prime can have it as a power;
+    2k is a prime power only when k is a power of 2, and then of 2.
+    """
+    lifts = {}
+    for p in primes_upto(2 * n)[1:]:  # the odd primes
+        power = p
+        while power <= 2 * n:
+            lifts[(power + 1) // 2] = p
+            power *= p
+    k = 1
+    while k <= n:
+        lifts[k] = lifts.get(k, 1) * 2
+        k *= 2
+    return lifts
 
 
 def _recurrence_mod(q: int, top: int) -> Iterator[tuple[int, int]]:
@@ -230,17 +264,19 @@ def apery_deriv(n: int) -> Fraction:
     gives A'(n) = -A'(-1-n) for n <= -1, so a caller writes
     -apery_deriv(-1 - n) there.
 
-    The exact pass of _with_slopes, on L A(k) and L A'(k) with
-    L = lcm(1..2n).  For k <= n the denominator of A'(k) divides
+    The exact pass of _with_slopes on L(k) A(k) and L(k) A'(k), with
+    L(k) = lcm(1..2k): for k <= n the denominator of A'(k) divides
     lcm(1..2k), so both stay integers and every step divides exactly by
-    k^3; each step multiplies small numbers by big ones.
+    k^3.  Each step multiplies small numbers by big ones at the scale of
+    that step, not of the final L(n): _lcm_lifts gives L(k) / L(k-1) at
+    each k where the scale grows, and L(n) is the product of those.
     """
     if n < 0:
         raise ValueError(f"apery_deriv requires n >= 0, got {n}")
-    L = math.lcm(*range(1, 2 * n + 1))
-    for _, slope in _with_slopes(n, L, _exact_div):
+    lifts = _lcm_lifts(n)
+    for _, slope in _with_slopes(n, _exact_div, lifts):
         pass
-    return Fraction(slope, L)
+    return Fraction(slope, math.prod(lifts.values()))
 
 
 def _digit_tables(p: int, top: int | None = None) -> tuple[list[int], list[int]]:
@@ -262,7 +298,7 @@ def _digit_tables(p: int, top: int | None = None) -> tuple[list[int], list[int]]
     for k in range(top, 0, -1):  # P(k) becomes 1/k^3 while P(k-1) is still there
         inverses[k] = inv * inverses[k - 1] % m
         inv = inv * k**3 % m
-    pairs = _with_slopes(top, 1, lambda x, k: x * inverses[k] % m)
+    pairs = _with_slopes(top, lambda x, k: x * inverses[k] % m, {})
     values, slopes = map(list, zip(*pairs))
     return values, slopes
 

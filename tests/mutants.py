@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 SWEEP_DIRECT = "tests/test_sequence.py::TestModSweep::test_matches_direct_reduction"
 NEVER_OPEN = "tests/test_cli.py::TestCacheCommand::test_exact_values_never_open_cache"
+CACHEFILE = "tests/test_cachefile.py"
 
 SELF_CHECKS = (
     Mutant("self-check: whitespace only", "src/apery/sequence.py",
@@ -65,6 +66,22 @@ MUTANTS = (
            '_kept[len(_kept):] = array("Q", chain.from_iterable('
            "_recurrence_mod(_Q, top)))[len(_kept):]",
            ("tests/test_cachefile.py::test_extension_leaves_a_held_prefix_alone",)),
+    # a split off the multiples of 61 bits, where 2^s is no longer 1 mod q
+    Mutant("_mod_q: fold width made 60", "src/apery/cachefile.py",
+           "s = -(-bits // 122) * 61", "s = -(-bits // 120) * 60",
+           (f"{CACHEFILE}::test_fold_is_the_remainder",
+            f"{CACHEFILE}::test_fold_boundaries[2^512]",
+            f"{CACHEFILE}::test_round_trip_beyond_interpreter_digit_cap")),
+    # the folded value, congruent to the remainder but not reduced; the check
+    # reduces its product anyway, so only the reduction's own tests see it
+    Mutant("_mod_q: final % q dropped", "src/apery/cachefile.py",
+           "    return value % _Q\n", "    return value\n",
+           (f"{CACHEFILE}::test_fold_is_the_remainder",
+            f"{CACHEFILE}::test_fold_boundaries[q]")),
+    Mutant("_lcm_lifts: powers of 2 skipped", "src/apery/sequence.py",
+           "lifts[k] = lifts.get(k, 1) * 2", "lifts[k] = lifts.get(k, 1)",
+           ("tests/test_sequence.py::TestDerivative::test_recurrence_matches_harmonic_sum",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden")),
     Mutant("taylor_coeff_float: negative-m guard dropped", "src/apery/mzv.py",
            '    if m < 0:\n        raise ValueError(f"m must be >= 0, got {m}")\n', "",
            ("tests/test_mzv.py::TestReducedForms::test_negative_m_rejected",)),
@@ -103,6 +120,11 @@ MUTANTS = (
     Mutant("AperyCache.put: append at any index", "src/apery/sequence.py",
            "if n == len(values):", "if n >= len(values):",
            ("tests/test_sequence.py::TestCache::test_put_appends_only_at_the_end",)),
+    # two threads past the length check append at the same index
+    Mutant("AperyCache.put: no lock", "src/apery/sequence.py",
+           "    def put(self, n: int, value: int) -> None:\n        with self._lock:",
+           "    def put(self, n: int, value: int) -> None:\n        if True:",
+           ("tests/test_sequence.py::TestCache::test_walks_from_threads",)),
     Mutant("AperyCache.residues: extend outside the lock", "src/apery/sequence.py",
            "                table = self._tables.setdefault(p, array(\"q\"))\n"
            "                table.extend(",

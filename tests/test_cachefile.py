@@ -1,11 +1,14 @@
 """On-disk cache round trips and integrity checks."""
 
+import random
 import sys
 import threading
 import time
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apery import cachefile
 from apery.cachefile import CacheError, cache_load, cache_store
@@ -472,3 +475,40 @@ def test_loads_on_eight_threads(tmp_path, fresh_prefix):
         else:
             assert results[i] == values
     assert cachefile._kept == fresh_pass(1500 + 700 * 7)
+
+
+# --- the reduction modulo q ------------------------------------------------
+
+Q = 2**61 - 1
+
+
+def _random_bits(bits, seed):
+    return random.Random(seed).getrandbits(bits)
+
+
+WIDE_INTS = st.one_of(
+    st.builds(_random_bits, st.integers(0, 200_000), st.integers(0, 2**32)),
+    st.integers(0, 200_000).map(lambda bits: 2**bits - 1),  # every fold carries
+    st.builds(lambda bits, seed: Q * _random_bits(bits, seed),
+              st.integers(0, 200_000 - 61), st.integers(0, 2**32)),
+)
+
+
+@given(WIDE_INTS)
+@settings(max_examples=200, deadline=None)
+def test_fold_is_the_remainder(value):
+    assert cachefile._mod_q(value) == value % Q
+
+
+FOLD_EDGES = {
+    "0": 0, "1": 1, "q-1": Q - 1, "q": Q, "q+1": Q + 1, "2^61": 2**61,
+    "2^122-1": 2**122 - 1, "2^122": 2**122, "2q": 2 * Q, "7q": 7 * Q, "q^2": Q * Q,
+    "(2^600+1)q": Q * (2**600 + 1), "3^50000q": Q * 3**50_000,
+    "2^512-1": 2**512 - 1, "2^512": 2**512, "2^513-1": 2**513 - 1,
+    "2^200000-1": 2**200_000 - 1, "2^200000-q": 2**200_000 - Q,
+}
+
+
+@pytest.mark.parametrize("value", FOLD_EDGES.values(), ids=FOLD_EDGES)
+def test_fold_boundaries(value):
+    assert cachefile._mod_q(value) == value % Q

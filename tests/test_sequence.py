@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
@@ -140,8 +141,16 @@ class TestCache:
     def test_walks_from_threads(self):
         # threads that walk one fresh memo at once, with the interpreter
         # switching threads often, leave the prefix A(0..max top) with each
-        # value once: a step another thread has put is a no-op
+        # value once: a step another thread has put is a no-op.  Each append
+        # first yields to another thread, so a put that checks the length
+        # outside the lock lets a second thread append at the same index
+        class YieldingList(list):
+            def append(self, value):
+                time.sleep(0)
+                super().append(value)
+
         cache = AperyCache()
+        cache._values = YieldingList(cache._values)
         tops = [300, 1200, 700, 1200, 50, 1000]
         start = threading.Barrier(len(tops), timeout=30)
 
@@ -211,7 +220,9 @@ class TestDerivative:
             assert apery_deriv(n) == 2 * total
 
     def test_recurrence_matches_harmonic_sum(self):
-        for n in [*range(301), 450, 1000, 1801]:
+        # the pass's scale lcm(1..2k) gains a 2 at k = 512 and 1024: the last
+        # step at 512 and 1024, the one before it at 513 and 1025
+        for n in [*range(301), 450, 512, 513, 1000, 1024, 1025, 1801]:
             assert apery_deriv(n) == harmonic_deriv(n), n
 
 
