@@ -21,14 +21,13 @@ Loading validates the structure, then checks every record (_wrong_record).
 A value of at most 4n - 2 bitlen(2n+1) bits is too short, since
 A(n) >= C(2n,n)^2 >= 16^n/(2n+1)^2; refusing those first bounds the rest
 of the check by the size of the values and keeps every n far below the
-prime q = 2^61 - 1.  The rest are compared with A(n) mod q from one pass of
-the recurrence up to the largest index in the file (_recurrence_mod).  That
-catches any single-digit edit, truncation or rescaling by k != 1 (mod q); a
-value changed by an exact multiple of q is the one change that passes.
-Each record is reduced by folding (_mod_q): q is a Mersenne prime, so
-2^61 = 1 (mod q) and the high and low parts of a value, split at a
-multiple of 61 bits, sum to it mod q; the folds halve the value down to
-512 bits for one division, in about 0.4 the time of value % q.
+prime q = sys.hash_info.modulus, 2^61 - 1 on 64-bit builds.  The rest are
+compared with A(n) mod q from one pass of the recurrence up to the largest
+index in the file (_recurrence_mod).  That catches any single-digit edit,
+truncation or rescaling by k != 1 (mod q); a value changed by an exact
+multiple of q is the one change that passes.  Each record is reduced by
+hash(), which is value mod q for an int value >= 0, in the kernel the
+exact memo's check also uses (sequence._wrong_mod_q).
 
 The pass is kept (_kept_upto): the module holds the pairs (x, den) of every
 index up to the largest any load has reached.  A load past them runs the
@@ -47,7 +46,7 @@ from array import array
 from itertools import chain
 from typing import Mapping
 
-from .sequence import _recurrence_mod
+from .sequence import _Q, _recurrence_mod, _wrong_mod_q
 
 __all__ = ["CacheError", "FORMAT_VERSION", "cache_load", "cache_store"]
 
@@ -55,8 +54,6 @@ FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 _SEQUENCE_ID = "apery"
 _HEX_DIGITS = b"0123456789abcdef"
-_Q = 2**61 - 1  # the check's prime
-_FOLDED_BITS = 512  # _mod_q divides once its value is this short
 # (x, den) of _recurrence_mod(_Q, ...) for n = 0, 1, ..., one pair per n:
 # x(n) at 2n and den(n) at 2n + 1.  Entries are below _Q < 2^64
 _kept = array("Q")
@@ -163,20 +160,6 @@ def _kept_upto(top: int) -> array:
         return _kept
 
 
-def _mod_q(value: int) -> int:
-    """value % _Q for value >= 0, by folding.
-
-    2^61 = 1 (mod _Q), so value = hi 2^s + lo with s a multiple of 61 is
-    hi + lo (mod _Q).  Each fold splits at the multiple of 61 at or just
-    above half the length, which about halves it; the one division left
-    is on at most _FOLDED_BITS bits.
-    """
-    while (bits := value.bit_length()) > _FOLDED_BITS:
-        s = -(-bits // 122) * 61
-        value = (value >> s) + (value & ((1 << s) - 1))
-    return value % _Q
-
-
 def _wrong_record(values: Mapping[int, int]) -> int | None:
     """An n whose record fails the check the module docstring describes,
     or None when every record passes."""
@@ -186,7 +169,7 @@ def _wrong_record(values: Mapping[int, int]) -> int | None:
             return n
     kept = _kept_upto(ns[-1] if ns else 0)
     for n in ns:
-        if (_mod_q(values[n]) * kept[2 * n + 1] - kept[2 * n]) % _Q:
+        if _wrong_mod_q(values[n], kept[2 * n], kept[2 * n + 1]):
             return n
     return None
 

@@ -13,8 +13,9 @@ values and the factors A(d), A'(d) read from the digit tables (the
 recurrence and its derivative modulo p or p^2), except that digitset-p2
 keeps exact factors (see verify_digit_set_lucas).  The sweep reads a row
 of p left sides at a time, from one prefix of residues mod p^3 that the
-memo holding the exact values reduces once per prime and keeps
-(AperyCache.residues); _sweep says how.
+memo holding the exact values keeps per prime, built with one division
+per p indices after one check of every value (AperyCache.residues);
+_sweep says how.
 verify_multi_digit takes A(n) from the p-adic digit DP, which uses neither
 the recurrence nor a digit theorem, and its factors from the digit tables.
 digit_set and scan_digit_sets read no exact value: each block of
@@ -213,8 +214,12 @@ def _sweep(
     are A(pk), ..., A(pk + p - 1), in digit order for n >= 0 and reversed
     for n < 0, since A(d + p n) = A((p-1-d) + p(-1-n)).  So one read of the
     memo's prefix A(0..pK + p - 1) mod p^3 (AperyCache.residues), with K
-    the largest k, holds every row, every A(n) and the exact factors; the
-    memo reduces each value it holds once per prime.  Each row's left sides
+    the largest k, holds every row, every A(n) and the exact factors.  The
+    memo builds it once per prime from its exact values: it reduces the
+    value at each multiple of p and runs the recurrence mod p^3 through
+    the rest of that block, except in a block with a value its check
+    modulo q flags, which it reduces value by value, so a wrong value is
+    reported as itself.  Each row's left sides
     at the active digits are compared with the list of right sides at once,
     and only a row that differs is walked digit by digit.
     verify_mod_p3_suite at p = 2, which has no digits, reads A(n) mod 8 from

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from array import array
 from fractions import Fraction
-from itertools import accumulate, pairwise
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import accumulate, islice, pairwise
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arith import (
     PRIMALITY_BOUND,
@@ -135,20 +136,28 @@ def _lcm_lifts(n: int) -> dict[int, int]:
     return lifts
 
 
-def _recurrence_mod(q: int, top: int) -> Iterator[tuple[int, int]]:
-    """Pairs (x, den) with A(n) = x/den (mod q), for n = 0, ..., top.
+def _recurrence_mod(
+    q: int, top: int, start: tuple[int, int, int, int] = (0, 1, 0, 1)
+) -> Iterator[tuple[int, int]]:
+    """Pairs (x, den) with A(n) = x/den (mod q), for n = n0, ..., top.
 
     One pass of the recurrence modulo q that carries A(n) as x/den, so no
-    step needs an inverse: den is the product of k^3 over 1 <= k <= n and
-    x = den A(n) mod q, so x/den is A(n) mod q whenever den is a unit mod q.
-    Multiplying the recurrence at n by den(n-1) gives
+    step needs an inverse: den is the product of k^3 over the steps
+    n0 < k <= n, times den(n0), and x = den A(n) mod q, so x/den is A(n)
+    mod q whenever den is a unit mod q.  Multiplying the recurrence at n by
+    den(n-1) gives
         x(n) = r1(n) x(n-1) - (n-1)^6 x(n-2).
-    The pass starts from the seed x(-1) = 0, x(0) = den(0) = 1; x(-1) meets
-    the coefficient 0^6 at n = 1.
+    The pass starts from start = (n0, x(n0), x(n0-1), den(n0)) and yields
+    n0's pair first.  The default is the seed n0 = 0, x(0) = den(0) = 1 and
+    x(-1) = 0, which meets the coefficient 0^6 at n = 1; a pass that has
+    reached n0 resumes from its state there.  When q divides n0^6, as q = p^3
+    does at a multiple n0 of p, x(n0-1) meets 0 the same way, so
+    (n0, A(n0) mod q, 0, 1) starts the pass from A(n0) alone.
     """
-    x1, x2, den, cube = 1, 0, 1, 0  # x(n-1), x(n-2), den(n-1), (n-1)^3 at step n
+    n0, x1, x2, den = start  # x(n-1), x(n-2), den(n-1) at step n = n0 + 1
+    cube = n0 * n0 * n0  # (n-1)^3 at that step
     yield x1, den
-    for n in range(1, top + 1):
+    for n in range(n0 + 1, top + 1):
         prev, cube = cube, n * n * n
         r1 = 34 * cube - 51 * n * n + 27 * n - 5  # _r1(n), inlined for speed
         x1, x2 = (r1 * x1 - prev * prev * x2) % q, x1
@@ -156,7 +165,37 @@ def _recurrence_mod(q: int, top: int) -> Iterator[tuple[int, int]]:
         yield x1, den
 
 
+def _reduced_pass(m: int, top: int, n0: int = 0, anchor: int = 1) -> list[int]:
+    """A(k) mod m for k = n0, ..., top, from anchor = A(n0) mod m.
+
+    The pass of _recurrence_mod from (n0, anchor, 0, 1), so den(n0) = 1,
+    with den divided out by one batch inversion: one pow inverts den(top),
+    and 1/den(k-1) = k^3/den(k) gives the rest, down the list.  x(n0-1)
+    must meet a zero coefficient (n0 = 0, or m divides n0^6), and k^3 must
+    be a unit mod m for n0 < k <= top.
+    """
+    xs = []
+    for x, den in _recurrence_mod(m, top, (n0, anchor, 0, 1)):
+        xs.append(x)
+    inv = pow(den, -1, m)
+    for k in range(top, n0 - 1, -1):
+        xs[k - n0] = xs[k - n0] * inv % m
+        inv = inv * k * k * k % m
+    return xs
+
+
 _ENTRY_MAX = 2**63 - 1  # the largest array('q') entry
+# The prime of the checks of exact values, 2^61 - 1 on 64-bit builds: for
+# an int v >= 0, hash(v) is v mod _Q, a third of the time of v % 343
+_Q = sys.hash_info.modulus
+
+
+def _wrong_mod_q(value: int, x: int, den: int) -> bool:
+    """Whether value, offered as A(n), is not x/den modulo _Q, where (x, den)
+    is n's pair from _recurrence_mod(_Q, ...).  A negative value is wrong
+    outright, since A(n) > 0; for the rest, hash(value) is value mod _Q.
+    The memo's check and the cache file's share this one kernel."""
+    return value < 0 or (hash(value) * den - x) % _Q != 0
 
 
 class AperyCache:
@@ -172,17 +211,36 @@ class AperyCache:
     from the end of the prefix.
 
     Beside the values the memo keeps one array('q') per prime p, the prefix
-    A(0), ..., A(len - 1) mod p^3 reduced from the values this memo holds,
-    which residues() extends under the lock.  A table belongs to its memo,
-    so another memo's values, equal or not, never answer from it.  Readers
-    take no lock: a table only grows, and an entry never changes once
-    written.
+    A(0), ..., A(len - 1) mod p^3, which residues() extends under the lock.
+    A table belongs to its memo, so another memo's values, equal or not,
+    never answer from it.  Readers take no lock: a table only grows, and an
+    entry never changes once written.
+
+    Each exact value is read once per memo, not once per prime: a check
+    modulo q = _Q (_wrong_mod_q), against one pass of the recurrence
+    modulo q that all primes share, sets a flag per index for a value that
+    is not A(k) mod q.  The flags are a bytearray, extended under the lock
+    up to the top asked for, and published together with the pass's state
+    there, so an extension resumes the pass where the last one stopped.
+    A table is then built block by block (_reduced): the value at each
+    multiple jp of p is reduced mod p^3, and the recurrence mod p^3 gives
+    the rest of [jp, jp + p) from it.  A block that holds a flagged value
+    is instead reduced value by value, so a wrong value reaches a report
+    as itself.
+
+    Blind spot: a value off from A(k) by a nonzero multiple of q passes the
+    check, as in the cache file.  At an index k that is not a multiple of
+    p its table then holds A(k) mod p^3, not the value's residue; at a
+    multiple of p, the rest of its block follows the value's residue.
     """
 
     def __init__(self, prefix: Iterable[int] = ()):
         self._values = [1, 5]
         self._lock = threading.Lock()
         self._tables: dict[int, array] = {}
+        # the flags of A(0..K) and the start of the pass mod _Q at K, which
+        # _recurrence_mod resumes from; A(0) = 1 is the memo's own
+        self._checked = bytearray(1), (0, 1, 0, 1)
         for n, value in enumerate(prefix):
             self.put(n, value)
 
@@ -208,24 +266,68 @@ class AperyCache:
             self.put(m, _recurrence_step(m, values[m - 1], values[m - 2]))
         return values[top]
 
-    def residues(self, p: int, top: int) -> list[int]:
-        """A(k) mod p^3 for k = 0, ..., top.
+    def _flags_upto(self, top: int) -> bytearray:
+        """The flags of A(0..top), which the walk has put; the caller holds
+        the lock.  An extension publishes new flags and the pass's new
+        state in one assignment, so an interrupted one leaves both as they
+        were."""
+        flags, start = self._checked
+        if top >= len(flags):
+            values, x1, x2 = self._values, start[1], start[2]
+            flags = bytearray(flags)
+            pairs = islice(_recurrence_mod(_Q, top, start), 1, None)  # past K
+            for k, (x, den) in enumerate(pairs, len(flags)):
+                flags.append(_wrong_mod_q(values[k], x, den))
+                x1, x2 = x, x1
+            self._checked = flags, (top, x1, x2, den)
+        return flags
 
-        The walk (_walk) first puts every value up to top in the memo.  The
-        table of p then serves the prefix it holds and is extended, under
-        the lock, by the values past its end, each reduced once per prime.
-        A prime p >= 2^21, where p^3 overflows an entry, has no table: its
-        residues are reduced afresh each time.
+    def _reduced(self, p: int, table: Sequence[int], top: int) -> list[int]:
+        """A(k) mod p^3 for k = len(table), ..., top, after the prefix that
+        table holds; the caller holds the lock, under which the flags grow
+        (_flags_upto).
+
+        Block [jp, jp + p) starts from A(jp) mod p^3: for jp < k < jp + p,
+        k^3 is a unit mod p^3, and at k = jp + 1 the coefficient (jp)^3 = 0
+        drops A(jp - 1) (_reduced_pass).  A block that starts before
+        len(table) runs again from the table's entry at jp, its anchor.  A
+        block with a flagged value, the recovery path, has every value
+        reduced as it is.  p = 2 masks each value with 7, v & 7 being
+        v % 8, and needs neither blocks nor flags.
+        """
+        values, cube, start = self._values, p * p * p, len(table)
+        if p == 2:
+            return [values[k] & 7 for k in range(start, top + 1)]
+        flags = self._flags_upto(top)
+        out = []
+        for jp in range(start - start % p, top + 1, p):
+            lo, hi = max(jp, start), min(jp + p, top + 1)
+            if any(flags[jp:hi]):
+                out += [values[k] % cube for k in range(lo, hi)]
+            else:
+                anchor = table[jp] if jp < start else values[jp] % cube
+                out += _reduced_pass(cube, hi - 1, jp, anchor)[lo - jp :]
+        return out
+
+    def residues(self, p: int, top: int) -> list[int]:
+        """A(k) mod p^3 for k = 0, ..., top, for a prime p.
+
+        The walk (_walk) first puts every value up to top in the memo.
+        Under the lock, the table of p is then extended past its end, block
+        by block (_reduced), after the check has flagged the values up to
+        top that it has not read yet.  A table serves the prefix it holds
+        with no lock.  A prime p >= 2^21, where p^3 overflows an entry, has
+        no table: its blocks run afresh, under the lock, on each call.
         """
         self._walk(top)  # before the lock, which its puts take
-        values, cube = self._values, p * p * p
-        if cube > _ENTRY_MAX:
-            return [values[k] % cube for k in range(top + 1)]
+        if p * p * p > _ENTRY_MAX:
+            with self._lock:
+                return self._reduced(p, (), top)
         table = self._tables.get(p)
         if table is None or len(table) <= top:
             with self._lock:
                 table = self._tables.setdefault(p, array("q"))
-                table.extend([values[k] % cube for k in range(len(table), top + 1)])
+                table.extend(self._reduced(p, table, top))
         return table[: top + 1].tolist()
 
     def __len__(self) -> int:
@@ -303,17 +405,11 @@ def _digit_tables(p: int, top: int | None = None) -> tuple[list[int], list[int]]
     return values, slopes
 
 
-def _mod_p_digits(p: int, top: int) -> list[int]:
-    """A(d) mod p for d = 0, ..., top < p, from the x/den pass
-    (_recurrence_mod): den is a product of cubes of k < p, a unit mod p."""
-    return [x * pow(den, -1, p) % p for x, den in _recurrence_mod(p, top)]
-
-
 def mod_p_table(p: int) -> list[int]:
     """A(0), ..., A(p-1) reduced mod p, for a prime p, from one pass of the
-    recurrence modulo p that takes one inverse per entry."""
+    recurrence modulo p and one batch inversion (_reduced_pass)."""
     _require_prime(p)
-    return _mod_p_digits(p, p - 1)
+    return _reduced_pass(p, p - 1)
 
 
 def mod_p2_tables(p: int, cache: AperyCache | None = None) -> tuple[list[int], list[int]]:
@@ -332,20 +428,31 @@ def apery_mod_p(n: int, p: int, table: list[int] | None = None) -> Residue:
     """A(n) mod p for n >= 0 as the product of A(d) over base-p digits d.
 
     n is split into its digits once (arith._digits, divide and conquer),
-    then O(log_p n) multiplications once the digit table is built; pass a
-    precomputed table when sweeping many n.  Without one, the table stops
-    at the largest base-p digit of n.
+    then O(log_p n) multiplications; pass a precomputed table when sweeping
+    many n.  Without one, one x/den pass of the recurrence modulo p
+    (_recurrence_mod) runs to the largest digit of n and keeps its pairs at
+    n's digits only; the product of the x over the product of the den,
+    units mod p since every d < p, takes one inverse.
     """
     if n < 0:
         raise ValueError(f"apery_mod_p requires n >= 0, got {n}")
     _require_prime(p)
     digits = _digits(n, p)
-    if table is None:
-        table = _mod_p_digits(p, max(digits, default=0))
-    result = 1
+    if table is not None:
+        result = 1
+        for d in digits:
+            result = result * table[d] % p
+        return Residue(result, p)
+    wanted = set(digits)
+    pairs = {
+        d: pair
+        for d, pair in enumerate(_recurrence_mod(p, max(digits, default=0)))
+        if d in wanted
+    }
+    x = den = 1
     for d in digits:
-        result = result * table[d] % p
-    return Residue(result, p)
+        x, den = x * pairs[d][0] % p, den * pairs[d][1] % p
+    return Residue(x * pow(den, -1, p) % p, p)
 
 
 def apery_mod_p2(

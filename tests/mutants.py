@@ -66,18 +66,18 @@ MUTANTS = (
            '_kept[len(_kept):] = array("Q", chain.from_iterable('
            "_recurrence_mod(_Q, top)))[len(_kept):]",
            ("tests/test_cachefile.py::test_extension_leaves_a_held_prefix_alone",)),
-    # a split off the multiples of 61 bits, where 2^s is no longer 1 mod q
-    Mutant("_mod_q: fold width made 60", "src/apery/cachefile.py",
-           "s = -(-bits // 122) * 61", "s = -(-bits // 120) * 60",
+    # a mask in place of the reduction: 2^61 reads as 0, not 1, modulo q
+    Mutant("_wrong_mod_q: hash made a 61-bit mask", "src/apery/sequence.py",
+           "(hash(value) * den - x) % _Q", "((value & _Q) * den - x) % _Q",
            (f"{CACHEFILE}::test_fold_is_the_remainder",
-            f"{CACHEFILE}::test_fold_boundaries[2^512]",
+            f"{CACHEFILE}::test_fold_boundaries[2^61]",
             f"{CACHEFILE}::test_round_trip_beyond_interpreter_digit_cap")),
-    # the folded value, congruent to the remainder but not reduced; the check
-    # reduces its product anyway, so only the reduction's own tests see it
-    Mutant("_mod_q: final % q dropped", "src/apery/cachefile.py",
-           "    return value % _Q\n", "    return value\n",
+    # the product compared unreduced: right only while value * den < q
+    Mutant("_wrong_mod_q: final % q dropped", "src/apery/sequence.py",
+           "(hash(value) * den - x) % _Q != 0", "hash(value) * den - x != 0",
            (f"{CACHEFILE}::test_fold_is_the_remainder",
-            f"{CACHEFILE}::test_fold_boundaries[q]")),
+            f"{CACHEFILE}::test_fold_boundaries[q-1]",
+            f"{CACHEFILE}::test_round_trip")),
     Mutant("_lcm_lifts: powers of 2 skipped", "src/apery/sequence.py",
            "lifts[k] = lifts.get(k, 1) * 2", "lifts[k] = lifts.get(k, 1)",
            ("tests/test_sequence.py::TestDerivative::test_recurrence_matches_harmonic_sum",
@@ -131,15 +131,42 @@ MUTANTS = (
            "                table = self._tables.setdefault(p, array(\"q\"))\n"
            "            table.extend(",
            ("tests/test_sequence.py::TestCache::test_residues_from_threads",)),
+    # the prefix an extension starts from, read before the lock
     Mutant("AperyCache.residues: start read before the lock", "src/apery/sequence.py",
            "            with self._lock:\n"
            "                table = self._tables.setdefault(p, array(\"q\"))\n"
-           "                table.extend([values[k] % cube for k in range(len(table), top + 1)])",
-           "            start = 0 if table is None else len(table)\n"
+           "                table.extend(self._reduced(p, table, top))",
+           "            held = array(\"q\", table or ())\n"
            "            with self._lock:\n"
            "                table = self._tables.setdefault(p, array(\"q\"))\n"
-           "                table.extend([values[k] % cube for k in range(start, top + 1)])",
+           "                table.extend(self._reduced(p, held, top))",
            ("tests/test_sequence.py::TestCache::test_residues_from_threads",)),
+    # a prime without a table checks and reads its blocks with no lock
+    Mutant("AperyCache.residues: flags extended outside the lock", "src/apery/sequence.py",
+           "            with self._lock:\n"
+           "                return self._reduced(p, (), top)",
+           "            return self._reduced(p, (), top)",
+           ("tests/test_sequence.py::TestBlockRoute::test_flags_extended_under_the_lock",)),
+    # a block with a wrong value run from its anchor like any other
+    Mutant("AperyCache._reduced: fault path dropped", "src/apery/sequence.py",
+           "            if any(flags[jp:hi]):", "            if False:",
+           ("tests/test_sequence.py::TestBlockRoute::test_wrong_value_is_read_as_it_is",
+            "tests/test_sequence.py::TestBlockRoute::test_extension_that_starts_mid_block",
+            "tests/test_congruences.py::TestSweepFailures",
+            "tests/test_congruences.py::TestSameReport::test_matches_reference")),
+    # blocks of p + 1: k = jp + p, a multiple of p, is no unit mod p^3
+    Mutant("AperyCache._reduced: anchors every p + 1", "src/apery/sequence.py",
+           "        for jp in range(start - start % p, top + 1, p):\n"
+           "            lo, hi = max(jp, start), min(jp + p, top + 1)",
+           "        for jp in range(start - start % (p + 1), top + 1, p + 1):\n"
+           "            lo, hi = max(jp, start), min(jp + p + 1, top + 1)",
+           ("tests/test_sequence.py::TestBlockRoute::test_two_and_three",
+            "tests/test_sequence.py::TestCache::test_residues_are_prefixes")),
+    Mutant("AperyCache._reduced: mask used for an odd p", "src/apery/sequence.py",
+           "        if p == 2:\n", "        if p <= 3:\n",
+           ("tests/test_sequence.py::TestBlockRoute::test_two_and_three[None-3]",
+            "tests/test_congruences.py::TestSweepFailures::"
+            "test_corrupted_value_is_reported[p3-suite-3]")),
     Mutant("THEOREMS: digitset-p2 default made -7..7", "src/apery/cli.py",
            '"digitset-p2": (partial(_verify_congruence, verify_digit_set_lucas), ("p",), '
            "_SWEEP_RANGE),",

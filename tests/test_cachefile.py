@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from apery import cachefile
 from apery.cachefile import CacheError, cache_load, cache_store
-from apery.sequence import _recurrence_mod, apery, apery_fast
+from apery.sequence import _recurrence_mod, _wrong_mod_q, apery, apery_fast
 
 
 def test_round_trip(tmp_path):
@@ -478,8 +478,20 @@ def test_loads_on_eight_threads(tmp_path, fresh_prefix):
 
 
 # --- the reduction modulo q ------------------------------------------------
+# The check's kernel (_wrong_mod_q) reads a value mod q through hash().  It
+# must take the remainder, refuse the remainder plus one, and take it times a
+# den that is not 1
 
 Q = 2**61 - 1
+
+
+def _kernel_takes_the_remainder(value):
+    r = value % Q
+    return (
+        not _wrong_mod_q(value, r, 1)
+        and _wrong_mod_q(value, (r + 1) % Q, 1)
+        and not _wrong_mod_q(value, 3 * r % Q, 3)
+    )
 
 
 def _random_bits(bits, seed):
@@ -488,7 +500,7 @@ def _random_bits(bits, seed):
 
 WIDE_INTS = st.one_of(
     st.builds(_random_bits, st.integers(0, 200_000), st.integers(0, 2**32)),
-    st.integers(0, 200_000).map(lambda bits: 2**bits - 1),  # every fold carries
+    st.integers(0, 200_000).map(lambda bits: 2**bits - 1),  # all ones, the largest of each length
     st.builds(lambda bits, seed: Q * _random_bits(bits, seed),
               st.integers(0, 200_000 - 61), st.integers(0, 2**32)),
 )
@@ -497,7 +509,7 @@ WIDE_INTS = st.one_of(
 @given(WIDE_INTS)
 @settings(max_examples=200, deadline=None)
 def test_fold_is_the_remainder(value):
-    assert cachefile._mod_q(value) == value % Q
+    assert _kernel_takes_the_remainder(value)
 
 
 FOLD_EDGES = {
@@ -511,4 +523,4 @@ FOLD_EDGES = {
 
 @pytest.mark.parametrize("value", FOLD_EDGES.values(), ids=FOLD_EDGES)
 def test_fold_boundaries(value):
-    assert cachefile._mod_q(value) == value % Q
+    assert _kernel_takes_the_remainder(value)

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
@@ -193,6 +194,146 @@ class TestCache:
         assert apery_fast(-13, cache) == apery(12)
         assert cache.get(12) == apery(12)
         assert verify_lucas_mod_p(5, (-4, 4), cache).passed
+
+
+def _memo(top, off=None, by=1):
+    # a private memo of A(0..top) with A(off) + by in place of A(off)
+    return AperyCache(apery(k) + by * (k == off) for k in range(top + 1))
+
+
+class TestBlockRoute:
+    # AperyCache.residues reduces A(jp) mod p^3 at each multiple jp of p and
+    # runs the recurrence mod p^3 through the rest of [jp, jp + p), unless
+    # the check mod q flags a value in the block; each case compares with
+    # the value it holds, reduced mod p^3
+    Q = sys.hash_info.modulus
+
+    @staticmethod
+    def reduced(cache, p, top):
+        return [cache.get(k) % p**3 for k in range(top + 1)]
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("where", ["anchor", "after-anchor"])
+    def test_wrong_value_is_read_as_it_is(self, p, where):
+        # A(jp) + 1 or A(jp + 1) + 1: the block holds the wrong residue, and
+        # the blocks around it the right ones
+        top = 6 * p - 1
+        bad = 3 * p + (where == "after-anchor")
+        cache = _memo(top, bad)
+        got = cache.residues(p, top)
+        assert got == self.reduced(cache, p, top)
+        assert got[bad] != apery(bad) % p**3
+        assert got[:bad] + got[bad + 1 :] == [
+            apery(k) % p**3 for k in range(top + 1) if k != bad
+        ]
+
+    @pytest.mark.parametrize("bad", [None, 9, 12])
+    def test_extension_that_starts_mid_block(self, bad):
+        # the table of 7 stops at 10, inside the block [7, 14), and is then
+        # extended to 40; a wrong value before or after 10 in that block
+        # sends the whole block down the value-by-value path
+        cache = _memo(40, bad)
+        assert cache.residues(7, 10) == self.reduced(cache, 7, 10)
+        assert cache.residues(7, 40) == self.reduced(cache, 7, 40)
+        assert cache._tables[7].tolist() == self.reduced(cache, 7, 40)
+
+    @pytest.mark.parametrize("bad", [None, 30])
+    def test_prime_above_top(self, bad):
+        # one block from A(0) = 1: every k <= top is a unit mod 101
+        cache = _memo(50, bad)
+        assert cache.residues(101, 50) == self.reduced(cache, 101, 50)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("bad", [None, 17, 18])
+    def test_two_and_three(self, p, bad):
+        # mod 8 by a mask, and mod 27 in blocks of three
+        cache = _memo(60, bad)
+        assert cache.residues(p, 60) == self.reduced(cache, p, 60)
+
+    @pytest.mark.parametrize("bad", [None, 7])
+    def test_prime_whose_cube_overflows_an_entry(self, bad):
+        # 2097169 > 2^21 keeps no table and runs the blocks on each call
+        cache = _memo(20, bad)
+        for top in (20, 8, 20):
+            assert cache.residues(2097169, top) == self.reduced(cache, 2097169, top)
+        assert not cache._tables
+
+    def test_blind_spot_value_off_by_q(self):
+        # A(k) + q passes the check mod q.  Off a multiple of p the table
+        # holds A(k) mod p^3, not the value's residue; at a multiple of p
+        # it holds the value's residue
+        cache = _memo(30, 17, self.Q)
+        assert cache.residues(5, 30)[17] == apery(17) % 125 != cache.get(17) % 125
+        cache = _memo(30, 15, self.Q)
+        assert cache.residues(5, 30)[15] == cache.get(15) % 125 != apery(15) % 125
+        assert not any(cache._checked[0])
+
+    def test_each_value_checked_once_and_divided_at_anchors(self):
+        # every value past A(0) is hashed once per memo, however many primes
+        # read it, and only the values at multiples of each odd p are
+        # reduced; A(0) and A(1) are the memo's own ints
+        hashed, divided = Counter(), Counter()
+
+        class Counted(int):
+            def __hash__(self):
+                hashed[int(self)] += 1
+                return int.__hash__(self)
+
+            def __mod__(self, m):
+                divided[int(self), m] += 1
+                return int(self) % m
+
+        top = 77
+        cache = AperyCache(Counted(apery(k)) for k in range(top + 1))
+        for p in (2, 3, 5, 7, 101):
+            assert cache.residues(p, top) == [apery(k) % p**3 for k in range(top + 1)]
+        assert hashed == Counter(apery(k) for k in range(2, top + 1))
+        assert divided == Counter(
+            (apery(k), p**3) for p in (3, 5, 7, 101) for k in range(2, top + 1) if k % p == 0
+        )
+
+    def test_flags_extended_under_the_lock(self):
+        # each value is checked while the memo's lock is held
+        held = []
+        cache = AperyCache()
+
+        class Watched(int):
+            def __hash__(self):
+                held.append(cache._lock.locked())
+                return int.__hash__(self)
+
+        for k in range(2, 40):
+            cache.put(k, Watched(apery(k)))
+        for p, top in ((5, 19), (2097169, 39)):
+            assert cache.residues(p, top) == [apery(k) % p**3 for k in range(top + 1)]
+        assert len(held) == 38 and all(held)
+
+    def test_corrupted_memo_from_threads(self):
+        # threads read several primes at several tops from one memo with
+        # three wrong values, with the interpreter switching threads often:
+        # every answer is the memo's own values reduced, and the flags mark
+        # the three wrong values and nothing else
+        bad = {37, 400, 1201}
+        top = 1500
+        cache = AperyCache(apery_fast(k) + (k in bad) for k in range(top + 1))
+        jobs = [(5, 600), (7, top), (3, 900), (5, top), (101, 1300), (2, top), (7, 200)]
+        start = threading.Barrier(len(jobs), timeout=30)
+
+        def read(job):
+            start.wait()
+            return cache.residues(*job)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(jobs)) as pool:
+                got = list(pool.map(read, jobs))
+        finally:
+            sys.setswitchinterval(interval)
+        for (p, t), residues in zip(jobs, got):
+            assert residues == self.reduced(cache, p, t), (p, t)
+        flags = cache._checked[0]
+        assert len(flags) == top + 1 and {k for k, f in enumerate(flags) if f} == bad
 
 
 class TestDerivative:
