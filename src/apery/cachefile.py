@@ -22,31 +22,24 @@ A value of at most 4n - 2 bitlen(2n+1) bits is too short, since
 A(n) >= C(2n,n)^2 >= 16^n/(2n+1)^2; refusing those first bounds the rest
 of the check by the size of the values and keeps every n far below the
 prime q = sys.hash_info.modulus, 2^61 - 1 on 64-bit builds.  The rest are
-compared with A(n) mod q from one pass of the recurrence up to the largest
-index in the file (_recurrence_mod).  That catches any single-digit edit,
+compared with A(n) mod q by the check the exact memo also makes
+(sequence._flags_mod_q), against the process's one kept pass of the
+recurrence modulo q, which a load extends to its largest index only after
+every record has passed the length bound.  The bound also keeps that
+pass, 16 bytes per index, below about 16 bytes per hex digit of the
+largest record loaded.  The check catches any single-digit edit,
 truncation or rescaling by k != 1 (mod q); a value changed by an exact
-multiple of q is the one change that passes.  Each record is reduced by
-hash(), which is value mod q for an int value >= 0, in the kernel the
-exact memo's check also uses (sequence._wrong_mod_q).
-
-The pass is kept (_kept_upto): the module holds the pairs (x, den) of every
-index up to the largest any load has reached.  A load past them runs the
-pass again from n = 0, about 1 us per index, and publishes the new array,
-only after every record has passed the length bound.  That costs 16 bytes
-per index up to the largest n checked, which the bound above keeps below
-about 16 bytes per hex digit of the largest record loaded (160 KB at n = 10^4).
+multiple of q is the one change that passes.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import threading
-from array import array
-from itertools import chain
+from itertools import compress
 from typing import Mapping
 
-from .sequence import _Q, _recurrence_mod, _wrong_mod_q
+from .sequence import _flags_mod_q
 
 __all__ = ["CacheError", "FORMAT_VERSION", "cache_load", "cache_store"]
 
@@ -54,10 +47,6 @@ FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 _SEQUENCE_ID = "apery"
 _HEX_DIGITS = b"0123456789abcdef"
-# (x, den) of _recurrence_mod(_Q, ...) for n = 0, 1, ..., one pair per n:
-# x(n) at 2n and den(n) at 2n + 1.  Entries are below _Q < 2^64
-_kept = array("Q")
-_kept_lock = threading.Lock()
 
 
 class CacheError(ValueError):
@@ -146,20 +135,6 @@ def _parse_record(version: int, n_field: str, value_field: str) -> tuple[int, in
     return None
 
 
-def _kept_upto(top: int) -> array:
-    """The kept pairs, holding every index up to top.
-
-    A top past them gets a new array, one pass from n = 0 published under
-    the lock, which serializes the builders; a published array is never
-    written again, so its readers take no lock.
-    """
-    global _kept
-    with _kept_lock:
-        if top >= len(_kept) // 2:
-            _kept = array("Q", chain.from_iterable(_recurrence_mod(_Q, top)))
-        return _kept
-
-
 def _wrong_record(values: Mapping[int, int]) -> int | None:
     """An n whose record fails the check the module docstring describes,
     or None when every record passes."""
@@ -167,11 +142,8 @@ def _wrong_record(values: Mapping[int, int]) -> int | None:
     for n in ns:
         if values[n].bit_length() <= 4 * n - 2 * (2 * n + 1).bit_length():
             return n
-    kept = _kept_upto(ns[-1] if ns else 0)
-    for n in ns:
-        if _wrong_mod_q(values[n], kept[2 * n], kept[2 * n + 1]):
-            return n
-    return None
+    flags = _flags_mod_q(ns, map(values.__getitem__, ns))
+    return next(compress(ns, flags), None)
 
 
 def cache_load(path: str | os.PathLike, verify: bool = True) -> dict[int, int]:

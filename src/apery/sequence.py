@@ -26,7 +26,7 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, chain, islice, pairwise
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arith import (
@@ -150,9 +150,9 @@ def _recurrence_mod(
     The pass starts from start = (n0, x(n0), x(n0-1), den(n0)) and yields
     n0's pair first.  The default is the seed n0 = 0, x(0) = den(0) = 1 and
     x(-1) = 0, which meets the coefficient 0^6 at n = 1; a pass that has
-    reached n0 resumes from its state there.  When q divides n0^6, as q = p^3
-    does at a multiple n0 of p, x(n0-1) meets 0 the same way, so
-    (n0, A(n0) mod q, 0, 1) starts the pass from A(n0) alone.
+    reached n0 resumes from its state there (_kept_upto).  When q divides
+    n0^6, as q = p^3 does at a multiple n0 of p, x(n0-1) meets 0 the same
+    way, so (n0, A(n0) mod q, 0, 1) starts the pass from A(n0) alone.
     """
     n0, x1, x2, den = start  # x(n-1), x(n-2), den(n-1) at step n = n0 + 1
     cube = n0 * n0 * n0  # (n-1)^3 at that step
@@ -198,6 +198,40 @@ def _wrong_mod_q(value: int, x: int, den: int) -> bool:
     return value < 0 or (hash(value) * den - x) % _Q != 0
 
 
+# The process's one pass modulo _Q: x(n) at 2n and den(n) at 2n + 1 for
+# n = 0..K, from the seed's n = 0 and 1, so that x(K - 1) is always there
+_kept = array("Q", [1, 1, 5, 1])
+_kept_lock = threading.Lock()
+
+
+def _kept_upto(top: int) -> array:
+    """The kept pairs, holding every index up to top.
+
+    A top past the last kept index K resumes the pass from
+    (K, x(K), x(K-1), den(K)), read from the array, and publishes the old
+    pairs and the new ones as a new array under the lock.  A published
+    array is never written again, so its readers take no lock.  A memo
+    takes its own lock and then this one, a cache load only this one, and
+    nothing takes a memo's lock under this one, so they cannot deadlock.
+    """
+    global _kept
+    with _kept_lock:
+        kept = _kept
+        if top >= len(kept) // 2:
+            start = (len(kept) // 2 - 1, kept[-2], kept[-4], kept[-1])
+            pairs = islice(_recurrence_mod(_Q, top, start), 1, None)  # past K
+            _kept = kept + array("Q", chain.from_iterable(pairs))
+        return _kept
+
+
+def _flags_mod_q(ns: Sequence[int], values: Iterable[int]) -> Iterator[bool]:
+    """Whether each value, offered as A(n) for the n of ns (ascending), is
+    not A(n) mod _Q: the memo's and the cache file's one check, against
+    the kept pairs, which reach ns[-1] before this returns."""
+    kept = _kept_upto(ns[-1] if ns else 0)
+    return (_wrong_mod_q(v, kept[2 * n], kept[2 * n + 1]) for n, v in zip(ns, values))
+
+
 class AperyCache:
     """Thread-safe memo of the exact prefix A(0), ..., A(len - 1), with its
     residues.
@@ -217,16 +251,15 @@ class AperyCache:
     entry never changes once written.
 
     Each exact value is read once per memo, not once per prime: a check
-    modulo q = _Q (_wrong_mod_q), against one pass of the recurrence
-    modulo q that all primes share, sets a flag per index for a value that
-    is not A(k) mod q.  The flags are a bytearray, extended under the lock
-    up to the top asked for, and published together with the pass's state
-    there, so an extension resumes the pass where the last one stopped.
-    A table is then built block by block (_reduced): the value at each
-    multiple jp of p is reduced mod p^3, and the recurrence mod p^3 gives
-    the rest of [jp, jp + p) from it.  A block that holds a flagged value
-    is instead reduced value by value, so a wrong value reaches a report
-    as itself.
+    modulo q = _Q (_flags_mod_q), against the process's one kept pass of
+    the recurrence modulo q, which the cache file's check also reads, sets
+    a flag per index for a value that is not A(k) mod q.  The flags are a
+    bytearray, extended under the memo's lock up to the top asked for; the
+    pass takes its own lock inside that one (_kept_upto).  A table is then
+    built block by block (_reduced): the value at each multiple jp of p is
+    reduced mod p^3, and the recurrence mod p^3 gives the rest of
+    [jp, jp + p) from it.  A block that holds a flagged value is instead
+    reduced value by value, so a wrong value reaches a report as itself.
 
     Blind spot: a value off from A(k) by a nonzero multiple of q passes the
     check, as in the cache file.  At an index k that is not a multiple of
@@ -238,9 +271,7 @@ class AperyCache:
         self._values = [1, 5]
         self._lock = threading.Lock()
         self._tables: dict[int, array] = {}
-        # the flags of A(0..K) and the start of the pass mod _Q at K, which
-        # _recurrence_mod resumes from; A(0) = 1 is the memo's own
-        self._checked = bytearray(1), (0, 1, 0, 1)
+        self._checked = bytearray(1)  # A(0) = 1 is the memo's own
         for n, value in enumerate(prefix):
             self.put(n, value)
 
@@ -268,18 +299,10 @@ class AperyCache:
 
     def _flags_upto(self, top: int) -> bytearray:
         """The flags of A(0..top), which the walk has put; the caller holds
-        the lock.  An extension publishes new flags and the pass's new
-        state in one assignment, so an interrupted one leaves both as they
-        were."""
-        flags, start = self._checked
-        if top >= len(flags):
-            values, x1, x2 = self._values, start[1], start[2]
-            flags = bytearray(flags)
-            pairs = islice(_recurrence_mod(_Q, top, start), 1, None)  # past K
-            for k, (x, den) in enumerate(pairs, len(flags)):
-                flags.append(_wrong_mod_q(values[k], x, den))
-                x1, x2 = x, x1
-            self._checked = flags, (top, x1, x2, den)
+        the lock."""
+        flags, k = self._checked, len(self._checked)
+        if top >= k:
+            flags.extend(_flags_mod_q(range(k, top + 1), self._values[k : top + 1]))
         return flags
 
     def _reduced(self, p: int, table: Sequence[int], top: int) -> list[int]:

@@ -56,16 +56,37 @@ SELF_CHECKS = (
 )
 
 MUTANTS = (
-    # the kept pass rebuilt one index short when top is the first index past it
-    Mutant("_kept_upto: >= made >", "src/apery/cachefile.py",
-           "if top >= len(_kept) // 2:", "if top > len(_kept) // 2:",
+    # the kept pass left one index short when top is the first index past it
+    Mutant("_kept_upto: >= made >", "src/apery/sequence.py",
+           "if top >= len(kept) // 2:", "if top > len(kept) // 2:",
            ("tests/test_cachefile.py::test_kept_prefix_is_the_one_pass",)),
     # the same pairs, grown into the array a reader may hold
-    Mutant("_kept_upto: in-place extend", "src/apery/cachefile.py",
-           '_kept = array("Q", chain.from_iterable(_recurrence_mod(_Q, top)))',
-           '_kept[len(_kept):] = array("Q", chain.from_iterable('
-           "_recurrence_mod(_Q, top)))[len(_kept):]",
+    Mutant("_kept_upto: in-place extend", "src/apery/sequence.py",
+           '_kept = kept + array("Q", chain.from_iterable(pairs))',
+           "kept.extend(chain.from_iterable(pairs))",
            ("tests/test_cachefile.py::test_extension_leaves_a_held_prefix_alone",)),
+    # a stalled extension publishes its shorter array over a longer one
+    Mutant("_kept_upto: no lock", "src/apery/sequence.py",
+           "    with _kept_lock:\n", "    if True:\n",
+           ("tests/test_cachefile.py::test_extensions_take_turns",)),
+    # the resume reads x(K) where x(K - 1) belongs
+    Mutant("_kept_upto: resume from x(K) twice", "src/apery/sequence.py",
+           "kept[-2], kept[-4], kept[-1])", "kept[-2], kept[-2], kept[-1])",
+           ("tests/test_cachefile.py::test_kept_prefix_is_the_one_pass",
+            "tests/test_cachefile.py::test_each_index_passed_once")),
+    # a load extends the pass to a record the length bound then refuses
+    Mutant("cache_load: pass extended before the length bound", "src/apery/cachefile.py",
+           "    ns = sorted(values)\n"
+           "    for n in ns:\n"
+           "        if values[n].bit_length() <= 4 * n - 2 * (2 * n + 1).bit_length():\n"
+           "            return n\n"
+           "    flags = _flags_mod_q(ns, map(values.__getitem__, ns))\n",
+           "    ns = sorted(values)\n"
+           "    flags = _flags_mod_q(ns, map(values.__getitem__, ns))\n"
+           "    for n in ns:\n"
+           "        if values[n].bit_length() <= 4 * n - 2 * (2 * n + 1).bit_length():\n"
+           "            return n\n",
+           ("tests/test_cachefile.py::test_floor_failure_leaves_prefix_alone",)),
     # a mask in place of the reduction: 2^61 reads as 0, not 1, modulo q
     Mutant("_wrong_mod_q: hash made a 61-bit mask", "src/apery/sequence.py",
            "(hash(value) * den - x) % _Q", "((value & _Q) * den - x) % _Q",

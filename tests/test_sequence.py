@@ -266,7 +266,7 @@ class TestBlockRoute:
         assert cache.residues(5, 30)[17] == apery(17) % 125 != cache.get(17) % 125
         cache = _memo(30, 15, self.Q)
         assert cache.residues(5, 30)[15] == cache.get(15) % 125 != apery(15) % 125
-        assert not any(cache._checked[0])
+        assert not any(cache._checked)
 
     def test_each_value_checked_once_and_divided_at_anchors(self):
         # every value past A(0) is hashed once per memo, however many primes
@@ -332,7 +332,7 @@ class TestBlockRoute:
             sys.setswitchinterval(interval)
         for (p, t), residues in zip(jobs, got):
             assert residues == self.reduced(cache, p, t), (p, t)
-        flags = cache._checked[0]
+        flags = cache._checked
         assert len(flags) == top + 1 and {k for k, f in enumerate(flags) if f} == bad
 
 
