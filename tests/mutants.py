@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 SWEEP_DIRECT = "tests/test_sequence.py::TestModSweep::test_matches_direct_reduction"
 NEVER_OPEN = "tests/test_cli.py::TestCacheCommand::test_exact_values_never_open_cache"
 CACHEFILE = "tests/test_cachefile.py"
+DERIV = "tests/test_sequence.py::TestDerivative"
 
 SELF_CHECKS = (
     Mutant("self-check: whitespace only", "src/apery/sequence.py",
@@ -101,8 +102,39 @@ MUTANTS = (
             f"{CACHEFILE}::test_round_trip")),
     Mutant("_lcm_lifts: powers of 2 skipped", "src/apery/sequence.py",
            "lifts[k] = lifts.get(k, 1) * 2", "lifts[k] = lifts.get(k, 1)",
-           ("tests/test_sequence.py::TestDerivative::test_recurrence_matches_harmonic_sum",
+           (f"{DERIV}::test_lifts_are_the_lcm_ratios",
+            f"{DERIV}::test_recurrence_matches_harmonic_sum",
             "tests/test_cli_golden.py::test_cli_output_matches_golden")),
+    # a power p^e = 2k - 1 lifted at k - 1, one step early
+    Mutant("_lcm_lifts: (power + 1) // 2 made power // 2", "src/apery/sequence.py",
+           "lifts[(power + 1) // 2] = p", "lifts[power // 2] = p",
+           (f"{DERIV}::test_lifts_are_the_lcm_ratios",
+            f"{DERIV}::test_recurrence_matches_harmonic_sum")),
+    # a read resumes from the mark above n, past the n it wants
+    Mutant("apery_deriv: read from mark n // 64 + 1", "src/apery/sequence.py",
+           "marks[n // _MARK_SPACING]", "marks[n // _MARK_SPACING + 1]",
+           (f"{DERIV}::test_reads_below_the_top_match_harmonic_sum[descending]",
+            f"{DERIV}::test_each_index_stepped_once")),
+    # marks one past each multiple of 64: a read then steps up to 64 more
+    Mutant("_marks_upto: mark taken at k % 64 == 1", "src/apery/sequence.py",
+           "if k % _MARK_SPACING == 0 or k == top:", "if k % _MARK_SPACING == 1 or k == top:",
+           (f"{DERIV}::test_each_index_stepped_once",
+            f"{DERIV}::test_marks_are_the_pass_state")),
+    # a stalled extension publishes its shorter marks over a longer list
+    Mutant("_marks_upto: no lock", "src/apery/sequence.py",
+           "    with _marks_lock:\n", "    if True:\n",
+           (f"{DERIV}::test_extensions_take_turns",
+            f"{DERIV}::test_each_index_stepped_once")),
+    # a waiting extension resumes from the top it saw before the lock
+    Mutant("_marks_upto: marks read before the lock", "src/apery/sequence.py",
+           "    with _marks_lock:\n        marks = _marks\n",
+           "    marks = _marks\n    with _marks_lock:\n",
+           (f"{DERIV}::test_extensions_take_turns",)),
+    # the new marks grown into the list a reader may hold
+    Mutant("_marks_upto: marks extended in place", "src/apery/sequence.py",
+           "_marks = (marks if k0 % _MARK_SPACING == 0 else marks[:-1]) + new",
+           "marks[len(marks) - (k0 % _MARK_SPACING > 0) :] = new",
+           (f"{DERIV}::test_extension_leaves_held_marks_alone",)),
     Mutant("taylor_coeff_float: negative-m guard dropped", "src/apery/mzv.py",
            '    if m < 0:\n        raise ValueError(f"m must be >= 0, got {m}")\n', "",
            ("tests/test_mzv.py::TestReducedForms::test_negative_m_rejected",)),

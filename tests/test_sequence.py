@@ -1,5 +1,6 @@
 """The integer sequence A(n), its derivative A'(n), and the fast mod paths."""
 
+import functools
 import itertools
 import math
 import random
@@ -15,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apery import sequence
 from apery.arith import Residue
 from apery.congruences import verify_lucas_mod_p
 from apery.sequence import (
     AperyCache,
     _apery_mod_pk,
+    _lcm_lifts,
     apery,
     apery_deriv,
     apery_fast,
@@ -45,6 +48,7 @@ DERIV_HEAD = [
 ]
 
 
+@functools.cache
 def harmonic_deriv(n):
     # A'(n) from its defining sum on one integer denominator L = lcm(1..2n),
     # with H_j L as integers: the reference for the recurrence in apery_deriv
@@ -56,6 +60,28 @@ def harmonic_deriv(n):
         total += term * (HL[n + k] - HL[n - k])
         term = term * (n - k) ** 2 * (n + k + 1) ** 2 // (k + 1) ** 4
     return Fraction(2 * total, L)
+
+
+@pytest.fixture
+def fresh_marks(monkeypatch):
+    """The exact derivative pass's marks holding only the seed at k = 0."""
+    marks = [(0, 0, 1, 0, 0, 1)]
+    monkeypatch.setattr(sequence, "_marks", marks)
+    return marks
+
+
+def mark_of(k):
+    # the pass's state at k from the defining sums: (k, L A(k-1), L A(k),
+    # L A'(k-1), L A'(k), L) at L = lcm(1..2k), with the seed's 0 for
+    # A(-1) and A'(-1)
+    L = math.lcm(*range(1, 2 * k + 1))
+    a, s = (L * apery(k - 1), L * harmonic_deriv(k - 1)) if k else (0, 0)
+    return (k, a, L * apery(k), s, L * harmonic_deriv(k), L)
+
+
+def marks_of(top):
+    # the marks of one pass from k = 0 to top: each multiple of 64, and top
+    return [mark_of(k) for k in sorted({*range(0, top + 1, 64), top})]
 
 
 class TestApery:
@@ -360,11 +386,143 @@ class TestDerivative:
                 total += weight * (H[n + k] - H[n - k])
             assert apery_deriv(n) == 2 * total
 
-    def test_recurrence_matches_harmonic_sum(self):
-        # the pass's scale lcm(1..2k) gains a 2 at k = 512 and 1024: the last
-        # step at 512 and 1024, the one before it at 513 and 1025
-        for n in [*range(301), 450, 512, 513, 1000, 1024, 1025, 1801]:
+    # the pass's scale lcm(1..2k) gains a 2 at k = 512 and 1024: the last
+    # step at 512 and 1024, the one before it at 513 and 1025
+    NS = [*range(301), 450, 512, 513, 1000, 1024, 1025, 1801]
+
+    def test_recurrence_matches_harmonic_sum(self, fresh_marks):
+        # in ascending order from fresh marks, each n extends them
+        for n in self.NS:
             assert apery_deriv(n) == harmonic_deriv(n), n
+        assert [mark[0] for mark in sequence._marks] == [*range(0, 1801, 64), 1801]
+
+    @pytest.mark.parametrize("order", ["descending", "scrambled"])
+    def test_reads_below_the_top_match_harmonic_sum(self, fresh_marks, order):
+        # after 1801 first, every n resumes from a mark below it, the marks'
+        # edges 63, 64, 65, 127 and 128 among them
+        if order == "descending":
+            ns = sorted(self.NS, reverse=True)
+        else:
+            ns = [1801, *range(301), 63, 64, 65, 127, 128, 450, 512, 513, 1000, 1024, 1025]
+        for n in ns:
+            assert apery_deriv(n) == harmonic_deriv(n), n
+        assert [mark[0] for mark in sequence._marks] == [*range(0, 1801, 64), 1801]
+
+    def test_lifts_are_the_lcm_ratios(self):
+        # every window (k0, n] that a read below a mark or an extension asks
+        # for, against lcm(1..2k) itself
+        lcm = list(accumulate(range(1, 400), lambda m, k: math.lcm(m, 2 * k - 1, 2 * k),
+                              initial=1))
+        for n in range(400):
+            for k0 in {0, n - n % 64, max(n - 63, 0), n // 2, n}:
+                want = {k: lcm[k] // lcm[k - 1] for k in range(k0 + 1, n + 1)
+                        if lcm[k] != lcm[k - 1]}
+                assert _lcm_lifts(n, k0) == want, (n, k0)
+
+    def test_marks_are_the_pass_state(self, fresh_marks):
+        # the state at each multiple of 64 and at the top reached, from the
+        # defining sums; a top that is no multiple of 64 is dropped when
+        # the marks pass it
+        for n, top in ((200, 200), (300, 300), (320, 320), (330, 330), (5, 330)):
+            apery_deriv(n)
+            assert sequence._marks == marks_of(top), n
+
+    def test_each_index_stepped_once(self, fresh_marks, monkeypatch):
+        # calls at 1800, 450, 1000, 1799 and 2000: the two that pass the top
+        # step n = 1..2000 once between them, under the lock, and resume
+        # from the last top; each read below the top resumes from the mark
+        # at 64 floor(n / 64), and a read at the top takes no step
+        real = sequence._with_slopes
+        passes = []
+
+        def counted(top, divide, lifts, start=(0, 0, 1, 0, 0)):
+            passes.append((start[0], top, sequence._marks_lock.locked()))
+            yield from real(top, divide, lifts, start)
+
+        monkeypatch.setattr(sequence, "_with_slopes", counted)
+        for n in (1800, 450, 1000, 1799, 2000):
+            assert apery_deriv(n) == harmonic_deriv(n), n
+        assert passes == [
+            (0, 1800, True), (1800, 1800, False),
+            (448, 450, False), (960, 1000, False), (1792, 1799, False),
+            (1800, 2000, True), (2000, 2000, False),
+        ]
+
+    def test_extensions_take_turns(self, fresh_marks, monkeypatch):
+        # an extension to 100 stalls inside its pass while one to 1000 is
+        # asked for: the second waits for the first to publish, then resumes
+        # from its top, so the marks are one pass to 1000, not the stalled
+        # one's 100, and n = 1..100 is stepped once
+        real = sequence._with_slopes
+        stalled, finished = threading.Event(), threading.Event()
+        passes = []
+
+        def stalling(top, divide, lifts, start=(0, 0, 1, 0, 0)):
+            passes.append((start[0], top))
+            if top == 100 and start[0] == 0:
+                stalled.set()
+                finished.wait(0.2)
+            yield from real(top, divide, lifts, start)
+
+        want = harmonic_deriv(1000)
+        monkeypatch.setattr(sequence, "_with_slopes", stalling)
+        short = threading.Thread(target=apery_deriv, args=(100,))
+        short.start()
+        assert stalled.wait(30)
+        try:
+            assert apery_deriv(1000) == want
+        finally:
+            finished.set()
+            short.join()
+        assert [(k0, top) for k0, top in passes if k0 < top] == [(0, 100), (100, 1000)]
+        assert [mark[0] for mark in sequence._marks] == [*range(0, 1000, 64), 1000]
+
+    def test_reads_and_extensions_on_eight_threads(self, fresh_marks):
+        # eight threads at once, with the interpreter switching threads
+        # often: every answer is the harmonic sum's, and the marks are those
+        # of one pass to the largest n
+        ns = [1500, 300, 1100, 64, 1500, 700, 1437, 5]
+        want = [harmonic_deriv(n) for n in ns]
+        start = threading.Barrier(len(ns), timeout=30)
+
+        def read(n):
+            start.wait()
+            return apery_deriv(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(ns)) as pool:
+                got = list(pool.map(read, ns))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        threaded = sequence._marks
+        sequence._marks = [(0, 0, 1, 0, 0, 1)]  # the fixture puts the seed back
+        apery_deriv(max(ns))
+        assert threaded == sequence._marks
+
+    def test_failed_extension_publishes_nothing(self, fresh_marks, monkeypatch):
+        # with r1 off by one, an extension past 300 raises at an inexact
+        # step and leaves the marks as they were
+        apery_deriv(300)
+        before = sequence._marks
+        r1 = sequence._r1
+        monkeypatch.setattr(sequence, "_r1", lambda m: r1(m) + 1)
+        with pytest.raises(ArithmeticError):
+            apery_deriv(500)
+        assert sequence._marks is before
+        assert before == marks_of(300)
+
+    def test_extension_leaves_held_marks_alone(self, fresh_marks):
+        # a reader holding the marks while an extension runs sees them
+        # unchanged: the extension publishes a new list
+        apery_deriv(200)
+        held = sequence._marks
+        assert held == marks_of(200)
+        apery_deriv(1000)
+        assert held == marks_of(200)
+        assert [mark[0] for mark in sequence._marks] == [*range(0, 1000, 64), 1000]
 
 
 class TestExactDivision:
