@@ -11,11 +11,12 @@ modular evaluation through the base-p digit congruences, and a memory-flat
 recurrence sweep for reducing A(n) at scattered large indices.  The digit
 table A(d) mod p comes from the inverse-free x/den pass of the recurrence
 modulo p.  One pass of the recurrence and its derivative (_with_slopes)
-gives both A'(n) exactly, resumed from the marks the process keeps of it,
-and A(d), A'(d) mod p^2, the latter with no exact values; the exact routes
-stay as their oracles.  A p-adic digit DP gives
-A(n) mod p^e, e <= 3, from Kummer's theorem and p-free factorials, with no
-recurrence and no digit theorem, in time linear in the digits of n.
+gives both A'(n) exactly, resumed from the marks the process keeps of it
+every 64 indices at one scale per window, and A(d), A'(d) mod p^2, the
+latter with no exact values; the exact routes stay as their oracles.  A
+p-adic digit DP gives A(n) mod p^e, e <= 3, from Kummer's theorem and
+p-free factorials, with no recurrence and no digit theorem, in time linear
+in the digits of n.
 apery_mod is the one entry for A(n) mod any M: it picks among those routes.
 """
 
@@ -27,8 +28,8 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, pairwise
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate, chain, islice, pairwise
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .arith import (
     PRIMALITY_BOUND,
@@ -37,7 +38,6 @@ from .arith import (
     _icbrt,
     _require_prime,
     is_prime,
-    primes_upto,
 )
 
 __all__ = [
@@ -88,69 +88,32 @@ def _recurrence_step(m: int, prev1: int, prev2: int) -> int:
 def _with_slopes(
     top: int,
     divide: Callable[[int, int], int],
-    lifts: Mapping[int, int],
     start: Sequence[int] = (0, 0, 1, 0, 0),
 ) -> Iterator[tuple[int, int]]:
-    """(L(k) A(k), L(k) A'(k)) for k = k0, ..., top, where divide(x, k) is
-    x / k^3 in the caller's ring and L(k) is L(k0) times the lifts[j] over
-    the k0 < j <= k in lifts.
+    """(S A(k), S A'(k)) for k = k0, ..., top, where divide(x, k) is x / k^3
+    in the caller's ring and S is the scale of start.
 
     Runs the recurrence and its derivative together:
         k^3 A(k) = r1(k) A(k-1) - (k-1)^3 A(k-2),
         k^3 A'(k) = -3k^2 A(k) + r1'(k) A(k-1) + r1(k) A'(k-1)
                     - 3(k-1)^2 A(k-2) - (k-1)^3 A'(k-2).
     The second is the derivative of the functional equation at z = k, whose
-    sin^2(pi z) term has zero derivative at integers.  The pass starts from
-    start = (k0, L A(k0-1), L A(k0), L A'(k0-1), L A'(k0)) at L = L(k0)
-    and yields k0's pair first.  The default is the seed k0 = 0, L(0) = 1,
-    A(0) = 1, A'(0) = 0, with A(-1) and A'(-1) as 0: at k = 1 the (k-1)
-    factors drop them, which gives A'(1) = 12.  Before step k the four
-    entries of the state are multiplied by lifts[k], when k is in lifts;
-    both equations are linear, so the state is then at scale L(k).
+    sin^2(pi z) term has zero derivative at integers.  Both are linear, so
+    the pass keeps whatever scale S it starts at: it starts from
+    start = (k0, S A(k0-1), S A(k0), S A'(k0-1), S A'(k0)) and yields k0's
+    pair first.  The default is the seed k0 = 0, S = 1, A(0) = 1,
+    A'(0) = 0, with A(-1) and A'(-1) as 0: at k = 1 the (k-1) factors drop
+    them, which gives A'(1) = 12.
     """
-    k0, a2, a1, s2, s1 = start  # L(k-1) times A(k-2), A(k-1), A'(k-2), A'(k-1)
+    k0, a2, a1, s2, s1 = start  # S times A(k-2), A(k-1), A'(k-2), A'(k-1)
     yield a1, s1
     for k in range(k0 + 1, top + 1):
-        if k in lifts:
-            f = lifts[k]
-            a2, a1, s2, s1 = a2 * f, a1 * f, s2 * f, s1 * f
         j = k - 1
         r, dr, c = _r1(k), 102 * k * j + 27, j * j * j  # r1(k), r1'(k), (k-1)^3
         a = divide(r * a1 - c * a2, k)
         s = divide(r * s1 - c * s2 + dr * a1 - 3 * (k * k * a + j * j * a2), k)
         yield a, s
         a2, a1, s2, s1 = a1, a, s1, s
-
-
-def _lcm_lifts(n: int, k0: int = 0) -> dict[int, int]:
-    """{k: lcm(1..2k) / lcm(1..2k-2)} for the k0 < k <= n where that is not 1.
-
-    The ratio is the product of the primes p of which 2k - 1 or 2k is a
-    power.  2k - 1 is odd, so only an odd prime can have it as a power;
-    2k is a prime power only when k is a power of 2, and then of 2.  The
-    odd primes up to sqrt(2n) list their powers; an odd 2k - 1 above that
-    with none of them as a factor is itself a prime, its own one power up
-    to 2n.  A sieve of the n - k0 numbers 2k - 1 by those primes finds
-    these, so a call costs its window and sqrt(2n), not a sieve to 2n.
-    """
-    lifts = {}
-    bare = bytearray([1]) * (n - k0)  # bare[k - k0 - 1]: no listed prime divides 2k - 1
-    for p in primes_upto(math.isqrt(2 * n))[1:]:  # the odd primes up to sqrt(2n)
-        first = ((p + 1) // 2 - k0 - 1) % p  # the first k - k0 - 1 with p | 2k - 1
-        bare[first::p] = bytes(len(range(first, n - k0, p)))
-        power = p
-        while power <= 2 * n:
-            if power > 2 * k0:
-                lifts[(power + 1) // 2] = p
-            power *= p
-    for k in compress(range(k0 + 1, n + 1), bare):
-        if k > 1:
-            lifts[k] = 2 * k - 1
-    k = 1 << k0.bit_length()  # the first power of 2 above k0
-    while k <= n:
-        lifts[k] = lifts.get(k, 1) * 2
-        k *= 2
-    return lifts
 
 
 def _recurrence_mod(
@@ -401,40 +364,45 @@ def apery_fast(n: int, cache: AperyCache | None = None) -> int:
 
 # The spacing of the marks, the kept states of the exact derivative pass
 _MARK_SPACING = 64
-# The marks: (k, L A(k-1), L A(k), L A'(k-1), L A'(k), L) at L = L(k) =
-# lcm(1..2k), for k = 0, 64, 128, ... up to the top the pass has reached,
-# and at that top; the seed at k = 0 is _with_slopes's default start
-_marks = [(0, 0, 1, 0, 0, 1)]
+
+
+def _lift(scale: int, k: int) -> int:
+    """L(k + 64) / scale, for scale = L(k) and L(j) = lcm(1..2j): the lcm of
+    2k+1, ..., 2k+128 among themselves first, then against the scale."""
+    window = math.lcm(*range(2 * k + 1, 2 * k + 2 * _MARK_SPACING + 1))
+    return window // math.gcd(scale, window)
+
+
+# The marks: mark w is (k, S A(k-1), S A(k), S A'(k-1), S A'(k), S) at
+# k = 64w and S = L(k + 64), the one scale of the window [k, k + 64); the
+# seed at k = 0 is _with_slopes's default start at S = L(64)
+_marks = [(0, 0, _lift(1, 0), 0, 0, _lift(1, 0))]
 _marks_lock = threading.Lock()
 
 
 def _marks_upto(top: int) -> list[tuple[int, ...]]:
-    """The marks, reaching top.
+    """The marks, up to the one at 64 floor(top / 64).
 
-    A top past the last mark's k0 resumes the pass from that mark, under
-    the lock, and publishes the old marks and a new one at each multiple
-    of _MARK_SPACING it passes and at top, as a new list; the old last
-    mark is dropped when it is not at a multiple.  A published list is
-    never written again, so its readers take no lock, and a pass that
-    raises publishes nothing.
+    Missing marks are made under the lock: the pass resumes from the last
+    mark, runs each window's 64 steps at its scale, lifts the state to the
+    next window's (_lift), and publishes the old and new marks as a new
+    list.  A published list is never written again, so readers take no
+    lock; a call that finds its mark, or a pass that raises, publishes
+    nothing.
     """
     global _marks
     with _marks_lock:
         marks = _marks
-        *start, scale = marks[-1]
-        k0 = start[0]
-        if top > k0:
-            lifts = _lcm_lifts(top, k0)
-            pairs = _with_slopes(top, _exact_div, lifts, start)
-            a, s = next(pairs)
+        if top >= len(marks) * _MARK_SPACING:
             new = []
-            for k, (a1, s1) in zip(range(k0 + 1, top + 1), pairs):
-                f = lifts.get(k, 1)
-                scale *= f
-                if k % _MARK_SPACING == 0 or k == top:
-                    new.append((k, a * f, a1, s * f, s1, scale))
-                a, s = a1, s1
-            _marks = (marks if k0 % _MARK_SPACING == 0 else marks[:-1]) + new
+            k0, *state, scale = marks[-1]
+            for k in range(k0 + _MARK_SPACING, top + 1, _MARK_SPACING):
+                steps = _with_slopes(k, _exact_div, (k0, *state))
+                (a2, s2), (a1, s1) = islice(steps, _MARK_SPACING - 1, None)  # k - 1, k
+                f = _lift(scale, k)
+                k0, state, scale = k, [a2 * f, a1 * f, s2 * f, s1 * f], scale * f
+                new.append((k, *state, scale))
+            _marks = marks + new
         return _marks
 
 
@@ -445,33 +413,24 @@ def apery_deriv(n: int) -> Fraction:
     gives A'(n) = -A'(-1-n) for n <= -1, so a caller writes
     -apery_deriv(-1 - n) there.
 
-    The exact pass of _with_slopes on L(k) A(k) and L(k) A'(k), with
-    L(k) = lcm(1..2k): for k <= n the denominator of A'(k) divides
-    lcm(1..2k), so both stay integers and every step divides exactly by
-    k^3 (_exact_div).  Each step multiplies small numbers by big ones at
-    the scale of that step: _lcm_lifts gives L(k) / L(k-1) at each k where
-    the scale grows.
-
-    The process keeps the pass (_marks): its state with L(k) at k = 0, 64,
-    128, ... and at the top it has reached.  An n at or below that top
-    resumes from the mark at 64 floor(n / 64), or from the top itself, in
-    at most 63 steps, with no lock, and stores nothing; a larger n extends
-    the marks to n under their lock (_marks_upto) and reads the new top.
-    L(n) is the mark's L(k0) times the lifts in (k0, n].  Memory policy:
-    the marks up to n hold about 0.28 n^2 bits, 0.11 MiB at n = 1800 and
-    3.3 MiB at 10^4, about a ninth of the exact memo A(0..n); they are
-    kept for the life of the process.
+    The exact pass of _with_slopes at a scale S that L(k) = lcm(1..2k)
+    divides: the denominator of A'(k) divides L(k), so every step divides
+    exactly by k^3 (_exact_div).  n resumes from its mark, at 64 floor(n /
+    64) and scale L(k + 64) (_marks), made first under the lock when it is
+    missing (_marks_upto), in at most 63 steps with no lock, and stores
+    nothing.  Memory policy: the marks up to n hold about 0.28 n^2 bits,
+    0.11 MiB at n = 1800 and 3.3 MiB at 10^4, about a ninth of the exact
+    memo A(0..n); they are kept for the life of the process.
     """
     if n < 0:
         raise ValueError(f"apery_deriv requires n >= 0, got {n}")
     marks = _marks
-    if n > marks[-1][0]:
+    if n >= len(marks) * _MARK_SPACING:
         marks = _marks_upto(n)
-    *start, scale = marks[-1] if marks[-1][0] == n else marks[n // _MARK_SPACING]
-    lifts = _lcm_lifts(n, start[0])
-    for _, slope in _with_slopes(n, _exact_div, lifts, start):
+    *start, scale = marks[n // _MARK_SPACING]
+    for _, slope in _with_slopes(n, _exact_div, start):
         pass
-    return Fraction(slope, scale * math.prod(lifts.values()))
+    return Fraction(slope, scale)
 
 
 def _digit_tables(p: int, top: int | None = None) -> tuple[list[int], list[int]]:
@@ -493,7 +452,7 @@ def _digit_tables(p: int, top: int | None = None) -> tuple[list[int], list[int]]
     for k in range(top, 0, -1):  # P(k) becomes 1/k^3 while P(k-1) is still there
         inverses[k] = inv * inverses[k - 1] % m
         inv = inv * k**3 % m
-    pairs = _with_slopes(top, lambda x, k: x * inverses[k] % m, {})
+    pairs = _with_slopes(top, lambda x, k: x * inverses[k] % m)
     values, slopes = map(list, zip(*pairs))
     return values, slopes
 

@@ -48,6 +48,14 @@ SWEEP_DIRECT = "tests/test_sequence.py::TestModSweep::test_matches_direct_reduct
 NEVER_OPEN = "tests/test_cli.py::TestCacheCommand::test_exact_values_never_open_cache"
 CACHEFILE = "tests/test_cachefile.py"
 DERIV = "tests/test_sequence.py::TestDerivative"
+# the mod p^2 instance of the value-and-slope kernel, _digit_tables
+SLOPES_MOD_P2 = (
+    "tests/test_sequence.py::TestDigitTables::test_kernel_matches_exact_reduction",
+    "tests/test_sequence.py::TestAperyMod::test_route_grid",
+    "tests/test_acceptance.py::test_01_sequence_fidelity",
+    "tests/test_acceptance.py::test_10_mod_p2_digit_route_budget",
+    "tests/test_cli_golden.py::test_cli_output_matches_golden",
+)
 
 SELF_CHECKS = (
     Mutant("self-check: whitespace only", "src/apery/sequence.py",
@@ -100,41 +108,67 @@ MUTANTS = (
            (f"{CACHEFILE}::test_fold_is_the_remainder",
             f"{CACHEFILE}::test_fold_boundaries[q-1]",
             f"{CACHEFILE}::test_round_trip")),
-    Mutant("_lcm_lifts: powers of 2 skipped", "src/apery/sequence.py",
-           "lifts[k] = lifts.get(k, 1) * 2", "lifts[k] = lifts.get(k, 1)",
-           (f"{DERIV}::test_lifts_are_the_lcm_ratios",
-            f"{DERIV}::test_recurrence_matches_harmonic_sum",
-            "tests/test_cli_golden.py::test_cli_output_matches_golden")),
-    # a power p^e = 2k - 1 lifted at k - 1, one step early
-    Mutant("_lcm_lifts: (power + 1) // 2 made power // 2", "src/apery/sequence.py",
-           "lifts[(power + 1) // 2] = p", "lifts[power // 2] = p",
-           (f"{DERIV}::test_lifts_are_the_lcm_ratios",
-            f"{DERIV}::test_recurrence_matches_harmonic_sum")),
     # a read resumes from the mark above n, past the n it wants
     Mutant("apery_deriv: read from mark n // 64 + 1", "src/apery/sequence.py",
            "marks[n // _MARK_SPACING]", "marks[n // _MARK_SPACING + 1]",
            (f"{DERIV}::test_reads_below_the_top_match_harmonic_sum[descending]",
             f"{DERIV}::test_each_index_stepped_once")),
-    # marks one past each multiple of 64: a read then steps up to 64 more
-    Mutant("_marks_upto: mark taken at k % 64 == 1", "src/apery/sequence.py",
-           "if k % _MARK_SPACING == 0 or k == top:", "if k % _MARK_SPACING == 1 or k == top:",
-           (f"{DERIV}::test_each_index_stepped_once",
-            f"{DERIV}::test_marks_are_the_pass_state")),
     # a stalled extension publishes its shorter marks over a longer list
     Mutant("_marks_upto: no lock", "src/apery/sequence.py",
            "    with _marks_lock:\n", "    if True:\n",
            (f"{DERIV}::test_extensions_take_turns",
             f"{DERIV}::test_each_index_stepped_once")),
-    # a waiting extension resumes from the top it saw before the lock
+    # a waiting extension resumes from the last mark it saw before the lock
     Mutant("_marks_upto: marks read before the lock", "src/apery/sequence.py",
            "    with _marks_lock:\n        marks = _marks\n",
            "    marks = _marks\n    with _marks_lock:\n",
            (f"{DERIV}::test_extensions_take_turns",)),
     # the new marks grown into the list a reader may hold
     Mutant("_marks_upto: marks extended in place", "src/apery/sequence.py",
-           "_marks = (marks if k0 % _MARK_SPACING == 0 else marks[:-1]) + new",
-           "marks[len(marks) - (k0 % _MARK_SPACING > 0) :] = new",
+           "_marks = marks + new", "marks += new",
            (f"{DERIV}::test_extension_leaves_held_marks_alone",)),
+    # the window's lcm stops at 2k + 126: the window at 448 misses 1024
+    Mutant("_lift: range ends at 2k + 126", "src/apery/sequence.py",
+           "range(2 * k + 1, 2 * k + 2 * _MARK_SPACING + 1)",
+           "range(2 * k + 1, 2 * k + 2 * _MARK_SPACING - 1)",
+           (f"{DERIV}::test_recurrence_matches_harmonic_sum",
+            f"{DERIV}::test_marks_are_the_pass_state")),
+    # the seed at scale 1, where A'(5) = 13276637/5 is no integer
+    Mutant("_marks: seed mark at scale 1", "src/apery/sequence.py",
+           "_marks = [(0, 0, _lift(1, 0), 0, 0, _lift(1, 0))]",
+           "_marks = [(0, 0, 1, 0, 0, 1)]",
+           (f"{DERIV}::test_head_of_sequence",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden")),
+    # the lift taken at the window's start k0, before its steps: each
+    # window then runs at the scale of its own mark, one window behind,
+    # which the values up to 1801 tolerate but the marks' scales do not
+    Mutant("_marks_upto: lift taken before the window's steps", "src/apery/sequence.py",
+           "                steps = _with_slopes(k, _exact_div, (k0, *state))\n"
+           "                (a2, s2), (a1, s1) = islice(steps, _MARK_SPACING - 1, None)"
+           "  # k - 1, k\n"
+           "                f = _lift(scale, k)\n",
+           "                f = _lift(scale, k0)\n"
+           "                steps = _with_slopes(k, _exact_div, (k0, *state))\n"
+           "                (a2, s2), (a1, s1) = islice(steps, _MARK_SPACING - 1, None)"
+           "  # k - 1, k\n",
+           (f"{DERIV}::test_marks_are_the_pass_state",)),
+    # the value-and-slope kernel: each derivative term, in both instances
+    Mutant("_with_slopes: sign of -3k^2 A(k) flipped", "src/apery/sequence.py",
+           "- 3 * (k * k * a + j * j * a2)", "- 3 * (j * j * a2 - k * k * a)",
+           (f"{DERIV}::test_recurrence_matches_harmonic_sum", *SLOPES_MOD_P2)),
+    Mutant("_with_slopes: r1'(k) constant 27 made 26", "src/apery/sequence.py",
+           "102 * k * j + 27", "102 * k * j + 26",
+           (f"{DERIV}::test_recurrence_matches_harmonic_sum", *SLOPES_MOD_P2)),
+    Mutant("_with_slopes: 3(k-1)^2 A(k-2) made 3k^2 A(k-2)", "src/apery/sequence.py",
+           "(k * k * a + j * j * a2)", "(k * k * a + k * k * a2)",
+           (f"{DERIV}::test_recurrence_matches_harmonic_sum", *SLOPES_MOD_P2)),
+    # the inverse of (k-1)^3 where that of k^3 belongs, k = 1 kept
+    Mutant("_digit_tables: divides by (k-1)^3", "src/apery/sequence.py",
+           "lambda x, k: x * inverses[k] % m", "lambda x, k: x * inverses[max(k - 1, 1)] % m",
+           ("tests/test_sequence.py::TestDigitTables::test_kernel_matches_exact_reduction",
+            "tests/test_sequence.py::TestAperyMod::test_route_grid",
+            "tests/test_congruences.py::TestGesselModP2::test_small_primes",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden")),
     Mutant("taylor_coeff_float: negative-m guard dropped", "src/apery/mzv.py",
            '    if m < 0:\n        raise ValueError(f"m must be >= 0, got {m}")\n', "",
            ("tests/test_mzv.py::TestReducedForms::test_negative_m_rejected",)),

@@ -22,7 +22,6 @@ from apery.congruences import verify_lucas_mod_p
 from apery.sequence import (
     AperyCache,
     _apery_mod_pk,
-    _lcm_lifts,
     apery,
     apery_deriv,
     apery_fast,
@@ -62,26 +61,32 @@ def harmonic_deriv(n):
     return Fraction(2 * total, L)
 
 
+def mark_of(k):
+    # the pass's state at k from the defining sums: (k, S A(k-1), S A(k),
+    # S A'(k-1), S A'(k), S) at the scale S = lcm(1..2j) of k's window of
+    # 64, j = 64 floor(k / 64) + 64, with the seed's 0 for A(-1) and A'(-1)
+    S = math.lcm(*range(1, 2 * (k - k % 64 + 64) + 1))
+    a, s = (S * apery(k - 1), S * harmonic_deriv(k - 1)) if k else (0, 0)
+    return (k, a, S * apery(k), s, S * harmonic_deriv(k), S)
+
+
+def marks_of(top):
+    # the marks of one pass from k = 0 to top: each multiple of 64
+    return [mark_of(k) for k in range(0, top + 1, 64)]
+
+
 @pytest.fixture
 def fresh_marks(monkeypatch):
     """The exact derivative pass's marks holding only the seed at k = 0."""
-    marks = [(0, 0, 1, 0, 0, 1)]
+    marks = [mark_of(0)]
     monkeypatch.setattr(sequence, "_marks", marks)
     return marks
 
 
-def mark_of(k):
-    # the pass's state at k from the defining sums: (k, L A(k-1), L A(k),
-    # L A'(k-1), L A'(k), L) at L = lcm(1..2k), with the seed's 0 for
-    # A(-1) and A'(-1)
-    L = math.lcm(*range(1, 2 * k + 1))
-    a, s = (L * apery(k - 1), L * harmonic_deriv(k - 1)) if k else (0, 0)
-    return (k, a, L * apery(k), s, L * harmonic_deriv(k), L)
-
-
-def marks_of(top):
-    # the marks of one pass from k = 0 to top: each multiple of 64, and top
-    return [mark_of(k) for k in sorted({*range(0, top + 1, 64), top})]
+def windows(k0, top):
+    # the locked passes of an extension from the mark at k0 to the one at
+    # top, one window of 64 steps each
+    return [(k, k + 64, True) for k in range(k0, top, 64)]
 
 
 class TestApery:
@@ -386,19 +391,20 @@ class TestDerivative:
                 total += weight * (H[n + k] - H[n - k])
             assert apery_deriv(n) == 2 * total
 
-    # the pass's scale lcm(1..2k) gains a 2 at k = 512 and 1024: the last
-    # step at 512 and 1024, the one before it at 513 and 1025
+    # lcm(1..2k) gains a 2 at k = 512 and 1024, the last step of the
+    # windows at 448 and 960 and the mark of the ones at 512 and 1024
     NS = [*range(301), 450, 512, 513, 1000, 1024, 1025, 1801]
 
     def test_recurrence_matches_harmonic_sum(self, fresh_marks):
-        # in ascending order from fresh marks, each n extends them
+        # in ascending order from fresh marks, each n past the last window
+        # extends them
         for n in self.NS:
             assert apery_deriv(n) == harmonic_deriv(n), n
-        assert [mark[0] for mark in sequence._marks] == [*range(0, 1801, 64), 1801]
+        assert [mark[0] for mark in sequence._marks] == [*range(0, 1801, 64)]
 
     @pytest.mark.parametrize("order", ["descending", "scrambled"])
     def test_reads_below_the_top_match_harmonic_sum(self, fresh_marks, order):
-        # after 1801 first, every n resumes from a mark below it, the marks'
+        # after 1801 first, every n resumes from its mark, the windows'
         # edges 63, 64, 65, 127 and 128 among them
         if order == "descending":
             ns = sorted(self.NS, reverse=True)
@@ -406,63 +412,58 @@ class TestDerivative:
             ns = [1801, *range(301), 63, 64, 65, 127, 128, 450, 512, 513, 1000, 1024, 1025]
         for n in ns:
             assert apery_deriv(n) == harmonic_deriv(n), n
-        assert [mark[0] for mark in sequence._marks] == [*range(0, 1801, 64), 1801]
-
-    def test_lifts_are_the_lcm_ratios(self):
-        # every window (k0, n] that a read below a mark or an extension asks
-        # for, against lcm(1..2k) itself
-        lcm = list(accumulate(range(1, 400), lambda m, k: math.lcm(m, 2 * k - 1, 2 * k),
-                              initial=1))
-        for n in range(400):
-            for k0 in {0, n - n % 64, max(n - 63, 0), n // 2, n}:
-                want = {k: lcm[k] // lcm[k - 1] for k in range(k0 + 1, n + 1)
-                        if lcm[k] != lcm[k - 1]}
-                assert _lcm_lifts(n, k0) == want, (n, k0)
+        assert [mark[0] for mark in sequence._marks] == [*range(0, 1801, 64)]
 
     def test_marks_are_the_pass_state(self, fresh_marks):
-        # the state at each multiple of 64 and at the top reached, from the
-        # defining sums; a top that is no multiple of 64 is dropped when
-        # the marks pass it
-        for n, top in ((200, 200), (300, 300), (320, 320), (330, 330), (5, 330)):
+        # the state at each multiple of 64 up to the top asked for, from
+        # the defining sums, the windows' edges among them; a call that
+        # finds its mark made publishes nothing
+        for n, top in ((63, 0), (64, 64), (127, 64), (128, 128), (200, 200),
+                       (300, 300), (320, 320), (330, 330), (5, 330)):
+            before = sequence._marks
             apery_deriv(n)
             assert sequence._marks == marks_of(top), n
+            if len(before) == len(sequence._marks):
+                assert sequence._marks is before, n
 
     def test_each_index_stepped_once(self, fresh_marks, monkeypatch):
-        # calls at 1800, 450, 1000, 1799 and 2000: the two that pass the top
-        # step n = 1..2000 once between them, under the lock, and resume
-        # from the last top; each read below the top resumes from the mark
-        # at 64 floor(n / 64), and a read at the top takes no step
+        # calls at 1800, 450, 1000, 1799 and 2000: the two that pass the
+        # last mark step k = 1..1984 once between them, window by window,
+        # under the lock, the second from the first one's last mark, 1792;
+        # each read resumes from the mark at 64 floor(n / 64) and takes at
+        # most 63 steps without the lock
         real = sequence._with_slopes
         passes = []
 
-        def counted(top, divide, lifts, start=(0, 0, 1, 0, 0)):
+        def counted(top, divide, start=(0, 0, 1, 0, 0)):
             passes.append((start[0], top, sequence._marks_lock.locked()))
-            yield from real(top, divide, lifts, start)
+            yield from real(top, divide, start)
 
         monkeypatch.setattr(sequence, "_with_slopes", counted)
         for n in (1800, 450, 1000, 1799, 2000):
             assert apery_deriv(n) == harmonic_deriv(n), n
         assert passes == [
-            (0, 1800, True), (1800, 1800, False),
+            *windows(0, 1792), (1792, 1800, False),
             (448, 450, False), (960, 1000, False), (1792, 1799, False),
-            (1800, 2000, True), (2000, 2000, False),
+            *windows(1792, 1984), (1984, 2000, False),
         ]
 
     def test_extensions_take_turns(self, fresh_marks, monkeypatch):
-        # an extension to 100 stalls inside its pass while one to 1000 is
-        # asked for: the second waits for the first to publish, then resumes
-        # from its top, so the marks are one pass to 1000, not the stalled
-        # one's 100, and n = 1..100 is stepped once
+        # an extension for 100 stalls inside its window (0, 64] while one
+        # for 1000 is asked for: the second waits for the first to publish,
+        # then resumes from its last mark, 64, so the marks are one pass to
+        # 960 and k = 1..64 is stepped once under the lock; each read takes
+        # at most 63 steps without it
         real = sequence._with_slopes
         stalled, finished = threading.Event(), threading.Event()
         passes = []
 
-        def stalling(top, divide, lifts, start=(0, 0, 1, 0, 0)):
-            passes.append((start[0], top))
-            if top == 100 and start[0] == 0:
+        def stalling(top, divide, start=(0, 0, 1, 0, 0)):
+            passes.append((start[0], top, sequence._marks_lock.locked()))
+            if (start[0], top) == (0, 64):
                 stalled.set()
                 finished.wait(0.2)
-            yield from real(top, divide, lifts, start)
+            yield from real(top, divide, start)
 
         want = harmonic_deriv(1000)
         monkeypatch.setattr(sequence, "_with_slopes", stalling)
@@ -474,8 +475,9 @@ class TestDerivative:
         finally:
             finished.set()
             short.join()
-        assert [(k0, top) for k0, top in passes if k0 < top] == [(0, 100), (100, 1000)]
-        assert [mark[0] for mark in sequence._marks] == [*range(0, 1000, 64), 1000]
+        assert [p for p in passes if p[2]] == windows(0, 960)
+        assert sorted(p for p in passes if not p[2]) == [(64, 100, False), (960, 1000, False)]
+        assert [mark[0] for mark in sequence._marks] == [*range(0, 1000, 64)]
 
     def test_reads_and_extensions_on_eight_threads(self, fresh_marks):
         # eight threads at once, with the interpreter switching threads
@@ -498,7 +500,7 @@ class TestDerivative:
             sys.setswitchinterval(interval)
         assert got == want
         threaded = sequence._marks
-        sequence._marks = [(0, 0, 1, 0, 0, 1)]  # the fixture puts the seed back
+        sequence._marks = [mark_of(0)]  # the fixture puts the seed back
         apery_deriv(max(ns))
         assert threaded == sequence._marks
 
@@ -522,7 +524,7 @@ class TestDerivative:
         assert held == marks_of(200)
         apery_deriv(1000)
         assert held == marks_of(200)
-        assert [mark[0] for mark in sequence._marks] == [*range(0, 1000, 64), 1000]
+        assert [mark[0] for mark in sequence._marks] == [*range(0, 1000, 64)]
 
 
 class TestExactDivision:
