@@ -11,11 +11,12 @@ per-(d, n) laws share one sweep, _sweep, which builds, fills and returns
 their report, with both sides A(d + p n) and A(n) reduced from exact
 values and the factors A(d), A'(d) read from the digit tables (the
 recurrence and its derivative modulo p or p^2), except that digitset-p2
-keeps exact factors (see verify_digit_set_lucas).  The sweep reads a row
-of p left sides at a time, from one prefix of residues mod p^3 that the
-memo holding the exact values keeps per prime, built with one division
-per p indices after one check of every value (AperyCache.residues);
-_sweep says how.
+keeps exact factors (see verify_digit_set_lucas).  The sweep checks one
+column of cases per digit, n ascending: its left sides are a stride-p
+slice of one prefix of residues mod p^3 that the memo holding the exact
+values keeps per prime, built with one division per p indices after one
+check of every value (AperyCache.residues), and its right sides come
+from the column of A(n); _sweep says how.
 verify_multi_digit takes A(n) from the p-adic digit DP, which uses neither
 the recurrence nor a digit theorem, and its factors from the digit tables.
 digit_set and scan_digit_sets read no exact value: each block of
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, count, cycle, islice, repeat
+from operator import attrgetter, mod, mul, ne
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import Residue, _require_prime, primes_upto
@@ -133,11 +136,14 @@ class CongruenceReport:
         }
 
 
-def _span(n_range: tuple[int, int]) -> range:
+def _halves(n_range: tuple[int, int]) -> tuple[range, range]:
+    """The indices k = -1-n over the part n < 0 of the range lo..hi, and
+    k = n over the part n >= 0.  Either may be empty, and no bound is
+    negative, where a slice would wrap round."""
     lo, hi = n_range
     if lo > hi:
         raise ValueError(f"empty range {n_range}")
-    return range(lo, hi + 1)
+    return range(-1 - min(hi, -1), max(-lo, 0)), range(max(lo, 0), max(hi + 1, 0))
 
 
 # primes per modular pass of _digit_sets: 6-8 measured fastest for scans to
@@ -203,59 +209,71 @@ def _sweep(
     in factors and every n in range, both sides reduced from exact values.
     factors=None stands for the exact factors (A(d) mod m, 0), d < p.
 
-    Cases run n by n, digits ascending, and the row of each n adds the
-    number of digits it starts with to checked.  A failing case is a
-    counterexample, except that the first failure of a digit in
-    expected_to_fail is its witness and ends that digit's sweep; the digits
-    in expected_to_fail that never fail land in unwitnessed, and a note
-    says to widen the range.
+    Each digit's cases form one column, n ascending, and each digit adds
+    the cases it ran to checked.  A failing case is a counterexample,
+    except that the first failure of a digit in expected_to_fail is its
+    witness and ends that digit's sweep at the witness's position + 1; the
+    digits in expected_to_fail that never fail land in unwitnessed, and a
+    note says to widen the range.  Counterexamples and witnesses are sorted
+    by (n, d), the order of a loop over n and then the digits.
 
-    A(n) = A(k) for the index k = n or -1-n, and the left sides of row n
-    are A(pk), ..., A(pk + p - 1), in digit order for n >= 0 and reversed
-    for n < 0, since A(d + p n) = A((p-1-d) + p(-1-n)).  So one read of the
-    memo's prefix A(0..pK + p - 1) mod p^3 (AperyCache.residues), with K
-    the largest k, holds every row, every A(n) and the exact factors.  The
-    memo builds it once per prime from its exact values: it reduces the
-    value at each multiple of p and runs the recurrence mod p^3 through
-    the rest of that block, except in a block with a value its check
-    modulo q flags, which it reduces value by value, so a wrong value is
-    reported as itself.  Each row's left sides
-    at the active digits are compared with the list of right sides at once,
-    and only a row that differs is walked digit by digit.
-    verify_mod_p3_suite at p = 2, which has no digits, reads A(n) mod 8 from
-    the prefix A(0..K) the same way.
+    A(n) = A(k) for the index k = n or -1-n, and A(d + p n) is A(pk + d)
+    for n >= 0 and A(pk + p-1-d) for n < 0, since A(d + p n) =
+    A((p-1-d) + p(-1-n)).  So one read of the memo's prefix A(0..pK + p - 1)
+    mod p^3 (AperyCache.residues), with K the largest k, holds every case
+    and the exact factors.  The memo builds it once per prime from its
+    exact values: it reduces the value at each multiple of p and runs the
+    recurrence mod p^3 through the rest of that block, except in a block
+    with a value its check modulo q flags, which it reduces value by value,
+    so a wrong value is reported as itself.  The prefix is reduced mod m
+    from the least index read.  The left column of digit d is a stride-p
+    slice of it: at offset p-1-d over the n < 0 (_halves), read in
+    reverse, then at offset d over the n >= 0.  The column of A(n) is the
+    unit-stride slice the same way; it is the right column at the factor
+    (1, 0), and every other right column is made from it, with p n A(n)
+    made once per sweep for the factors with a slope.  Only a left column
+    that differs from its right one is walked, to its mismatches.
     """
-    span = _span(n_range)
-    report = CongruenceReport(theorem, {"p": p, "n_lo": n_range[0], "n_hi": n_range[1]})
+    neg, pos = _halves(n_range)
+    lo, hi = n_range
+    report = CongruenceReport(theorem, {"p": p, "n_lo": lo, "n_hi": hi})
     memo = cache if cache is not None else shared_cache()
-    rows = memo.residues(p, p * max(span[-1], -1 - span[0]) + p - 1)
+    rows = memo.residues(p, p * max(hi, -1 - lo) + p - 1)
     if factors is None:
         factors = {d: (rows[d] % m, 0) for d in range(p)}
     if m != p**3:
-        rows = [r % m for r in rows]
-    digits = sorted(factors.items())
-    for n in span:
-        k = n if n >= 0 else -1 - n
-        row = rows[p * k : p * k + p]
-        if n < 0:
-            row.reverse()
-        an, pn = rows[k], p * n
-        report.checked += len(digits)
-        lhs = row if len(digits) == p else [row[d] for d, _ in digits]
-        rhs = [(f + pn * s) * an % m for _, (f, s) in digits]
-        if lhs == rhs:
-            continue
-        for (d, _), left, right in zip(digits, lhs, rhs):
-            if left == right:
-                continue
-            case = Counterexample(d, n, p, Residue(left, m), Residue(right, m))
+        # neither column reads below the least k read
+        start = (neg or pos).start
+        rows[start:] = map(mod, rows[start:], repeat(m))
+    heads = rows[neg.start : neg.stop][::-1] + rows[pos.start : pos.stop]
+    scaled = None  # p n A(n) mod m, made at the first factor with a slope
+    unwitnessed = []
+    for d, (f, s) in sorted(factors.items()):
+        mirror = p - 1 - d  # the digit read for n < 0
+        lhs = rows[p * neg.start + mirror : p * neg.stop + mirror : p][::-1]
+        lhs += rows[p * pos.start + d : p * pos.stop + d : p]
+        if s:
+            if scaled is None:
+                scaled = list(map(mod, map(mul, range(p * lo, p * hi + 1, p), heads), repeat(m)))
+            rhs = [(f * a + s * b) % m for a, b in zip(heads, scaled)]
+        else:
+            rhs = heads if f == 1 else [f * a % m for a in heads]
+        misses = () if lhs == rhs else compress(count(), map(ne, lhs, rhs))
+        for i in misses:
+            found = Counterexample(d, lo + i, p, Residue(lhs[i], m), Residue(rhs[i], m))
             if d in expected_to_fail:
-                report.witnesses.append(case)
-                digits = [entry for entry in digits if entry[0] != d]
-            else:
-                report.counterexamples.append(case)
-    report.unwitnessed = [d for d, _ in digits if d in expected_to_fail]
-    if report.unwitnessed:
+                report.witnesses.append(found)
+                report.checked += i + 1
+                break
+            report.counterexamples.append(found)
+        else:
+            report.checked += hi - lo + 1
+            if d in expected_to_fail:
+                unwitnessed.append(d)
+    for found in (report.counterexamples, report.witnesses):
+        found.sort(key=attrgetter("n", "d"))
+    report.unwitnessed = unwitnessed
+    if unwitnessed:
         report.notes.append(
             "no violating n found in range for some digits outside D(p); "
             "widen the range (existence is guaranteed)"
@@ -303,18 +321,25 @@ def verify_mod_p3_suite(
     if p != 2:
         _require_prime(p)  # a prime other than 2 and 3 is >= 5
         return _sweep("p3-suite", p, p**3, n_range, {0: (1, 0), p - 1: (1, 0)}, cache)
-    span = _span(n_range)
-    report = CongruenceReport("p3-suite", {"p": 2, "n_lo": n_range[0], "n_hi": n_range[1]})
+    neg, pos = _halves(n_range)
+    lo, hi = n_range
+    report = CongruenceReport("p3-suite", {"p": 2, "n_lo": lo, "n_hi": hi})
     memo = cache if cache is not None else shared_cache()
-    heads = memo.residues(2, max(span[-1], -1 - span[0]))
-    for n in span:
-        report.checked += 1
-        k, e = (n, n) if n >= 0 else (-1 - n, n + 1)
-        lhs, rhs = heads[k], (1, 5)[e % 2]  # 5^e mod 8, as 5^2 = 1 mod 8
-        if lhs != rhs:
-            report.counterexamples.append(
-                Counterexample(None, n, 2, Residue(lhs, 8), Residue(rhs, 8))
-            )
+    heads = memo.residues(2, max(hi, -1 - lo))
+    report.checked = hi - lo + 1
+    # A(n) mod 8 over each half, n ascending, against 5^e mod 8 from the
+    # first n's exponent e = n + 1 (n < 0) or n (n >= 0); the powers
+    # alternate 1, 5, as 5^2 = 1 mod 8
+    for first, column, e in (
+        (lo, heads[neg.start : neg.stop][::-1], lo + 1),
+        (pos.start, heads[pos.start : pos.stop], pos.start),
+    ):
+        powers = list(islice(cycle((1, 5)), e % 2, e % 2 + len(column)))
+        if column != powers:
+            for i in compress(count(), map(ne, column, powers)):
+                report.counterexamples.append(
+                    Counterexample(None, first + i, 2, Residue(column[i], 8), Residue(powers[i], 8))
+                )
     return report
 
 

@@ -48,6 +48,7 @@ SWEEP_DIRECT = "tests/test_sequence.py::TestModSweep::test_matches_direct_reduct
 NEVER_OPEN = "tests/test_cli.py::TestCacheCommand::test_exact_values_never_open_cache"
 CACHEFILE = "tests/test_cachefile.py"
 DERIV = "tests/test_sequence.py::TestDerivative"
+SAME_REPORT = "tests/test_congruences.py::TestSameReport"
 # the mod p^2 instance of the value-and-slope kernel, _digit_tables
 SLOPES_MOD_P2 = (
     "tests/test_sequence.py::TestDigitTables::test_kernel_matches_exact_reduction",
@@ -254,6 +255,39 @@ MUTANTS = (
            ("tests/test_sequence.py::TestBlockRoute::test_two_and_three[None-3]",
             "tests/test_congruences.py::TestSweepFailures::"
             "test_corrupted_value_is_reported[p3-suite-3]")),
+    # the column of digit d over n < 0 read at offset p - d, the next
+    # row's digit 0 for d = 0
+    Mutant("_sweep: mirrored digit read as p - d", "src/apery/congruences.py",
+           "mirror = p - 1 - d  # the digit", "mirror = p - d  # the digit",
+           (f"{SAME_REPORT}::test_half_spans[lucas-p-below-zero]",
+            f"{SAME_REPORT}::test_session_pool_primes[gessel-p2-47]",
+            "tests/test_congruences.py::TestSweepFailures")),
+    # a witness at position i counts i cases, one short of the cases run
+    Mutant("_sweep: witness counts its position, not position + 1", "src/apery/congruences.py",
+           "report.checked += i + 1", "report.checked += i",
+           (f"{SAME_REPORT}::test_witnesses_on_both_sides_of_zero",
+            "tests/test_congruences.py::TestSweepFailures::"
+            "test_corrupted_value_is_reported[digitset-p2-7]")),
+    # cases left in column order, digit by digit
+    Mutant("_sweep: (n, d) sort dropped", "src/apery/congruences.py",
+           "    for found in (report.counterexamples, report.witnesses):\n"
+           '        found.sort(key=attrgetter("n", "d"))\n', "",
+           (f"{SAME_REPORT}::test_two_wrong_values_listed_by_n_then_digit",
+            f"{SAME_REPORT}::test_witnesses_on_both_sides_of_zero",
+            "tests/test_congruences.py::TestSweepFailures::"
+            "test_corrupted_value_is_reported[p3-suite-5]")),
+    # 5^n in place of 5^(n+1) over n < 0 at p = 2
+    Mutant("verify_mod_p3_suite: p = 2 phase for n < 0 flipped", "src/apery/congruences.py",
+           "(lo, heads[neg.start : neg.stop][::-1], lo + 1),",
+           "(lo, heads[neg.start : neg.stop][::-1], lo),",
+           (f"{SAME_REPORT}::test_half_spans[p3-suite-below-zero]",
+            "tests/test_congruences.py::TestReadOnce::"
+            "test_warm_sweep_asks_the_memo_once[p3-suite-2]")),
+    # the stop of an empty n < 0 half left negative, where a slice wraps
+    Mutant("_halves: stop of the n < 0 half unclamped", "src/apery/congruences.py",
+           "range(-1 - min(hi, -1), max(-lo, 0))", "range(-1 - min(hi, -1), -lo)",
+           (f"{SAME_REPORT}::test_half_spans[lucas-p-above-zero]",
+            f"{SAME_REPORT}::test_half_spans[p3-suite-above-zero]")),
     Mutant("THEOREMS: digitset-p2 default made -7..7", "src/apery/cli.py",
            '"digitset-p2": (partial(_verify_congruence, verify_digit_set_lucas), ("p",), '
            "_SWEEP_RANGE),",

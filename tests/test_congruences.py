@@ -686,3 +686,67 @@ class TestSameReport:
         for n_range in ((-6, 5), (-6, 5), (-11, 8)):
             got = verify(p, n_range, cache).to_dict()
             assert got == _reference_report(verify, p, n_range, monkeypatch).to_dict()
+
+    def _clean_and_corrupted(self, verify, p, n_range, monkeypatch, bads=None):
+        # the report on the shared memo, then on a private memo with A(bad)
+        # off by one for each bad (by default each index >= 2 the range
+        # reads), each against the per-case loop
+        reads = Counter()
+        want = _reference_report(verify, p, n_range, monkeypatch, reads=reads).to_dict()
+        assert want["pass"] and verify(p, n_range).to_dict() == want
+        for bad in sorted(k for k in reads if k >= 2) if bads is None else bads:
+            cache = _corrupted_memo(bad, max(reads))
+            got = verify(p, n_range, cache).to_dict()
+            assert got == _reference_report(verify, p, n_range, monkeypatch, cache).to_dict()
+
+    @pytest.mark.parametrize("p", [47, 61, 83, 101])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_session_pool_primes(self, family, p, monkeypatch):
+        # the larger primes of the benchmark's session pool, over a range
+        # through zero, clean and with one of five indices in the rows of
+        # k = 0 and 1 wrong
+        bads = (2, p - 1, p, p + 1, 2 * p - 2)
+        self._clean_and_corrupted(self.FAMILIES[family], p, (-2, 1), monkeypatch, bads)
+
+    @pytest.mark.parametrize(
+        "n_range",
+        [(-9, -2), (-5, -1), (0, 6), (3, 8), (-1, -1), (0, 0)],
+        ids=["below-zero", "up-to-minus-one", "from-zero", "above-zero", "minus-one", "zero"],
+    )
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_half_spans(self, family, n_range, monkeypatch):
+        # a range on one side of zero leaves the other half empty; no slice
+        # of an empty half may wrap round to the end of the prefix
+        for p in (2, 3, 5, 7):
+            self._clean_and_corrupted(self.FAMILIES[family], p, n_range, monkeypatch)
+
+    @pytest.mark.parametrize("family", ["gessel-p2", "lucas-p"])
+    def test_two_wrong_values_listed_by_n_then_digit(self, family, monkeypatch):
+        # A(16) = A(1 + 5*3) and A(8) = A(3 + 5*1) off by one: the cases
+        # that read them are (d, n) = (3, -4), (1, -2), (3, 1), (1, 3), by
+        # reflection for n < 0, listed by n; by digit they would be
+        # (1, -2), (1, 3), (3, -4), (3, 1)
+        verify = self.FAMILIES[family]
+        cache = AperyCache(apery_fast(k) + (k in (8, 16)) for k in range(25))
+        got = verify(5, (-4, 4), cache)
+        assert [(c.d, c.n) for c in got.counterexamples] == [(3, -4), (1, -2), (3, 1), (1, 3)]
+        want = _reference_report(verify, 5, (-4, 4), monkeypatch, cache)
+        assert got.to_dict() == want.to_dict()
+
+    def test_witnesses_on_both_sides_of_zero(self, monkeypatch):
+        # D(11) = {0, 5, 10}, and each other digit fails first at n = -1 on
+        # the true values.  With A(9) made A(1), digits 1 and 9 hold at
+        # n = -1 (A(9) against A(1) A(0)) and at n = 0 (the exact factors
+        # read the same A(9)), so their witnesses come at n = 1, after the
+        # n = -1 witnesses of the digits between them
+        values = [apery_fast(k) for k in range(33)]
+        values[9] = values[1]
+        cache = AperyCache(values)
+        got = verify_digit_set_lucas(11, (-1, 2), cache)
+        assert got.parameters["digits"] == [0, 5, 10]
+        assert [(w.d, w.n) for w in got.witnesses] == [
+            (2, -1), (3, -1), (4, -1), (6, -1), (7, -1), (8, -1), (1, 1), (9, 1),
+        ]
+        assert got.checked == 3 * 4 + 6 * 1 + 2 * 3
+        want = _reference_report(verify_digit_set_lucas, 11, (-1, 2), monkeypatch, cache)
+        assert got.to_dict() == want.to_dict()
