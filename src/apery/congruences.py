@@ -225,8 +225,8 @@ def _sweep(
     exact values: it reduces the value at each multiple of p and runs the
     recurrence mod p^3 through the rest of that block, except in a block
     with a value its check modulo q flags, which it reduces value by value,
-    so a wrong value is reported as itself.  The prefix is reduced mod m
-    from the least index read.  The left column of digit d is a stride-p
+    so a wrong value is reported as itself.  The whole prefix is reduced
+    mod m once.  The left column of digit d is a stride-p
     slice of it: at offset p-1-d over the n < 0 (_halves), read in
     reverse, then at offset d over the n >= 0.  The column of A(n) is the
     unit-stride slice the same way; it is the right column at the factor
@@ -242,9 +242,7 @@ def _sweep(
     if factors is None:
         factors = {d: (rows[d] % m, 0) for d in range(p)}
     if m != p**3:
-        # neither column reads below the least k read
-        start = (neg or pos).start
-        rows[start:] = map(mod, rows[start:], repeat(m))
+        rows[:] = map(mod, rows, repeat(m))
     heads = rows[neg.start : neg.stop][::-1] + rows[pos.start : pos.stop]
     scaled = None  # p n A(n) mod m, made at the first factor with a slope
     unwitnessed = []
