@@ -22,24 +22,27 @@ A value of at most 4n - 2 bitlen(2n+1) bits is too short, since
 A(n) >= C(2n,n)^2 >= 16^n/(2n+1)^2; refusing those first bounds the rest
 of the check by the size of the values and keeps every n far below the
 prime q = sys.hash_info.modulus, 2^61 - 1 on 64-bit builds.  The rest are
-compared with A(n) mod q by the check the exact memo also makes
-(sequence._flags_mod_q), against the process's one kept pass of the
-recurrence modulo q, which a load extends to its largest index only after
-every record has passed the length bound.  The bound also keeps that
-pass, 16 bytes per index, below about 16 bytes per hex digit of the
-largest record loaded.  The check catches any single-digit edit,
-truncation or rescaling by k != 1 (mod q); a value changed by an exact
-multiple of q is the one change that passes.
+compared with A(n) mod q (_wrong_mod_q) against the process's one kept
+pass of the recurrence modulo q (_kept_upto), which a load extends to its
+largest index only after every record has passed the length bound.  The
+bound also keeps that pass, 16 bytes per index, below about 16 bytes per
+hex digit of the largest record loaded.  The check catches any
+single-digit edit, truncation or rescaling by k != 1 (mod q); a value
+changed by an exact multiple of q is the one change that passes.  The
+exact memo makes no such check: it reads the values it made as the
+recurrence's, and those it was given as themselves (AperyCache).
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from itertools import compress
+import threading
+from array import array
+from itertools import chain, islice
 from typing import Mapping
 
-from .sequence import _flags_mod_q
+from .sequence import _recurrence_mod
 
 __all__ = ["CacheError", "FORMAT_VERSION", "cache_load", "cache_store"]
 
@@ -47,6 +50,42 @@ FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 _SEQUENCE_ID = "apery"
 _HEX_DIGITS = b"0123456789abcdef"
+
+
+# The prime of the check, 2^61 - 1 on 64-bit builds: for an int v >= 0,
+# hash(v) is v mod _Q, a third of the time of v % 343
+_Q = sys.hash_info.modulus
+
+
+def _wrong_mod_q(value: int, x: int, den: int) -> bool:
+    """Whether value, offered as A(n), is not x/den modulo _Q, where (x, den)
+    is n's pair from _recurrence_mod(_Q, ...).  A negative value is wrong
+    outright, since A(n) > 0; for the rest, hash(value) is value mod _Q."""
+    return value < 0 or (hash(value) * den - x) % _Q != 0
+
+
+# The process's one pass modulo _Q: x(n) at 2n and den(n) at 2n + 1 for
+# n = 0..K, from the seed's n = 0 and 1, so that x(K - 1) is always there
+_kept = array("Q", [1, 1, 5, 1])
+_kept_lock = threading.Lock()
+
+
+def _kept_upto(top: int) -> array:
+    """The kept pairs, holding every index up to top.
+
+    A top past the last kept index K resumes the pass from
+    (K, x(K), x(K-1), den(K)), read from the array, and publishes the old
+    pairs and the new ones as a new array under the lock.  A published
+    array is never written again, so its readers take no lock.
+    """
+    global _kept
+    with _kept_lock:
+        kept = _kept
+        if top >= len(kept) // 2:
+            start = (len(kept) // 2 - 1, kept[-2], kept[-4], kept[-1])
+            pairs = islice(_recurrence_mod(_Q, top, start), 1, None)  # past K
+            _kept = kept + array("Q", chain.from_iterable(pairs))
+        return _kept
 
 
 class CacheError(ValueError):
@@ -142,8 +181,9 @@ def _wrong_record(values: Mapping[int, int]) -> int | None:
     for n in ns:
         if values[n].bit_length() <= 4 * n - 2 * (2 * n + 1).bit_length():
             return n
-    flags = _flags_mod_q(ns, map(values.__getitem__, ns))
-    return next(compress(ns, flags), None)
+    kept = _kept_upto(ns[-1] if ns else 0)
+    wrong = (n for n in ns if _wrong_mod_q(values[n], kept[2 * n], kept[2 * n + 1]))
+    return next(wrong, None)
 
 
 def cache_load(path: str | os.PathLike, verify: bool = True) -> dict[int, int]:

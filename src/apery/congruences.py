@@ -14,9 +14,10 @@ recurrence and its derivative modulo p or p^2), except that digitset-p2
 keeps exact factors (see verify_digit_set_lucas).  The sweep checks one
 column of cases per digit, n ascending: its left sides are a stride-p
 slice of one prefix of residues mod p^3 that the memo holding the exact
-values keeps per prime, built with one division per p indices after one
-check of every value (AperyCache.residues), and its right sides come
-from the column of A(n); _sweep says how.
+values keeps per prime, built with one division per p indices where the
+memo made the values and one per index where it was given them
+(AperyCache.residues), and its right sides come from the column of A(n);
+_sweep says how.
 verify_multi_digit takes A(n) from the p-adic digit DP, which uses neither
 the recurrence nor a digit theorem, and its factors from the digit tables.
 digit_set and scan_digit_sets read no exact value: each block of
@@ -224,15 +225,15 @@ def _sweep(
     and the exact factors.  The memo builds it once per prime from its
     exact values: it reduces the value at each multiple of p and runs the
     recurrence mod p^3 through the rest of that block, except in a block
-    with a value its check modulo q flags, which it reduces value by value,
-    so a wrong value is reported as itself.  The whole prefix is reduced
-    mod m once.  The left column of digit d is a stride-p
-    slice of it: at offset p-1-d over the n < 0 (_halves), read in
-    reverse, then at offset d over the n >= 0.  The column of A(n) is the
-    unit-stride slice the same way; it is the right column at the factor
-    (1, 0), and every other right column is made from it, with p n A(n)
-    made once per sweep for the factors with a slope.  Only a left column
-    that differs from its right one is walked, to its mismatches.
+    that starts inside the prefix it was given, which it reduces value by
+    value, so a wrong value is reported as itself.  The whole prefix is
+    reduced mod m once.  The left column of digit d is a stride-p slice of
+    it: at offset p-1-d over the n < 0 (_halves), read in reverse, then at
+    offset d over the n >= 0.  The column of A(n) is the unit-stride slice
+    the same way; it is the right column at the factor (1, 0), and every
+    other right column is made from it, with p n A(n) made once per sweep
+    for the factors with a slope.  Only a left column that differs from
+    its right one is walked, to its mismatches.
     """
     neg, pos = _halves(n_range)
     lo, hi = n_range

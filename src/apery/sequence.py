@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import threading
 from array import array
 from fractions import Fraction
-from itertools import accumulate, chain, islice, pairwise
+from itertools import accumulate, islice, pairwise
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .arith import (
@@ -130,9 +129,10 @@ def _recurrence_mod(
     The pass starts from start = (n0, x(n0), x(n0-1), den(n0)) and yields
     n0's pair first.  The default is the seed n0 = 0, x(0) = den(0) = 1 and
     x(-1) = 0, which meets the coefficient 0^6 at n = 1; a pass that has
-    reached n0 resumes from its state there (_kept_upto).  When q divides
-    n0^6, as q = p^3 does at a multiple n0 of p, x(n0-1) meets 0 the same
-    way, so (n0, A(n0) mod q, 0, 1) starts the pass from A(n0) alone.
+    reached n0 resumes from its state there (cachefile._kept_upto).  When
+    q divides n0^6, as q = p^3 does at a multiple n0 of p, x(n0-1) meets 0
+    the same way, so (n0, A(n0) mod q, 0, 1) starts the pass from A(n0)
+    alone.
     """
     n0, x1, x2, den = start  # x(n-1), x(n-2), den(n-1) at step n = n0 + 1
     cube = n0 * n0 * n0  # (n-1)^3 at that step
@@ -165,51 +165,6 @@ def _reduced_pass(m: int, top: int, n0: int = 0, anchor: int = 1) -> list[int]:
 
 
 _ENTRY_MAX = 2**63 - 1  # the largest array('q') entry
-# The prime of the checks of exact values, 2^61 - 1 on 64-bit builds: for
-# an int v >= 0, hash(v) is v mod _Q, a third of the time of v % 343
-_Q = sys.hash_info.modulus
-
-
-def _wrong_mod_q(value: int, x: int, den: int) -> bool:
-    """Whether value, offered as A(n), is not x/den modulo _Q, where (x, den)
-    is n's pair from _recurrence_mod(_Q, ...).  A negative value is wrong
-    outright, since A(n) > 0; for the rest, hash(value) is value mod _Q.
-    The memo's check and the cache file's share this one kernel."""
-    return value < 0 or (hash(value) * den - x) % _Q != 0
-
-
-# The process's one pass modulo _Q: x(n) at 2n and den(n) at 2n + 1 for
-# n = 0..K, from the seed's n = 0 and 1, so that x(K - 1) is always there
-_kept = array("Q", [1, 1, 5, 1])
-_kept_lock = threading.Lock()
-
-
-def _kept_upto(top: int) -> array:
-    """The kept pairs, holding every index up to top.
-
-    A top past the last kept index K resumes the pass from
-    (K, x(K), x(K-1), den(K)), read from the array, and publishes the old
-    pairs and the new ones as a new array under the lock.  A published
-    array is never written again, so its readers take no lock.  A memo
-    takes its own lock and then this one, a cache load only this one, and
-    nothing takes a memo's lock under this one, so they cannot deadlock.
-    """
-    global _kept
-    with _kept_lock:
-        kept = _kept
-        if top >= len(kept) // 2:
-            start = (len(kept) // 2 - 1, kept[-2], kept[-4], kept[-1])
-            pairs = islice(_recurrence_mod(_Q, top, start), 1, None)  # past K
-            _kept = kept + array("Q", chain.from_iterable(pairs))
-        return _kept
-
-
-def _flags_mod_q(ns: Sequence[int], values: Iterable[int]) -> Iterator[bool]:
-    """Whether each value, offered as A(n) for the n of ns (ascending), is
-    not A(n) mod _Q: the memo's and the cache file's one check, against
-    the kept pairs, which reach ns[-1] before this returns."""
-    kept = _kept_upto(ns[-1] if ns else 0)
-    return (_wrong_mod_q(v, kept[2 * n], kept[2 * n + 1]) for n, v in zip(ns, values))
 
 
 class AperyCache:
@@ -220,46 +175,41 @@ class AperyCache:
     path, under a lock: it appends A(len), takes an equal value below len
     as a no-op, and refuses anything else, so the memo never has a gap.
     A value never changes once appended, so reads take no lock.
-    AperyCache(prefix) puts A(0), A(1), ... of prefix in that order; tests
-    pass values that are not A(k).  The walk (_walk) resumes the recurrence
-    from the end of the prefix.
+    AperyCache(prefix) puts A(0), A(1), ... of prefix in that order and
+    keeps its length; tests pass values that are not A(k).  The walk
+    (_walk) resumes the recurrence from the end of the prefix, so every
+    value past the given prefix satisfies the recurrence exactly
+    (_exact_div raises otherwise).
 
     Beside the values the memo keeps one array('q') per prime p, the prefix
     A(0), ..., A(len - 1) mod p^3, which residues() extends under the lock.
     A table belongs to its memo, so another memo's values, equal or not,
     never answer from it.  Readers take no lock: a table only grows, and an
-    entry never changes once written.
-
-    Each exact value is read once per memo, not once per prime: a check
-    modulo q = _Q (_flags_mod_q), against the process's one kept pass of
-    the recurrence modulo q, which the cache file's check also reads, sets
-    a flag per index for a value that is not A(k) mod q.  The flags are a
-    bytearray, extended under the memo's lock up to the top asked for; the
-    pass takes its own lock inside that one (_kept_upto).  A table is then
-    built block by block (_reduced): the value at each multiple jp of p is
-    reduced mod p^3, and the recurrence mod p^3 gives the rest of
-    [jp, jp + p) from it.  A block that holds a flagged value is instead
-    reduced value by value, so a wrong value reaches a report as itself.
-
-    Blind spot: a value off from A(k) by a nonzero multiple of q passes the
-    check, as in the cache file.  At an index k that is not a multiple of
-    p its table then holds A(k) mod p^3, not the value's residue; at a
-    multiple of p, the rest of its block follows the value's residue.
+    entry never changes once written.  Each entry is the residue of the
+    value the memo holds, whatever that value is (_reduced).
     """
 
     def __init__(self, prefix: Iterable[int] = ()):
         self._values = [1, 5]
         self._lock = threading.Lock()
         self._tables: dict[int, array] = {}
-        self._checked = bytearray(1)  # A(0) = 1 is the memo's own
+        self._given = 0  # the length of prefix, whose values no step made
         for n, value in enumerate(prefix):
             self.put(n, value)
+            self._given = n + 1
 
     def get(self, n: int) -> int | None:
         values = self._values
         return values[n] if 0 <= n < len(values) else None
 
     def put(self, n: int, value: int) -> None:
+        """Append value as A(n) at n = len, the walk's write path.
+
+        An equal value below len is a no-op; anything else raises.  A value
+        put past the prefix given to the constructor is taken as the
+        recurrence's: the residue tables read it through its block's anchor
+        (_reduced).
+        """
         with self._lock:
             values = self._values
             if n == len(values):
@@ -277,35 +227,28 @@ class AperyCache:
             self.put(m, _recurrence_step(m, values[m - 1], values[m - 2]))
         return values[top]
 
-    def _flags_upto(self, top: int) -> bytearray:
-        """The flags of A(0..top), which the walk has put; the caller holds
-        the lock."""
-        flags, k = self._checked, len(self._checked)
-        if top >= k:
-            flags.extend(_flags_mod_q(range(k, top + 1), self._values[k : top + 1]))
-        return flags
-
     def _reduced(self, p: int, table: Sequence[int], top: int) -> list[int]:
         """A(k) mod p^3 for k = len(table), ..., top, after the prefix that
-        table holds; the caller holds the lock, under which the flags grow
-        (_flags_upto).
+        table holds, each the residue of the value the memo holds.
 
         Block [jp, jp + p) starts from A(jp) mod p^3: for jp < k < jp + p,
         k^3 is a unit mod p^3, and at k = jp + 1 the coefficient (jp)^3 = 0
         drops A(jp - 1) (_reduced_pass).  A block that starts before
         len(table) runs again from the table's entry at jp, its anchor.  A
-        block with a flagged value, the recovery path, has every value
-        reduced as it is.  p = 2 masks each value with 7, v & 7 being
-        v % 8, and needs neither blocks nor flags.
+        block at or past the given prefix's end holds only values the walk
+        made, which satisfy the recurrence exactly, so the pass gives their
+        own residues from the anchor's.  A block that starts below it may
+        hold given values that do not, and has every value reduced as it
+        is.  p = 2 masks each value with 7, v & 7 being v % 8, and needs
+        no blocks.
         """
         values, cube, start = self._values, p * p * p, len(table)
         if p == 2:
             return [values[k] & 7 for k in range(start, top + 1)]
-        flags = self._flags_upto(top)
         out = []
         for jp in range(start - start % p, top + 1, p):
             lo, hi = max(jp, start), min(jp + p, top + 1)
-            if any(flags[jp:hi]):
+            if jp < self._given:
                 out += [values[k] % cube for k in range(lo, hi)]
             else:
                 anchor = table[jp] if jp < start else values[jp] % cube
@@ -317,15 +260,13 @@ class AperyCache:
 
         The walk (_walk) first puts every value up to top in the memo.
         Under the lock, the table of p is then extended past its end, block
-        by block (_reduced), after the check has flagged the values up to
-        top that it has not read yet.  A table serves the prefix it holds
-        with no lock.  A prime p >= 2^21, where p^3 overflows an entry, has
-        no table: its blocks run afresh, under the lock, on each call.
+        by block (_reduced).  A table serves the prefix it holds with no
+        lock.  A prime p >= 2^21, where p^3 overflows an entry, has no
+        table: its blocks run afresh on each call.
         """
         self._walk(top)  # before the lock, which its puts take
         if p * p * p > _ENTRY_MAX:
-            with self._lock:
-                return self._reduced(p, (), top)
+            return self._reduced(p, (), top)
         table = self._tables.get(p)
         if table is None or len(table) <= top:
             with self._lock:

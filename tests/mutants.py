@@ -67,20 +67,20 @@ SELF_CHECKS = (
 
 MUTANTS = (
     # the kept pass left one index short when top is the first index past it
-    Mutant("_kept_upto: >= made >", "src/apery/sequence.py",
+    Mutant("_kept_upto: >= made >", "src/apery/cachefile.py",
            "if top >= len(kept) // 2:", "if top > len(kept) // 2:",
            ("tests/test_cachefile.py::test_kept_prefix_is_the_one_pass",)),
     # the same pairs, grown into the array a reader may hold
-    Mutant("_kept_upto: in-place extend", "src/apery/sequence.py",
+    Mutant("_kept_upto: in-place extend", "src/apery/cachefile.py",
            '_kept = kept + array("Q", chain.from_iterable(pairs))',
            "kept.extend(chain.from_iterable(pairs))",
            ("tests/test_cachefile.py::test_extension_leaves_a_held_prefix_alone",)),
     # a stalled extension publishes its shorter array over a longer one
-    Mutant("_kept_upto: no lock", "src/apery/sequence.py",
+    Mutant("_kept_upto: no lock", "src/apery/cachefile.py",
            "    with _kept_lock:\n", "    if True:\n",
            ("tests/test_cachefile.py::test_extensions_take_turns",)),
     # the resume reads x(K) where x(K - 1) belongs
-    Mutant("_kept_upto: resume from x(K) twice", "src/apery/sequence.py",
+    Mutant("_kept_upto: resume from x(K) twice", "src/apery/cachefile.py",
            "kept[-2], kept[-4], kept[-1])", "kept[-2], kept[-2], kept[-1])",
            ("tests/test_cachefile.py::test_kept_prefix_is_the_one_pass",
             "tests/test_cachefile.py::test_each_index_passed_once")),
@@ -90,21 +90,21 @@ MUTANTS = (
            "    for n in ns:\n"
            "        if values[n].bit_length() <= 4 * n - 2 * (2 * n + 1).bit_length():\n"
            "            return n\n"
-           "    flags = _flags_mod_q(ns, map(values.__getitem__, ns))\n",
+           "    kept = _kept_upto(ns[-1] if ns else 0)\n",
            "    ns = sorted(values)\n"
-           "    flags = _flags_mod_q(ns, map(values.__getitem__, ns))\n"
+           "    kept = _kept_upto(ns[-1] if ns else 0)\n"
            "    for n in ns:\n"
            "        if values[n].bit_length() <= 4 * n - 2 * (2 * n + 1).bit_length():\n"
            "            return n\n",
            ("tests/test_cachefile.py::test_floor_failure_leaves_prefix_alone",)),
     # a mask in place of the reduction: 2^61 reads as 0, not 1, modulo q
-    Mutant("_wrong_mod_q: hash made a 61-bit mask", "src/apery/sequence.py",
+    Mutant("_wrong_mod_q: hash made a 61-bit mask", "src/apery/cachefile.py",
            "(hash(value) * den - x) % _Q", "((value & _Q) * den - x) % _Q",
            (f"{CACHEFILE}::test_fold_is_the_remainder",
             f"{CACHEFILE}::test_fold_boundaries[2^61]",
             f"{CACHEFILE}::test_round_trip_beyond_interpreter_digit_cap")),
     # the product compared unreduced: right only while value * den < q
-    Mutant("_wrong_mod_q: final % q dropped", "src/apery/sequence.py",
+    Mutant("_wrong_mod_q: final % q dropped", "src/apery/cachefile.py",
            "(hash(value) * den - x) % _Q != 0", "hash(value) * den - x != 0",
            (f"{CACHEFILE}::test_fold_is_the_remainder",
             f"{CACHEFILE}::test_fold_boundaries[q-1]",
@@ -210,8 +210,8 @@ MUTANTS = (
            ("tests/test_sequence.py::TestCache::test_put_appends_only_at_the_end",)),
     # two threads past the length check append at the same index
     Mutant("AperyCache.put: no lock", "src/apery/sequence.py",
-           "    def put(self, n: int, value: int) -> None:\n        with self._lock:",
-           "    def put(self, n: int, value: int) -> None:\n        if True:",
+           "        with self._lock:\n            values = self._values\n",
+           "        if True:\n            values = self._values\n",
            ("tests/test_sequence.py::TestCache::test_walks_from_threads",)),
     Mutant("AperyCache.residues: extend outside the lock", "src/apery/sequence.py",
            "                table = self._tables.setdefault(p, array(\"q\"))\n"
@@ -229,19 +229,24 @@ MUTANTS = (
            "                table = self._tables.setdefault(p, array(\"q\"))\n"
            "                table.extend(self._reduced(p, held, top))",
            ("tests/test_sequence.py::TestCache::test_residues_from_threads",)),
-    # a prime without a table checks and reads its blocks with no lock
-    Mutant("AperyCache.residues: flags extended outside the lock", "src/apery/sequence.py",
-           "            with self._lock:\n"
-           "                return self._reduced(p, (), top)",
-           "            return self._reduced(p, (), top)",
-           ("tests/test_sequence.py::TestBlockRoute::test_flags_extended_under_the_lock",)),
-    # a block with a wrong value run from its anchor like any other
+    # every block run from its anchor, given values and all
     Mutant("AperyCache._reduced: fault path dropped", "src/apery/sequence.py",
-           "            if any(flags[jp:hi]):", "            if False:",
+           "            if jp < self._given:", "            if False:",
            ("tests/test_sequence.py::TestBlockRoute::test_wrong_value_is_read_as_it_is",
             "tests/test_sequence.py::TestBlockRoute::test_extension_that_starts_mid_block",
             "tests/test_congruences.py::TestSweepFailures",
-            "tests/test_congruences.py::TestSameReport::test_matches_reference")),
+            "tests/test_congruences.py::TestSameReport::test_matches_reference",
+            "tests/test_congruences.py::TestSweepFailures::test_value_off_by_q_is_reported")),
+    # the given prefix's length left at 0, so its blocks run from anchors
+    Mutant("AperyCache.__init__: given length never set", "src/apery/sequence.py",
+           "            self._given = n + 1\n", "",
+           ("tests/test_sequence.py::TestBlockRoute::test_value_off_by_q_is_read_as_it_is",
+            "tests/test_sequence.py::TestBlockRoute::test_divided_at_anchors_unless_given",
+            "tests/test_congruences.py::TestSweepFailures::test_value_off_by_q_is_reported")),
+    # a block that holds the given prefix's end run from its anchor
+    Mutant("AperyCache._reduced: straddling block run from its anchor", "src/apery/sequence.py",
+           "            if jp < self._given:", "            if jp + p <= self._given:",
+           ("tests/test_sequence.py::TestBlockRoute::test_residues_are_the_held_values_reduced",)),
     # blocks of p + 1: k = jp + p, a multiple of p, is no unit mod p^3
     Mutant("AperyCache._reduced: anchors every p + 1", "src/apery/sequence.py",
            "        for jp in range(start - start % p, top + 1, p):\n"

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apery import sequence
-from apery.cachefile import CacheError, cache_load, cache_store
-from apery.sequence import AperyCache, _recurrence_mod, _wrong_mod_q, apery, apery_fast
+from apery import cachefile
+from apery.cachefile import CacheError, _wrong_mod_q, cache_load, cache_store
+from apery.sequence import AperyCache, _recurrence_mod, apery, apery_fast
 
 
 def test_round_trip(tmp_path):
@@ -357,7 +357,7 @@ def test_odd_and_even_length_fields_load(tmp_path):
 def fresh_prefix(monkeypatch):
     """A kept pass holding only n = 0 and 1."""
     kept = array("Q", [1, 1, 5, 1])
-    monkeypatch.setattr(sequence, "_kept", kept)
+    monkeypatch.setattr(cachefile, "_kept", kept)
     return kept
 
 
@@ -373,26 +373,26 @@ def test_kept_prefix_is_the_one_pass(tmp_path, fresh_prefix):
         cache_store(path, {n: apery(n) for n in (0, top)})
         assert cache_load(path) == {0: 1, top: apery(top)}
         reached = max(reached, top)
-        assert sequence._kept == fresh_pass(reached)
+        assert cachefile._kept == fresh_pass(reached)
 
 
 def test_extension_leaves_a_held_prefix_alone(tmp_path, fresh_prefix):
     # a reader holding the kept array while a load extends the pass sees it
     # unchanged: the extension publishes a new array
-    held = sequence._kept_upto(10)
+    held = cachefile._kept_upto(10)
     assert held == fresh_pass(10)
     path = tmp_path / "values.cache"
     cache_store(path, {n: apery(n) for n in (0, 500)})
     assert cache_load(path)[500] == apery(500)
     assert held == fresh_pass(10)
-    assert sequence._kept == fresh_pass(500)
+    assert cachefile._kept == fresh_pass(500)
 
 
 def test_wrong_record_below_kept_top_still_fails(tmp_path):
     path = tmp_path / "values.cache"
     cache_store(path, {0: 1, 2000: apery(2000)})
     cache_load(path)
-    assert len(sequence._kept) >= 2 * 2001
+    assert len(cachefile._kept) >= 2 * 2001
     cache_store(path, {n: apery(n) + (n == 1500) for n in (0, 1, 1499, 1500, 1501)})
     with pytest.raises(CacheError, match="record for n=1500 is wrong") as err:
         cache_load(path)
@@ -406,18 +406,18 @@ def test_floor_failure_leaves_prefix_alone(tmp_path, fresh_prefix):
     with pytest.raises(CacheError, match="record for n=3000 is wrong") as err:
         cache_load(path)
     assert err.value.line == 5
-    assert sequence._kept == array("Q", [1, 1, 5, 1])
+    assert cachefile._kept == array("Q", [1, 1, 5, 1])
 
 
 def test_unverified_load_leaves_prefix_alone(tmp_path, fresh_prefix):
     path = tmp_path / "values.cache"
     cache_store(path, {n: apery(n) for n in (0, 1, 500)})
     assert cache_load(path, verify=False)[500] == apery(500)
-    assert sequence._kept == array("Q", [1, 1, 5, 1])
+    assert cachefile._kept == array("Q", [1, 1, 5, 1])
 
 
 def test_interrupted_extension_keeps_prefix_whole(tmp_path, fresh_prefix, monkeypatch):
-    real = sequence._recurrence_mod
+    real = cachefile._recurrence_mod
 
     def interrupted(*args):
         for i, pair in enumerate(real(*args)):
@@ -427,13 +427,13 @@ def test_interrupted_extension_keeps_prefix_whole(tmp_path, fresh_prefix, monkey
 
     path = tmp_path / "values.cache"
     cache_store(path, {n: apery(n) for n in (0, 1, 120)})
-    monkeypatch.setattr(sequence, "_recurrence_mod", interrupted)
+    monkeypatch.setattr(cachefile, "_recurrence_mod", interrupted)
     with pytest.raises(KeyboardInterrupt):
         cache_load(path)
-    assert sequence._kept == array("Q", [1, 1, 5, 1])
-    monkeypatch.setattr(sequence, "_recurrence_mod", real)
+    assert cachefile._kept == array("Q", [1, 1, 5, 1])
+    monkeypatch.setattr(cachefile, "_recurrence_mod", real)
     assert cache_load(path)[120] == apery(120)
-    assert sequence._kept == fresh_pass(120)
+    assert cachefile._kept == fresh_pass(120)
 
 
 def test_loads_on_eight_threads(tmp_path, fresh_prefix):
@@ -474,14 +474,14 @@ def test_loads_on_eight_threads(tmp_path, fresh_prefix):
             assert results[i].line == 4
         else:
             assert results[i] == values
-    assert sequence._kept == fresh_pass(1500 + 700 * 7)
+    assert cachefile._kept == fresh_pass(1500 + 700 * 7)
 
 
 def test_extensions_take_turns(fresh_prefix, monkeypatch):
     # an extension to 100 stalls inside its pass while one to 1000 is asked
     # for: the second waits for the first to publish, then resumes from its
     # end, so the array is one pass to 1000, not the stalled one's 100
-    real = sequence._recurrence_mod
+    real = cachefile._recurrence_mod
     stalled, finished = threading.Event(), threading.Event()
 
     def stalling(q, top, start=(0, 1, 0, 1)):
@@ -490,37 +490,40 @@ def test_extensions_take_turns(fresh_prefix, monkeypatch):
             finished.wait(0.2)
         yield from real(q, top, start)
 
-    monkeypatch.setattr(sequence, "_recurrence_mod", stalling)
-    short = threading.Thread(target=sequence._kept_upto, args=(100,))
+    monkeypatch.setattr(cachefile, "_recurrence_mod", stalling)
+    short = threading.Thread(target=cachefile._kept_upto, args=(100,))
     short.start()
     assert stalled.wait(30)
     try:
-        assert sequence._kept_upto(1000) == fresh_pass(1000)
+        assert cachefile._kept_upto(1000) == fresh_pass(1000)
     finally:
         finished.set()
         short.join()
-    assert sequence._kept == fresh_pass(1000)
+    assert cachefile._kept == fresh_pass(1000)
 
 
 @pytest.mark.parametrize("loads_first", [False, True], ids=["memo-first", "loads-first"])
 def test_each_index_passed_once(tmp_path, fresh_prefix, monkeypatch, loads_first):
-    # a memo's check to 300 and loads at tops 3, 40, 300 and 500, in either
-    # order, share one pass modulo q that resumes where it stopped: each of
-    # n = 2..500 is stepped to once, n = 0 and 1 being the kept seed
-    real = sequence._recurrence_mod
+    # loads at tops 3, 40, 300 and 500 share one pass modulo q that resumes
+    # where it stopped: each of n = 2..500 is stepped to once, n = 0 and 1
+    # being the kept seed.  A memo's residues to 300, before or after
+    # them, read no pass modulo q
+    real = cachefile._recurrence_mod
     stepped = []
 
     def counted(q, top, start=(0, 1, 0, 1)):
         for i, pair in enumerate(real(q, top, start)):
-            if i and q == sequence._Q:
+            if i and q == cachefile._Q:
                 stepped.append(start[0] + i)
             yield pair
 
-    monkeypatch.setattr(sequence, "_recurrence_mod", counted)
+    monkeypatch.setattr(cachefile, "_recurrence_mod", counted)
     path = tmp_path / "values.cache"
 
     def memo_check():
+        held = len(stepped)
         assert AperyCache().residues(5, 300) == [apery_fast(k) % 125 for k in range(301)]
+        assert len(stepped) == held
 
     def loads():
         for top in (3, 40, 300, 500):
@@ -530,13 +533,14 @@ def test_each_index_passed_once(tmp_path, fresh_prefix, monkeypatch, loads_first
     for run in (loads, memo_check) if loads_first else (memo_check, loads):
         run()
     assert stepped == list(range(2, 501))
-    assert sequence._kept == fresh_pass(500)
+    assert cachefile._kept == fresh_pass(500)
 
 
 def test_loads_and_memo_checks_on_eight_threads(tmp_path, fresh_prefix):
-    # four threads load files, half of them with one wrong record, while
-    # four read residues from memos with two wrong values each, all at once
-    # against one pass that starts at n = 1
+    # four threads load files, half of them with one wrong record, against
+    # one pass that starts at n = 1, while four read residues from memos
+    # with two wrong values each, all at once; only the loads extend the
+    # pass
     files = []
     for i in range(4):
         top = 1500 + 700 * i
@@ -549,7 +553,7 @@ def test_loads_and_memo_checks_on_eight_threads(tmp_path, fresh_prefix):
     memos = []
     for i, p in enumerate((3, 5, 7, 11)):
         top, bad = 1100 + 900 * i, {37 + i, 500 + 7 * i}
-        memos.append((AperyCache(apery_fast(k) + (k in bad) for k in range(top + 1)), p, top, bad))
+        memos.append((AperyCache(apery_fast(k) + (k in bad) for k in range(top + 1)), p, top))
     results = [None] * 8
     start = threading.Barrier(8, timeout=30)
 
@@ -562,7 +566,7 @@ def test_loads_and_memo_checks_on_eight_threads(tmp_path, fresh_prefix):
 
     def read(i):
         start.wait()
-        memo, p, top, _ = memos[i - 4]
+        memo, p, top = memos[i - 4]
         results[i] = memo.residues(p, top)
 
     threads = [threading.Thread(target=load if i < 4 else read, args=(i,)) for i in range(8)]
@@ -581,11 +585,9 @@ def test_loads_and_memo_checks_on_eight_threads(tmp_path, fresh_prefix):
             assert results[i].line == 4
         else:
             assert results[i] == values
-    for (memo, p, top, bad), got in zip(memos, results[4:]):
+    for (memo, p, top), got in zip(memos, results[4:]):
         assert got == [memo.get(k) % p**3 for k in range(top + 1)], p
-        flags = memo._checked
-        assert len(flags) == top + 1 and {k for k, f in enumerate(flags) if f} == bad
-    assert sequence._kept == fresh_pass(1100 + 900 * 3)
+    assert cachefile._kept == fresh_pass(1500 + 700 * 3)
 
 
 # --- the reduction modulo q ------------------------------------------------

@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -436,6 +437,17 @@ class TestSweepFailures:
         assert report.unwitnessed == unwitnessed
         assert not report.passed
         jsonschema.validate(report.to_dict(), SCHEMA)
+
+    @pytest.mark.parametrize(
+        "verify", [verify_lucas_mod_p, verify_gessel_mod_p2], ids=["lucas-p", "gessel-p2"]
+    )
+    def test_value_off_by_q_is_reported(self, verify):
+        # A(17) + q, q = 2^61 - 1, is reported as itself: the one case that
+        # reads index 17 over n = 0..7 at p = 5 is (d, n) = (2, 3)
+        q = sys.hash_info.modulus
+        report = verify(5, (0, 7), AperyCache(apery_fast(k) + q * (k == 17) for k in range(41)))
+        assert [(c.d, c.n) for c in report.counterexamples] == [(2, 3)]
+        assert report.checked == 40 and not report.passed
 
     @pytest.mark.parametrize(
         "verify, table, p, d",

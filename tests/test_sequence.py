@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apery import sequence
@@ -232,12 +232,37 @@ def _memo(top, off=None, by=1):
     return AperyCache(apery(k) + by * (k == off) for k in range(top + 1))
 
 
+# the exact values the property below reads, and the prime of the cache
+# file's check, a multiple of which no residue table may miss
+EXACT = [apery(k) for k in range(90)]
+Q = sys.hash_info.modulus
+
+
+@st.composite
+def given_prefixes(draw):
+    # (p, the length of a given prefix, its wrong values {k: offset}, the
+    # tops read in turn): up to three values off by +-1, +-q or +-p^3, and
+    # tops inside, at and past the prefix's end, so that a table is
+    # extended from any index, mid-block too.  The walk steps past the end
+    # from the prefix's last two values, so it reads past only when those
+    # are right
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    length = draw(st.integers(0, 60))
+    offsets = st.sampled_from([1, -1, Q, -Q, p**3, -(p**3)])
+    wrong = {}
+    if length > 2:
+        wrong = draw(st.dictionaries(st.integers(2, length - 1), offsets, max_size=3))
+    reach = length - 1 if any(k >= length - 2 for k in wrong) else length + 25
+    tops = draw(st.lists(st.integers(0, reach), min_size=1, max_size=3))
+    return p, length, wrong, tops
+
+
 class TestBlockRoute:
     # AperyCache.residues reduces A(jp) mod p^3 at each multiple jp of p and
     # runs the recurrence mod p^3 through the rest of [jp, jp + p), unless
-    # the check mod q flags a value in the block; each case compares with
-    # the value it holds, reduced mod p^3
-    Q = sys.hash_info.modulus
+    # the block starts inside the prefix given to the memo, whose values it
+    # reduces one by one; each case compares with the value it holds,
+    # reduced mod p^3
 
     @staticmethod
     def reduced(cache, p, top):
@@ -246,11 +271,12 @@ class TestBlockRoute:
     @pytest.mark.parametrize("p", [5, 7])
     @pytest.mark.parametrize("where", ["anchor", "after-anchor"])
     def test_wrong_value_is_read_as_it_is(self, p, where):
-        # A(jp) + 1 or A(jp + 1) + 1: the block holds the wrong residue, and
-        # the blocks around it the right ones
+        # A(jp) + 1 or A(jp + 1) + 1 in a prefix given up to bad + 2: the
+        # block holds the wrong residue, and the blocks around it, given or
+        # walked, the right ones
         top = 6 * p - 1
         bad = 3 * p + (where == "after-anchor")
-        cache = _memo(top, bad)
+        cache = _memo(bad + 2, bad)
         got = cache.residues(p, top)
         assert got == self.reduced(cache, p, top)
         assert got[bad] != apery(bad) % p**3
@@ -260,49 +286,66 @@ class TestBlockRoute:
 
     @pytest.mark.parametrize("bad", [None, 9, 12])
     def test_extension_that_starts_mid_block(self, bad):
-        # the table of 7 stops at 10, inside the block [7, 14), and is then
-        # extended to 40; a wrong value before or after 10 in that block
-        # sends the whole block down the value-by-value path
-        cache = _memo(40, bad)
-        assert cache.residues(7, 10) == self.reduced(cache, 7, 10)
-        assert cache.residues(7, 40) == self.reduced(cache, 7, 40)
+        # the memo is given A(0..15) and walks the rest.  The table of 7
+        # stops at 10, inside the given block [7, 14), where a wrong value
+        # before or after 10 is read as it is, then at 24, inside the made
+        # block [21, 28), which runs again from its anchor, and is then
+        # extended to 40
+        cache = _memo(15, bad)
+        for top in (10, 24, 40):
+            assert cache.residues(7, top) == self.reduced(cache, 7, top)
         assert cache._tables[7].tolist() == self.reduced(cache, 7, 40)
 
     @pytest.mark.parametrize("bad", [None, 30])
     def test_prime_above_top(self, bad):
-        # one block from A(0) = 1: every k <= top is a unit mod 101
-        cache = _memo(50, bad)
+        # one block from A(0) = 1, every k <= top a unit mod 101: run from
+        # its anchor on a memo that made its values, or value by value on
+        # one given A(0..50) with a wrong A(30)
+        cache = AperyCache() if bad is None else _memo(50, bad)
         assert cache.residues(101, 50) == self.reduced(cache, 101, 50)
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("bad", [None, 17, 18])
     def test_two_and_three(self, p, bad):
-        # mod 8 by a mask, and mod 27 in blocks of three
-        cache = _memo(60, bad)
+        # mod 8 by a mask, and mod 27 in blocks of three, value by value
+        # in the given A(0..30) and from the anchors in the walk past it
+        cache = _memo(30, bad)
         assert cache.residues(p, 60) == self.reduced(cache, p, 60)
 
     @pytest.mark.parametrize("bad", [None, 7])
     def test_prime_whose_cube_overflows_an_entry(self, bad):
-        # 2097169 > 2^21 keeps no table and runs the blocks on each call
-        cache = _memo(20, bad)
+        # 2097169 > 2^21 keeps no table and runs the blocks on each call,
+        # from the anchor A(0) on a memo that made its values
+        cache = AperyCache() if bad is None else _memo(20, bad)
         for top in (20, 8, 20):
             assert cache.residues(2097169, top) == self.reduced(cache, 2097169, top)
         assert not cache._tables
 
-    def test_blind_spot_value_off_by_q(self):
-        # A(k) + q passes the check mod q.  Off a multiple of p the table
-        # holds A(k) mod p^3, not the value's residue; at a multiple of p
-        # it holds the value's residue
-        cache = _memo(30, 17, self.Q)
-        assert cache.residues(5, 30)[17] == apery(17) % 125 != cache.get(17) % 125
-        cache = _memo(30, 15, self.Q)
-        assert cache.residues(5, 30)[15] == cache.get(15) % 125 != apery(15) % 125
-        assert not any(cache._checked)
+    def test_value_off_by_q_is_read_as_it_is(self):
+        # A(k) + q at p = 5, off a multiple of p and at one: the table
+        # holds the value's residue either way
+        for k in (17, 15):
+            cache = _memo(30, k, Q)
+            got = cache.residues(5, 30)
+            assert got == self.reduced(cache, 5, 30)
+            assert got[k] == (apery(k) + Q) % 125 != apery(k) % 125
 
-    def test_each_value_checked_once_and_divided_at_anchors(self):
-        # every value past A(0) is hashed once per memo, however many primes
-        # read it, and only the values at multiples of each odd p are
-        # reduced; A(0) and A(1) are the memo's own ints
+    @given(given_prefixes())
+    # the length-14 case: a wrong A(11) read to 24 at p = 5, where the
+    # block [10, 15) holds given values and a made one
+    @example((5, 14, {11: 1}, [24]))
+    @settings(max_examples=150, deadline=None)
+    def test_residues_are_the_held_values_reduced(self, case):
+        p, length, wrong, tops = case
+        cache = AperyCache(EXACT[k] + wrong.get(k, 0) for k in range(length))
+        for top in tops:
+            assert cache.residues(p, top) == self.reduced(cache, p, top), top
+
+    def test_divided_at_anchors_unless_given(self, monkeypatch):
+        # no value is hashed.  On a memo that made its own values, only the
+        # values at multiples of each odd p are reduced; on a given prefix,
+        # each value is reduced once per odd prime.  A(0) and A(1) are the
+        # memo's own ints
         hashed, divided = Counter(), Counter()
 
         class Counted(int):
@@ -314,36 +357,28 @@ class TestBlockRoute:
                 divided[int(self), m] += 1
                 return int(self) % m
 
-        top = 77
-        cache = AperyCache(Counted(apery(k)) for k in range(top + 1))
-        for p in (2, 3, 5, 7, 101):
-            assert cache.residues(p, top) == [apery(k) % p**3 for k in range(top + 1)]
-        assert hashed == Counter(apery(k) for k in range(2, top + 1))
-        assert divided == Counter(
-            (apery(k), p**3) for p in (3, 5, 7, 101) for k in range(2, top + 1) if k % p == 0
-        )
-
-    def test_flags_extended_under_the_lock(self):
-        # each value is checked while the memo's lock is held
-        held = []
-        cache = AperyCache()
-
-        class Watched(int):
-            def __hash__(self):
-                held.append(cache._lock.locked())
-                return int.__hash__(self)
-
-        for k in range(2, 40):
-            cache.put(k, Watched(apery(k)))
-        for p, top in ((5, 19), (2097169, 39)):
-            assert cache.residues(p, top) == [apery(k) % p**3 for k in range(top + 1)]
-        assert len(held) == 38 and all(held)
+        top, primes, odd = 77, (2, 3, 5, 7, 101), (3, 5, 7, 101)
+        step = sequence._recurrence_step
+        monkeypatch.setattr(sequence, "_recurrence_step", lambda *args: Counted(step(*args)))
+        made = AperyCache()
+        given = AperyCache(Counted(apery(k)) for k in range(top + 1))
+        for cache in (made, given):
+            for p in primes:
+                assert cache.residues(p, top) == [apery(k) % p**3 for k in range(top + 1)]
+            assert not hashed
+            wanted = (
+                (apery(k), p**3)
+                for p in odd
+                for k in range(2, top + 1)
+                if cache is given or k % p == 0
+            )
+            assert divided == Counter(wanted)
+            divided.clear()
 
     def test_corrupted_memo_from_threads(self):
         # threads read several primes at several tops from one memo with
         # three wrong values, with the interpreter switching threads often:
-        # every answer is the memo's own values reduced, and the flags mark
-        # the three wrong values and nothing else
+        # every answer is the memo's own values reduced
         bad = {37, 400, 1201}
         top = 1500
         cache = AperyCache(apery_fast(k) + (k in bad) for k in range(top + 1))
@@ -363,8 +398,6 @@ class TestBlockRoute:
             sys.setswitchinterval(interval)
         for (p, t), residues in zip(jobs, got):
             assert residues == self.reduced(cache, p, t), (p, t)
-        flags = cache._checked
-        assert len(flags) == top + 1 and {k for k, f in enumerate(flags) if f} == bad
 
 
 class TestDerivative:
