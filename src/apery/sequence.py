@@ -129,10 +129,10 @@ def _recurrence_mod(
     The pass starts from start = (n0, x(n0), x(n0-1), den(n0)) and yields
     n0's pair first.  The default is the seed n0 = 0, x(0) = den(0) = 1 and
     x(-1) = 0, which meets the coefficient 0^6 at n = 1; a pass that has
-    reached n0 resumes from its state there (cachefile._kept_upto).  When
-    q divides n0^6, as q = p^3 does at a multiple n0 of p, x(n0-1) meets 0
-    the same way, so (n0, A(n0) mod q, 0, 1) starts the pass from A(n0)
-    alone.
+    reached n0 resumes from its state there, as the cache file's does.
+    When q divides n0^6, as q = p^3 does at a multiple n0 of p, x(n0-1)
+    meets 0 the same way, so (n0, A(n0) mod q, 0, 1) starts the pass from
+    A(n0) alone.
     """
     n0, x1, x2, den = start  # x(n-1), x(n-2), den(n-1) at step n = n0 + 1
     cube = n0 * n0 * n0  # (n-1)^3 at that step
