@@ -8,10 +8,11 @@ Each subparser binds its `_cmd_*` handler with `set_defaults(handler=...)`;
 `main` builds only the one its first token names (`_parse`).
 A handler takes the parsed `args` alone, returns (exit code, payload, text)
 and prints nothing; `_run_config` has already filled in `args.format` and
-`args.cache`.  `main` prints `json.dumps(payload, sort_keys=True)` under
-`--format json`, else the text unless it is None.  Only `_cmd_digits` reads
-the format (csv).  A token that reads as a number or as LO..HI is a value
-wherever it stands, negative or not (`_Parser`).
+read the config file into `args.config`, a dict.  `main` prints
+`json.dumps(payload, sort_keys=True)` under `--format json`, else the text
+unless it is None.  Only `_cmd_digits` reads the format (csv), and only
+`_cmd_cache` the cache path.  A token that reads as a number or as LO..HI
+is a value wherever it stands, negative or not (`_Parser`).
 
 `THEOREMS` maps each `verify` theorem id to (handler, the flags it needs,
 {each flag it takes: its default}).  `_cmd_verify` refuses any other flag
@@ -82,23 +83,16 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _run_config(args: argparse.Namespace) -> None:
-    """Fill in args.format and args.cache: the flag, else $APERY_CACHE (the
-    cache path only), else the config file, else the default."""
-    # an explicit empty --config or --cache means none, not the default
+    """Read the config file (--config, else $APERY_CONFIG) into args.config,
+    and fill in args.format: the flag, else the config file, else plain."""
+    # an explicit empty --config means none, not the default
     config_path = args.config
     if config_path is None:
         config_path = os.environ.get(CONFIG_ENV)
-    config = _load_config_file(config_path)
-    if args.cache is None:
-        args.cache = os.environ.get(CACHE_ENV) or config.get("cache")
-        if not isinstance(args.cache, (str, type(None))):
-            raise ValueError("config key 'cache' must be a path string")
-    args.format = args.format or config.get("format", "plain")
+    args.config = _load_config_file(config_path)
+    args.format = args.format or args.config.get("format", "plain")
     if args.format not in ("plain", "json", "csv"):
         raise ValueError(f"unknown format {args.format!r}")
-    # --workers is accepted and ignored (scans run serially), but not 0
-    if args.workers is not None and args.workers < 1:
-        raise ValueError("workers must be >= 1")
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -135,8 +129,6 @@ Result = tuple[int, dict, "str | None"]
 
 
 def _cmd_apery(args: argparse.Namespace) -> Result:
-    # the walk from A(0) costs less than loading a file of values, so no
-    # route here opens --cache
     if args.mod is None:
         value = str(apery_fast(args.n))
         return 0, {"n": args.n, "value": value}, value
@@ -158,6 +150,8 @@ def _cmd_aperyd(args: argparse.Namespace) -> Result:
 
 
 def _cmd_digits(args: argparse.Namespace) -> Result:
+    if args.workers is not None and args.workers < 1:
+        raise ValueError("workers must be >= 1")
     if args.p is not None and (args.scan, args.min_size) != (None, None):
         raise ValueError("digits P takes neither --scan nor --min-size")
     if args.scan is not None:
@@ -217,10 +211,17 @@ def _cmd_eval(args: argparse.Namespace) -> Result:
 
 
 def _cmd_cache(args: argparse.Namespace) -> Result:
-    if not args.cache:
-        raise ValueError(f"give --cache PATH or set {CACHE_ENV}")
+    # an explicit empty --cache means none, not $APERY_CACHE or the config
     path = args.cache
+    if path is None:
+        path = os.environ.get(CACHE_ENV) or args.config.get("cache")
+        if not isinstance(path, (str, type(None))):
+            raise ValueError("config key 'cache' must be a path string")
+    if not path:
+        raise ValueError(f"give --cache PATH or set {CACHE_ENV}")
     if args.action == "fill":
+        if args.n is None:
+            raise ValueError("cache fill needs --n LO..HI")
         lo, hi = args.n
         if lo < 0:
             raise ValueError("cache fill needs n >= 0")
@@ -271,7 +272,6 @@ def _residual_check(label: str, residual: float, tol: float | None, asserted=Tru
 
 
 def _verify_congruence(sweep, args) -> dict:
-    # a sweep walks every index below its top, so a cache file cannot help
     return sweep(args.p, args.n).to_dict()
 
 
@@ -458,6 +458,7 @@ def _digits_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("p", type=int, nargs="?")
     p.add_argument("--scan", type=int, metavar="PMAX", help="scan all primes <= PMAX")
     p.add_argument("--min-size", type=int, help="minimum |D(p)| a scan reports (default 1)")
+    p.add_argument("--workers", type=int, help="ignored; scans run serially")
     p.set_defaults(handler=_cmd_digits)
 
 
@@ -494,6 +495,7 @@ def _eval_args(p: argparse.ArgumentParser) -> None:
 def _cache_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=("fill", "verify", "info"))
     p.add_argument("--n", type=parse_range, metavar="LO..HI", help="range for fill")
+    p.add_argument("--cache", help=f"cache file (default ${CACHE_ENV}, else the config key cache)")
     p.set_defaults(handler=_cmd_cache)
 
 
@@ -516,9 +518,7 @@ def _build_parser(commands) -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("plain", "json", "csv"), help="output format"
     )
-    common.add_argument("--cache", help=f"cache file for the cache command (default ${CACHE_ENV})")
     common.add_argument("--config", help=f"JSON config file (default ${CONFIG_ENV})")
-    common.add_argument("--workers", type=int, help="ignored; scans run serially")
 
     parser = _Parser(
         prog="apery",
@@ -564,8 +564,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         _run_config(args)
-        if args.command == "cache" and args.action == "fill" and args.n is None:
-            raise ValueError("cache fill needs --n LO..HI")
         if args.format == "csv" and args.command != "digits":
             raise ValueError("csv output is only available for the digits command")
         code, payload, text = args.handler(args)

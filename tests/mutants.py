@@ -17,7 +17,8 @@ selects nothing, an error at collection) is an error of the entry.
 
 Two self-checks run first: a whitespace-only mutant must survive, and a
 known-bad one must be killed.  The exit status is 0 when every entry
-behaves as recorded, 1 otherwise.
+behaves as recorded, 1 otherwise.  The script takes no arguments: given
+any, it prints its usage line and exits 2 before it copies anything.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ class Mutant(NamedTuple):
 
 SWEEP_DIRECT = "tests/test_sequence.py::TestModSweep::test_matches_direct_reduction"
 NEVER_OPEN = "tests/test_cli.py::TestCacheCommand::test_exact_values_never_open_cache"
+SURFACE = "tests/test_cli.py::test_each_command_takes_only_the_options_it_reads"
+WHOLE_PARSER = "tests/test_cli.py::test_usage_errors_and_help_match_whole_parser"
 CACHEFILE = "tests/test_cachefile.py"
 DERIV = "tests/test_sequence.py::TestDerivative"
 SAME_REPORT = "tests/test_congruences.py::TestSameReport"
@@ -186,19 +189,18 @@ MUTANTS = (
             "tests/test_sequence.py::TestPadicEvaluator::test_matches_sweep_at_scattered_indices",
             "tests/test_acceptance.py::test_07_base5_power_law"),
            killed=False),
-    # a sweep that loads the cache file again, bad files and all
+    # a sweep that loads the file $APERY_CACHE names again, bad files and all
     Mutant("_verify_congruence: cache file opened", "src/apery/cli.py",
            "return sweep(args.p, args.n).to_dict()",
-           "return sweep(args.p, args.n, args.cache and AperyCache("
-           "cache_load(args.cache).values())).to_dict()",
+           "return sweep(args.p, args.n, os.environ.get(CACHE_ENV) and AperyCache("
+           "cache_load(os.environ[CACHE_ENV]).values())).to_dict()",
            ("tests/test_cli.py::TestCacheCommand::test_sweeps_never_open_cache",)),
-    # `apery N` that pours the file into a memo again, bad files and all
+    # `apery N` that pours the file $APERY_CACHE names into a memo again
     Mutant("_cmd_apery: cache file opened", "src/apery/cli.py",
            "value = str(apery_fast(args.n))\n",
-           "value = str(apery_fast(args.n, args.cache and AperyCache("
-           "cache_load(args.cache).values())))\n",
-           (f"{NEVER_OPEN}[flag-rescaled-apery]", f"{NEVER_OPEN}[env-not-a-cache-apery]",
-            "tests/test_cli_golden.py::test_cli_output_matches_golden")),
+           "value = str(apery_fast(args.n, os.environ.get(CACHE_ENV) and AperyCache("
+           "cache_load(os.environ[CACHE_ENV]).values())))\n",
+           (f"{NEVER_OPEN}[env-rescaled-apery]", f"{NEVER_OPEN}[env-not-a-cache-apery]")),
     # a refill that walks from A(0), past the run the file already holds
     Mutant("cache fill: empty prefix seeded", "src/apery/cli.py",
            "cache = AperyCache(values[n] for n in takewhile(values.__contains__, count()))",
@@ -314,6 +316,26 @@ MUTANTS = (
     Mutant("_cmd_digits: min-size default by truth value", "src/apery/cli.py",
            "1 if args.min_size is None else args.min_size", "args.min_size or 1",
            ("tests/test_cli.py::TestExplicitValues::test_exits_2[scan-min-size]",)),
+    Mutant("_cmd_digits: --workers check dropped", "src/apery/cli.py",
+           "    if args.workers is not None and args.workers < 1:\n"
+           '        raise ValueError("workers must be >= 1")\n', "",
+           ("tests/test_cli.py::TestExplicitValues::test_exits_2[scan-workers]",)),
+    # every command takes --cache again, as when it sat on the shared parent
+    Mutant("_build_parser: --cache on every command", "src/apery/cli.py",
+           "        add_arguments(sub.add_parser(name, parents=[common], help=help_line))\n",
+           "        add_arguments(sub.add_parser(name, parents=[common], help=help_line))\n"
+           "        if name != \"cache\":\n"
+           "            sub.choices[name].add_argument(\"--cache\")\n",
+           (f"{SURFACE}[apery]", f"{SURFACE}[verify]")),
+    # a command line with a token the one-command parser left over runs
+    Mutant("_parse: fallback to the whole parser dropped", "src/apery/cli.py",
+           "        if not extras:\n            return args\n", "        return args\n",
+           (f"{WHOLE_PARSER}[apery 7 --bogus]", f"{WHOLE_PARSER}[cache info extra]")),
+    # usage errors name the one-command parser's usage line
+    Mutant("_parse: parse_args on the one-command parser", "src/apery/cli.py",
+           "args, extras = _build_parser(argv[:1]).parse_known_args(argv)",
+           "args, extras = _build_parser(argv[:1]).parse_args(argv), []",
+           (f"{WHOLE_PARSER}[digits 7 --bogus]", f"{WHOLE_PARSER}[taylor 4 extra]")),
 )
 
 
@@ -346,7 +368,10 @@ def run(mutant: Mutant) -> str | None:
     return None
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:
+        print("usage: python tests/mutants.py  (takes no arguments)", file=sys.stderr)
+        return 2
     bad = 0
     for mutant in SELF_CHECKS + MUTANTS:
         start = time.perf_counter()
@@ -363,4 +388,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from apery.cli import build_parser, main, parse_range
+from apery.cli import _COMMANDS, _build_parser, build_parser, main, parse_range
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -734,6 +734,11 @@ class TestExplicitValues:
         assert message in err
 
 
+# the cache file that the never-open tests below name by $APERY_CACHE, the
+# one way left to name it to a command other than cache
+ENV_KINDS = ["env-rescaled", "env-not-a-cache"]
+
+
 class TestCacheCommand:
     @pytest.fixture
     def rescaled(self, tmp_path):
@@ -796,24 +801,6 @@ class TestCacheCommand:
         code, _, err = run_cli(capsys, "cache", "info")
         assert code == 2 and "APERY_CACHE" in err
 
-    def test_commands_accept_cache(self, capsys, tmp_path):
-        path = str(tmp_path / "a.cache")
-        run_cli(capsys, "cache", "fill", "--n", "0..50", "--cache", path)
-        code, out, _ = run_cli(capsys, "apery", "40", "--cache", path)
-        from apery.sequence import apery
-
-        assert code == 0 and int(out) == apery(40)
-
-    def test_sweep_on_a_cache_of_its_last_value(self, capsys, tmp_path):
-        # a cache that holds A(99) alone, the last index the sweep reads:
-        # the sweep never opens it, and reports as without it
-        path = str(tmp_path / "a.cache")
-        assert run_cli(capsys, "cache", "fill", "--n", "99..99", "--cache", path)[0] == 0
-        argv = ["verify", "lucas-p", "--p", "5", "--n", "0..19"]
-        want = (0, "lucas-p: PASS (100 cases)\n", "")
-        assert run_cli(capsys, *argv, "--cache", path) == want
-        assert run_cli(capsys, *argv) == want
-
     def test_refill_walks_only_past_the_file_prefix(self, capsys, tmp_path, monkeypatch):
         # the file's run A(0..5) seeds the memo of a refill, so filling
         # 13..14 steps the recurrence at 6..14 alone; A(10..12) in the file
@@ -843,14 +830,13 @@ class TestCacheCommand:
         [["apery", "10"], ["apery", "12", "--mod", "35"]],  # the second is the exact fallback
         ids=["apery", "apery-mod-exact"],
     )
-    @pytest.mark.parametrize("kind", ["rescaled", "not-a-cache"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("kind", ["rescaled", "not-a-cache"], ids=ENV_KINDS)
     def test_exact_values_never_open_cache(
-        self, capsys, monkeypatch, tmp_path, rescaled, source, kind, argv
+        self, capsys, monkeypatch, tmp_path, rescaled, kind, argv
     ):
         # the walk from A(0) costs less than a load, so the routes that read
         # exact values use the process memo alone: a file that every load
-        # refuses, named by --cache or $APERY_CACHE, changes no byte
+        # refuses, named by $APERY_CACHE, changes no byte
         path = rescaled
         if kind == "not-a-cache":
             path = str(tmp_path / "notes.txt")
@@ -858,48 +844,17 @@ class TestCacheCommand:
         monkeypatch.delenv("APERY_CACHE", raising=False)
         plain = run_cli(capsys, *argv)
         assert plain[0] == 0
-        if source == "flag":
-            argv = argv + ["--cache", path]
-        else:
-            monkeypatch.setenv("APERY_CACHE", path)
+        monkeypatch.setenv("APERY_CACHE", path)
         assert run_cli(capsys, *argv) == plain
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["digits", "7"],
-            ["digits", "--scan", "10"],
-            ["verify", "corollary", "--p", "5", "--depth", "2"],
-            ["verify", "lucas-p3", "--p", "5", "--depth", "2"],
-            ["apery", "1000", "--mod", "7"],
-            ["apery", "1000", "--mod", "49"],
-            ["apery", "40", "--mod", "343"],  # the p-adic digit DP
-        ],
-        ids=[
-            "digits",
-            "digits-scan",
-            "verify-corollary",
-            "verify-lucas-p3",
-            "apery-mod-p",
-            "apery-mod-p2",
-            "apery-mod-p3",
-        ],
-    )
-    def test_routes_without_exact_values_ignore_cache(self, capsys, rescaled, argv):
-        # a file these commands would never read is not opened, even a bad one
-        plain = run_cli(capsys, *argv)
-        assert plain[0] == 0
-        assert run_cli(capsys, *argv, "--cache", rescaled) == plain
-
     @pytest.mark.parametrize("theorem", ["lucas-p", "gessel-p2", "p3-suite", "digitset-p2"])
-    @pytest.mark.parametrize("kind", ["rescaled", "not-a-cache"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("kind", ["rescaled", "not-a-cache"], ids=ENV_KINDS)
     def test_sweeps_never_open_cache(
-        self, capsys, monkeypatch, tmp_path, rescaled, source, kind, theorem
+        self, capsys, monkeypatch, tmp_path, rescaled, kind, theorem
     ):
         # a sweep walks every index below its top, so it reads the process
-        # memo alone: a file that every load refuses, named by --cache or
-        # $APERY_CACHE, changes no byte
+        # memo alone: a file that every load refuses, named by $APERY_CACHE,
+        # changes no byte
         path = rescaled
         if kind == "not-a-cache":
             path = str(tmp_path / "notes.txt")
@@ -908,10 +863,7 @@ class TestCacheCommand:
         monkeypatch.delenv("APERY_CACHE", raising=False)
         plain = run_cli(capsys, *argv)
         assert plain[0] == 0
-        if source == "flag":
-            argv += ["--cache", path]
-        else:
-            monkeypatch.setenv("APERY_CACHE", path)
+        monkeypatch.setenv("APERY_CACHE", path)
         assert run_cli(capsys, *argv) == plain
 
 
@@ -935,8 +887,8 @@ class TestConfigFile:
         corrupt = tmp_path / "a.cache"
         corrupt.write_text("not a cache\n")
         monkeypatch.setenv("APERY_CACHE", str(corrupt))
-        code, out, _ = run_cli(capsys, "apery", "5", "--cache", "", "--format", "plain")
-        assert code == 0 and out == "819005\n"
+        code, out, err = run_cli(capsys, "cache", "info", "--cache", "", "--format", "plain")
+        assert (code, out, err) == (2, "", "error: give --cache PATH or set APERY_CACHE\n")
 
     def test_workers_key_not_read(self, capsys, tmp_path, monkeypatch):
         # scans run serially, so the config file has no workers setting
@@ -948,10 +900,10 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "cache, argv",
         [
-            (["a"], ["apery", "5"]),
+            (["a"], ["cache", "verify"]),
             (7, ["cache", "fill", "--n", "0..3"]),
             # 2 is stderr's file descriptor, which open() would accept
-            (2, ["apery", "5"]),
+            (2, ["cache", "info"]),
         ],
         ids=["list", "int", "stderr-fd"],
     )
@@ -1028,6 +980,14 @@ VALID_HEADS = {
 }
 
 
+def subparsers(parser):
+    """The parser's {command name: subparser}."""
+    (commands,) = (
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return commands
+
+
 def whole_parser_output(capsys, argv):
     """What build_parser().parse_args(argv) prints, and its exit code."""
     with pytest.raises(SystemExit) as done:
@@ -1047,10 +1007,39 @@ def whole_parser_output(capsys, argv):
 def test_usage_errors_and_help_match_whole_parser(capsys, argv):
     # main builds the one subparser its command names; what it prints must
     # not show that, argparse's wording on this Python included
-    (commands,) = (
-        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    assert sorted(VALID_HEADS) == sorted(commands)
+    assert sorted(VALID_HEADS) == sorted(subparsers(build_parser()))
     want = whole_parser_output(capsys, argv)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == want
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_each_command_takes_only_the_options_it_reads(name):
+    # --cache belongs to cache, the one command that opens the file, and
+    # --workers to digits, the one with scans; the rest share --format and
+    # --config
+    options = set(subparsers(_build_parser([name]))[name]._option_string_actions)
+    assert {"--format", "--config"} <= options
+    assert ("--cache" in options) == (name == "cache")
+    assert ("--workers" in options) == (name == "digits")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "apery 5 --workers 0",
+        "apery 5 --workers 2",
+        "apery 10 --cache {tmp}/bad.cache",
+        "apery 10 --mod 35 --cache {tmp}/bad.cache",
+        "apery 10 --mod 13 --cache {tmp}/bad.cache",
+        "apery 10 --cache {tmp}/missing.cache",
+        "apery 44 --cache {tmp}/fill.cache",
+    ],
+)
+def test_options_of_other_commands_are_usage_errors(capsys, tmp_path, argv):
+    # the command lines that once ran with the flag ignored; argparse's
+    # wording is its own, so only the flag's name is asserted
+    flag = next(a for a in argv.split() if a.startswith("--") and a != "--mod")
+    code, out, err = run_cli(capsys, *argv.replace("{tmp}", str(tmp_path)).split())
+    assert (code, out) == (2, "")
+    assert flag in err
