@@ -320,7 +320,7 @@ MUTANTS = (
            "    if args.workers is not None and args.workers < 1:\n"
            '        raise ValueError("workers must be >= 1")\n', "",
            ("tests/test_cli.py::TestExplicitValues::test_exits_2[scan-workers]",)),
-    # every command takes --cache again, as when it sat on the shared parent
+    # every command takes --cache, as a --cache on the shared parent would give
     Mutant("_build_parser: --cache on every command", "src/apery/cli.py",
            "        add_arguments(sub.add_parser(name, parents=[common], help=help_line))\n",
            "        add_arguments(sub.add_parser(name, parents=[common], help=help_line))\n"

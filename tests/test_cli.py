@@ -734,8 +734,8 @@ class TestExplicitValues:
         assert message in err
 
 
-# the cache file that the never-open tests below name by $APERY_CACHE, the
-# one way left to name it to a command other than cache
+# the never-open tests below name their file by $APERY_CACHE, the one way
+# to name a cache file to a command other than cache
 ENV_KINDS = ["env-rescaled", "env-not-a-cache"]
 
 
@@ -887,7 +887,7 @@ class TestConfigFile:
         corrupt = tmp_path / "a.cache"
         corrupt.write_text("not a cache\n")
         monkeypatch.setenv("APERY_CACHE", str(corrupt))
-        code, out, err = run_cli(capsys, "cache", "info", "--cache", "", "--format", "plain")
+        code, out, err = run_cli(capsys, "cache", "info", "--cache", "")
         assert (code, out, err) == (2, "", "error: give --cache PATH or set APERY_CACHE\n")
 
     def test_workers_key_not_read(self, capsys, tmp_path, monkeypatch):
@@ -1037,8 +1037,8 @@ def test_each_command_takes_only_the_options_it_reads(name):
     ],
 )
 def test_options_of_other_commands_are_usage_errors(capsys, tmp_path, argv):
-    # the command lines that once ran with the flag ignored; argparse's
-    # wording is its own, so only the flag's name is asserted
+    # a flag the command does not take is a usage error, never ignored;
+    # argparse's wording is its own, so only the flag's name is asserted
     flag = next(a for a in argv.split() if a.startswith("--") and a != "--mod")
     code, out, err = run_cli(capsys, *argv.replace("{tmp}", str(tmp_path)).split())
     assert (code, out) == (2, "")

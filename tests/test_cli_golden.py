@@ -62,7 +62,7 @@ COMMANDS = [
     "apery 4000 --mod 100160063", "apery 0 --mod 35",
     # --mod: the exact fallback (a factor of M up to n)
     "apery 123 --mod 1000", "apery 40 --mod 35", "apery 50 --mod 8", "apery -41 --mod 343",
-    # --mod and option errors
+    # --mod errors
     "apery 3 --mod 1", "apery 3 --mod 0", "apery 3 --mod -5",
     # config files; only cache reads the key cache
     "apery 5 --config {tmp}/json.cfg", "apery 5 --config {tmp}/list.cfg",
