@@ -7,12 +7,12 @@ or inconclusive, 2 usage or input error.
 Each subparser binds its `_cmd_*` handler with `set_defaults(handler=...)`;
 `main` builds only the one its first token names (`_parse`).
 A handler takes the parsed `args` alone, returns (exit code, payload, text)
-and prints nothing; `_run_config` has already filled in `args.format` and
-read the config file into `args.config`, a dict.  `main` prints
-`json.dumps(payload, sort_keys=True)` under `--format json`, else the text
-unless it is None.  Only `_cmd_digits` reads the format (csv), and only
-`_cmd_cache` the cache path.  A token that reads as a number or as LO..HI
-is a value wherever it stands, negative or not (`_Parser`).
+and prints nothing.  `main` prints `json.dumps(payload, sort_keys=True)`
+under `--format json`, else the text unless it is None.  Only `_cmd_digits`
+reads the format (csv), and only `_cmd_cache` the cache path: `--cache`,
+else `$APERY_CACHE`.  An option is taken only spelled in full
+(`allow_abbrev=False`).  A token that reads as a number or as LO..HI is a
+value wherever it stands, negative or not (`_Parser`).
 
 `THEOREMS` maps each `verify` theorem id to (handler, the flags it needs,
 {each flag it takes: its default}).  `_cmd_verify` refuses any other flag
@@ -69,30 +69,6 @@ from .mzv import (
 from .sequence import AperyCache, apery_deriv, apery_fast, apery_mod
 
 CACHE_ENV = "APERY_CACHE"
-CONFIG_ENV = "APERY_CONFIG"
-
-
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
-
-
-def _run_config(args: argparse.Namespace) -> None:
-    """Read the config file (--config, else $APERY_CONFIG) into args.config,
-    and fill in args.format: the flag, else the config file, else plain."""
-    # an explicit empty --config means none, not the default
-    config_path = args.config
-    if config_path is None:
-        config_path = os.environ.get(CONFIG_ENV)
-    args.config = _load_config_file(config_path)
-    args.format = args.format or args.config.get("format", "plain")
-    if args.format not in ("plain", "json", "csv"):
-        raise ValueError(f"unknown format {args.format!r}")
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -211,12 +187,8 @@ def _cmd_eval(args: argparse.Namespace) -> Result:
 
 
 def _cmd_cache(args: argparse.Namespace) -> Result:
-    # an explicit empty --cache means none, not $APERY_CACHE or the config
-    path = args.cache
-    if path is None:
-        path = os.environ.get(CACHE_ENV) or args.config.get("cache")
-        if not isinstance(path, (str, type(None))):
-            raise ValueError("config key 'cache' must be a path string")
+    # an explicit empty --cache means none, not $APERY_CACHE
+    path = os.environ.get(CACHE_ENV) if args.cache is None else args.cache
     if not path:
         raise ValueError(f"give --cache PATH or set {CACHE_ENV}")
     if args.action == "fill":
@@ -495,7 +467,7 @@ def _eval_args(p: argparse.ArgumentParser) -> None:
 def _cache_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=("fill", "verify", "info"))
     p.add_argument("--n", type=parse_range, metavar="LO..HI", help="range for fill")
-    p.add_argument("--cache", help=f"cache file (default ${CACHE_ENV}, else the config key cache)")
+    p.add_argument("--cache", help=f"cache file (default ${CACHE_ENV})")
     p.set_defaults(handler=_cmd_cache)
 
 
@@ -516,19 +488,19 @@ def _build_parser(commands) -> argparse.ArgumentParser:
     """The parser with a subparser for each of the named commands."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--format", choices=("plain", "json", "csv"), help="output format"
+        "--format", choices=("plain", "json", "csv"), default="plain", help="output format"
     )
-    common.add_argument("--config", help=f"JSON config file (default ${CONFIG_ENV})")
 
     parser = _Parser(
         prog="apery",
+        allow_abbrev=False,
         description="Apery numbers: exact values, congruence checks, digit "
         "sets, and Taylor/MZV identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in commands:
         help_line, add_arguments = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, parents=[common], help=help_line))
+        add_arguments(sub.add_parser(name, parents=[common], help=help_line, allow_abbrev=False))
     return parser
 
 
@@ -563,7 +535,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _run_config(args)
         if args.format == "csv" and args.command != "digits":
             raise ValueError("csv output is only available for the digits command")
         code, payload, text = args.handler(args)

@@ -49,6 +49,7 @@ SWEEP_DIRECT = "tests/test_sequence.py::TestModSweep::test_matches_direct_reduct
 NEVER_OPEN = "tests/test_cli.py::TestCacheCommand::test_exact_values_never_open_cache"
 SURFACE = "tests/test_cli.py::test_each_command_takes_only_the_options_it_reads"
 WHOLE_PARSER = "tests/test_cli.py::test_usage_errors_and_help_match_whole_parser"
+ABBREV = "tests/test_cli.py::test_abbreviated_options_are_usage_errors"
 CACHEFILE = "tests/test_cachefile.py"
 DERIV = "tests/test_sequence.py::TestDerivative"
 SAME_REPORT = "tests/test_congruences.py::TestSameReport"
@@ -322,11 +323,23 @@ MUTANTS = (
            ("tests/test_cli.py::TestExplicitValues::test_exits_2[scan-workers]",)),
     # every command takes --cache, as a --cache on the shared parent would give
     Mutant("_build_parser: --cache on every command", "src/apery/cli.py",
-           "        add_arguments(sub.add_parser(name, parents=[common], help=help_line))\n",
-           "        add_arguments(sub.add_parser(name, parents=[common], help=help_line))\n"
+           "        add_arguments(sub.add_parser(name, parents=[common], help=help_line, "
+           "allow_abbrev=False))\n",
+           "        add_arguments(sub.add_parser(name, parents=[common], help=help_line, "
+           "allow_abbrev=False))\n"
            "        if name != \"cache\":\n"
            "            sub.choices[name].add_argument(\"--cache\")\n",
            (f"{SURFACE}[apery]", f"{SURFACE}[verify]")),
+    # the config file's flag back on every command
+    Mutant("_build_parser: --config on the shared parent", "src/apery/cli.py",
+           'default="plain", help="output format"\n    )\n',
+           'default="plain", help="output format"\n    )\n'
+           '    common.add_argument("--config")\n',
+           (f"{SURFACE}[apery]", f"{SURFACE}[cache]")),
+    # each command's options taken by any prefix that names one of them
+    Mutant("_build_parser: subparsers take abbreviations", "src/apery/cli.py",
+           "help=help_line, allow_abbrev=False)", "help=help_line)",
+           (f"{ABBREV}[format]", f"{ABBREV}[min-size]", f"{ABBREV}[command-help]")),
     # a command line with a token the one-command parser left over runs
     Mutant("_parse: fallback to the whole parser dropped", "src/apery/cli.py",
            "        if not extras:\n            return args\n", "        return args\n",

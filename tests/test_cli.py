@@ -801,6 +801,14 @@ class TestCacheCommand:
         code, _, err = run_cli(capsys, "cache", "info")
         assert code == 2 and "APERY_CACHE" in err
 
+    def test_empty_path_means_none(self, capsys, tmp_path, monkeypatch):
+        # an explicit empty --cache wins over $APERY_CACHE
+        corrupt = tmp_path / "a.cache"
+        corrupt.write_text("not a cache\n")
+        monkeypatch.setenv("APERY_CACHE", str(corrupt))
+        code, out, err = run_cli(capsys, "cache", "info", "--cache", "")
+        assert (code, out, err) == (2, "", "error: give --cache PATH or set APERY_CACHE\n")
+
     def test_refill_walks_only_past_the_file_prefix(self, capsys, tmp_path, monkeypatch):
         # the file's run A(0..5) seeds the memo of a refill, so filling
         # 13..14 steps the recurrence at 6..14 alone; A(10..12) in the file
@@ -867,61 +875,14 @@ class TestCacheCommand:
         assert run_cli(capsys, *argv) == plain
 
 
-class TestConfigFile:
-    def test_config_defaults_flags_win(self, capsys, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"format": "json"}))
-        monkeypatch.setenv("APERY_CONFIG", str(config))
-        # config default applies
-        code, out, _ = run_cli(capsys, "apery", "2")
-        assert code == 0 and json.loads(out)["value"] == "73"
-        # an explicit flag overrides it
-        code, out, _ = run_cli(capsys, "apery", "2", "--format", "plain")
-        assert code == 0 and out == "73\n"
-
-    def test_empty_paths_mean_none(self, capsys, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"format": "json"}))
-        monkeypatch.setenv("APERY_CONFIG", str(config))
-        assert run_cli(capsys, "apery", "5", "--config", "") == (0, "819005\n", "")
-        corrupt = tmp_path / "a.cache"
-        corrupt.write_text("not a cache\n")
-        monkeypatch.setenv("APERY_CACHE", str(corrupt))
-        code, out, err = run_cli(capsys, "cache", "info", "--cache", "")
-        assert (code, out, err) == (2, "", "error: give --cache PATH or set APERY_CACHE\n")
-
-    def test_workers_key_not_read(self, capsys, tmp_path, monkeypatch):
-        # scans run serially, so the config file has no workers setting
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"workers": 0}))
-        monkeypatch.setenv("APERY_CONFIG", str(config))
-        assert run_cli(capsys, "digits", "7") == (0, "7: 0 2 3 4 6\n", "")
-
-    @pytest.mark.parametrize(
-        "cache, argv",
-        [
-            (["a"], ["cache", "verify"]),
-            (7, ["cache", "fill", "--n", "0..3"]),
-            # 2 is stderr's file descriptor, which open() would accept
-            (2, ["cache", "info"]),
-        ],
-        ids=["list", "int", "stderr-fd"],
-    )
-    def test_non_string_cache_rejected(self, capsys, tmp_path, monkeypatch, cache, argv):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"cache": cache}))
-        monkeypatch.setenv("APERY_CONFIG", str(config))
-        monkeypatch.delenv("APERY_CACHE", raising=False)
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "config key 'cache' must be a path string" in err
-
-    def test_bad_config(self, capsys, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_text("[1, 2]")
-        monkeypatch.setenv("APERY_CONFIG", str(config))
-        code, _, err = run_cli(capsys, "apery", "2")
-        assert code == 2
+@pytest.mark.parametrize("config", ['{"format": "json"}', "[1, 2]"], ids=["json", "list"])
+def test_apery_config_is_not_read(capsys, tmp_path, monkeypatch, config):
+    # the format has --format alone, and a file $APERY_CONFIG names is
+    # never opened, whatever it holds
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    monkeypatch.setenv("APERY_CONFIG", str(path))
+    assert run_cli(capsys, "apery", "2") == (0, "73\n", "")
 
 
 def test_help_exits_zero(capsys):
@@ -1016,10 +977,9 @@ def test_usage_errors_and_help_match_whole_parser(capsys, argv):
 @pytest.mark.parametrize("name", list(_COMMANDS))
 def test_each_command_takes_only_the_options_it_reads(name):
     # --cache belongs to cache, the one command that opens the file, and
-    # --workers to digits, the one with scans; the rest share --format and
-    # --config
+    # --workers to digits, the one with scans; all share --format
     options = set(subparsers(_build_parser([name]))[name]._option_string_actions)
-    assert {"--format", "--config"} <= options
+    assert "--format" in options and "--config" not in options
     assert ("--cache" in options) == (name == "cache")
     assert ("--workers" in options) == (name == "digits")
 
@@ -1034,6 +994,9 @@ def test_each_command_takes_only_the_options_it_reads(name):
         "apery 10 --mod 13 --cache {tmp}/bad.cache",
         "apery 10 --cache {tmp}/missing.cache",
         "apery 44 --cache {tmp}/fill.cache",
+        "apery 5 --config {tmp}/json.cfg",
+        "digits 7 --config {tmp}/json.cfg",
+        "cache info --config {tmp}/cache.cfg",
     ],
 )
 def test_options_of_other_commands_are_usage_errors(capsys, tmp_path, argv):
@@ -1043,3 +1006,23 @@ def test_options_of_other_commands_are_usage_errors(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv.replace("{tmp}", str(tmp_path)).split())
     assert (code, out) == (2, "")
     assert flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        ("apery 5 --fo json", "--fo"),
+        ("digits --scan 30 --mi 4", "--mi"),
+        ("apery 5 --c F", "--c"),
+        # `apery --he` stops first at the missing n, which names no token
+        ("apery 5 --he", "--he"),
+        ("--he apery 5", "--he"),
+    ],
+    ids=["format", "min-size", "c", "command-help", "help"],
+)
+def test_abbreviated_options_are_usage_errors(capsys, argv, token):
+    # an option is taken only as spelled in full, on the top parser and on
+    # each command's, so a prefix can never come to mean an option added later
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert token in err

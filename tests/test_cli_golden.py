@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-from apery.cli import CACHE_ENV, CONFIG_ENV, main
+from apery.cli import CACHE_ENV, main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
@@ -40,11 +40,6 @@ FORMATS = ((), ("--format", "json"), ("--format", "csv"))
 # files written into the scratch directory before the first command
 FILES = {
     "bad.cache": "apery-cache\t2\tapery\n0\t1\n1\t6\n2\t74\n",
-    "json.cfg": '{"format": "json"}',
-    "list.cfg": "[1, 2]",
-    "cache.cfg": '{"cache": 5}',
-    "csv.cfg": '{"format": "csv"}',
-    "xml.cfg": '{"format": "xml"}',
     "empty.cache": "apery-cache\t2\tapery\n",
 }
 
@@ -64,11 +59,6 @@ COMMANDS = [
     "apery 123 --mod 1000", "apery 40 --mod 35", "apery 50 --mod 8", "apery -41 --mod 343",
     # --mod errors
     "apery 3 --mod 1", "apery 3 --mod 0", "apery 3 --mod -5",
-    # config files; only cache reads the key cache
-    "apery 5 --config {tmp}/json.cfg", "apery 5 --config {tmp}/list.cfg",
-    "apery 5 --config {tmp}/cache.cfg", "cache info --config {tmp}/cache.cfg",
-    "apery 5 --config {tmp}/missing.cfg",
-    "apery 5 --config {tmp}/csv.cfg", "apery 5 --config {tmp}/xml.cfg",
     # A'(n)
     "aperyd 0", "aperyd 1", "aperyd 3", "aperyd 5", "aperyd 30", "aperyd -2",
     # digit sets
@@ -76,7 +66,6 @@ COMMANDS = [
     "digits 0", "digits -7", "digits", "digits --scan 30 --min-size 4", "digits --scan 60",
     "digits --scan 100 --min-size 5", "digits --scan 2", "digits --scan 1",
     "digits --scan 50 --min-size 99", "digits --scan 60 --workers 2", "digits 7 --scan 20",
-    "digits 7 --config {tmp}/json.cfg", "digits 7 --config {tmp}/csv.cfg",
     # Taylor coefficients, exact and by composition
     "taylor 0", "taylor 0 --terms", "taylor 1 --exact --N 40", "taylor 2", "taylor 3 --terms",
     "taylor 4 --terms --exact", "taylor 6 --exact --N 10", "taylor 3 --N 0",
@@ -125,7 +114,6 @@ def record(tmp: Path) -> list[dict]:
     records = []
     with mock.patch.dict(os.environ):
         os.environ.pop(CACHE_ENV, None)
-        os.environ.pop(CONFIG_ENV, None)
         for command in COMMANDS:
             for fmt in FORMATS:
                 argv = command.split() + list(fmt)
