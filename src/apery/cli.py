@@ -45,6 +45,7 @@ from .arith import (
 )
 from .cachefile import cache_load, cache_store
 from .congruences import (
+    _usable_cpus,
     digit_set,
     scan_digit_sets,
     verify_digit_set_lucas,
@@ -131,7 +132,8 @@ def _cmd_digits(args: argparse.Namespace) -> Result:
     if args.p is not None and (args.scan, args.min_size) != (None, None):
         raise ValueError("digits P takes neither --scan nor --min-size")
     if args.scan is not None:
-        sets = scan_digit_sets(args.scan, 1 if args.min_size is None else args.min_size)
+        workers = _usable_cpus() if args.workers is None else args.workers
+        sets = scan_digit_sets(args.scan, 1 if args.min_size is None else args.min_size, workers)
     elif args.p is not None:
         sets = [digit_set(args.p)]  # rejects a p that is not prime
     else:
@@ -430,7 +432,10 @@ def _digits_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("p", type=int, nargs="?")
     p.add_argument("--scan", type=int, metavar="PMAX", help="scan all primes <= PMAX")
     p.add_argument("--min-size", type=int, help="minimum |D(p)| a scan reports (default 1)")
-    p.add_argument("--workers", type=int, help="ignored; scans run serially")
+    p.add_argument(
+        "--workers", type=int,
+        help="processes a scan may use (default: the CPUs this process may run on)",
+    )
     p.set_defaults(handler=_cmd_digits)
 
 

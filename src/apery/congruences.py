@@ -23,13 +23,21 @@ the recurrence nor a digit theorem, and its factors from the digit tables.
 digit_set and scan_digit_sets read no exact value: each block of
 consecutive primes shares one pass of the recurrence modulo the product of
 their squares, and D(p) is tested on its definition, A(d) = A(p-1-d) mod p^2.
+A scan with workers > 1 deals its blocks to helpers forked with os.fork,
+which send their sets back through pipes (_split); the answer is the
+serial one.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import signal
+import threading
+from array import array
 from dataclasses import dataclass, field
-from itertools import compress, count, cycle, islice, repeat
+from itertools import chain, compress, count, cycle, islice, repeat
 from operator import attrgetter, mod, mul, ne
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -183,17 +191,147 @@ def digit_set(p: int) -> DigitSet:
     return next(_digit_sets([p]))
 
 
+# the least p_max whose scan is split across helpers: below it a fork costs
+# more than the share it takes off the caller
+_SPLIT_FROM = 600
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _deal(blocks: list[list[int]], w: int) -> list[list[list[int]]]:
+    """The blocks dealt into w shares, largest block first, each to the
+    share with the least estimated cost so far: p_last^2 per block."""
+    shares: list[list[list[int]]] = [[] for _ in range(w)]
+    loads = [0] * w
+    for block in sorted(blocks, key=lambda b: b[-1], reverse=True):
+        i = loads.index(min(loads))
+        shares[i].append(block)
+        loads[i] += block[-1] ** 2
+    return shares
+
+
+def _run(share: list[list[int]]) -> list[DigitSet]:
+    return [ds for block in share for ds in _digit_sets(block)]
+
+
+def _pack(sets: list[DigitSet]) -> bytes:
+    """(p, |D(p)|, digits...) for each set, as one array of 64-bit ints."""
+    return array("q", chain.from_iterable((ds.p, len(ds), *ds.digits) for ds in sets)).tobytes()
+
+
+def _unpack(data: bytes, share: list[list[int]]) -> list[DigitSet] | None:
+    """The share's sets from a helper's bytes, or None when the bytes do not
+    hold exactly one set for each prime of the share, in order."""
+    words = array("q")
+    if len(data) % words.itemsize:
+        return None
+    words.frombytes(data)
+    sets, i = [], 0
+    for p in chain.from_iterable(share):
+        if i + 2 > len(words) or words[i] != p or i + 2 + words[i + 1] > len(words):
+            return None
+        sets.append(DigitSet(p, tuple(words[i + 2 : i + 2 + words[i + 1]])))
+        i += 2 + words[i + 1]
+    return sets if i == len(words) else None
+
+
+def _fork(share: list[list[int]]) -> tuple[int | None, int | None]:
+    """(pid, read end) of a helper that writes the share's sets to a pipe and
+    exits, or (None, None) where no pipe or fork could be made."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None, None
+    if pid == 0:  # the helper: never returns into the caller's frames
+        code = 1
+        try:
+            gc.disable()
+            os.close(read_end)
+            data = memoryview(_pack(_run(share)))
+            while data:
+                data = data[os.write(write_end, data) :]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _read_to_eof(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _reap(pid: int | None, fd: int | None, kill: bool) -> int | None:
+    """A helper's exit code, once it is killed if kill; None for no helper."""
+    if pid is None:
+        return None
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    os.close(fd)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _split(blocks: list[list[int]], w: int) -> list[DigitSet]:
+    """The blocks' sets, share 0 run here and each other share in a forked
+    helper.  A share whose fork fails, whose helper exits non-zero or whose
+    bytes come back short runs here too.  Every helper is reaped before the
+    call returns; if share 0 raises, the helpers are killed first."""
+    shares = _deal(blocks, w)
+    helpers = []  # (share, pid, read end); pid None where the fork failed
+    read = False
+    try:
+        for share in shares[1:]:
+            helpers.append((share, *_fork(share)))
+        sets = _run(shares[0])
+        replies = [b"" if pid is None else _read_to_eof(fd) for _, pid, fd in helpers]
+        read = True
+    finally:
+        codes = [_reap(pid, fd, kill=not read) for _, pid, fd in helpers]
+    for (share, _, _), data, code in zip(helpers, replies, codes):
+        got = _unpack(data, share) if code == 0 else None
+        sets += got if got is not None else _run(share)
+    return sorted(sets, key=attrgetter("p"))
+
+
 def scan_digit_sets(
     p_max: int, min_size: int, workers: int = 1, cache: AperyCache | None = None
 ) -> list[DigitSet]:
     """All primes p <= p_max whose digit set has at least min_size digits, by p.
 
     Runs one modular pass per block of primes (_digit_sets) and reads no
-    exact value.  workers and cache are accepted and ignored.
+    exact value.  With workers > 1 the blocks are split across
+    w = min(workers, usable CPUs, blocks) processes: this one and w - 1
+    helpers forked for the call, each of which returns its sets through a
+    pipe (_split).  The scan stays in this process below p_max = _SPLIT_FROM,
+    where os.fork is missing, and while another thread is alive, where a
+    fork could copy a lock that thread holds.  The answer is the same on
+    every route.  cache is accepted and ignored.
     """
     if p_max < 2 or min_size < 1:
         raise ValueError("need p_max >= 2 and min_size >= 1")
-    return [ds for ds in _digit_sets(primes_upto(p_max)) if len(ds) >= min_size]
+    primes = primes_upto(p_max)
+    blocks = [primes[i : i + _BLOCK] for i in range(0, len(primes), _BLOCK)]
+    w = min(workers, _usable_cpus(), len(blocks))
+    if w < 2 or p_max < _SPLIT_FROM or not hasattr(os, "fork") or threading.active_count() > 1:
+        sets = _run(blocks)
+    else:
+        sets = _split(blocks, w)
+    return [ds for ds in sets if len(ds) >= min_size]
 
 
 def _sweep(

@@ -422,10 +422,12 @@ def apery_mod_p(n: int, p: int, table: list[int] | None = None) -> Residue:
 
     n is split into its digits once (arith._digits, divide and conquer),
     then O(log_p n) multiplications; pass a precomputed table when sweeping
-    many n.  Without one, one x/den pass of the recurrence modulo p
-    (_recurrence_mod) runs to the largest digit of n and keeps its pairs at
-    n's digits only; the product of the x over the product of the den,
-    units mod p since every d < p, takes one inverse.
+    many n.  Without one, each digit d is folded to min(d, p-1-d), since
+    A(p-1-d) = A(d) mod p (README, design notes), and one x/den pass of the
+    recurrence modulo p (_recurrence_mod) runs to the largest folded digit,
+    below p/2, keeping its pairs at the folded digits only; the product of
+    the x over the product of the den, units mod p since every d < p, takes
+    one inverse.
     """
     if n < 0:
         raise ValueError(f"apery_mod_p requires n >= 0, got {n}")
@@ -436,6 +438,7 @@ def apery_mod_p(n: int, p: int, table: list[int] | None = None) -> Residue:
         for d in digits:
             result = result * table[d] % p
         return Residue(result, p)
+    digits = [min(d, p - 1 - d) for d in digits]
     wanted = set(digits)
     pairs = {
         d: pair

@@ -53,6 +53,7 @@ ABBREV = "tests/test_cli.py::test_abbreviated_options_are_usage_errors"
 CACHEFILE = "tests/test_cachefile.py"
 DERIV = "tests/test_sequence.py::TestDerivative"
 SAME_REPORT = "tests/test_congruences.py::TestSameReport"
+SPLIT = "tests/test_congruences.py::TestSplitScan"
 # the mod p^2 instance of the value-and-slope kernel, _digit_tables
 SLOPES_MOD_P2 = (
     "tests/test_sequence.py::TestDigitTables::test_kernel_matches_exact_reduction",
@@ -207,6 +208,11 @@ MUTANTS = (
            "cache = AperyCache(values[n] for n in takewhile(values.__contains__, count()))",
            "cache = AperyCache()",
            ("tests/test_cli.py::TestCacheCommand::test_refill_walks_only_past_the_file_prefix",)),
+    # the fold to the mirrored digit off by one: p - d is no digit's mirror
+    Mutant("apery_mod_p: fold written as min(d, p - d)", "src/apery/sequence.py",
+           "digits = [min(d, p - 1 - d) for d in digits]", "digits = [min(d, p - d) for d in digits]",
+           ("tests/test_sequence.py::TestFastModPaths::test_folded_digits_match_exact_reduction[5]",
+            "tests/test_sequence.py::TestFastModPaths::test_folded_digits_match_exact_reduction[8467]")),
     # a memo with a gap, whose walk would read a value it never made
     Mutant("AperyCache.put: append at any index", "src/apery/sequence.py",
            "if n == len(values):", "if n >= len(values):",
@@ -284,6 +290,29 @@ MUTANTS = (
             f"{SAME_REPORT}::test_witnesses_on_both_sides_of_zero",
             "tests/test_congruences.py::TestSweepFailures::"
             "test_corrupted_value_is_reported[p3-suite-5]")),
+    # the last share's blocks never run
+    Mutant("_deal: one share dropped", "src/apery/congruences.py",
+           "    return shares\n", "    return shares[:-1]\n",
+           (f"{SPLIT}::test_split_matches_serial[600]",
+            f"{SPLIT}::test_shares_balance_the_estimated_cost")),
+    # each helper's share run again in the caller, its reply thrown away
+    Mutant("_split: a helper's sets ignored", "src/apery/congruences.py",
+           "sets += got if got is not None else _run(share)", "sets += _run(share)",
+           (f"{SPLIT}::test_caller_runs_only_its_own_share",)),
+    # helpers left as zombies
+    Mutant("_reap: waitpid skipped", "src/apery/congruences.py",
+           "return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])", "return 0",
+           (f"{SPLIT}::test_every_helper_reaped",)),
+    # a share whose helper failed is lost
+    Mutant("_split: failure fallback removed", "src/apery/congruences.py",
+           "sets += got if got is not None else _run(share)", "sets += got or []",
+           (f"{SPLIT}::test_failed_share_runs_in_the_caller[fork-raises]",
+            f"{SPLIT}::test_failed_share_runs_in_the_caller[helper-exits-1]",
+            f"{SPLIT}::test_failed_share_runs_in_the_caller[short-write]")),
+    # one helper per block, whatever the CPUs
+    Mutant("scan_digit_sets: CPU cap removed", "src/apery/congruences.py",
+           "w = min(workers, _usable_cpus(), len(blocks))", "w = min(workers, len(blocks))",
+           (f"{SPLIT}::test_helpers_capped_by_usable_cpus[2]",)),
     # 5^n in place of 5^(n+1) over n < 0 at p = 2
     Mutant("verify_mod_p3_suite: p = 2 phase for n < 0 flipped", "src/apery/congruences.py",
            "(lo, heads[neg.start : neg.stop][::-1], lo + 1),",

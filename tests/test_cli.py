@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 from apery.cli import _COMMANDS, _build_parser, build_parser, main, parse_range
+from apery.congruences import _SPLIT_FROM
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -157,9 +158,14 @@ class TestDigitsCommand:
         assert {"p": 7, "digits": [0, 2, 3, 4, 6]} in payload["digit_sets"]
 
     def test_workers_do_not_change_bytes(self, capsys):
-        _, out1, _ = run_cli(capsys, "digits", "--scan", "60", "--workers", "1")
-        _, out4, _ = run_cli(capsys, "digits", "--scan", "60", "--workers", "4")
-        assert out1 == out4
+        # above the break-even a scan with more than one worker is split
+        # across forked helpers; the default is every usable CPU
+        bound = str(_SPLIT_FROM + 300)
+        outs = {
+            run_cli(capsys, "digits", "--scan", bound, *workers)
+            for workers in ((), ("--workers", "1"), ("--workers", "2"))
+        }
+        assert len(outs) == 1 and next(iter(outs))[1].startswith("2: 0 1\n")
 
     def test_missing_arguments(self, capsys):
         code, _, err = run_cli(capsys, "digits")

@@ -2,8 +2,11 @@
 
 import functools
 import json
+import os
 import random
 import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -114,6 +117,144 @@ class TestScan:
     def test_validation(self):
         with pytest.raises(ValueError):
             scan_digit_sets(1, 1)
+
+
+def _serial_scan(p_max):
+    """D(p) for every prime p <= p_max by one run of _digit_sets, unsplit."""
+    return list(apery.congruences._digit_sets(primes_upto(p_max)))
+
+
+def _blocks(p_max):
+    primes = primes_upto(p_max)
+    return [primes[i : i + 8] for i in range(0, len(primes), 8)]
+
+
+def _fake_fork(forks):
+    """An os.fork that counts its calls in forks and fails as fork can."""
+    def fork():
+        forks.append(1)
+        raise OSError("fork refused")
+    return fork
+
+
+_SPLIT_FROM = apery.congruences._SPLIT_FROM
+_PRIMES = primes_upto(1300)
+# the index of the last prime of every fourth full block above the break-even
+_EDGES = [i for i in range(7, len(_PRIMES) - 1, 8) if _PRIMES[i] > _SPLIT_FROM][::4]
+# through the break-even, then at block edges above it: a scan whose last
+# block is full, and one whose last block holds a single prime
+SPLIT_GRID = sorted(
+    {_SPLIT_FROM - 1, _SPLIT_FROM, _SPLIT_FROM + 1} | {_PRIMES[i + j] for i in _EDGES for j in (0, 1)}
+)
+
+
+class TestSplitScan:
+    """scan_digit_sets with workers > 1 deals its blocks to forked helpers."""
+
+    @pytest.fixture
+    def three_cpus(self, monkeypatch):
+        # a scan may use three CPUs on any machine: two helpers per split
+        monkeypatch.setattr(apery.congruences, "_usable_cpus", lambda: 3)
+
+    @pytest.mark.parametrize("p_max", SPLIT_GRID)
+    def test_split_matches_serial(self, three_cpus, p_max):
+        assert scan_digit_sets(p_max, 1, workers=3) == _serial_scan(p_max)
+
+    def test_caller_runs_only_its_own_share(self, three_cpus, monkeypatch):
+        # a helper's blocks run in the helper: what it records there stays
+        # there, so ran holds the caller's blocks alone
+        want = _serial_scan(900)
+        ran = []
+        run_block = apery.congruences._digit_sets
+
+        def recorded(block):
+            ran.append(block[-1])
+            return run_block(block)
+
+        monkeypatch.setattr(apery.congruences, "_digit_sets", recorded)
+        share = apery.congruences._deal(_blocks(900), 3)[0]
+        assert scan_digit_sets(900, 1, workers=3) == want
+        assert sorted(ran) == sorted(block[-1] for block in share)
+
+    def test_every_helper_reaped(self, three_cpus):
+        scan_digit_sets(900, 1, workers=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helpers_killed_when_the_caller_share_raises(self, three_cpus, monkeypatch):
+        # the helpers would sleep for a minute: the call returns at once
+        # only if they are killed before they are reaped
+        caller = os.getpid()
+
+        def stuck(block):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise RuntimeError("caller's share failed")
+
+        monkeypatch.setattr(apery.congruences, "_digit_sets", stuck)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="caller's share failed"):
+            scan_digit_sets(900, 1, workers=3)
+        assert time.perf_counter() - start < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fault", ["fork-raises", "helper-exits-1", "short-write"])
+    def test_failed_share_runs_in_the_caller(self, three_cpus, monkeypatch, fault):
+        pack = apery.congruences._pack
+        if fault == "fork-raises":
+            monkeypatch.setattr(os, "fork", _fake_fork([]))
+        elif fault == "helper-exits-1":
+            # the helper writes well-formed sets with wrong digits, then exits 1
+            exit_now = os._exit
+            monkeypatch.setattr(os, "_exit", lambda code: exit_now(1))
+            monkeypatch.setattr(
+                apery.congruences, "_pack",
+                lambda sets: pack([apery.congruences.DigitSet(ds.p, (0,)) for ds in sets]),
+            )
+        else:  # the last word, a digit of the share's last set, never arrives
+            monkeypatch.setattr(apery.congruences, "_pack", lambda sets: pack(sets)[:-8])
+        assert scan_digit_sets(900, 1, workers=3) == _serial_scan(900)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_while_another_thread_runs(self, three_cpus, monkeypatch):
+        forks = []
+        monkeypatch.setattr(os, "fork", _fake_fork(forks))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            got = scan_digit_sets(900, 1, workers=3)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == [] and got == _serial_scan(900)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_helpers_capped_by_usable_cpus(self, monkeypatch, cpus):
+        # counted on a fork that fails, so no helper is ever started
+        forks = []
+        monkeypatch.setattr(os, "fork", _fake_fork(forks))
+        monkeypatch.setattr(apery.congruences, "_usable_cpus", lambda: cpus)
+        assert scan_digit_sets(900, 1, workers=1000) == _serial_scan(900)
+        assert len(forks) == cpus - 1
+
+    def test_no_split_below_the_break_even(self, three_cpus, monkeypatch):
+        forks = []
+        monkeypatch.setattr(os, "fork", _fake_fork(forks))
+        assert scan_digit_sets(_SPLIT_FROM - 1, 1, workers=3) == _serial_scan(_SPLIT_FROM - 1)
+        assert forks == []
+        scan_digit_sets(_SPLIT_FROM, 1, workers=3)
+        assert len(forks) == 2
+
+    def test_shares_balance_the_estimated_cost(self):
+        blocks = _blocks(2200)
+        shares = apery.congruences._deal(blocks, 3)
+        assert sorted(map(tuple, sum(shares, []))) == sorted(map(tuple, blocks))
+        loads = [sum(block[-1] ** 2 for block in share) for share in shares]
+        assert max(loads) - min(loads) <= blocks[-1][-1] ** 2
 
 
 class TestLucasModP:

@@ -626,6 +626,19 @@ class TestFastModPaths:
                 assert apery_mod_p(n, p, table).value == value % p
                 assert apery_mod_p2(n, p, tables).value == value % m
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 101, 8467])
+    def test_folded_digits_match_exact_reduction(self, p):
+        # without a table each digit d is folded to min(d, p-1-d): digits on
+        # both sides of (p-1)/2, each alone against A(d) reduced, and
+        # together against the product of the reduced A(d)
+        centre = (p - 1) // 2
+        digits = sorted({0, 1, 2, centre - 1, centre, centre + 1, p - 3, p - 2, p - 1} & set(range(p)))
+        exact = {d: apery_fast(d) % p for d in digits}
+        for d in digits:
+            assert apery_mod_p(d, p).value == exact[d]
+        n = sum(d * p**i for i, d in enumerate(digits))
+        assert apery_mod_p(n, p).value == math.prod(exact.values()) % p
+
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             apery_mod_p(5, 6)
