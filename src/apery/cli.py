@@ -2,7 +2,8 @@
 
 Subcommands: apery, aperyd, digits, verify, taylor, eval, cache.
 Exit codes: 0 everything checked out, 1 a verification found a claim false
-or inconclusive, 2 usage or input error.
+or inconclusive, 2 usage or input error, or a request that ran out of
+memory (MemoryError).
 
 Each subparser binds its `_cmd_*` handler with `set_defaults(handler=...)`;
 `main` builds only the one its first token names (`_parse`).
@@ -45,7 +46,6 @@ from .arith import (
 )
 from .cachefile import cache_load, cache_store
 from .congruences import (
-    _usable_cpus,
     digit_set,
     scan_digit_sets,
     verify_digit_set_lucas,
@@ -111,11 +111,7 @@ def _cmd_apery(args: argparse.Namespace) -> Result:
         return 0, {"n": args.n, "value": value}, value
     if args.mod < 2:
         raise ValueError("--mod must be >= 2")
-    residue = apery_mod(args.n, args.mod)
-    if residue is None:
-        value = str(apery_fast(args.n) % args.mod)
-    else:
-        value = str(residue.value)
+    value = str(apery_mod(args.n, args.mod).value)
     return 0, {"n": args.n, "modulus": str(args.mod), "value": value}, value
 
 
@@ -127,13 +123,12 @@ def _cmd_aperyd(args: argparse.Namespace) -> Result:
 
 
 def _cmd_digits(args: argparse.Namespace) -> Result:
-    if args.workers is not None and args.workers < 1:
-        raise ValueError("workers must be >= 1")
     if args.p is not None and (args.scan, args.min_size) != (None, None):
         raise ValueError("digits P takes neither --scan nor --min-size")
+    if args.p is not None and args.workers is not None:
+        raise ValueError("digits P takes no --workers")
     if args.scan is not None:
-        workers = _usable_cpus() if args.workers is None else args.workers
-        sets = scan_digit_sets(args.scan, 1 if args.min_size is None else args.min_size, workers)
+        sets = scan_digit_sets(args.scan, 1 if args.min_size is None else args.min_size, args.workers)
     elif args.p is not None:
         sets = [digit_set(args.p)]  # rejects a p that is not prime
     else:
@@ -548,8 +543,9 @@ def main(argv: list[str] | None = None) -> int:
         elif text is not None:
             print(text)
         return code
-    except (ValueError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
+        # a MemoryError carries no message of its own
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -309,12 +309,13 @@ def _split(blocks: list[list[int]], w: int) -> list[DigitSet]:
 
 
 def scan_digit_sets(
-    p_max: int, min_size: int, workers: int = 1, cache: AperyCache | None = None
+    p_max: int, min_size: int, workers: int | None = None, cache: AperyCache | None = None
 ) -> list[DigitSet]:
     """All primes p <= p_max whose digit set has at least min_size digits, by p.
 
     Runs one modular pass per block of primes (_digit_sets) and reads no
-    exact value.  With workers > 1 the blocks are split across
+    exact value.  workers, which must be >= 1, defaults to the usable
+    CPUs.  With workers > 1 the blocks are split across
     w = min(workers, usable CPUs, blocks) processes: this one and w - 1
     helpers forked for the call, each of which returns its sets through a
     pipe (_split).  The scan stays in this process below p_max = _SPLIT_FROM,
@@ -322,6 +323,10 @@ def scan_digit_sets(
     fork could copy a lock that thread holds.  The answer is the same on
     every route.  cache is accepted and ignored.
     """
+    if workers is None:
+        workers = _usable_cpus()
+    elif workers < 1:
+        raise ValueError("workers must be >= 1")
     if p_max < 2 or min_size < 1:
         raise ValueError("need p_max >= 2 and min_size >= 1")
     primes = primes_upto(p_max)

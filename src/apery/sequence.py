@@ -5,19 +5,20 @@ by the reflection A(n) = A(-1-n).  A'(n) is the harmonic-weighted variant
 2 sum_k C(n,k)^2 C(n+k,k)^2 (H_{n+k} - H_{n-k}), an exact rational.
 
 Besides the defining sums this module provides the three-term recurrence
-(apery_fast, the one exact route, on a shared memo of the prefix A(0..K),
+(apery_fast, the one exact entry point, on a shared memo of the prefix A(0..K),
 which also serves its residues mod p^3 to the congruence sweeps), O(log n)
 modular evaluation through the base-p digit congruences, and a memory-flat
-recurrence sweep for reducing A(n) at scattered large indices.  The digit
-table A(d) mod p comes from the inverse-free x/den pass of the recurrence
-modulo p.  One pass of the recurrence and its derivative (_with_slopes)
-gives both A'(n) exactly, resumed from the marks the process keeps of it
-every 64 indices at one scale per window, and A(d), A'(d) mod p^2, the
-latter with no exact values; the exact routes stay as their oracles.  A
-p-adic digit DP gives A(n) mod p^e, e <= 3, from Kummer's theorem and
-p-free factorials, with no recurrence and no digit theorem, in time linear
-in the digits of n.
-apery_mod is the one entry for A(n) mod any M: it picks among those routes.
+exact recurrence sweep that reduces A(n) where no modular route answers.
+The digit table A(d) mod p comes from the inverse-free x/den pass of the
+recurrence modulo p.  One pass of the recurrence and its derivative
+(_with_slopes) gives both A'(n) exactly, resumed from the marks the
+process keeps of it every 64 indices at one scale per window, and A(d),
+A'(d) mod p^2, the latter with no exact values; the exact routes stay as
+their oracles.  A p-adic digit DP gives A(n) mod p^e, e <= 3, from
+Kummer's theorem and p-free factorials, with no recurrence and no digit
+theorem, in time linear in the digits of n.
+apery_mod is the one entry for A(n) mod any M: it picks among those routes,
+and the exact sweep answers whatever modulus they do not.
 """
 
 from __future__ import annotations
@@ -480,8 +481,9 @@ def apery_mod_sweep(targets: Iterable[int], modulus: int) -> dict[int, int]:
     """A(n) mod modulus at the given n >= 0, in ascending n.
 
     One exact recurrence pass from the seed (A(-1), A(0)) = (1, 1), two values
-    at a time, so memory stays flat however large max(targets) is: for the
-    occasional reduction at indices too large to be worth caching exactly.
+    at a time, so it keeps no memo and holds about 10 max(targets) bits:
+    apery_mod's route for a modulus that neither a digit route nor the
+    x/den pass answers.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -587,42 +589,40 @@ def _apery_mod_pk(n: int, p: int, e: int) -> int:
     return state[0] % p**e
 
 
-def apery_mod(n: int, modulus: int) -> Residue | None:
-    """A(n) mod M for any integer n and M >= 2, or None when only the exact
-    value answers; a caller then reduces apery_fast(n).
+def apery_mod(n: int, modulus: int) -> Residue:
+    """A(n) mod M for any integer n and M >= 2.
 
-    n < 0 is reflected to -1-n first.  With p a prime <= min(n,
-    PRIMALITY_BOUND), the route for M is
+    n < 0 is reflected to k = -1-n first, else k = n.  With p a prime <=
+    min(k, PRIMALITY_BOUND), the route for M is
     - p: the Lucas digit route apery_mod_p;
     - p^2: Gessel's digit route apery_mod_p2;
     - p^3 with p >= 5: the p-adic digit DP _apery_mod_pk (8 and 27 fall
       through: the DP reads mod p^3 only from p = 5 on);
-    - any other M > n: one pass of the recurrence modulo M to n, carried
-      as x/den (_recurrence_mod).  That is A(n) mod M when den, the product
-      of k^3 over 1 <= k <= n, is a unit mod M, and None when some k <= n
-      shares a factor with M;
-    - any other M <= n: None without the pass, since k = M shares M.
-    The digit tables stop at the largest base-p digit of n, and the DP
-    reads each base-p digit of n once.  With p > n a table would be the
-    whole pass to n, which the pass makes without a primality test.
+    - any other M > k: one pass of the recurrence modulo M to k, carried
+      as x/den (_recurrence_mod).  That is A(k) mod M when den, the product
+      of j^3 over 1 <= j <= k, is a unit mod M;
+    - any other M: the exact pass apery_mod_sweep, which holds two values
+      and no memo.  It takes M <= k without the x/den pass, since j = M
+      shares M, and any M > k whose den is no unit.
+    The digit tables stop at the largest base-p digit of k, and the DP
+    reads each base-p digit of k once.  With p > k a table would be the
+    whole pass to k, which the pass makes without a primality test.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if n < 0:
-        n = -1 - n
-    bound = min(n, PRIMALITY_BOUND)
+    k = -1 - n if n < 0 else n
+    bound = min(k, PRIMALITY_BOUND)
     if modulus <= bound and is_prime(modulus):
-        return apery_mod_p(n, modulus)
+        return apery_mod_p(k, modulus)
     root = math.isqrt(modulus)
     if root * root == modulus and root <= bound and is_prime(root):
-        return apery_mod_p2(n, root)
+        return apery_mod_p2(k, root)
     root = _icbrt(modulus)
     if root**3 == modulus and 5 <= root <= bound and is_prime(root):
-        return Residue(_apery_mod_pk(n, root, 3), modulus)
-    if modulus <= n:
-        return None
-    for x, den in _recurrence_mod(modulus, n):
-        pass
-    if math.gcd(den, modulus) == 1:
-        return Residue(x * pow(den, -1, modulus), modulus)
-    return None
+        return Residue(_apery_mod_pk(k, root, 3), modulus)
+    if modulus > k:
+        for x, den in _recurrence_mod(modulus, k):
+            pass
+        if math.gcd(den, modulus) == 1:
+            return Residue(x * pow(den, -1, modulus), modulus)
+    return Residue(apery_mod_sweep([k], modulus)[k], modulus)

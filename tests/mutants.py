@@ -208,6 +208,17 @@ MUTANTS = (
            "cache = AperyCache(values[n] for n in takewhile(values.__contains__, count()))",
            "cache = AperyCache()",
            ("tests/test_cli.py::TestCacheCommand::test_refill_walks_only_past_the_file_prefix",)),
+    # the fallback that reduces the memo's exact A(k), which holds A(0..k)
+    Mutant("apery_mod: fallback through the exact memo", "src/apery/sequence.py",
+           "return Residue(apery_mod_sweep([k], modulus)[k], modulus)",
+           "return Residue(apery_fast(k) % modulus, modulus)",
+           ("tests/test_acceptance.py::test_27_composite_modulus_streams_memory",
+            "tests/test_sequence.py::TestAperyMod::test_no_pass_for_a_modulus_at_most_n")),
+    # the fallback given n, which the sweep refuses below 0
+    Mutant("apery_mod: fallback given n, not its reflection", "src/apery/sequence.py",
+           "return Residue(apery_mod_sweep([k], modulus)[k], modulus)",
+           "return Residue(apery_mod_sweep([n], modulus)[n], modulus)",
+           ("tests/test_sequence.py::TestAperyMod::test_route_grid",)),
     # the fold to the mirrored digit off by one: p - d is no digit's mirror
     Mutant("apery_mod_p: fold written as min(d, p - d)", "src/apery/sequence.py",
            "digits = [min(d, p - 1 - d) for d in digits]", "digits = [min(d, p - d) for d in digits]",
@@ -346,8 +357,13 @@ MUTANTS = (
     Mutant("_cmd_digits: min-size default by truth value", "src/apery/cli.py",
            "1 if args.min_size is None else args.min_size", "args.min_size or 1",
            ("tests/test_cli.py::TestExplicitValues::test_exits_2[scan-min-size]",)),
-    Mutant("_cmd_digits: --workers check dropped", "src/apery/cli.py",
-           "    if args.workers is not None and args.workers < 1:\n"
+    Mutant("_cmd_digits: prime with --workers let through", "src/apery/cli.py",
+           "    if args.p is not None and args.workers is not None:\n"
+           '        raise ValueError("digits P takes no --workers")\n', "",
+           ("tests/test_cli.py::TestDigitsCommand::test_prime_takes_no_workers[2]",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden")),
+    Mutant("scan_digit_sets: --workers check dropped", "src/apery/congruences.py",
+           "    elif workers < 1:\n"
            '        raise ValueError("workers must be >= 1")\n', "",
            ("tests/test_cli.py::TestExplicitValues::test_exits_2[scan-workers]",)),
     # every command takes --cache, as a --cache on the shared parent would give

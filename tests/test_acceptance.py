@@ -554,3 +554,37 @@ def test_26_mod_p_reads_only_the_digits_memory():
         tracemalloc.stop()
     ok = peak < budget_mib and value == expected
     report("26 mod-p-digits-only-memory", ok, t0, 5, f" peak {peak:.3f} MiB / {budget_mib} MiB")
+
+
+def test_27_composite_modulus_streams_memory():
+    # `apery 10000 --mod 35` in a process of its own, so no earlier test's
+    # memo answers it.  35 = 5 * 7 with 5, 7 <= n has no digit route and no
+    # x/den pass, so apery_mod reduces the exact sweep, which holds two
+    # values: 0.24 MiB traced at the peak of cli.main, argparse included,
+    # and 0.42-0.50 s with interpreter start-up on 2 vCPUs.  Reducing the
+    # memo's A(10000) instead peaked at 32.8 MiB in the same time.  The
+    # oracle is the defining sum
+    budget, budget_mib = 2, 1
+    code = (
+        "import contextlib, io, tracemalloc\n"
+        "from apery.cli import main\n"
+        "out = io.StringIO()\n"
+        "tracemalloc.start()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(['apery', '10000', '--mod', '35'])\n"
+        "print(code, tracemalloc.get_traced_memory()[1], out.getvalue())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    expected = apery(10000) % 35
+    t0 = time.time()
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=budget
+    )
+    exit_code, peak, printed = done.stdout.split(" ", 2)
+    peak_mib = int(peak) / 2**20
+    ok = exit_code == "0" and printed == "15\n\n" and expected == 15
+    ok = ok and peak_mib < budget_mib
+    report(
+        "27 composite-modulus-streams-memory", ok, t0, budget,
+        f" peak {peak_mib:.2f} MiB / {budget_mib} MiB",
+    )

@@ -181,6 +181,12 @@ class TestDigitsCommand:
         message = "error: digits P takes neither --scan nor --min-size\n"
         assert run_cli(capsys, "digits", *argv) == (2, "", message)
 
+    @pytest.mark.parametrize("workers", ["2", "1", "0"])
+    def test_prime_takes_no_workers(self, capsys, workers):
+        # only a scan reads --workers, so a prime refuses it, valid or not
+        message = "error: digits P takes no --workers\n"
+        assert run_cli(capsys, "digits", "7", "--workers", workers) == (2, "", message)
+
 
 class TestCsvRestriction:
     def test_csv_only_for_digit_scans(self, capsys):
@@ -849,8 +855,8 @@ class TestCacheCommand:
         self, capsys, monkeypatch, tmp_path, rescaled, kind, argv
     ):
         # the walk from A(0) costs less than a load, so the routes that read
-        # exact values use the process memo alone: a file that every load
-        # refuses, named by $APERY_CACHE, changes no byte
+        # exact values use the process memo, or the sweep's two values: a
+        # file that every load refuses, named by $APERY_CACHE, changes no byte
         path = rescaled
         if kind == "not-a-cache":
             path = str(tmp_path / "notes.txt")
@@ -932,6 +938,35 @@ def test_module_entry_point_input_error():
     done = run_module("verify", "lucas-p", "--p", "4")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ")
+
+
+def test_memory_error_is_one_line(capsys, monkeypatch):
+    # a request too large for memory is an input error, not a traceback
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr("apery.cli._cmd_apery", exhausted)
+    assert run_cli(capsys, "apery", "5") == (2, "", "error: MemoryError\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_memory_error_under_an_address_space_cap():
+    # `verify lucas-p --p 1000003 --n 0..0` walks the exact prefix toward
+    # p - 1; under a 200 MiB cap on its own process it runs out within a
+    # few seconds, and exits 2 with one line
+    import resource
+
+    cap = 200 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "apery", "verify", "lucas-p", "--p", "1000003", "--n", "0..0"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: MemoryError\n")
 
 
 # each command with arguments it accepts, so that a trailing token is the

@@ -66,6 +66,7 @@ COMMANDS = [
     "digits 0", "digits -7", "digits", "digits --scan 30 --min-size 4", "digits --scan 60",
     "digits --scan 100 --min-size 5", "digits --scan 2", "digits --scan 1",
     "digits --scan 50 --min-size 99", "digits --scan 60 --workers 2", "digits 7 --scan 20",
+    "digits 7 --workers 2",
     # Taylor coefficients, exact and by composition
     "taylor 0", "taylor 0 --terms", "taylor 1 --exact --N 40", "taylor 2", "taylor 3 --terms",
     "taylor 4 --terms --exact", "taylor 6 --exact --N 10", "taylor 3 --N 0",

@@ -117,6 +117,9 @@ class TestScan:
     def test_validation(self):
         with pytest.raises(ValueError):
             scan_digit_sets(1, 1)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                scan_digit_sets(100, 1, workers)
 
 
 def _serial_scan(p_max):
@@ -240,6 +243,13 @@ class TestSplitScan:
         monkeypatch.setattr(apery.congruences, "_usable_cpus", lambda: cpus)
         assert scan_digit_sets(900, 1, workers=1000) == _serial_scan(900)
         assert len(forks) == cpus - 1
+
+    def test_default_workers_are_the_usable_cpus(self, three_cpus, monkeypatch):
+        # counted on a fork that fails, so no helper is ever started
+        forks = []
+        monkeypatch.setattr(os, "fork", _fake_fork(forks))
+        assert scan_digit_sets(900, 1) == _serial_scan(900)
+        assert len(forks) == 2
 
     def test_no_split_below_the_break_even(self, three_cpus, monkeypatch):
         forks = []

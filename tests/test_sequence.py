@@ -674,35 +674,32 @@ class TestAperyMod:
     ROUTED = {p**e: p for p in (2, 3, 5, 7, 11, 13) for e in (1, 2, 3) if e < 3 or p >= 5}
     # a prime above every |n| of the grid, a coprime composite above it, a
     # multiple of 3 above PRIMALITY_BOUND, and moduli with a factor <= |n|
-    # that only the exact value answers there
+    # that the exact sweep answers there
     OTHERS = (401, 10007 * 10009, 3317044064679887385961983, 8, 27, 35, 1000)
 
     def test_route_grid(self):
-        # against the defining sum; None exactly where no digit route takes
-        # M and some k <= |n| shares a factor with M
+        # against the defining sum at k = n or -1-n, whichever route answers
         exact = [apery(k) for k in range(400)]
         moduli = [*self.ROUTED, *self.OTHERS]
         for n in range(-60, 400):
             k = n if n >= 0 else -1 - n
-            factorial = math.factorial(k)
             for m in moduli:
-                got = apery_mod(n, m)
-                if self.ROUTED.get(m, k + 1) > k and math.gcd(m, factorial) > 1:
-                    assert got is None, (n, m)
-                else:
-                    assert got == Residue(exact[k], m), (n, m)
+                assert apery_mod(n, m) == Residue(exact[k], m), (n, m)
 
     def test_no_pass_for_a_modulus_at_most_n(self, monkeypatch):
-        # M <= |n| with no digit route answers None without the x/den pass,
-        # since k = M shares a factor with M; a coprime M > |n| takes it
+        # M <= |n| with no digit route is answered by the exact sweep, with
+        # neither the x/den pass nor a memo walk; a coprime M > |n| takes
+        # the pass
         assert apery_mod(50, 10007 * 10009) == Residue(apery(50), 10007 * 10009)
 
-        def no_pass(*args):
-            raise AssertionError("the x/den pass ran")
+        def refuse(*args):
+            raise AssertionError("a pass or a memo walk ran")
 
-        monkeypatch.setattr("apery.sequence._recurrence_mod", no_pass)
-        for n, m in ((100, 35), (-1001, 1000), (60, 8)):
-            assert apery_mod(n, m) is None, (n, m)
+        monkeypatch.setattr("apery.sequence._recurrence_mod", refuse)
+        monkeypatch.setattr(AperyCache, "_walk", refuse)
+        monkeypatch.setattr("apery.sequence._SHARED_CACHE", AperyCache())
+        for n, m, k in ((100, 35, 100), (-1001, 1000, 1000), (60, 8, 60)):
+            assert apery_mod(n, m) == Residue(apery(k), m), (n, m)
 
     def test_modulus_below_two_rejected(self):
         for bad in (1, 0, -5):
