@@ -1,7 +1,8 @@
 """Verification sweeps over finite ranges, negative n included.
 
-Each sweep checks a congruence family with exact arithmetic and reports
-counterexample tuples if anything fails (nothing does).  For digits outside
+Each sweep checks a congruence family on residues that the p-adic digit DP
+and the recurrence modulo p^3 make (exact values only at p = 2), and
+reports counterexample tuples if anything fails (nothing does).  For digits outside
 D(p) the mod p^2 congruence must fail somewhere, and the sweep records the
 first witnessing n for each.
 """

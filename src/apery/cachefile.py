@@ -29,8 +29,9 @@ bound also keeps that pass, 16 bytes per index, below about 16 bytes per
 hex digit of the largest record loaded.  The check catches any
 single-digit edit, truncation or rescaling by k != 1 (mod q); a value
 changed by an exact multiple of q is the one change that passes.  The
-exact memo makes no such check: it reads the values it made as the
-recurrence's, and those it was given as themselves (AperyCache).
+exact memo makes no such check: it holds the values its walk made and
+the prefix `cache fill` seeds it with from a file that passed this one
+(AperyCache), and the congruence sweeps read no exact value but at p = 2.
 """
 
 from __future__ import annotations

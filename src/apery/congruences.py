@@ -8,16 +8,16 @@ them into non-negative evaluations.
 
 Each digit law is a modulus plus a table of per-digit factors.  The
 per-(d, n) laws share one sweep, _sweep, which builds, fills and returns
-their report, with both sides A(d + p n) and A(n) reduced from exact
-values and the factors A(d), A'(d) read from the digit tables (the
-recurrence and its derivative modulo p or p^2), except that digitset-p2
-keeps exact factors (see verify_digit_set_lucas).  The sweep checks one
-column of cases per digit, n ascending: its left sides are a stride-p
-slice of one prefix of residues mod p^3 that the memo holding the exact
-values keeps per prime, built with one division per p indices where the
-memo made the values and one per index where it was given them
-(AperyCache.residues), and its right sides come from the column of A(n);
-_sweep says how.
+their report.  Its two sides A(d + p n) and A(n) are read from one prefix
+of residue rows per prime, which this module keeps (_rows) and builds with
+no exact value except at p = 2: each block of p indices starts from the
+p-adic digit DP and runs the recurrence modulo p^3 (9 at p = 3) through
+the rest of the block (_blocks).  The factors A(d), A'(d) come from the
+digit tables (the recurrence and its derivative modulo p or p^2), except
+that digitset-p2 reads its factors from the rows (see
+verify_digit_set_lucas).  The sweep checks one column of cases per digit,
+n ascending: its left sides are a stride-p slice of the rows, and its
+right sides come from the column of A(n); _sweep says how.
 verify_multi_digit takes A(n) from the p-adic digit DP, which uses neither
 the recurrence nor a digit theorem, and its factors from the digit tables.
 digit_set and scan_digit_sets read no exact value: each block of
@@ -46,10 +46,12 @@ from .sequence import (
     _DP_START,
     AperyCache,
     _dp_step,
+    _dp_value,
     _recurrence_mod,
+    _reduced_pass,
+    apery_fast,
     mod_p2_tables,
     mod_p_table,
-    shared_cache,
 )
 
 __all__ = [
@@ -339,19 +341,73 @@ def scan_digit_sets(
     return [ds for ds in sets if len(ds) >= min_size]
 
 
+# p -> the rows A(0), ..., A(len - 1) mod _row_modulus(p), in whole blocks of
+# p; each extension is published as a new array, never written again
+_tables: dict[int, array] = {}
+_tables_lock = threading.Lock()
+
+
+def _row_modulus(p: int) -> int:
+    """p^3, but 9 at p = 3, where the digit DP reads mod p^2 only, and 8 at
+    p = 2, read from exact values."""
+    return 8 if p == 2 else 9 if p == 3 else p**3
+
+
+def _blocks(p: int, lo: int, hi: int) -> list[int]:
+    """A(k) mod _row_modulus(p) for k = lo, ..., hi, lo a multiple of p.
+
+    Block [jp, jp + p) starts from A(jp), the digit DP at jp: the state of
+    j, then one step with digit 0 (_dp_value; A(0) = 1 takes no step).
+    For jp < k < jp + p, k^3 is a unit mod p^3, and at k = jp + 1 the
+    coefficient (jp)^3 = 0 mod p^3 drops A(jp - 1), so the recurrence
+    modulo the rows' modulus gives the rest of the block from A(jp) alone
+    (_reduced_pass).  p = 2 masks the exact memo's values with 7, v & 7
+    being v % 8: the DP reads mod p^3 only from p = 5 on, and p3-suite at
+    2 compares mod 8.
+    """
+    if p == 2:
+        return [apery_fast(k) & 7 for k in range(lo, hi + 1)]
+    m = _row_modulus(p)
+    rows = []
+    for jp in range(lo, hi + 1, p):
+        rows += _reduced_pass(m, min(jp + p - 1, hi), jp, _dp_value(jp, p) % m)
+    return rows
+
+
+def _rows(p: int, top: int) -> list[int]:
+    """A(k) mod _row_modulus(p) for k = 0, ..., top, as a fresh list.
+
+    A table that reaches top is read with no lock.  A shorter one is
+    extended under the lock, in whole blocks, to the end of top's block
+    (_blocks), and published as a new array.  A prime p >= 2^21, whose cube
+    overflows an entry, keeps no table: its blocks are built afresh on each
+    call.
+    """
+    table = _tables.get(p)
+    if table is None or len(table) <= top:
+        if p**3 >= 2**63:  # past the largest array('q') entry
+            return _blocks(p, 0, top)
+        with _tables_lock:
+            table = _tables.get(p, array("q"))
+            if len(table) <= top:
+                new = _blocks(p, len(table), top - top % p + p - 1)
+                table = _tables[p] = table + array("q", new)
+    return table[: top + 1].tolist()
+
+
 def _sweep(
     theorem: str,
     p: int,
     m: int,
     n_range: tuple[int, int],
     factors: dict[int, tuple[int, int]] | None,
-    cache: AperyCache | None,
     expected_to_fail: frozenset[int] = frozenset(),
 ) -> CongruenceReport:
     """The report of theorem at p over the range, with parameters p, n_lo
     and n_hi: A(d + p n) = (a + p n s) A(n) mod m for every digit d: (a, s)
-    in factors and every n in range, both sides reduced from exact values.
-    factors=None stands for the exact factors (A(d) mod m, 0), d < p.
+    in factors and every n in range, both sides read from the rows (_rows),
+    whose modulus m divides.  factors=None stands for the rows' own
+    factors (A(d) mod m, 0), d < p.
 
     Each digit's cases form one column, n ascending, and each digit adds
     the cases it ran to checked.  A failing case is a counterexample,
@@ -363,29 +419,24 @@ def _sweep(
 
     A(n) = A(k) for the index k = n or -1-n, and A(d + p n) is A(pk + d)
     for n >= 0 and A(pk + p-1-d) for n < 0, since A(d + p n) =
-    A((p-1-d) + p(-1-n)).  So one read of the memo's prefix A(0..pK + p - 1)
-    mod p^3 (AperyCache.residues), with K the largest k, holds every case
-    and the exact factors.  The memo builds it once per prime from its
-    exact values: it reduces the value at each multiple of p and runs the
-    recurrence mod p^3 through the rest of that block, except in a block
-    that starts inside the prefix it was given, which it reduces value by
-    value, so a wrong value is reported as itself.  The whole prefix is
-    reduced mod m once.  The left column of digit d is a stride-p slice of
-    it: at offset p-1-d over the n < 0 (_halves), read in reverse, then at
-    offset d over the n >= 0.  The column of A(n) is the unit-stride slice
-    the same way; it is the right column at the factor (1, 0), and every
-    other right column is made from it, with p n A(n) made once per sweep
-    for the factors with a slope.  Only a left column that differs from
-    its right one is walked, to its mismatches.
+    A((p-1-d) + p(-1-n)).  So one read of the rows A(0..pK + p - 1), with
+    K the largest k, holds every case and the rows' own factors.  The
+    rows are reduced mod m once, unless m is their own modulus.  The left
+    column of digit d is a stride-p slice of them: at offset p-1-d over
+    the n < 0 (_halves), read in reverse, then at offset d over the
+    n >= 0.  The column of A(n) is the unit-stride slice the same way; it
+    is the right column at the factor (1, 0), and every other right column
+    is made from it, with p n A(n) made once per sweep for the factors
+    with a slope.  Only a left column that differs from its right one is
+    walked, to its mismatches.
     """
     neg, pos = _halves(n_range)
     lo, hi = n_range
     report = CongruenceReport(theorem, {"p": p, "n_lo": lo, "n_hi": hi})
-    memo = cache if cache is not None else shared_cache()
-    rows = memo.residues(p, p * max(hi, -1 - lo) + p - 1)
+    rows = _rows(p, p * max(hi, -1 - lo) + p - 1)
     if factors is None:
         factors = {d: (rows[d] % m, 0) for d in range(p)}
-    if m != p**3:
+    if m != _row_modulus(p):
         rows[:] = map(mod, rows, repeat(m))
     heads = rows[neg.start : neg.stop][::-1] + rows[pos.start : pos.stop]
     scaled = None  # p n A(n) mod m, made at the first factor with a slope
@@ -423,19 +474,15 @@ def _sweep(
     return report
 
 
-def verify_lucas_mod_p(
-    p: int, n_range: tuple[int, int], cache: AperyCache | None = None
-) -> CongruenceReport:
+def verify_lucas_mod_p(p: int, n_range: tuple[int, int]) -> CongruenceReport:
     """Check A(d + p n) = A(d) A(n) mod p for every digit d and n in range,
     with A(d) mod p from the digit table."""
     _require_prime(p)
     factors = {d: (a, 0) for d, a in enumerate(mod_p_table(p))}
-    return _sweep("lucas-p", p, p, n_range, factors, cache)
+    return _sweep("lucas-p", p, p, n_range, factors)
 
 
-def verify_gessel_mod_p2(
-    p: int, n_range: tuple[int, int], cache: AperyCache | None = None
-) -> CongruenceReport:
+def verify_gessel_mod_p2(p: int, n_range: tuple[int, int]) -> CongruenceReport:
     """Check A(d + p n) = (A(d) + p n A'(d)) A(n) mod p^2 over the range.
 
     A(d) and A'(d) mod p^2 come from the digit tables.  The recurrence
@@ -444,12 +491,10 @@ def verify_gessel_mod_p2(
     """
     _require_prime(p)
     factors = dict(enumerate(zip(*mod_p2_tables(p))))
-    return _sweep("gessel-p2", p, p * p, n_range, factors, cache)
+    return _sweep("gessel-p2", p, p * p, n_range, factors)
 
 
-def verify_mod_p3_suite(
-    p: int, n_range: tuple[int, int], cache: AperyCache | None = None
-) -> CongruenceReport:
+def verify_mod_p3_suite(p: int, n_range: tuple[int, int]) -> CongruenceReport:
     """The strongest congruence available at each prime, over the range.
 
     p = 2:  A(n) = 5^n mod 8 for n >= 0 and A(n) = 5^(n+1) mod 8 for n <= -1.
@@ -459,15 +504,14 @@ def verify_mod_p3_suite(
     """
     if p == 3:
         factors = {d: (a, 0) for d, a in enumerate(mod_p2_tables(3)[0])}
-        return _sweep("p3-suite", 3, 9, n_range, factors, cache)
+        return _sweep("p3-suite", 3, 9, n_range, factors)
     if p != 2:
         _require_prime(p)  # a prime other than 2 and 3 is >= 5
-        return _sweep("p3-suite", p, p**3, n_range, {0: (1, 0), p - 1: (1, 0)}, cache)
+        return _sweep("p3-suite", p, p**3, n_range, {0: (1, 0), p - 1: (1, 0)})
     neg, pos = _halves(n_range)
     lo, hi = n_range
     report = CongruenceReport("p3-suite", {"p": 2, "n_lo": lo, "n_hi": hi})
-    memo = cache if cache is not None else shared_cache()
-    heads = memo.residues(2, max(hi, -1 - lo))
+    heads = _rows(2, max(hi, -1 - lo))
     report.checked = hi - lo + 1
     # A(n) mod 8 over each half, n ascending, against 5^e mod 8 from the
     # first n's exponent e = n + 1 (n < 0) or n (n >= 0); the powers
@@ -485,9 +529,7 @@ def verify_mod_p3_suite(
     return report
 
 
-def verify_digit_set_lucas(
-    p: int, n_range: tuple[int, int], cache: AperyCache | None = None
-) -> CongruenceReport:
+def verify_digit_set_lucas(p: int, n_range: tuple[int, int]) -> CongruenceReport:
     """Membership check for the digit-set theorem modulo p^2.
 
     Digits in D(p) must satisfy A(d + p n) = A(d) A(n) mod p^2 on the whole
@@ -495,16 +537,17 @@ def verify_digit_set_lucas(
     is recorded as a witness).  Measured, not proven: for each prime below
     5000, every digit outside D(p) has a witness at n = -1 or n = 1.
 
-    D(p) comes from the modular recurrence, so the factors must not: with
-    table factors, a wrong A(d) for a digit d outside D(p) fails at n = 0
-    and witnesses its own exclusion.  With exact factors (factors=None,
-    read by _sweep through the same reader as both sides) the same fault
-    leaves d unwitnessed, so the report is inconclusive.
+    D(p) comes from the pass of the recurrence that decides it, so the
+    factors must not: with factors from that pass, a wrong A(d) for a digit
+    d outside D(p) fails at n = 0 and witnesses its own exclusion.  With
+    the rows' own factors (factors=None, read by _sweep from the rows that
+    give both sides) the same fault leaves d unwitnessed, so the report is
+    inconclusive.
     """
     _require_prime(p)
     ds = digit_set(p)
     outside = frozenset(range(p)) - frozenset(ds.digits)
-    report = _sweep("digitset-p2", p, p * p, n_range, None, cache, outside)
+    report = _sweep("digitset-p2", p, p * p, n_range, None, outside)
     report.parameters["digits"] = list(ds.digits)
     return report
 

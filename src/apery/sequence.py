@@ -5,10 +5,10 @@ by the reflection A(n) = A(-1-n).  A'(n) is the harmonic-weighted variant
 2 sum_k C(n,k)^2 C(n+k,k)^2 (H_{n+k} - H_{n-k}), an exact rational.
 
 Besides the defining sums this module provides the three-term recurrence
-(apery_fast, the one exact entry point, on a shared memo of the prefix A(0..K),
-which also serves its residues mod p^3 to the congruence sweeps), O(log n)
-modular evaluation through the base-p digit congruences, and a memory-flat
-exact recurrence sweep that reduces A(n) where no modular route answers.
+(apery_fast, the one exact entry point, on a shared memo of the exact
+prefix A(0..K)), O(log n) modular evaluation through the base-p digit
+congruences, and a memory-flat exact recurrence sweep that reduces A(n)
+where no modular route answers.
 The digit table A(d) mod p comes from the inverse-free x/den pass of the
 recurrence modulo p.  One pass of the recurrence and its derivative
 (_with_slopes) gives both A'(n) exactly, resumed from the marks the
@@ -16,7 +16,8 @@ process keeps of it every 64 indices at one scale per window, and A(d),
 A'(d) mod p^2, the latter with no exact values; the exact routes stay as
 their oracles.  A p-adic digit DP gives A(n) mod p^e, e <= 3, from
 Kummer's theorem and p-free factorials, with no recurrence and no digit
-theorem, in time linear in the digits of n.
+theorem, in time linear in the digits of n; it also anchors the congruence
+sweeps' residue rows.
 apery_mod is the one entry for A(n) mod any M: it picks among those routes,
 and the exact sweep answers whatever modulus they do not.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from array import array
 from fractions import Fraction
 from itertools import accumulate, islice, pairwise
 from typing import Callable, Iterable, Iterator, Sequence
@@ -165,39 +165,24 @@ def _reduced_pass(m: int, top: int, n0: int = 0, anchor: int = 1) -> list[int]:
     return xs
 
 
-_ENTRY_MAX = 2**63 - 1  # the largest array('q') entry
-
-
 class AperyCache:
-    """Thread-safe memo of the exact prefix A(0), ..., A(len - 1), with its
-    residues.
+    """Thread-safe memo of the exact prefix A(0), ..., A(len - 1).
 
     The values are a list from A(0) = 1, A(1) = 5.  put is the one write
     path, under a lock: it appends A(len), takes an equal value below len
     as a no-op, and refuses anything else, so the memo never has a gap.
     A value never changes once appended, so reads take no lock.
-    AperyCache(prefix) puts A(0), A(1), ... of prefix in that order and
-    keeps its length; tests pass values that are not A(k).  The walk
-    (_walk) resumes the recurrence from the end of the prefix, so every
-    value past the given prefix satisfies the recurrence exactly
-    (_exact_div raises otherwise).
-
-    Beside the values the memo keeps one array('q') per prime p, the prefix
-    A(0), ..., A(len - 1) mod p^3, which residues() extends under the lock.
-    A table belongs to its memo, so another memo's values, equal or not,
-    never answer from it.  Readers take no lock: a table only grows, and an
-    entry never changes once written.  Each entry is the residue of the
-    value the memo holds, whatever that value is (_reduced).
+    AperyCache(prefix) puts A(0), A(1), ... of prefix in that order, as
+    `cache fill` seeds it with a file's run.  The walk (_walk) resumes the
+    recurrence from the end of the prefix, so every value past it
+    satisfies the recurrence exactly (_exact_div raises otherwise).
     """
 
     def __init__(self, prefix: Iterable[int] = ()):
         self._values = [1, 5]
         self._lock = threading.Lock()
-        self._tables: dict[int, array] = {}
-        self._given = 0  # the length of prefix, whose values no step made
         for n, value in enumerate(prefix):
             self.put(n, value)
-            self._given = n + 1
 
     def get(self, n: int) -> int | None:
         values = self._values
@@ -206,10 +191,7 @@ class AperyCache:
     def put(self, n: int, value: int) -> None:
         """Append value as A(n) at n = len, the walk's write path.
 
-        An equal value below len is a no-op; anything else raises.  A value
-        put past the prefix given to the constructor is taken as the
-        recurrence's: the residue tables read it through its block's anchor
-        (_reduced).
+        An equal value below len is a no-op; anything else raises.
         """
         with self._lock:
             values = self._values
@@ -228,53 +210,6 @@ class AperyCache:
             self.put(m, _recurrence_step(m, values[m - 1], values[m - 2]))
         return values[top]
 
-    def _reduced(self, p: int, table: Sequence[int], top: int) -> list[int]:
-        """A(k) mod p^3 for k = len(table), ..., top, after the prefix that
-        table holds, each the residue of the value the memo holds.
-
-        Block [jp, jp + p) starts from A(jp) mod p^3: for jp < k < jp + p,
-        k^3 is a unit mod p^3, and at k = jp + 1 the coefficient (jp)^3 = 0
-        drops A(jp - 1) (_reduced_pass).  A block that starts before
-        len(table) runs again from the table's entry at jp, its anchor.  A
-        block at or past the given prefix's end holds only values the walk
-        made, which satisfy the recurrence exactly, so the pass gives their
-        own residues from the anchor's.  A block that starts below it may
-        hold given values that do not, and has every value reduced as it
-        is.  p = 2 masks each value with 7, v & 7 being v % 8, and needs
-        no blocks.
-        """
-        values, cube, start = self._values, p * p * p, len(table)
-        if p == 2:
-            return [values[k] & 7 for k in range(start, top + 1)]
-        out = []
-        for jp in range(start - start % p, top + 1, p):
-            lo, hi = max(jp, start), min(jp + p, top + 1)
-            if jp < self._given:
-                out += [values[k] % cube for k in range(lo, hi)]
-            else:
-                anchor = table[jp] if jp < start else values[jp] % cube
-                out += _reduced_pass(cube, hi - 1, jp, anchor)[lo - jp :]
-        return out
-
-    def residues(self, p: int, top: int) -> list[int]:
-        """A(k) mod p^3 for k = 0, ..., top, for a prime p.
-
-        The walk (_walk) first puts every value up to top in the memo.
-        Under the lock, the table of p is then extended past its end, block
-        by block (_reduced).  A table serves the prefix it holds with no
-        lock.  A prime p >= 2^21, where p^3 overflows an entry, has no
-        table: its blocks run afresh on each call.
-        """
-        self._walk(top)  # before the lock, which its puts take
-        if p * p * p > _ENTRY_MAX:
-            return self._reduced(p, (), top)
-        table = self._tables.get(p)
-        if table is None or len(table) <= top:
-            with self._lock:
-                table = self._tables.setdefault(p, array("q"))
-                table.extend(self._reduced(p, table, top))
-        return table[: top + 1].tolist()
-
     def __len__(self) -> int:
         return len(self._values)
 
@@ -290,7 +225,7 @@ def shared_cache() -> AperyCache:
 def apery_fast(n: int, cache: AperyCache | None = None) -> int:
     """A(n) for any integer n: the reflection A(n) = A(-1-n), then the
     three-term recurrence from the end of the memo's prefix (the walk,
-    AperyCache._walk, that residues also runs).
+    AperyCache._walk).
 
     Every value the recurrence makes is put in the memo (the process-wide
     one when cache is None).  The test suite checks this route against
@@ -580,13 +515,17 @@ def _apery_mod_pk(n: int, p: int, e: int) -> int:
     if e not in (1, 2, 3) or (e == 3 and p < 5):
         raise ValueError(f"need e in (1, 2, 3), and p >= 5 for e = 3; got p={p}, e={e}")
     _require_prime(p)
-    if n < 0:
-        n = -1 - n
+    return _dp_value(-1 - n if n < 0 else n, p) % p**e
+
+
+def _dp_value(n: int, p: int) -> int:
+    """s0 after the digits of n >= 0 (_apery_mod_pk, which checks p): A(n)
+    mod p^3 for p >= 5, and mod p^2 at any prime."""
     state, big, m = _DP_START, 0, p * p
     for t in reversed(_digits(n, p)):
         state = _dp_step(state, big, p, t)
         big = (big * p + t) % m
-    return state[0] % p**e
+    return state[0]
 
 
 def apery_mod(n: int, modulus: int) -> Residue:

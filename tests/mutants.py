@@ -194,8 +194,8 @@ MUTANTS = (
     # a sweep that loads the file $APERY_CACHE names again, bad files and all
     Mutant("_verify_congruence: cache file opened", "src/apery/cli.py",
            "return sweep(args.p, args.n).to_dict()",
-           "return sweep(args.p, args.n, os.environ.get(CACHE_ENV) and AperyCache("
-           "cache_load(os.environ[CACHE_ENV]).values())).to_dict()",
+           "os.environ.get(CACHE_ENV) and cache_load(os.environ[CACHE_ENV])\n"
+           "    return sweep(args.p, args.n).to_dict()",
            ("tests/test_cli.py::TestCacheCommand::test_sweeps_never_open_cache",)),
     # `apery N` that pours the file $APERY_CACHE names into a memo again
     Mutant("_cmd_apery: cache file opened", "src/apery/cli.py",
@@ -233,53 +233,36 @@ MUTANTS = (
            "        with self._lock:\n            values = self._values\n",
            "        if True:\n            values = self._values\n",
            ("tests/test_sequence.py::TestCache::test_walks_from_threads",)),
-    Mutant("AperyCache.residues: extend outside the lock", "src/apery/sequence.py",
-           "                table = self._tables.setdefault(p, array(\"q\"))\n"
-           "                table.extend(",
-           "                table = self._tables.setdefault(p, array(\"q\"))\n"
-           "            table.extend(",
-           ("tests/test_sequence.py::TestCache::test_residues_from_threads",)),
-    # the prefix an extension starts from, read before the lock
-    Mutant("AperyCache.residues: start read before the lock", "src/apery/sequence.py",
-           "            with self._lock:\n"
-           "                table = self._tables.setdefault(p, array(\"q\"))\n"
-           "                table.extend(self._reduced(p, table, top))",
-           "            held = array(\"q\", table or ())\n"
-           "            with self._lock:\n"
-           "                table = self._tables.setdefault(p, array(\"q\"))\n"
-           "                table.extend(self._reduced(p, held, top))",
-           ("tests/test_sequence.py::TestCache::test_residues_from_threads",)),
-    # every block run from its anchor, given values and all
-    Mutant("AperyCache._reduced: fault path dropped", "src/apery/sequence.py",
-           "            if jp < self._given:", "            if False:",
-           ("tests/test_sequence.py::TestBlockRoute::test_wrong_value_is_read_as_it_is",
-            "tests/test_sequence.py::TestBlockRoute::test_extension_that_starts_mid_block",
-            "tests/test_congruences.py::TestSweepFailures",
-            "tests/test_congruences.py::TestSameReport::test_matches_reference",
-            "tests/test_congruences.py::TestSweepFailures::test_value_off_by_q_is_reported")),
-    # the given prefix's length left at 0, so its blocks run from anchors
-    Mutant("AperyCache.__init__: given length never set", "src/apery/sequence.py",
-           "            self._given = n + 1\n", "",
-           ("tests/test_sequence.py::TestBlockRoute::test_value_off_by_q_is_read_as_it_is",
-            "tests/test_sequence.py::TestBlockRoute::test_divided_at_anchors_unless_given",
-            "tests/test_congruences.py::TestSweepFailures::test_value_off_by_q_is_reported")),
-    # a block that holds the given prefix's end run from its anchor
-    Mutant("AperyCache._reduced: straddling block run from its anchor", "src/apery/sequence.py",
-           "            if jp < self._given:", "            if jp + p <= self._given:",
-           ("tests/test_sequence.py::TestBlockRoute::test_residues_are_the_held_values_reduced",)),
-    # blocks of p + 1: k = jp + p, a multiple of p, is no unit mod p^3
-    Mutant("AperyCache._reduced: anchors every p + 1", "src/apery/sequence.py",
-           "        for jp in range(start - start % p, top + 1, p):\n"
-           "            lo, hi = max(jp, start), min(jp + p, top + 1)",
-           "        for jp in range(start - start % (p + 1), top + 1, p + 1):\n"
-           "            lo, hi = max(jp, start), min(jp + p + 1, top + 1)",
-           ("tests/test_sequence.py::TestBlockRoute::test_two_and_three",
+    # the residue rows: each block anchored by the digit DP at its multiple
+    # of p, then the recurrence modulo the rows' modulus through the rest
+    Mutant("_blocks: anchor read at digit 1, not 0", "src/apery/congruences.py",
+           "jp, _dp_value(jp, p) % m)", "jp, _dp_value(jp + 1, p) % m)",
+           ("tests/test_sequence.py::TestCache::test_residues_are_prefixes",
+            "tests/test_sequence.py::TestBlockRoute::test_two_and_three[None-3]")),
+    Mutant("_blocks: block pass started at jp + 1", "src/apery/congruences.py",
+           "min(jp + p - 1, hi), jp, _dp_value", "min(jp + p - 1, hi), jp + 1, _dp_value",
+           ("tests/test_sequence.py::TestCache::test_residues_are_prefixes",
+            f"{SAME_REPORT}::test_session_pool_primes[lucas-p-47]")),
+    # the rows mod p^2, which p3-suite at p >= 5 reads as mod p^3
+    Mutant("_row_modulus: rows kept mod p^2 at p >= 5", "src/apery/congruences.py",
+           "9 if p == 3 else p**3", "9 if p == 3 else p * p",
+           ("tests/test_congruences.py::TestSweepFailures::"
+            "test_corrupted_value_is_reported[p3-suite-5]",
+            f"{SAME_REPORT}::test_half_spans[p3-suite-from-zero]",
             "tests/test_sequence.py::TestCache::test_residues_are_prefixes")),
-    Mutant("AperyCache._reduced: mask used for an odd p", "src/apery/sequence.py",
-           "        if p == 2:\n", "        if p <= 3:\n",
-           ("tests/test_sequence.py::TestBlockRoute::test_two_and_three[None-3]",
-            "tests/test_congruences.py::TestSweepFailures::"
-            "test_corrupted_value_is_reported[p3-suite-3]")),
+    Mutant("_blocks: p = 2 mask made 3", "src/apery/congruences.py",
+           "apery_fast(k) & 7", "apery_fast(k) & 3",
+           ("tests/test_congruences.py::TestP3Suite::test_all_small_primes",
+            "tests/test_sequence.py::TestBlockRoute::test_two_and_three[None-2]")),
+    # an extension grown into the array a reader may hold, with no lock
+    Mutant("_rows: table extended in place, outside the lock", "src/apery/congruences.py",
+           "        with _tables_lock:\n"
+           "            table = _tables.get(p, array(\"q\"))\n",
+           "        if True:\n"
+           "            table = _tables.setdefault(p, array(\"q\"))\n"
+           "            table.extend(_blocks(p, len(table), top - top % p + p - 1))\n",
+           ("tests/test_sequence.py::TestCache::test_residues_from_threads",
+            "tests/test_sequence.py::TestCache::test_residues_are_prefixes")),
     # the column of digit d over n < 0 read at offset p - d, the next
     # row's digit 0 for d = 0
     Mutant("_sweep: mirrored digit read as p - d", "src/apery/congruences.py",

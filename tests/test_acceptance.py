@@ -13,6 +13,8 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from apery.arith import jacobsthal_holds, primes_upto, wolstenholme_residue
 from apery.congruences import (
     scan_digit_sets,
@@ -113,12 +115,11 @@ def test_05_reduced_forms():
 
 def test_06_congruence_sweeps():
     t0 = time.time()
-    cache = shared_cache()
     ok = True
 
     part = time.time()
     for p in primes_upto(31):
-        r = verify_lucas_mod_p(p, (-50, 50), cache)
+        r = verify_lucas_mod_p(p, (-50, 50))
         ok = ok and r.passed
     print(f"  lucas-p p<=31 n in [-50,50]: {'PASS' if ok else 'FAIL'} "
           f"[{time.time()-part:.1f}s]")
@@ -126,7 +127,7 @@ def test_06_congruence_sweeps():
     part = time.time()
     sub = True
     for p in primes_upto(31):
-        r = verify_gessel_mod_p2(p, (-50, 50), cache)
+        r = verify_gessel_mod_p2(p, (-50, 50))
         sub = sub and r.passed
     ok = ok and sub
     print(f"  gessel-p2 p<=31 n in [-50,50]: {'PASS' if sub else 'FAIL'} "
@@ -135,7 +136,7 @@ def test_06_congruence_sweeps():
     part = time.time()
     sub = True
     for p in (2, 3, 5, 7, 11, 13):
-        r = verify_mod_p3_suite(p, (-50, 50), cache)
+        r = verify_mod_p3_suite(p, (-50, 50))
         sub = sub and r.passed
     ok = ok and sub
     print(f"  p3-suite p in {{2,3,5,7,11,13}}: {'PASS' if sub else 'FAIL'} "
@@ -144,7 +145,7 @@ def test_06_congruence_sweeps():
     part = time.time()
     sub = True
     for p in (5, 7, 23, 43):
-        r = verify_digit_set_lucas(p, (-p, p), cache)
+        r = verify_digit_set_lucas(p, (-p, p))
         sub = sub and r.passed and r.conclusive
     ok = ok and sub
     print(f"  digitset-p2 p in {{5,7,23,43}} |n|<=p: {'PASS' if sub else 'FAIL'} "
@@ -303,23 +304,23 @@ def test_14_digit_set_scan_budget():
     report("14 digit-set-scan-budget", ok, t0, 2)
 
 
-def test_15_symmetric_sweep_budget():
+def test_15_symmetric_sweep_budget(monkeypatch):
     # `verify lucas-p --p 5 --n -1000..999`, `verify gessel-p2 --p 101
     # --n -49..49` and `verify p3-suite --p 2 --n -5000..4999`: n and -1-n
-    # read the same row, and the memo reduces each exact value once per
-    # prime and keeps the residue (0.06-0.07 s here when cold).  A memo of
-    # its own is warmed to the top index, A(5049), outside the timer, so
-    # the budget covers the reductions, not the prefix, and every reduction
-    # is timed cold: no other test has filled that memo's residue tables
-    from apery.sequence import AperyCache
+    # read the same row, and the rows of each prime are built once, from the
+    # digit DP at each multiple of p (0.03-0.04 s here when cold).  The
+    # shared memo that p = 2's rows mask is warmed to A(5000) outside the
+    # timer, so the budget covers the rows, not the exact prefix, and every
+    # table is built cold: the test has a store of its own
+    import apery.congruences
 
-    cache = AperyCache()
-    apery_fast(5049, cache)
+    apery_fast(5000)
+    monkeypatch.setattr(apery.congruences, "_tables", {})
     t0 = time.time()
     reports = [
-        verify_lucas_mod_p(5, (-1000, 999), cache),
-        verify_gessel_mod_p2(101, (-49, 49), cache),
-        verify_mod_p3_suite(2, (-5000, 4999), cache),
+        verify_lucas_mod_p(5, (-1000, 999)),
+        verify_gessel_mod_p2(101, (-49, 49)),
+        verify_mod_p3_suite(2, (-5000, 4999)),
     ]
     ok = all(r.passed for r in reports) and [r.checked for r in reports] == [10000, 9999, 10000]
     report("15 symmetric-sweep-budget", ok, t0, 0.2)
@@ -374,33 +375,42 @@ def test_18_eval_many_terms():
     report("18 eval-many-terms", ok, t0, 0.5)
 
 
-def test_19_residue_table_memory():
-    # the residues mod p^3 that the sweeps keep on a memo, for the 12 largest
-    # primes below 100 at every index 0..10^4, each table filled by one bulk
-    # read: one array('q') per prime is 0.92 MiB traced here; a list per
-    # prime took 4.6 MiB and a dict 10.2.  Stand-ins of 257 bits for A(k)
-    # keep the test fast
-    from apery.sequence import AperyCache
+def test_19_residue_table_memory(monkeypatch):
+    # the residue rows mod p^3 that the sweeps keep, for the 12 largest
+    # primes below 100 at every index 0..10^4, each table filled by one read:
+    # one array('q') per prime is 0.96 MiB traced here; a list per prime
+    # took 4.6 MiB and a dict 10.2.  The timed fill, on a fresh store, runs
+    # untraced, 0.16-0.3 s here: traced, the recurrence's small ints took
+    # 4.7 s.  A second fill is traced, after the first made the digit DP's
+    # cached sums, so the trace holds the tables alone.  The oracle is one exact pass to 10^4,
+    # reduced per prime
+    import apery.congruences
 
     budget_mib = 1.25
     top = 10**4
-    cache = AperyCache([1, 5, *(2**256 + k for k in range(2, top + 1))])
-    held = [cache.get(k) for k in range(top + 1)]
     primes = primes_upto(100)[-12:]
+    monkeypatch.setattr(apery.congruences, "_tables", {})
+    t0 = time.time()
+    for p in primes:
+        apery.congruences._rows(p, top)
+    elapsed = time.time() - t0
+    monkeypatch.setattr(apery.congruences, "_tables", {})
     tracemalloc.start()
     try:
-        t0 = time.time()
         for p in primes:
-            cache.residues(p, top)
+            apery.congruences._rows(p, top)
         size = tracemalloc.get_traced_memory()[0] / 2**20
     finally:
         tracemalloc.stop()
     picks = (0, 1, 57, top)
+    exact = apery_mod_sweep(picks, math.prod(p**3 for p in primes))
     ok = size < budget_mib and all(
-        [cache.residues(p, top)[k] for k in picks] == [held[k] % p**3 for k in picks]
+        [apery.congruences._rows(p, top)[k] for k in picks] == [exact[k] % p**3 for k in picks]
         for p in primes
     )
-    report("19 residue-table-memory", ok, t0, 5, f" {size:.2f} MiB / {budget_mib} MiB")
+    detail = f" {size:.2f} MiB / {budget_mib} MiB"
+    # the budget covers the untraced fill alone
+    report("19 residue-table-memory", ok, time.time() - elapsed, 5, detail)
 
 
 def test_20_padic_dp_leaves_no_prefix_states():
@@ -588,3 +598,49 @@ def test_27_composite_modulus_streams_memory():
         "27 composite-modulus-streams-memory", ok, t0, budget,
         f" peak {peak_mib:.2f} MiB / {budget_mib} MiB",
     )
+
+
+def _capped_sweep(argv, cap_mib, budget):
+    # one CLI command in a process of its own under an RLIMIT_AS cap; the
+    # timeout at the budget fails the test instead of waiting
+    import resource
+
+    cap = cap_mib * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    t0 = time.time()
+    done = subprocess.run(
+        [sys.executable, "-m", "apery", *argv],
+        env=env, capture_output=True, text=True, timeout=budget, preexec_fn=limit,
+    )
+    return done, t0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_28_large_prime_sweep_under_a_cap():
+    # `verify lucas-p --p 1000003 --n 0..0`: one block of rows from A(0) = 1
+    # by the recurrence mod p^3, no exact value.  3.7 s and 302 MB peak RSS
+    # here (2 vCPU, Python 3.11.7), most of it the p digits' factors and
+    # columns.  Walking the exact prefix to p - 1 instead ran out of memory
+    # under this cap after 4.6 s
+    cap_mib, budget = 600, 15
+    argv = ["verify", "lucas-p", "--p", "1000003", "--n", "0..0"]
+    done, t0 = _capped_sweep(argv, cap_mib, budget)
+    ok = (done.returncode, done.stdout, done.stderr) == (0, "lucas-p: PASS (1000003 cases)\n", "")
+    report("28 large-prime-sweep-under-a-cap", ok, t0, budget, f" cap {cap_mib} MiB")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_29_wide_sweep_under_a_cap():
+    # `verify gessel-p2 --p 101 --n 0..1000`: the rows reach 101100, one DP
+    # anchor per block of 101.  0.34-0.44 s and 26 MB peak RSS here (2 vCPU,
+    # Python 3.11.7); the exact prefix to 101100 would hold about 3.3 GB,
+    # and ran out of memory under this cap after 4.8 s
+    cap_mib, budget = 200, 4
+    argv = ["verify", "gessel-p2", "--p", "101", "--n", "0..1000"]
+    done, t0 = _capped_sweep(argv, cap_mib, budget)
+    ok = (done.returncode, done.stdout, done.stderr) == (0, "gessel-p2: PASS (101101 cases)\n", "")
+    report("29 wide-sweep-under-a-cap", ok, t0, budget, f" cap {cap_mib} MiB")

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apery import cachefile
+from apery import cachefile, congruences
 from apery.cachefile import CacheError, _wrong_mod_q, cache_load, cache_store
-from apery.sequence import AperyCache, _recurrence_mod, apery, apery_fast
+from apery.sequence import _recurrence_mod, apery, apery_fast
 
 
 def test_round_trip(tmp_path):
@@ -506,8 +506,9 @@ def test_extensions_take_turns(fresh_prefix, monkeypatch):
 def test_each_index_passed_once(tmp_path, fresh_prefix, monkeypatch, loads_first):
     # loads at tops 3, 40, 300 and 500 share one pass modulo q that resumes
     # where it stopped: each of n = 2..500 is stepped to once, n = 0 and 1
-    # being the kept seed.  A memo's residues to 300, before or after
-    # them, read no pass modulo q
+    # being the kept seed.  The sweeps' residue rows to 300, before or
+    # after them, read no pass modulo q
+    monkeypatch.setattr(congruences, "_tables", {})  # rows made afresh
     real = cachefile._recurrence_mod
     stepped = []
 
@@ -522,7 +523,7 @@ def test_each_index_passed_once(tmp_path, fresh_prefix, monkeypatch, loads_first
 
     def memo_check():
         held = len(stepped)
-        assert AperyCache().residues(5, 300) == [apery_fast(k) % 125 for k in range(301)]
+        assert congruences._rows(5, 300) == [apery_fast(k) % 125 for k in range(301)]
         assert len(stepped) == held
 
     def loads():
@@ -536,11 +537,11 @@ def test_each_index_passed_once(tmp_path, fresh_prefix, monkeypatch, loads_first
     assert cachefile._kept == fresh_pass(500)
 
 
-def test_loads_and_memo_checks_on_eight_threads(tmp_path, fresh_prefix):
+def test_loads_and_memo_checks_on_eight_threads(tmp_path, fresh_prefix, monkeypatch):
     # four threads load files, half of them with one wrong record, against
-    # one pass that starts at n = 1, while four read residues from memos
-    # with two wrong values each, all at once; only the loads extend the
-    # pass
+    # one pass that starts at n = 1, while four read the sweeps' residue
+    # rows from a fresh store, all at once; only the loads extend the pass
+    monkeypatch.setattr(congruences, "_tables", {})
     files = []
     for i in range(4):
         top = 1500 + 700 * i
@@ -550,10 +551,7 @@ def test_loads_and_memo_checks_on_eight_threads(tmp_path, fresh_prefix):
         path = tmp_path / f"values{i}.cache"
         cache_store(path, values)
         files.append((path, values))
-    memos = []
-    for i, p in enumerate((3, 5, 7, 11)):
-        top, bad = 1100 + 900 * i, {37 + i, 500 + 7 * i}
-        memos.append((AperyCache(apery_fast(k) + (k in bad) for k in range(top + 1)), p, top))
+    reads = [(p, 1100 + 900 * i) for i, p in enumerate((3, 5, 7, 11))]
     results = [None] * 8
     start = threading.Barrier(8, timeout=30)
 
@@ -566,8 +564,7 @@ def test_loads_and_memo_checks_on_eight_threads(tmp_path, fresh_prefix):
 
     def read(i):
         start.wait()
-        memo, p, top = memos[i - 4]
-        results[i] = memo.residues(p, top)
+        results[i] = congruences._rows(*reads[i - 4])
 
     threads = [threading.Thread(target=load if i < 4 else read, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()
@@ -585,8 +582,9 @@ def test_loads_and_memo_checks_on_eight_threads(tmp_path, fresh_prefix):
             assert results[i].line == 4
         else:
             assert results[i] == values
-    for (memo, p, top), got in zip(memos, results[4:]):
-        assert got == [memo.get(k) % p**3 for k in range(top + 1)], p
+    for (p, top), got in zip(reads, results[4:]):
+        m = 9 if p == 3 else p**3
+        assert got == [apery_fast(k) % m for k in range(top + 1)], p
     assert cachefile._kept == fresh_pass(1500 + 700 * 3)
 
 

@@ -872,9 +872,8 @@ class TestCacheCommand:
     def test_sweeps_never_open_cache(
         self, capsys, monkeypatch, tmp_path, rescaled, kind, theorem
     ):
-        # a sweep walks every index below its top, so it reads the process
-        # memo alone: a file that every load refuses, named by $APERY_CACHE,
-        # changes no byte
+        # a sweep reads rows of residues that no cache file holds: a file
+        # that every load refuses, named by $APERY_CACHE, changes no byte
         path = rescaled
         if kind == "not-a-cache":
             path = str(tmp_path / "notes.txt")
@@ -951,9 +950,9 @@ def test_memory_error_is_one_line(capsys, monkeypatch):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
 def test_memory_error_under_an_address_space_cap():
-    # `verify lucas-p --p 1000003 --n 0..0` walks the exact prefix toward
-    # p - 1; under a 200 MiB cap on its own process it runs out within a
-    # few seconds, and exits 2 with one line
+    # `verify p3-suite --p 2 --n 0..1000000` masks exact values, and walks
+    # the exact prefix toward 10^6; under a 200 MiB cap on its own process
+    # it runs out within a few seconds, and exits 2 with one line
     import resource
 
     cap = 200 * 2**20
@@ -962,7 +961,7 @@ def test_memory_error_under_an_address_space_cap():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     done = subprocess.run(
-        [sys.executable, "-m", "apery", "verify", "lucas-p", "--p", "1000003", "--n", "0..0"],
+        [sys.executable, "-m", "apery", "verify", "p3-suite", "--p", "2", "--n", "0..1000000"],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=60, preexec_fn=limit,
     )

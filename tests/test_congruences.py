@@ -4,7 +4,6 @@ import functools
 import json
 import os
 import random
-import sys
 import threading
 import time
 from collections import Counter
@@ -511,8 +510,8 @@ class TestMultiDigit:
 
 class TestFastPathConsistency:
     def test_report_lhs_recomputed_via_digit_route(self):
-        # the sweeps reduce exact values; the digit route must agree on the
-        # same grid (reflecting negative arguments first)
+        # exact values reduced and the digit route agree on the grid the
+        # sweeps read (reflecting negative arguments first)
         cache = AperyCache()
         for p in (3, 5, 7):
             tables = mod_p2_tables(p)
@@ -526,46 +525,45 @@ class TestFastPathConsistency:
 
 
 class TestSweepFailures:
-    # A(17) + 1 in place of A(17) on a private memo (_corrupted_memo), and so
-    # A(-18) + 1 by reflection: every case that reads index 17 or -18 must
-    # fail, and nothing else may
+    # A(17) + 1 in place of A(17) in the rows the sweep reads (_corrupt_rows),
+    # and so A(-18) + 1 by reflection: every case that reads index 17 or -18
+    # must fail, and nothing else may
     CASES = {
         "lucas-p": (
-            lambda cache: verify_lucas_mod_p(5, (-4, 4), cache),
+            lambda: verify_lucas_mod_p(5, (-4, 4)),
             45, [(2, -4, 1, 0), (2, 3, 1, 0)], [], [],
         ),
         "gessel-p2": (
-            lambda cache: verify_gessel_mod_p2(5, (-4, 4), cache),
+            lambda: verify_gessel_mod_p2(5, (-4, 4)),
             45, [(2, -4, 11, 10), (2, 3, 11, 10)], [], [],
         ),
         "p3-suite-3": (
-            lambda cache: verify_mod_p3_suite(3, (-6, 6), cache),
+            lambda: verify_mod_p3_suite(3, (-6, 6)),
             39, [(0, -6, 6, 5), (2, 5, 6, 5)], [], [],
         ),
         "p3-suite-5": (
-            lambda cache: verify_mod_p3_suite(5, (-18, 17), cache),
+            lambda: verify_mod_p3_suite(5, (-18, 17)),
             72,
             [(0, -18, 110, 111), (4, -18, 110, 111), (0, 17, 110, 111), (4, 17, 110, 111)],
             [], [],
         ),
         "digitset-p2-5": (
-            lambda cache: verify_digit_set_lucas(5, (-4, 4), cache),
+            lambda: verify_digit_set_lucas(5, (-4, 4)),
             31, [(2, -4, 11, 10), (2, 3, 11, 10)], [(1, -3, 0, 15), (3, -3, 0, 10)], [],
         ),
         "digitset-p2-5-unwitnessed": (
-            lambda cache: verify_digit_set_lucas(5, (3, 3), cache),
+            lambda: verify_digit_set_lucas(5, (3, 3)),
             5, [(2, 3, 11, 10)], [], [1, 3],
         ),
         "digitset-p2-7": (
-            lambda cache: verify_digit_set_lucas(7, (-3, 2), cache),
+            lambda: verify_digit_set_lucas(7, (-3, 2)),
             32, [(3, -3, 38, 37), (3, 2, 38, 37)], [(1, -3, 1, 22), (5, -3, 36, 15)], [],
         ),
     }
 
-    # the p = 5 cases again, after a clean sweep has filled the shared memo's
-    # table of 5 at every index they read (0..89): a table belongs to its
-    # memo, so the residues of the shared memo's values must not answer for
-    # the private memo's
+    # the p = 5 cases again, after a clean sweep has filled the store's table
+    # of 5 at every index they read (0..89): the corrupted rows are the
+    # reader's copy, so the store stays clean for the next sweep
     WARM = ["digitset-p2-5", "digitset-p2-5-unwitnessed", "gessel-p2", "lucas-p", "p3-suite-5"]
 
     @pytest.mark.parametrize(
@@ -573,11 +571,13 @@ class TestSweepFailures:
         [(name, False) for name in sorted(CASES)] + [(name, True) for name in WARM],
         ids=[*sorted(CASES), *(f"{name}-warm" for name in WARM)],
     )
-    def test_corrupted_value_is_reported(self, name, warm):
+    def test_corrupted_value_is_reported(self, name, warm, monkeypatch):
         if warm:
             assert verify_lucas_mod_p(5, (-18, 17)).passed
         run, checked, counterexamples, witnesses, unwitnessed = self.CASES[name]
-        report = run(_corrupted_memo(17, 89))
+        with monkeypatch.context() as patched:
+            _corrupt_rows(patched, {17: 1})
+            report = run()
 
         def cases(found):
             return [(c.d, c.n, c.lhs.value, c.rhs.value) for c in found]
@@ -588,17 +588,7 @@ class TestSweepFailures:
         assert report.unwitnessed == unwitnessed
         assert not report.passed
         jsonschema.validate(report.to_dict(), SCHEMA)
-
-    @pytest.mark.parametrize(
-        "verify", [verify_lucas_mod_p, verify_gessel_mod_p2], ids=["lucas-p", "gessel-p2"]
-    )
-    def test_value_off_by_q_is_reported(self, verify):
-        # A(17) + q, q = 2^61 - 1, is reported as itself: the one case that
-        # reads index 17 over n = 0..7 at p = 5 is (d, n) = (2, 3)
-        q = sys.hash_info.modulus
-        report = verify(5, (0, 7), AperyCache(apery_fast(k) + q * (k == 17) for k in range(41)))
-        assert [(c.d, c.n) for c in report.counterexamples] == [(2, 3)]
-        assert report.checked == 40 and not report.passed
+        assert run().passed  # the store's rows are clean
 
     @pytest.mark.parametrize(
         "verify, table, p, d",
@@ -631,29 +621,45 @@ class TestSweepFailures:
         assert at_zero.rhs.value == (at_zero.lhs.value + 1) % at_zero.lhs.modulus
 
 
-def _corrupted_memo(bad, top):
-    # a private memo of the exact prefix A(0), ..., A(top), built with the
-    # public constructor, with A(bad) off by one; A(0) and A(1) are the
-    # memo's own
-    assert 2 <= bad <= top
-    return AperyCache(apery_fast(k) + (k == bad) for k in range(top + 1))
+def _corrupt_rows(monkeypatch, wrong):
+    # the sweeps read their rows through a reader that adds wrong[k] to A(k)
+    # in its copy, modulo the rows' modulus (p^3, 9 at p = 3, 8 at p = 2);
+    # the store keeps the true rows
+    real = apery.congruences._rows
+
+    def rows(p, top):
+        got = real(p, top)
+        m = {2: 8, 3: 9}.get(p, p**3)
+        for k, by in wrong.items():
+            if k <= top:
+                got[k] = (got[k] + by) % m
+        return got
+
+    monkeypatch.setattr(apery.congruences, "_rows", rows)
+
+
+def _fresh_store(monkeypatch):
+    # an empty store of rows for this test alone
+    monkeypatch.setattr(apery.congruences, "_tables", {})
 
 
 def _reference_sweep(
-    theorem, p, m, n_range, factors, cache, expected_to_fail=frozenset(), reads=None
+    theorem, p, m, n_range, factors, expected_to_fail=frozenset(), wrong=None, reads=None
 ):
-    # the per-case loop: every case reduces A(n) and A(d + p n) afresh, with
-    # n < 0 left to apery_fast's reflection; reads, when given, tallies each
-    # exact read under its non-negative index
+    # the per-case loop: every case reduces A(n) and A(d + p n) afresh from
+    # exact values, with A(k) + wrong[k] in place of A(k) and n < 0 reflected
+    # to k = -1-n; reads, when given, tallies each read under its index k
     lo, hi = n_range
     report = CongruenceReport(theorem, {"p": p, "n_lo": lo, "n_hi": hi})
+    wrong = wrong or {}
 
     def reduced(i):
+        k = i if i >= 0 else -1 - i
         if reads is not None:
-            reads[i if i >= 0 else -1 - i] += 1
-        return apery_fast(i, cache) % m
+            reads[k] += 1
+        return (apery_fast(k) + wrong.get(k, 0)) % m
 
-    if factors is None:  # digitset-p2's exact factors, reduced before the sweep
+    if factors is None:  # digitset-p2's factors, the rows' own
         factors = {d: (reduced(d), 0) for d in range(p)}
     digits = sorted(factors.items())
     for n in range(lo, hi + 1):
@@ -678,14 +684,16 @@ def _reference_sweep(
     return report
 
 
-def _reference_p3_suite_at_2(n_range, cache, reads):
+def _reference_p3_suite_at_2(n_range, wrong, reads):
     # verify_mod_p3_suite's p = 2 loop, case by case
     lo, hi = n_range
     report = CongruenceReport("p3-suite", {"p": 2, "n_lo": lo, "n_hi": hi})
+    wrong = wrong or {}
     for n in range(lo, hi + 1):
+        k = n if n >= 0 else -1 - n
         if reads is not None:
-            reads[n if n >= 0 else -1 - n] += 1
-        lhs, rhs = apery_fast(n, cache) % 8, pow(5, n if n >= 0 else n + 1, 8)
+            reads[k] += 1
+        lhs, rhs = (apery_fast(k) + wrong.get(k, 0)) % 8, pow(5, n if n >= 0 else n + 1, 8)
         report.checked += 1
         if lhs != rhs:
             report.counterexamples.append(
@@ -694,35 +702,27 @@ def _reference_p3_suite_at_2(n_range, cache, reads):
     return report
 
 
-def _reference_report(verify, p, n_range, monkeypatch, cache=None, reads=None):
+def _reference_report(verify, p, n_range, monkeypatch, wrong=None, reads=None):
     if verify is verify_mod_p3_suite and p == 2:
-        return _reference_p3_suite_at_2(n_range, cache, reads)
+        return _reference_p3_suite_at_2(n_range, wrong, reads)
     with monkeypatch.context() as patched:
-        patched.setattr(apery.congruences, "_sweep", functools.partial(_reference_sweep, reads=reads))
-        return verify(p, n_range, cache)
+        reference = functools.partial(_reference_sweep, wrong=wrong, reads=reads)
+        patched.setattr(apery.congruences, "_sweep", reference)
+        return verify(p, n_range)
 
 
-def _counted_memo(top, reductions):
-    # a private memo of the exact prefix A(0), ..., A(top) whose values tally
-    # each reduction under their index in reductions; the equal A(0) and
-    # A(1) leave the memo's own ints in place
-    class Counted(int):
-        def __mod__(self, m):
-            reductions[self.k] += 1
-            return int(self) % m
-
-    values = [Counted(apery_fast(k)) for k in range(top + 1)]
-    for k, value in enumerate(values):
-        value.k = k
-    return AperyCache(values)
+def _corrupted_report(verify, p, n_range, monkeypatch, wrong):
+    # the sweep's report on rows with A(k) + wrong[k] in place of A(k)
+    with monkeypatch.context() as patched:
+        _corrupt_rows(patched, wrong)
+        return verify(p, n_range)
 
 
-def _row_indices(p, n_range, exact_factors=False):
-    # the indices a sweep at p may read: k = n or -1-n for A(n), its row
-    # p k, ..., p k + p - 1, and the digits d < p for exact factors
-    heads = {n if n >= 0 else -1 - n for n in range(n_range[0], n_range[1] + 1)}
-    rows = {p * k + d for k in heads for d in range(p)}
-    return heads | rows | (set(range(p)) if exact_factors else set())
+def _raising(label):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{label} was called")
+
+    return call
 
 
 class TestReadOnce:
@@ -735,64 +735,74 @@ class TestReadOnce:
         "digitset-p2-5": (verify_digit_set_lucas, 5),
     }
 
-    def test_one_reduction_per_prime_and_index(self):
-        # four theorem ids at p = 5 over overlapping ranges on one memo whose
-        # values count their reductions: each held value is reduced at most
-        # once, however many sweeps and moduli (5, 25, 125) read it, and only
-        # up to the last row any sweep reads.  On a fresh memo, the offset
-        # range n = 7..9 reduces the prefix up to its last row, A(0..49),
-        # and no value twice.  A(0) and A(1) are the memo's own ints, so
-        # only k >= 2 is counted
-        reductions = Counter()
-        cache = _counted_memo(59, reductions)
-        sweeps = [
-            (verify_lucas_mod_p, (-6, 5), False),
-            (verify_gessel_mod_p2, (-3, 8), False),
-            (verify_mod_p3_suite, (-8, 3), False),
-            (verify_digit_set_lucas, (-5, 5), True),
-        ]
-        assert all(verify(5, n_range, cache).passed for verify, n_range, _ in sweeps)
-        read = [_row_indices(5, n_range, exact) for _, n_range, exact in sweeps]
-        assert sum(map(len, read)) > len(set().union(*read))  # indices in common
-        assert max(reductions.values()) == 1
-        assert set(reductions) <= set(range(max(map(max, read)) + 1))
+    def test_one_reduction_per_prime_and_index(self, monkeypatch):
+        # four theorem ids at p = 5 over overlapping ranges on a fresh store:
+        # each block of rows is made once, by one pass from its anchor,
+        # however many sweeps and moduli (5, 25, 125) read it, and only up to
+        # the last row any sweep reads
+        _fresh_store(monkeypatch)
+        passes = Counter()
+        real = apery.congruences._reduced_pass
 
-        reductions.clear()
-        assert verify_gessel_mod_p2(5, (7, 9), _counted_memo(59, reductions)).passed
-        assert max(reductions.values()) == 1 and set(reductions) <= set(range(50))
+        def counted(m, top, n0=0, anchor=1):
+            passes[m, n0] += 1
+            return real(m, top, n0, anchor)
+
+        monkeypatch.setattr(apery.congruences, "_reduced_pass", counted)
+        sweeps = [
+            (verify_lucas_mod_p, (-6, 5)),
+            (verify_gessel_mod_p2, (-3, 8)),
+            (verify_mod_p3_suite, (-8, 3)),
+            (verify_digit_set_lucas, (-5, 5)),
+        ]
+        assert all(verify(5, n_range).passed for verify, n_range in sweeps)
+        top = max(5 * max(hi, -1 - lo) + 4 for _, (lo, hi) in sweeps)  # the last row read
+        assert passes == Counter((125, jp) for jp in range(0, top + 1, 5))
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_warm_sweep_asks_the_memo_once(self, name, monkeypatch):
         # a warm sweep over a range through zero reads its rows, A(n) and
-        # any exact factors with one AperyCache.residues call, which makes
-        # no exact step and reduces no value
+        # any of the rows' own factors with one read of the store, which
+        # runs no pass, no DP and no exact step
         verify, p = self.CASES[name]
-        reductions = Counter()
-        cache = _counted_memo(p * 41 - 1, reductions)
-        assert verify(p, (-40, 30), cache).passed
-        reductions.clear()
+        assert verify(p, (-40, 30)).passed
         calls = Counter()
+        real = apery.congruences._rows
 
-        def counted(label, real):
-            def call(*args):
-                calls[label] += 1
-                return real(*args)
+        def counted(*args):
+            calls["rows"] += 1
+            return real(*args)
 
-            return call
+        monkeypatch.setattr(apery.congruences, "_rows", counted)
+        for module, attr in (
+            (apery.congruences, "_reduced_pass"),
+            (apery.congruences, "_dp_value"),
+            (apery.congruences, "apery_fast"),
+            (apery.sequence, "_recurrence_step"),
+        ):
+            monkeypatch.setattr(module, attr, _raising(attr))
+        assert verify(p, (-40, 30)).passed
+        assert calls == {"rows": 1}
 
-        monkeypatch.setattr(AperyCache, "residues", counted("residues", AperyCache.residues))
-        monkeypatch.setattr(AperyCache, "put", counted("put", AperyCache.put))
-        monkeypatch.setattr(
-            apery.sequence, "_recurrence_step", counted("step", apery.sequence._recurrence_step)
-        )
-        assert verify(p, (-40, 30), cache).passed
-        assert calls == {"residues": 1} and not reductions
+    @pytest.mark.parametrize("name", [name for name in sorted(CASES) if name != "p3-suite-2"])
+    def test_sweeps_from_three_read_no_exact_value(self, name, monkeypatch):
+        # on a fresh store, every sweep at p >= 3 reports with the exact
+        # recurrence, the memo's walk and apery_fast made to raise: its rows
+        # come from the digit DP and the recurrence modulo p^3 (9 at p = 3)
+        verify, p = self.CASES[name]
+        _fresh_store(monkeypatch)
+        want = _reference_report(verify, p, (-12, 9), monkeypatch).to_dict()
+        monkeypatch.setattr(apery.sequence, "_recurrence_step", _raising("_recurrence_step"))
+        monkeypatch.setattr(AperyCache, "_walk", _raising("AperyCache._walk"))
+        monkeypatch.setattr(apery.sequence, "apery_fast", _raising("apery_fast"))
+        monkeypatch.setattr(apery.congruences, "apery_fast", _raising("apery_fast"))
+        assert want["pass"] and verify(p, (-12, 9)).to_dict() == want
 
 
 class TestPrefixMemo:
-    # a memo that holds the prefix A(0..top/2), short of top, the last
-    # index the sweep reads: the walk makes every value past it, so each
-    # report is the one from a fresh memo
+    # a store that holds the rows up to top/2, short of top, the last index
+    # the sweep reads: the extension makes every row past it, so each report
+    # is the one from a fresh store
     CASES = {
         "lucas-p": (verify_lucas_mod_p, 5, (0, 19), 99),
         "gessel-p2": (verify_gessel_mod_p2, 5, (0, 19), 99),
@@ -802,16 +812,21 @@ class TestPrefixMemo:
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_report_as_on_a_fresh_memo(self, name):
+    def test_report_as_on_a_fresh_memo(self, name, monkeypatch):
         verify, p, n_range, top = self.CASES[name]
-        got = verify(p, n_range, AperyCache(map(apery.sequence.apery, range(top // 2))))
-        assert got.to_dict() == verify(p, n_range, AperyCache()).to_dict()
+        _fresh_store(monkeypatch)
+        want = verify(p, n_range).to_dict()
+        _fresh_store(monkeypatch)
+        apery.congruences._rows(p, top // 2)
+        assert len(apery.congruences._tables[p]) <= top
+        got = verify(p, n_range)
+        assert got.to_dict() == want
         assert got.passed
 
 
 class TestSameReport:
     # the four sweep families against the per-case loop, on seeded random
-    # primes <= 31 and ranges of both signs, clean and with one exact value
+    # primes <= 31 and ranges of both signs, clean and with one row
     # corrupted at a random index that the range reads
     FAMILIES = {
         "lucas-p": verify_lucas_mod_p,
@@ -833,34 +848,32 @@ class TestSameReport:
             want = _reference_report(verify, p, n_range, monkeypatch, reads=reads).to_dict()
             assert want["pass"] and verify(p, n_range).to_dict() == want
 
-            # A(bad) off by one on a private memo, at an index the range reads
-            bad = rng.choice(sorted(k for k in reads if k >= 2))
-            cache = _corrupted_memo(bad, max(reads))
-            got = verify(p, n_range, cache).to_dict()
-            assert got == _reference_report(verify, p, n_range, monkeypatch, cache).to_dict()
+            # A(bad) off by one in the rows, at an index the range reads
+            wrong = {rng.choice(sorted(reads)): 1}
+            got = _corrupted_report(verify, p, n_range, monkeypatch, wrong).to_dict()
+            assert got == _reference_report(verify, p, n_range, monkeypatch, wrong).to_dict()
 
     @pytest.mark.parametrize("name", sorted(TestReadOnce.CASES))
     def test_cold_and_warm_tables(self, name, monkeypatch):
-        # on a fresh memo the first sweep reduces every value it reads, the
-        # repeat of its range reads only stored residues, and the wider range
+        # on a fresh store the first sweep builds every row it reads, the
+        # repeat of its range reads only stored rows, and the wider range
         # reads some of each
         verify, p = TestReadOnce.CASES[name]
-        cache = AperyCache()
+        _fresh_store(monkeypatch)
         for n_range in ((-6, 5), (-6, 5), (-11, 8)):
-            got = verify(p, n_range, cache).to_dict()
+            got = verify(p, n_range).to_dict()
             assert got == _reference_report(verify, p, n_range, monkeypatch).to_dict()
 
     def _clean_and_corrupted(self, verify, p, n_range, monkeypatch, bads=None):
-        # the report on the shared memo, then on a private memo with A(bad)
-        # off by one for each bad (by default each index >= 2 the range
-        # reads), each against the per-case loop
+        # the report on the true rows, then with A(bad) off by one for each
+        # bad (by default each index the range reads), each against the
+        # per-case loop
         reads = Counter()
         want = _reference_report(verify, p, n_range, monkeypatch, reads=reads).to_dict()
         assert want["pass"] and verify(p, n_range).to_dict() == want
-        for bad in sorted(k for k in reads if k >= 2) if bads is None else bads:
-            cache = _corrupted_memo(bad, max(reads))
-            got = verify(p, n_range, cache).to_dict()
-            assert got == _reference_report(verify, p, n_range, monkeypatch, cache).to_dict()
+        for bad in sorted(reads) if bads is None else bads:
+            got = _corrupted_report(verify, p, n_range, monkeypatch, {bad: 1}).to_dict()
+            assert got == _reference_report(verify, p, n_range, monkeypatch, {bad: 1}).to_dict()
 
     @pytest.mark.parametrize("p", [47, 61, 83, 101])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -879,7 +892,7 @@ class TestSameReport:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_half_spans(self, family, n_range, monkeypatch):
         # a range on one side of zero leaves the other half empty; no slice
-        # of an empty half may wrap round to the end of the prefix
+        # of an empty half may wrap round to the end of the rows
         for p in (2, 3, 5, 7):
             self._clean_and_corrupted(self.FAMILIES[family], p, n_range, monkeypatch)
 
@@ -890,26 +903,24 @@ class TestSameReport:
         # reflection for n < 0, listed by n; by digit they would be
         # (1, -2), (1, 3), (3, -4), (3, 1)
         verify = self.FAMILIES[family]
-        cache = AperyCache(apery_fast(k) + (k in (8, 16)) for k in range(25))
-        got = verify(5, (-4, 4), cache)
+        wrong = {8: 1, 16: 1}
+        got = _corrupted_report(verify, 5, (-4, 4), monkeypatch, wrong)
         assert [(c.d, c.n) for c in got.counterexamples] == [(3, -4), (1, -2), (3, 1), (1, 3)]
-        want = _reference_report(verify, 5, (-4, 4), monkeypatch, cache)
+        want = _reference_report(verify, 5, (-4, 4), monkeypatch, wrong)
         assert got.to_dict() == want.to_dict()
 
     def test_witnesses_on_both_sides_of_zero(self, monkeypatch):
         # D(11) = {0, 5, 10}, and each other digit fails first at n = -1 on
         # the true values.  With A(9) made A(1), digits 1 and 9 hold at
-        # n = -1 (A(9) against A(1) A(0)) and at n = 0 (the exact factors
-        # read the same A(9)), so their witnesses come at n = 1, after the
-        # n = -1 witnesses of the digits between them
-        values = [apery_fast(k) for k in range(33)]
-        values[9] = values[1]
-        cache = AperyCache(values)
-        got = verify_digit_set_lucas(11, (-1, 2), cache)
+        # n = -1 (A(9) against A(1) A(0)) and at n = 0 (the rows' own
+        # factors read the same A(9)), so their witnesses come at n = 1,
+        # after the n = -1 witnesses of the digits between them
+        wrong = {9: apery_fast(1) - apery_fast(9)}
+        got = _corrupted_report(verify_digit_set_lucas, 11, (-1, 2), monkeypatch, wrong)
         assert got.parameters["digits"] == [0, 5, 10]
         assert [(w.d, w.n) for w in got.witnesses] == [
             (2, -1), (3, -1), (4, -1), (6, -1), (7, -1), (8, -1), (1, 1), (9, 1),
         ]
         assert got.checked == 3 * 4 + 6 * 1 + 2 * 3
-        want = _reference_report(verify_digit_set_lucas, 11, (-1, 2), monkeypatch, cache)
+        want = _reference_report(verify_digit_set_lucas, 11, (-1, 2), monkeypatch, wrong)
         assert got.to_dict() == want.to_dict()

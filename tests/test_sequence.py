@@ -16,9 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apery import sequence
+from apery import congruences, sequence
 from apery.arith import Residue
-from apery.congruences import verify_lucas_mod_p
 from apery.sequence import (
     AperyCache,
     _apery_mod_pk,
@@ -135,29 +134,34 @@ class TestCache:
         cache.put(2, 73)  # an equal value is a no-op
         assert cache._values == APERY_HEAD[:3]
 
-    def test_residues_are_prefixes(self):
-        # prefixes of A(k) mod p^3 on a memo of A(0..19), against the
-        # defining sum: the walk to 40 starts past the held prefix, a
-        # shorter prefix is read from the table and a longer one extends it,
-        # and 2097169 > 2^21, whose cube overflows an entry, keeps no table
-        cache = AperyCache(apery(k) for k in range(20))
-        for p, top in ((5, 40), (5, 9), (5, 49), (2097169, 8)):
-            assert cache.residues(p, top) == [apery(k) % p**3 for k in range(top + 1)]
-        assert cache._tables[5].tolist() == [apery(k) % 125 for k in range(50)]
-        assert list(cache._tables) == [5]
+    def test_residues_are_prefixes(self, monkeypatch):
+        # prefixes of A(k) mod p^3 read from a fresh store of the sweeps'
+        # rows, against the defining sum: a shorter prefix is read from the
+        # table and a longer one extends it in whole blocks, as a new array
+        # that leaves the one a reader holds alone; 2097169 > 2^21, whose
+        # cube overflows an entry, keeps no table
+        rows = _store(monkeypatch)
+        assert rows(5, 40) == _exact(5, 40)
+        held = congruences._tables[5]
+        for p, top in ((5, 9), (5, 49), (2097169, 8)):
+            assert rows(p, top) == _exact(p, top)
+        assert held.tolist() == _exact(5, 44)
+        assert congruences._tables[5].tolist() == _exact(5, 49)
+        assert list(congruences._tables) == [5]
+        monkeypatch.setattr(congruences, "_tables_lock", _NoLock())
+        assert rows(5, 49) == _exact(5, 49)  # a table that reaches top
 
-    def test_residues_from_threads(self):
+    def test_residues_from_threads(self, monkeypatch):
         # threads that extend one table at once, with the interpreter
-        # switching threads often, leave every entry once: an extend outside
-        # the lock would append part of the prefix twice
-        cache = AperyCache()
-        apery_fast(3000, cache)
+        # switching threads often, leave every entry once: an extension
+        # outside the lock would append part of the rows twice
+        rows = _store(monkeypatch)
         tops = [600, 3000, 1500, 2400, 3000, 900]
         start = threading.Barrier(len(tops), timeout=30)
 
         def read(top):
             start.wait()
-            return cache.residues(5, top)
+            return rows(5, top)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -166,9 +170,9 @@ class TestCache:
                 got = list(pool.map(read, tops))
         finally:
             sys.setswitchinterval(interval)
-        want = [apery_fast(k, cache) % 125 for k in range(max(tops) + 1)]
+        want = [apery_fast(k) % 125 for k in range(3005)]  # to the end of 3000's block
         assert got == [want[: top + 1] for top in tops]
-        assert cache._tables[5].tolist() == want
+        assert congruences._tables[5].tolist() == want
 
     def test_walks_from_threads(self):
         # threads that walk one fresh memo at once, with the interpreter
@@ -224,170 +228,175 @@ class TestCache:
         cache = Sizeless()
         assert apery_fast(-13, cache) == apery(12)
         assert cache.get(12) == apery(12)
-        assert verify_lucas_mod_p(5, (-4, 4), cache).passed
 
 
-def _memo(top, off=None, by=1):
-    # a private memo of A(0..top) with A(off) + by in place of A(off)
-    return AperyCache(apery(k) + by * (k == off) for k in range(top + 1))
+class _NoLock:
+    # a lock that no reader may take
+    def __enter__(self):
+        raise AssertionError("the lock was taken")
+
+    def __exit__(self, *exc):
+        return False
 
 
-# the exact values the property below reads, and the prime of the cache
-# file's check, a multiple of which no residue table may miss
-EXACT = [apery(k) for k in range(90)]
-Q = sys.hash_info.modulus
+def _store(monkeypatch):
+    # an empty store of the sweeps' residue rows for this test alone, and
+    # its reader
+    monkeypatch.setattr(congruences, "_tables", {})
+    return congruences._rows
+
+
+# the exact values the tests of the rows read
+EXACT = [apery(k) for k in range(120)]
+
+
+def _modulus(p):
+    # the rows' modulus: p^3, but 9 at p = 3 and 8 at p = 2
+    return {2: 8, 3: 9}.get(p, p**3)
+
+
+def _exact(p, top):
+    # A(k) mod _modulus(p) for k = 0..top, from the defining sum
+    return [value % _modulus(p) for value in EXACT[: top + 1]]
 
 
 @st.composite
-def given_prefixes(draw):
-    # (p, the length of a given prefix, its wrong values {k: offset}, the
-    # tops read in turn): up to three values off by +-1, +-q or +-p^3, and
-    # tops inside, at and past the prefix's end, so that a table is
-    # extended from any index, mid-block too.  The walk steps past the end
-    # from the prefix's last two values, so it reads past only when those
-    # are right
+def reads(draw):
+    # (p, the tops read in turn from a fresh store): tops inside, at the end
+    # of and past a block, so that a table is extended from a short one too
     p = draw(st.sampled_from([2, 3, 5, 7, 101]))
-    length = draw(st.integers(0, 60))
-    offsets = st.sampled_from([1, -1, Q, -Q, p**3, -(p**3)])
-    wrong = {}
-    if length > 2:
-        wrong = draw(st.dictionaries(st.integers(2, length - 1), offsets, max_size=3))
-    reach = length - 1 if any(k >= length - 2 for k in wrong) else length + 25
-    tops = draw(st.lists(st.integers(0, reach), min_size=1, max_size=3))
-    return p, length, wrong, tops
+    return p, draw(st.lists(st.integers(0, len(EXACT) - 1), min_size=1, max_size=4))
 
 
 class TestBlockRoute:
-    # AperyCache.residues reduces A(jp) mod p^3 at each multiple jp of p and
-    # runs the recurrence mod p^3 through the rest of [jp, jp + p), unless
-    # the block starts inside the prefix given to the memo, whose values it
-    # reduces one by one; each case compares with the value it holds,
-    # reduced mod p^3
-
-    @staticmethod
-    def reduced(cache, p, top):
-        return [cache.get(k) % p**3 for k in range(top + 1)]
+    # the sweeps' rows (congruences._rows): block [jp, jp + p) starts from
+    # A(jp) mod p^3 from the digit DP and runs the recurrence mod p^3
+    # through the rest of it (mod 9 at p = 3); p = 2 masks the exact
+    # memo's values with 7.  Each case compares with the defining sum
 
     @pytest.mark.parametrize("p", [5, 7])
     @pytest.mark.parametrize("where", ["anchor", "after-anchor"])
-    def test_wrong_value_is_read_as_it_is(self, p, where):
-        # A(jp) + 1 or A(jp + 1) + 1 in a prefix given up to bad + 2: the
-        # block holds the wrong residue, and the blocks around it, given or
-        # walked, the right ones
-        top = 6 * p - 1
-        bad = 3 * p + (where == "after-anchor")
-        cache = _memo(bad + 2, bad)
-        got = cache.residues(p, top)
-        assert got == self.reduced(cache, p, top)
-        assert got[bad] != apery(bad) % p**3
-        assert got[:bad] + got[bad + 1 :] == [
-            apery(k) % p**3 for k in range(top + 1) if k != bad
-        ]
+    def test_wrong_value_is_read_as_it_is(self, p, where, monkeypatch):
+        # A(3p) + 1 from the DP, or A(3p + 1) + 1 from the block's pass: the
+        # rows hold the block as made, and the blocks around it, each from
+        # its own anchor, the true residues
+        rows, m, top, bad = _store(monkeypatch), p**3, 6 * p - 1, 3 * p
+        dp, run = congruences._dp_value, congruences._reduced_pass
+        if where == "anchor":
+            monkeypatch.setattr(
+                congruences, "_dp_value", lambda n, q: dp(n, q) + (n == bad)
+            )
+            block = run(m, bad + p - 1, bad, (EXACT[bad] + 1) % m)
+        else:
+            def wrong_pass(m, top, n0=0, anchor=1):
+                got = run(m, top, n0, anchor)
+                if n0 == bad:
+                    got[1] = (got[1] + 1) % m
+                return got
 
-    @pytest.mark.parametrize("bad", [None, 9, 12])
-    def test_extension_that_starts_mid_block(self, bad):
-        # the memo is given A(0..15) and walks the rest.  The table of 7
-        # stops at 10, inside the given block [7, 14), where a wrong value
-        # before or after 10 is read as it is, then at 24, inside the made
-        # block [21, 28), which runs again from its anchor, and is then
-        # extended to 40
-        cache = _memo(15, bad)
+            monkeypatch.setattr(congruences, "_reduced_pass", wrong_pass)
+            block = _exact(p, bad + p - 1)[bad:]
+            block[1] = (block[1] + 1) % m
+        got = rows(p, top)
+        want = _exact(p, top)
+        assert got[bad : bad + p] == block != want[bad : bad + p]
+        assert got[:bad] + got[bad + p :] == want[:bad] + want[bad + p :]
+
+    @pytest.mark.parametrize("first", [None, 9, 12])
+    def test_extension_that_starts_mid_block(self, first, monkeypatch):
+        # a first read to 9 or 12 stops inside the block [7, 14) and fills
+        # the table of 7 to the block's end; reads to 10, to 24, inside
+        # [21, 28), and to 40 then extend it in whole blocks
+        rows = _store(monkeypatch)
+        if first is not None:
+            assert rows(7, first) == _exact(7, first)
+            assert len(congruences._tables[7]) == 14
         for top in (10, 24, 40):
-            assert cache.residues(7, top) == self.reduced(cache, 7, top)
-        assert cache._tables[7].tolist() == self.reduced(cache, 7, 40)
+            assert rows(7, top) == _exact(7, top)
+        assert congruences._tables[7].tolist() == _exact(7, 41)
 
-    @pytest.mark.parametrize("bad", [None, 30])
-    def test_prime_above_top(self, bad):
-        # one block from A(0) = 1, every k <= top a unit mod 101: run from
-        # its anchor on a memo that made its values, or value by value on
-        # one given A(0..50) with a wrong A(30)
-        cache = AperyCache() if bad is None else _memo(50, bad)
-        assert cache.residues(101, 50) == self.reduced(cache, 101, 50)
+    @pytest.mark.parametrize("first", [None, 30])
+    def test_prime_above_top(self, first, monkeypatch):
+        # one block from A(0) = 1, every k < 101 a unit mod 101^3, read to
+        # 50 from a fresh table or after a read to 30 filled it to 100
+        rows = _store(monkeypatch)
+        if first is not None:
+            rows(101, first)
+        assert rows(101, 50) == _exact(101, 50)
+        assert congruences._tables[101].tolist() == _exact(101, 100)
 
     @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("bad", [None, 17, 18])
-    def test_two_and_three(self, p, bad):
-        # mod 8 by a mask, and mod 27 in blocks of three, value by value
-        # in the given A(0..30) and from the anchors in the walk past it
-        cache = _memo(30, bad)
-        assert cache.residues(p, 60) == self.reduced(cache, p, 60)
+    @pytest.mark.parametrize("first", [None, 17, 18])
+    def test_two_and_three(self, p, first, monkeypatch):
+        # mod 8 by a mask, and mod 9 in blocks of three from the DP, read
+        # to 60 from a fresh table or after a read to 17 or 18
+        rows = _store(monkeypatch)
+        if first is not None:
+            assert rows(p, first) == _exact(p, first)
+        assert rows(p, 60) == _exact(p, 60)
 
-    @pytest.mark.parametrize("bad", [None, 7])
-    def test_prime_whose_cube_overflows_an_entry(self, bad):
-        # 2097169 > 2^21 keeps no table and runs the blocks on each call,
-        # from the anchor A(0) on a memo that made its values
-        cache = AperyCache() if bad is None else _memo(20, bad)
-        for top in (20, 8, 20):
-            assert cache.residues(2097169, top) == self.reduced(cache, 2097169, top)
-        assert not cache._tables
+    @pytest.mark.parametrize("first", [None, 7])
+    def test_prime_whose_cube_overflows_an_entry(self, first, monkeypatch):
+        # 2097169 > 2^21 keeps no table and builds its rows on each call,
+        # from the anchor A(0) = 1
+        rows = _store(monkeypatch)
+        for top in ((first,) if first else ()) + (20, 8, 20):
+            assert rows(2097169, top) == _exact(2097169, top)
+        assert not congruences._tables
 
-    def test_value_off_by_q_is_read_as_it_is(self):
-        # A(k) + q at p = 5, off a multiple of p and at one: the table
-        # holds the value's residue either way
-        for k in (17, 15):
-            cache = _memo(30, k, Q)
-            got = cache.residues(5, 30)
-            assert got == self.reduced(cache, 5, 30)
-            assert got[k] == (apery(k) + Q) % 125 != apery(k) % 125
-
-    @given(given_prefixes())
-    # the length-14 case: a wrong A(11) read to 24 at p = 5, where the
-    # block [10, 15) holds given values and a made one
-    @example((5, 14, {11: 1}, [24]))
+    @given(reads())
+    # a read to 11, inside the block [10, 15) of 5, then one to 24
+    @example((5, [11, 24]))
     @settings(max_examples=150, deadline=None)
     def test_residues_are_the_held_values_reduced(self, case):
-        p, length, wrong, tops = case
-        cache = AperyCache(EXACT[k] + wrong.get(k, 0) for k in range(length))
-        for top in tops:
-            assert cache.residues(p, top) == self.reduced(cache, p, top), top
+        # on a fresh store, each read in turn returns the true residues, and
+        # the table ends at the end of the largest top's block
+        p, tops = case
+        with pytest.MonkeyPatch.context() as patched:
+            rows = _store(patched)
+            for top in tops:
+                assert rows(p, top) == _exact(p, top), top
+            assert len(congruences._tables[p]) == max(tops) // p * p + p
 
-    def test_divided_at_anchors_unless_given(self, monkeypatch):
-        # no value is hashed.  On a memo that made its own values, only the
-        # values at multiples of each odd p are reduced; on a given prefix,
-        # each value is reduced once per odd prime.  A(0) and A(1) are the
-        # memo's own ints
-        hashed, divided = Counter(), Counter()
+    def test_dp_runs_at_anchors_only(self, monkeypatch):
+        # on a fresh store the digit DP runs once per block, at each multiple
+        # jp of an odd p, and only p = 2 reads exact values, once per index
+        rows = _store(monkeypatch)
+        anchors, exact = Counter(), Counter()
+        dp, fast = congruences._dp_value, congruences.apery_fast
 
-        class Counted(int):
-            def __hash__(self):
-                hashed[int(self)] += 1
-                return int.__hash__(self)
+        def counted_dp(n, p):
+            anchors[p, n] += 1
+            return dp(n, p)
 
-            def __mod__(self, m):
-                divided[int(self), m] += 1
-                return int(self) % m
+        def counted_fast(k):
+            exact[k] += 1
+            return fast(k)
 
-        top, primes, odd = 77, (2, 3, 5, 7, 101), (3, 5, 7, 101)
-        step = sequence._recurrence_step
-        monkeypatch.setattr(sequence, "_recurrence_step", lambda *args: Counted(step(*args)))
-        made = AperyCache()
-        given = AperyCache(Counted(apery(k)) for k in range(top + 1))
-        for cache in (made, given):
-            for p in primes:
-                assert cache.residues(p, top) == [apery(k) % p**3 for k in range(top + 1)]
-            assert not hashed
-            wanted = (
-                (apery(k), p**3)
-                for p in odd
-                for k in range(2, top + 1)
-                if cache is given or k % p == 0
-            )
-            assert divided == Counter(wanted)
-            divided.clear()
+        monkeypatch.setattr(congruences, "_dp_value", counted_dp)
+        monkeypatch.setattr(congruences, "apery_fast", counted_fast)
+        top, odd = 77, (3, 5, 7, 101)
+        for p in (2, *odd):
+            assert rows(p, top) == _exact(p, top)
+        assert anchors == Counter((p, jp) for p in odd for jp in range(0, top + 1, p))
+        assert exact == Counter(range(top + 1))
 
-    def test_corrupted_memo_from_threads(self):
-        # threads read several primes at several tops from one memo with
-        # three wrong values, with the interpreter switching threads often:
-        # every answer is the memo's own values reduced
+    def test_corrupted_memo_from_threads(self, monkeypatch):
+        # threads read several primes at several tops from one store, with
+        # the interpreter switching threads often.  The exact memo p = 2
+        # reads holds three wrong values: its rows are those values reduced,
+        # and every other prime's rows, which read no exact value, are true
         bad = {37, 400, 1201}
         top = 1500
-        cache = AperyCache(apery_fast(k) + (k in bad) for k in range(top + 1))
+        cache = AperyCache(apery_fast(k) + (k in bad) for k in range(top + 2))
+        monkeypatch.setattr(congruences, "apery_fast", lambda k: apery_fast(k, cache))
+        rows = _store(monkeypatch)
         jobs = [(5, 600), (7, top), (3, 900), (5, top), (101, 1300), (2, top), (7, 200)]
         start = threading.Barrier(len(jobs), timeout=30)
 
         def read(job):
             start.wait()
-            return cache.residues(*job)
+            return rows(*job)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -397,7 +406,8 @@ class TestBlockRoute:
         finally:
             sys.setswitchinterval(interval)
         for (p, t), residues in zip(jobs, got):
-            assert residues == self.reduced(cache, p, t), (p, t)
+            held = cache.get if p == 2 else apery_fast
+            assert residues == [held(k) % _modulus(p) for k in range(t + 1)], p
 
 
 class TestDerivative:
@@ -565,7 +575,7 @@ class TestExactDivision:
         # with r1 off by one, some k^3 division leaves a remainder: the
         # derivative pass, the memo's walk, the rolling sweep and the CLI
         # must each refuse it rather than return a floor quotient
-        from apery import sequence
+        from apery import congruences, sequence
         from apery.cli import main
 
         r1 = sequence._r1
